@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ImputationError, ValidationError
-from .series import PowerSeries, grid_offset, slots_per_day
+from .series import PowerSeries, day_slot, slots_per_day
 
 TREND_KNOT_DAYS = 28
 
@@ -124,9 +124,7 @@ def fit_seasonal_model(ps: PowerSeries) -> SeasonalModel:
     beta, *_ = np.linalg.lstsq(design, ps.values[present], rcond=None)
     trend = _hat_basis(idx.astype(float), knots) @ beta
 
-    midnight_offset = grid_offset(ps.start, ps.resolution)
-    slot = (midnight_offset + idx) % spd
-    day_index = (midnight_offset + idx) // spd
+    day_index, slot = day_slot(ps, idx)
     weekday0 = (ps.start.date().weekday() + day_index) % 7
 
     detrended = ps.values - trend
@@ -160,11 +158,19 @@ def impute_seasonal_model(ps: PowerSeries) -> PowerSeries:
     if present.all():
         return ps
     model = fit_seasonal_model(ps)
-    spd = slots_per_day(ps.resolution)
-    midnight_offset = grid_offset(ps.start, ps.resolution)
     idx = np.flatnonzero(~present)
-    slot = (midnight_offset + idx) % spd
-    weekday0 = (ps.start.date().weekday() + (midnight_offset + idx) // spd) % 7
+    day_index, slot = day_slot(ps, idx)
+    weekday0 = (ps.start.date().weekday() + day_index) % 7
     filled = np.array(ps.values)
     filled[idx] = model.predict(idx.astype(float), slot, weekday0)
     return replace(ps, values=filled)
+
+
+# Name -> power fill of every baseline, for the harness and the CLI.  Each
+# entry looks its function up when called, so a wrapper or mock set on the
+# module attribute (``meterfill.baselines.impute_linear``) sees every call.
+BASELINES = {
+    "linear": lambda ps: impute_linear(ps),
+    "histavg": lambda ps: impute_hist_avg(ps),
+    "seasonal": lambda ps: impute_seasonal_model(ps),
+}

@@ -16,16 +16,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import metrics
-from .cpi import CpiConfig, DissimilarityWeights, impute_cpi
+from .baselines import BASELINES
+from .cpi import CpiConfig, DissimilarityWeights, GapFill, complete_from_power, impute_cpi
 from .errors import MeterfillError, ValidationError
 from .gapgen import MissingnessSpec, insert_missing
 from .series import (
     EnergySeries,
     MeterKind,
     ParseConfig,
+    detect_gaps,
     energy_to_power,
     power_to_energy,
     read_series,
+    resolution_hours,
     write_series,
 )
 from .synthetic import synthetic_suite
@@ -329,7 +332,7 @@ def _cmd_insert_gaps(cfg: RunConfig) -> int:
 
 
 def _write_audit(path: str, result, method: str) -> None:
-    dt_hours = metrics.resolution_hours(result.imputed_power.resolution)
+    dt_hours = resolution_hours(result.imputed_power.resolution)
     with open(path, "w", encoding="utf-8") as f:
         for fill in result.per_gap:
             gap = fill.gap
@@ -360,15 +363,9 @@ def _cmd_impute(cfg: RunConfig) -> int:
         config = CpiConfig(scale=not (cfg.no_scale or cfg.method == "cpi_noscale"))
         result = impute_cpi(es, cfg.weights, config)
     else:
-        from .baselines import impute_hist_avg, impute_linear, impute_seasonal_model
-        from .cpi import GapFill, complete_from_power
-        from .series import detect_gaps
-
-        fill = {"linear": impute_linear, "histavg": impute_hist_avg,
-                "seasonal": impute_seasonal_model}[cfg.method]
         result = complete_from_power(
             es,
-            fill(energy_to_power(es)),
+            BASELINES[cfg.method](energy_to_power(es)),
             tuple(GapFill(g, (), None, anchored=g.anchored) for g in detect_gaps(es)),
         )
     write_series(cfg.output, result.completed_energy)
@@ -380,11 +377,7 @@ def _cmd_impute(cfg: RunConfig) -> int:
 
 def _cmd_impute_power_only(cfg: RunConfig) -> int:
     ps = read_series(cfg.inputs[0], ParseConfig(kind="power"))
-    from .baselines import impute_hist_avg, impute_linear, impute_seasonal_model
-
-    fill = {"linear": impute_linear, "histavg": impute_hist_avg,
-            "seasonal": impute_seasonal_model}[cfg.method]
-    write_series(cfg.output, fill(ps))
+    write_series(cfg.output, BASELINES[cfg.method](ps))
     print(f"imputed {cfg.inputs[0]} -> {cfg.output}")
     return 0
 

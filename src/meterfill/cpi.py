@@ -10,7 +10,7 @@ imputed energy matches the metered energy difference across the gap.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from datetime import date
+from datetime import date, timedelta
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,11 +22,14 @@ from .series import (
     EnergySeries,
     Gap,
     PowerSeries,
+    Series,
     day_partition,
+    day_slot,
     detect_gaps,
     energy_to_power,
     fill_energy_from_power,
     resolution_hours,
+    slots_per_day,
 )
 
 WORKDAYS = frozenset({1, 2, 3, 4, 5})
@@ -193,15 +196,10 @@ def fit_weekly_pattern(
     )
 
 
-def _gap_day_overlaps(gap: Gap, days: Sequence[DayView]) -> list[tuple[int, int]]:
-    """(day index, overlap length) for each day intersecting the gap's power span."""
-    out = []
-    for i, view in enumerate(days):
-        lo = max(gap.first_missing, view.start)
-        hi = min(gap.last_missing, view.stop - 1)
-        if lo <= hi:
-            out.append((i, hi - lo + 1))
-    return out
+def _gap_days(series: Series, gap: Gap) -> tuple[np.ndarray, np.ndarray]:
+    """Day offsets the gap's power span touches, and its length on each."""
+    day, _ = day_slot(series, np.arange(gap.first_missing, gap.last_missing + 1))
+    return np.arange(day[0], day[-1] + 1), np.bincount(day - day[0])
 
 
 def estimate_daily_energy(
@@ -226,16 +224,13 @@ def estimate_daily_energy(
                 "cannot allocate energy for an unanchored gap; boundary gaps "
                 "are handled without an energy estimate"
             )
-        overlaps = _gap_day_overlaps(gap, days)
+        touched, counts = _gap_days(series, gap)
         gap_energy = gap.actual_energy
-        counts = np.array([c for _, c in overlaps], dtype=np.float64)
         allocation = gap_energy * counts / counts.sum()
-        if len(overlaps) > 1:
-            coverage = np.array(
-                [c / days[i].slots for (i, c) in overlaps], dtype=np.float64
-            )
+        if touched.size > 1:
+            coverage = counts / np.array([days[i].slots for i in touched])
             offs = np.array(
-                [pattern.offset_for(days[i].date.isoweekday()) for i, _ in overlaps]
+                [pattern.offset_for(days[i].date.isoweekday()) for i in touched]
             )
             centred = offs - (coverage * offs).sum() / coverage.sum()
             adjusted = allocation + coverage * centred
@@ -248,8 +243,7 @@ def estimate_daily_energy(
             elif adjusted.min() < 0:
                 adjusted = allocation
             allocation = adjusted
-        for (i, _), share in zip(overlaps, allocation):
-            extra[i] += share
+        extra[touched] += allocation
     return {view.date: view.known_energy + extra[i] for i, view in enumerate(days)}
 
 
@@ -348,44 +342,45 @@ def dissimilarity(
     )
 
 
-class _CandidateTable:
-    """Vectorized candidate columns for repeated best-match queries."""
+def _best_donors(
+    days: Sequence[DayRecord],
+    candidates: Sequence[DayRecord],
+    weights: DissimilarityWeights,
+    ctx: SeasonContext,
+    keep: np.ndarray | None = None,
+) -> np.ndarray:
+    """Index of each day's least dissimilar candidate, from one distance matrix.
 
-    def __init__(self, candidates: Sequence[DayRecord]):
-        self.records = list(candidates)
-        self.totals = np.array([c.total_energy for c in candidates], dtype=np.float64)
-        self.weekdays = np.array([c.weekday for c in candidates])
-        self.days_of_year = np.array([c.day_of_year for c in candidates])
-        self.ordinals = np.array([c.date.toordinal() for c in candidates])
+    Entry (i, j) is ``dissimilarity(days[i], candidates[j])``, the energy
+    term dropped where a total is missing; candidates outside ``keep[i]``
+    are excluded.  Exact ties go to the smallest calendar distance, then
+    to the earlier date.
+    """
+    def column(attr):
+        return np.array([getattr(d, attr) for d in days], dtype=np.float64)[:, None]
 
-    def best(
-        self,
-        day: DayRecord,
-        weights: DissimilarityWeights,
-        ctx: SeasonContext,
-        keep: np.ndarray | None = None,
-    ) -> DayRecord:
-        is_workday = self.weekdays <= 5
-        dw = np.where(
-            self.weekdays == day.weekday,
-            0.0,
-            np.where(is_workday == (day.weekday <= 5), 0.5, 1.0),
-        )
-        half = ctx.cycle_length // 2
-        delta = np.abs(self.days_of_year - day.day_of_year)
-        ds = np.where(delta <= half, delta, ctx.cycle_length - delta) / half
-        value = weights.weekday * dw + weights.season * ds
-        if day.total_energy is not None:
-            value = value + weights.energy * np.abs(self.totals - day.total_energy) / (
-                ctx.energy_max - ctx.energy_min
-            )
-        if keep is not None:
-            value = np.where(keep, value, np.inf)
-            if not keep.any():
-                raise ImputationError("no complete day available")
-        distance = np.abs(self.ordinals - day.date.toordinal())
-        order = np.lexsort((self.ordinals, distance, value))
-        return self.records[int(order[0])]
+    def row(attr):
+        return np.array([getattr(c, attr) for c in candidates], dtype=np.float64)
+
+    weekday, c_weekday = column("weekday"), row("weekday")
+    dw = np.where(
+        c_weekday == weekday, 0.0, np.where((c_weekday <= 5) == (weekday <= 5), 0.5, 1.0)
+    )
+    half = ctx.cycle_length // 2
+    delta = np.abs(row("day_of_year") - column("day_of_year"))
+    ds = np.where(delta <= half, delta, ctx.cycle_length - delta) / half
+    energy = weights.energy * np.abs(row("total_energy") - column("total_energy")) / (
+        ctx.energy_max - ctx.energy_min
+    )
+    value = weights.weekday * dw + weights.season * ds + np.where(np.isnan(energy), 0.0, energy)
+    if keep is not None:
+        if not keep.any(axis=1).all():
+            raise ImputationError("no complete day available")
+        value = np.where(keep, value, np.inf)
+    ordinal = np.array([c.date.toordinal() for c in candidates])
+    distance = np.abs(ordinal - np.array([d.date.toordinal() for d in days])[:, None])
+    order = np.lexsort((np.broadcast_to(ordinal, value.shape), distance, value), axis=-1)
+    return order[:, 0]
 
 
 def select_best_match(
@@ -405,7 +400,7 @@ def select_best_match(
         if day_with_gaps.total_energy is not None:
             raise ValidationError("a SeasonContext is required to compare day totals")
         ctx = SeasonContext(365, 0.0, 1.0)
-    return _CandidateTable(candidates).best(day_with_gaps, weights, ctx)
+    return candidates[int(_best_donors([day_with_gaps], candidates, weights, ctx)[0])]
 
 
 def copy_paste_and_scale(
@@ -418,45 +413,43 @@ def copy_paste_and_scale(
     """Fill missing power slots from matched days, then conserve gap energy.
 
     Every missing power value is copied from the same within-day slot of the
-    matched donor day.  Each anchored gap is then multiplied by the ratio of
-    its metered energy to its pasted energy; if the pasted energy is zero or
-    of opposite sign, the gap falls back to a uniform fill.  Unanchored gaps
-    are pasted without scaling and flagged.  The pasted (and scaled) power
-    is the result's ``imputed_power``; the completed series are rebuilt from
-    it by ``complete_from_power``.
+    matched donor day, a whole-day shift of its index.  Each anchored gap is
+    then multiplied by the ratio of its metered energy to its pasted energy;
+    if the pasted energy is zero or of opposite sign, the gap falls back to a
+    uniform fill.  Unanchored gaps are pasted without scaling and flagged.
+    The pasted (and scaled) power is the result's ``imputed_power``; the
+    completed series are rebuilt from it by ``complete_from_power``.
     """
-    days = day_partition(ps)
-    by_date = {view.date: view for view in days}
     dt = resolution_hours(ps.resolution)
-    completed = np.array(ps.values)
-
-    pasted_days: dict[date, date] = {}
-    for view in days:
-        if view.missing == 0:
-            continue
-        if view.date not in matches:
-            raise ImputationError(f"no matched day supplied for {view.date}")
-        source = by_date[matches[view.date]]
-        idx = view.start + np.flatnonzero(np.isnan(ps.values[view.start : view.stop]))
-        slots = view.first_slot + (idx - view.start)
-        src_idx = source.start + (slots - source.first_slot)
-        if src_idx.min() < source.start or src_idx.max() >= source.stop:
+    date0 = ps.start.date()
+    idx = np.flatnonzero(np.isnan(ps.values))
+    day, _ = day_slot(ps, idx)
+    gap_days, which = np.unique(day, return_inverse=True)
+    gap_dates = [date0 + timedelta(days=d) for d in gap_days.tolist()]
+    for gap_date in gap_dates:
+        if gap_date not in matches:
+            raise ImputationError(f"no matched day supplied for {gap_date}")
+    shift = [(matches[d] - d).days for d in gap_dates]
+    src = idx + np.array(shift, dtype=np.int64)[which] * slots_per_day(ps.resolution)
+    inside = (src >= 0) & (src < ps.n)
+    donor_values = ps.values[np.where(inside, src, 0)]
+    bad = ~inside | np.isnan(donor_values)
+    if bad.any():
+        k = which[bad.argmax()]  # the earliest day with a slot it cannot fill
+        gap_date, donor = gap_dates[k], matches[gap_dates[k]]
+        if not inside[which == k].all():
             raise ImputationError(
-                f"matched day {source.date} does not cover all slots needed by {view.date}"
+                f"matched day {donor} does not cover all slots needed by {gap_date}"
             )
-        src_values = ps.values[src_idx]
-        if np.isnan(src_values).any():
-            raise ImputationError(f"matched day {source.date} is not complete")
-        completed[idx] = src_values
-        pasted_days[view.date] = source.date
+        raise ImputationError(f"matched day {donor} is not complete")
+    completed = np.array(ps.values)
+    completed[idx] = donor_values
 
     fills = []
     for gap in gaps:
         span = slice(gap.first_missing, gap.last_missing + 1)
-        sources = tuple(
-            (days[i].date, pasted_days[days[i].date])
-            for i, _ in _gap_day_overlaps(gap, days)
-        )
+        touched = [date0 + timedelta(days=int(d)) for d in _gap_days(ps, gap)[0]]
+        sources = tuple((gap_date, matches[gap_date]) for gap_date in touched)
         if not gap.anchored:
             fills.append(GapFill(gap, sources, None, anchored=False))
             continue
@@ -551,10 +544,7 @@ def plan_cpi(es: EnergySeries, config: CpiConfig = CpiConfig()) -> CpiPlan:
     estimates = estimate_daily_energy(filled, anchored, pattern)
     # Days touched by an unanchored boundary gap get no energy estimate and
     # are matched on weekday and season alone.
-    blocked: set[date] = set()
-    for gap in unanchored:
-        for i, _ in _gap_day_overlaps(gap, days):
-            blocked.add(days[i].date)
+    blocked = {days[i].date for gap in unanchored for i in _gap_days(filled, gap)[0]}
     usable = {d: v for d, v in estimates.items() if d not in blocked}
 
     records = compile_complete_days(filled, usable)
@@ -571,23 +561,16 @@ def plan_cpi(es: EnergySeries, config: CpiConfig = CpiConfig()) -> CpiPlan:
 
 
 def _match_days(plan: CpiPlan, weights: DissimilarityWeights) -> dict[date, date]:
-    table = _CandidateTable(plan.candidates)
-    views_by_date = {v.date: v for v in plan.days}
-    cand_view_slots = np.array([views_by_date[c.date].slots for c in plan.candidates])
-    records_by_date = {r.date: r for r in plan.records}
-
-    matches: dict[date, date] = {}
-    for view in plan.days:
-        if view.missing == 0:
-            continue
-        idx = view.start + np.flatnonzero(
-            np.isnan(plan.power.values[view.start : view.stop])
-        )
-        max_slot = int(view.first_slot + (idx - view.start).max())
-        keep = cand_view_slots > max_slot  # donor must cover every needed slot
-        best = table.best(records_by_date[view.date], weights, plan.context, keep=keep)
-        matches[view.date] = best.date
-    return matches
+    # Record i is day offset i; a donor must cover the day's last missing slot.
+    rows = [i for i, r in enumerate(plan.records) if not r.is_complete]
+    day, slot = day_slot(plan.power, np.flatnonzero(np.isnan(plan.power.values)))
+    last_slot = slot[np.searchsorted(day, rows, side="right") - 1]
+    date0 = plan.power.start.date()
+    donor_slots = np.array([plan.days[(c.date - date0).days].slots for c in plan.candidates])
+    keep = donor_slots > last_slot[:, None]
+    best = _best_donors([plan.records[i] for i in rows], plan.candidates, weights,
+                        plan.context, keep)
+    return {plan.records[i].date: plan.candidates[j].date for i, j in zip(rows, best)}
 
 
 def run_plan(
@@ -613,9 +596,6 @@ def impute_cpi(
     ``imputed_power`` and as a jump at each gap's right anchor in the
     completed series).
     """
-    if not np.isnan(es.values).any():
-        power = energy_to_power(es)
-        return ImputationResult(power, es, (), power)
     filled = interpolate_singles(es)
     if not np.isnan(filled.values).any():
         power = energy_to_power(filled)

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .baselines import impute_hist_avg, impute_linear, impute_seasonal_model
+from .baselines import BASELINES
 from .cpi import (
     CpiConfig,
     DEFAULT_WEIGHTS,
@@ -43,8 +43,8 @@ from .series import (
 
 ZERO_ACTUAL_THRESHOLD = 1e-9  # kW; |actual| below this is excluded from MAPE
 
-BENCHMARK_METHODS = ("cpi", "linear", "histavg", "seasonal")
-ALL_METHODS = ("cpi", "cpi_noscale", "linear", "histavg", "seasonal")
+BENCHMARK_METHODS = ("cpi", *BASELINES)
+ALL_METHODS = ("cpi", "cpi_noscale", *BASELINES)
 
 
 class MapeResult(NamedTuple):
@@ -156,14 +156,9 @@ def _impute_power(
     if method == "cpi_noscale":
         noscale = CpiConfig(min_complete_days=config.min_complete_days, scale=False)
         return impute_cpi(degraded, weights, noscale).imputed_power
-    ps = energy_to_power(degraded)
-    if method == "linear":
-        return impute_linear(ps)
-    if method == "histavg":
-        return impute_hist_avg(ps)
-    if method == "seasonal":
-        return impute_seasonal_model(ps)
-    raise MetricError(f"unknown method {method!r}")
+    if method not in BASELINES:
+        raise MetricError(f"unknown method {method!r}")
+    return BASELINES[method](energy_to_power(degraded))
 
 
 def score_method(

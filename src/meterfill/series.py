@@ -225,6 +225,18 @@ def slots_per_day(resolution: timedelta) -> int:
     return _DAY_US // res_us
 
 
+def day_slot(series: Series, index) -> tuple[np.ndarray, np.ndarray]:
+    """(day offset from the start's date, within-day slot) of power indices.
+
+    Power index i lies ``grid_offset + i`` steps after the start's midnight,
+    so the same slot k days later is index ``i + k * slots_per_day``.
+    """
+    return np.divmod(
+        grid_offset(series.start, series.resolution) + np.asarray(index),
+        slots_per_day(series.resolution),
+    )
+
+
 def energy_to_power(es: EnergySeries) -> PowerSeries:
     """Differentiate meter readings into average power (kWh/h = kW).
 

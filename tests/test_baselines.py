@@ -184,3 +184,16 @@ def test_all_imputers_return_complete_series_and_keep_present_values():
         out = impute(ps)
         assert not np.isnan(out.values).any()
         assert np.array_equal(out.values[present], ps.values[present])
+
+
+def test_method_table_dispatches_through_the_module_functions(monkeypatch):
+    import meterfill.baselines as baselines
+    from meterfill import metrics
+
+    assert metrics.ALL_METHODS == ("cpi", "cpi_noscale", "linear", "histavg", "seasonal")
+    ps = power(with_nan(np.arange(48.0), [5, 6]))
+    assert np.array_equal(baselines.BASELINES["linear"](ps).values, impute_linear(ps).values)
+    calls = []
+    monkeypatch.setattr(baselines, "impute_linear", lambda series: calls.append(series) or series)
+    assert baselines.BASELINES["linear"](ps) is ps
+    assert calls == [ps]

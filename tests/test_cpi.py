@@ -25,9 +25,9 @@ from meterfill import (
     interpolate_singles,
     select_best_match,
 )
-from meterfill.cpi import WeeklyPattern, season_distance, weekday_distance
+from meterfill.cpi import WeeklyPattern, _best_donors, season_distance, weekday_distance
 
-from conftest import MONDAY, assert_untouched, energy, with_missing
+from conftest import HOUR, MONDAY, assert_untouched, energy, with_missing
 
 
 def record(day, total=None, complete=False, estimated=False, full=True):
@@ -424,6 +424,51 @@ def test_scaling_all_weights_keeps_the_selection():
             assert select_best_match(target, candidates, scaled, ctx).date == chosen.date
 
 
+def test_matrix_match_agrees_with_the_scalar_oracle():
+    # Random weights make distinct dissimilarities differ by far more than
+    # rounding; discrete totals, zero weights and dates at equal distances
+    # make exact ties, which both sides must break the same way.
+    rng = np.random.default_rng(47)
+    year = [date(2020, 1, 1) + timedelta(days=d) for d in range(366)]  # leap year
+    for trial in range(60):
+        raw = rng.uniform(0.1, 10.0, 3) * (rng.random(3) > 0.3)
+        if not raw.any():
+            raw[int(rng.integers(3))] = 1.0
+        weights = DissimilarityWeights(*raw)
+        ctx = SeasonContext(366, 5.0, 20.0)
+        picks = rng.choice(366, size=int(rng.integers(2, 40)), replace=False)
+        candidates = [
+            record(year[d], total=float(rng.choice([5.0, 12.5, 20.0])), complete=True)
+            for d in picks
+        ]
+        days = [
+            record(year[d], total=None if rng.random() < 0.3 else float(rng.choice([5.0, 12.5])))
+            for d in rng.integers(0, 366, size=8)
+        ]
+        keep = rng.random((len(days), len(candidates))) < 0.7
+        keep[np.arange(len(days)), rng.integers(len(candidates), size=len(days))] = True
+
+        chosen = _best_donors(days, candidates, weights, ctx, keep)
+        for day, row, j in zip(days, keep, chosen):
+            kept = [c for c, k in zip(candidates, row) if k]
+            expected = min(kept, key=lambda c: (
+                dissimilarity(day, c, weights, ctx), abs((c.date - day.date).days), c.date,
+            ))
+            assert candidates[j].date == expected.date, (trial, day.date)
+        for day in days:
+            assert select_best_match(day, candidates, weights, ctx) is candidates[
+                _best_donors([day], candidates, weights, ctx)[0]
+            ]
+
+
+def test_matrix_match_needs_a_kept_candidate_on_every_row():
+    days = [record(date(2018, 1, 5), total=1.0), record(date(2018, 1, 6), total=1.0)]
+    candidates = [record(date(2018, 1, 8), total=1.0, complete=True)]
+    keep = np.array([[True], [False]])
+    with pytest.raises(ImputationError, match="no complete day available"):
+        _best_donors(days, candidates, DissimilarityWeights(), SeasonContext(365, 0, 2), keep)
+
+
 # ---------------------------------------------------------------------------
 # Copy, paste and scale
 # ---------------------------------------------------------------------------
@@ -547,6 +592,54 @@ def test_rebuilt_energy_meets_the_right_anchor():
         gap.anchor_after, abs=1e-9
     )
     assert_untouched(es, e)
+
+
+def _paste(es, matches, scale=True):
+    return copy_paste_and_scale(energy_to_power(es), detect_gaps(es), matches, es, scale=scale)
+
+
+def test_donor_outside_the_series_is_an_imputation_error():
+    es = with_missing(energy(np.arange(73.0)), range(26, 29))
+    with pytest.raises(ImputationError, match="2018-01-09"):
+        _paste(es, {date(2018, 1, 2): date(2018, 1, 9)})
+
+
+def test_day_without_a_match_is_an_imputation_error():
+    es = with_missing(energy(np.arange(73.0)), range(26, 29))
+    with pytest.raises(ImputationError, match="no matched day supplied for 2018-01-02"):
+        _paste(es, {})
+
+
+def test_donor_missing_a_needed_slot_is_an_imputation_error():
+    # From 06:00 the first day has no 02:00-05:00 slots to give.
+    es = with_missing(energy(np.arange(73.0), start=MONDAY + 6 * HOUR), range(21, 24))
+    with pytest.raises(
+        ImputationError,
+        match="matched day 2018-01-01 does not cover all slots needed by 2018-01-02",
+    ):
+        _paste(es, {date(2018, 1, 2): date(2018, 1, 1)})
+
+
+def test_incomplete_donor_is_an_imputation_error():
+    es = with_missing(energy(np.arange(73.0)), range(26, 29))
+    with pytest.raises(ImputationError, match="matched day 2018-01-02 is not complete"):
+        _paste(es, {date(2018, 1, 2): date(2018, 1, 2)})
+
+
+def test_paste_across_midnight_copies_each_day_from_its_own_donor():
+    start = MONDAY + 6 * HOUR  # power index 0 is 06:00 on 2018-01-01
+    levels = np.random.default_rng(5).uniform(0.5, 2.0, 120)
+    es = energy(np.concatenate(([0.0], np.cumsum(levels))), start=start)
+    es = with_missing(es, range(41, 45))  # power 2018-01-02 22:00 to 01-03 02:00
+    donors = {date(2018, 1, 2): date(2018, 1, 5), date(2018, 1, 3): date(2018, 1, 4)}
+    result = _paste(es, donors, scale=False)
+    (fill,) = result.per_gap
+    assert fill.sources == tuple(donors.items())
+    p = energy_to_power(es)
+    for i in range(fill.gap.first_missing, fill.gap.last_missing + 1):
+        when = p.timestamp(i)
+        donor_when = datetime.combine(donors[when.date()], when.time())
+        assert result.imputed_power.values[i] == p.values[(donor_when - start) // HOUR]
 
 
 # ---------------------------------------------------------------------------
