@@ -454,8 +454,9 @@ def main(argv: list[str] | None = None) -> int:
     except MeterfillError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        where = f": {exc.filename}" if exc.filename is not None else ""
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
         return 1
 
 

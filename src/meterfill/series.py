@@ -409,14 +409,87 @@ class ParseConfig:
             raise ValidationError(f"unknown series kind {self.kind!r}")
 
 
+def _timestamps(start: datetime, resolution: timedelta, n: int) -> list[str]:
+    """``(start + i * resolution).isoformat(sep=" ")`` for every i < n.
+
+    A naive start on the grid of a resolution that divides a day is built
+    as (date string) + (time-of-day string) over whole days.  Other series,
+    and those shorter than a day's slots, are built row by row; so is a
+    timezone-aware start, whose offset suffix may change with the date.
+    """
+    try:
+        spd = slots_per_day(resolution)
+        first = grid_offset(start, resolution) if start.tzinfo is None else None
+    except ImputationError:
+        first = None
+    if first is None or spd > n:
+        return [(start + i * resolution).isoformat(sep=" ") for i in range(n)]
+    day0 = start.date()
+    days = (first + n - 1) // spd + 1
+    dates = [(day0 + timedelta(days=d)).isoformat() + " " for d in range(days)]
+    times = [(datetime.min + k * resolution).time().isoformat() for k in range(spd)]
+    return [d + t for d in dates for t in times][first : first + n]
+
+
+def _parse_written(text: str) -> tuple[datetime, timedelta, np.ndarray] | None:
+    """(start, resolution, values) of text in exactly format_series' form.
+
+    That form is: a ``timestamp,value`` header, ``\\n`` line ends, no quotes,
+    one comma per row, the timestamp column equal to ``_timestamps`` of its
+    first two rows, and values that ``float`` reads as finite or that are
+    empty or ``nan``.  Anything else returns None, so that the row-wise
+    reader accepts it or reports its error.  The header, the line ends, the
+    quotes and the first timestamp are checked before the text is split, so
+    other ISO-8601 forms (a ``T`` separator, a padded first cell, a BOM, CRLF, quoting)
+    are turned away before any per-row work.
+    """
+    header = ",".join(_HEADER) + "\n"
+    if not text.startswith(header) or not text.endswith("\n") or '"' in text or "\r" in text:
+        return None
+    comma = text.find(",", len(header))
+    first = text[len(header) : comma] if comma > 0 else ""
+    try:
+        start = datetime.fromisoformat(first)
+    except ValueError:
+        return None
+    if first != start.isoformat(sep=" "):
+        return None
+    rows = text[len(header) : -1].split("\n")
+    if len(rows) < 2 or {row.count(",") for row in rows} != {1}:
+        return None
+    cells = ",".join(rows).split(",")
+    stamps, fields = cells[0::2], cells[1::2]
+    try:
+        resolution = datetime.fromisoformat(stamps[1]) - start
+        if (
+            resolution <= timedelta(0)
+            or stamps[-1] != (start + (len(rows) - 1) * resolution).isoformat(sep=" ")
+            or stamps != _timestamps(start, resolution, len(rows))
+        ):
+            return None
+        values = np.array([float(f) if f else math.nan for f in fields])
+    except (ValueError, TypeError, OverflowError):
+        return None
+    bad = np.flatnonzero(~np.isfinite(values))
+    if any(fields[i] and fields[i].lower() not in _NAN_TOKENS for i in bad):
+        return None
+    return start, resolution, values
+
+
 def parse_series(text: str, config: ParseConfig = ParseConfig()) -> Series:
     """Parse a ``timestamp,value`` CSV into a series.
 
     Timestamps must be ISO-8601 and equally spaced; the resolution is
     inferred from the first two rows and enforced globally.  Missing values
     are encoded as an empty field or the literal ``NaN``.  Row numbers in
-    error messages count data rows from 1 (header excluded).
+    error messages count data rows from 1 (header excluded).  Text in
+    exactly the form ``format_series`` writes is read a column at a time;
+    any other text goes through a row-wise ``csv`` reader, which gives the
+    same series or reports the first bad row.
     """
+    written = _parse_written(text)
+    if written is not None:
+        return _build_series(*written, config)
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     if not rows:
@@ -450,7 +523,10 @@ def parse_series(text: str, config: ParseConfig = ParseConfig()) -> Series:
             if not math.isfinite(values[i - 1]):
                 raise ParseError(f"non-finite value at row {i}: {value_text!r}")
 
-    resolution = timestamps[1] - timestamps[0]
+    try:
+        resolution = timestamps[1] - timestamps[0]
+    except TypeError:
+        raise ParseError("mixed naive and timezone-aware timestamps at row 2") from None
     if resolution <= timedelta(0):
         raise ParseError("non-increasing timestamps at row 2")
     for i, ts in enumerate(timestamps):
@@ -459,11 +535,16 @@ def parse_series(text: str, config: ParseConfig = ParseConfig()) -> Series:
             raise ParseError(
                 f"irregular spacing at row {i + 1}: expected {expected}, got {ts}"
             )
+    return _build_series(timestamps[0], resolution, values, config)
 
+
+def _build_series(
+    start: datetime, resolution: timedelta, values: np.ndarray, config: ParseConfig
+) -> Series:
     if config.kind == "power":
-        return PowerSeries(start=timestamps[0], resolution=resolution, values=values)
+        return PowerSeries(start=start, resolution=resolution, values=values)
     return EnergySeries(
-        start=timestamps[0],
+        start=start,
         resolution=resolution,
         values=values,
         meter_kind=config.meter_kind,
@@ -473,17 +554,21 @@ def parse_series(text: str, config: ParseConfig = ParseConfig()) -> Series:
 
 def format_series(series: Series) -> str:
     """Render a series as a ``timestamp,value`` CSV re-ingestible by parse_series."""
-    out = io.StringIO()
-    out.write("timestamp,value\n")
-    for i, v in enumerate(series.values):
-        stamp = series.timestamp(i).isoformat(sep=" ")
-        out.write(f"{stamp},{'' if math.isnan(v) else repr(float(v))}\n")
-    return out.getvalue()
+    stamps = _timestamps(series.start, series.resolution, series.n)
+    values = ["" if math.isnan(v) else repr(v) for v in series.values.tolist()]
+    return "timestamp,value\n" + "".join([f"{s},{v}\n" for s, v in zip(stamps, values)])
 
 
 def read_series(path, config: ParseConfig = ParseConfig()) -> Series:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_series(f.read(), config)
+        try:
+            text = f.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                f"at offset {exc.start}"
+            ) from None
+    return parse_series(text, config)
 
 
 def write_series(path, series: Series) -> None:

@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import errno
 import json
 
 import numpy as np
 import pytest
 
 from meterfill import ParseConfig, parse_series, read_series, synthetic_series, write_series
+from meterfill import cli
 from meterfill.cli import main
 
 
@@ -243,6 +245,50 @@ def test_malformed_csv_is_a_clean_error(tmp_path, capsys):
     rc = run_cli("impute", "--method", "cpi", bad, tmp_path / "out.csv")
     assert rc == 1
     assert "non-numeric" in capsys.readouterr().err
+
+
+def test_mixed_naive_and_aware_timestamps_are_a_clean_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("timestamp,value\n2018-01-01 00:00:00+01:00,1\n2018-01-01 00:15:00,2\n")
+    rc = run_cli("impute", "--method", "cpi", bad, tmp_path / "out.csv")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "row 2" in err
+
+
+def test_non_utf8_input_is_a_clean_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"timestamp,value\n2018-01-01 00:00:00,1\n2018-01-01 00:15:00,\xff\n")
+    rc = run_cli("impute", "--method", "cpi", bad, tmp_path / "out.csv")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8" in err
+
+
+def test_directory_as_input_is_a_clean_error(tmp_path, capsys):
+    rc = run_cli("impute", "--method", "cpi", tmp_path, tmp_path / "out.csv")
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: Is a directory: {tmp_path}\n"
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (OSError(errno.ENOSPC, "No space left on device"), "error: No space left on device\n"),
+        (OSError("the disk went away"), "error: the disk went away\n"),
+    ],
+    ids=["errno-without-filename", "bare-message"],
+)
+def test_os_error_without_a_filename_names_its_cause(
+    monkeypatch, tmp_path, series_csv, capsys, exc, message
+):
+    def failing_write(path, series):
+        raise exc
+
+    monkeypatch.setattr(cli, "write_series", failing_write)
+    rc = run_cli("impute", "--method", "cpi", series_csv, tmp_path / "out.csv")
+    assert rc == 1
+    assert capsys.readouterr().err == message
 
 
 def test_config_file_supplies_defaults(tmp_path, series_csv):

@@ -1,6 +1,7 @@
 """Tests for the core series model: parsing, conversion, gaps, day views."""
 
-from datetime import timedelta
+import math
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from meterfill import (
     parse_series,
     power_to_energy,
 )
+from meterfill import series as series_module
 from meterfill.series import format_series
 
 from conftest import MONDAY, QUARTER_HOUR, energy, power, with_missing
@@ -149,6 +151,161 @@ def test_format_series_round_trips():
     assert again.start == es.start
     assert again.resolution == es.resolution
     assert np.array_equal(again.values, es.values, equal_nan=True)
+
+
+def test_parse_rejects_mixed_naive_and_aware_timestamps():
+    text = _csv(["2018-01-01 00:00:00+01:00,0", "2018-01-01 00:15:00,1"])
+    with pytest.raises(ParseError, match="row 2"):
+        parse_series(text)
+
+
+# ---------------------------------------------------------------------------
+# The written CSV form: column-wise format and parse, row-wise parity
+# ---------------------------------------------------------------------------
+
+_RESOLUTIONS = {
+    "5min": timedelta(minutes=5),
+    "15min": QUARTER_HOUR,
+    "1h": timedelta(hours=1),
+    "7min": timedelta(minutes=7),
+    "1.5s": timedelta(seconds=1.5),
+}
+_STARTS = {
+    "midnight": MONDAY,
+    "mid-day": datetime(2018, 1, 1, 6, 15),
+    "leap-day": datetime(2020, 2, 29),
+    "year-end": datetime(2018, 12, 31, 23, 0),
+    "tz-offset": datetime(2018, 1, 1, tzinfo=timezone(timedelta(hours=1))),
+    "microsecond": datetime(2018, 1, 1, 0, 0, 0, 1),
+    "on-grid-fraction": datetime(2018, 1, 1, 0, 0, 1, 500000),
+}
+
+
+def _awkward_power(start, resolution):
+    """A day and a bit of values from 1e-8 to 1e16, signed zeros and NaN ends."""
+    n = timedelta(days=1) // resolution + 37
+    rng = np.random.default_rng(n)
+    values = np.where(rng.random(n) < 0.5, -1.0, 1.0) * 10.0 ** np.linspace(-8, 16, n)
+    values[rng.random(n) < 0.1] = np.nan
+    values[[0, -1]] = np.nan
+    values[[1, n // 2]] = [-0.0, 0.0]
+    return power(values, start=start, resolution=resolution)
+
+
+@pytest.mark.parametrize("start", _STARTS.values(), ids=_STARTS.keys())
+@pytest.mark.parametrize("resolution", _RESOLUTIONS.values(), ids=_RESOLUTIONS.keys())
+def test_format_matches_the_per_row_oracle_and_round_trips(start, resolution):
+    for ps in (_awkward_power(start, resolution), power([1.5, np.nan, 2.0], start, resolution)):
+        oracle = "timestamp,value\n" + "".join(
+            f"{ps.timestamp(i).isoformat(sep=' ')},{'' if math.isnan(v) else repr(float(v))}\n"
+            for i, v in enumerate(ps.values)
+        )
+        text = format_series(ps)
+        assert text == oracle
+        again = parse_series(text, ParseConfig(kind="power"))
+        assert (again.start, again.resolution) == (ps.start, ps.resolution)
+        assert again.values.tobytes() == ps.values.tobytes()
+
+
+def test_written_files_are_read_without_the_row_wise_reader(monkeypatch):
+    es = energy(np.arange(35040.0) / 7, resolution=QUARTER_HOUR)
+    text = format_series(with_missing(es, [0, 5, 6, 35039]))
+
+    def no_row_wise(*args, **kwargs):
+        raise AssertionError("the row-wise reader ran on a written file")
+
+    monkeypatch.setattr(series_module.csv, "reader", no_row_wise)
+    again = parse_series(text)
+    assert np.isnan(again.values[[0, 5, 6, 35039]]).all()
+    assert again.values[7] == 1.0
+
+
+def test_one_shifted_timestamp_in_a_written_year_is_irregular():
+    es = energy(np.arange(35040.0), resolution=QUARTER_HOUR)
+    lines = format_series(es).split("\n")
+    row = 20_000
+    lines[row] = lines[row + 1].split(",")[0] + "," + lines[row].split(",")[1]
+    with pytest.raises(ParseError) as exc:
+        parse_series("\n".join(lines))
+    assert str(exc.value) == (
+        f"irregular spacing at row {row}: expected {es.timestamp(row - 1)}, "
+        f"got {es.timestamp(row)}"
+    )
+
+
+def test_other_forms_of_a_year_are_turned_away_before_the_timestamp_column(monkeypatch):
+    es = energy(np.arange(35040.0), resolution=QUARTER_HOUR)
+    text = format_series(es)
+    lines = text.split("\n")
+    lines[-2] = lines[-3].split(",")[0] + ",1.0"
+
+    def no_column(*args, **kwargs):
+        raise AssertionError("the timestamp column was built for text outside the form")
+
+    monkeypatch.setattr(series_module, "_timestamps", no_column)
+    for other in (text.replace(" ", "T"), text.replace("\n", "\r\n")):
+        again = parse_series(other)
+        assert (again.start, again.resolution) == (es.start, es.resolution)
+        assert again.values.tobytes() == es.values.tobytes()
+    with pytest.raises(ParseError, match="irregular spacing at row 35040"):
+        parse_series("\n".join(lines))
+
+
+_ROW = ["2018-01-01 00:00:00,0", "2018-01-01 00:15:00,1", "2018-01-01 00:30:00,2"]
+_ACCEPTED = (MONDAY, QUARTER_HOUR, [0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (_csv([r.replace(" ", "T") for r in _ROW]), _ACCEPTED),
+        (_csv([" " + r.replace(",", " , ") + " " for r in _ROW]), _ACCEPTED),
+        ("timestamp,value\n" + _ROW[0] + "\n\n" + "\n".join(_ROW[1:]) + "\n", _ACCEPTED),
+        ("\ufeff" + _csv(_ROW), _ACCEPTED),
+        (_csv(_ROW).replace("\n", "\r\n"), _ACCEPTED),
+        (_csv(_ROW[:2] + ['2018-01-01 00:30:00,"2"']), _ACCEPTED),
+        (_csv(_ROW)[:-1], _ACCEPTED),
+        (_csv(_ROW[:2] + ["2018-01-01 00:30:00,2_0"]), (MONDAY, QUARTER_HOUR, [0.0, 1.0, 20.0])),
+        (_csv(_ROW[:2] + ["2018-01-01 00:30:00, NaN "]), (MONDAY, QUARTER_HOUR, [0.0, 1.0, None])),
+        (
+            _csv(_ROW[:2] + ["2018-01-01 00:30:00,inf"]),
+            ParseError("non-finite value at row 3: 'inf'"),
+        ),
+        (
+            _csv(_ROW[:2] + ["2018-01-01 00:30:00,+nan"]),
+            ParseError("non-finite value at row 3: '+nan'"),
+        ),
+        (
+            _csv(_ROW[:2] + ["2018-01-01 00:30:00,2,3"]),
+            ParseError("expected 2 columns at row 3, got 3"),
+        ),
+        (
+            _csv(["2018-01-01 00:00:00,0,2018-01-01 00:15:00", "1", _ROW[2]]),
+            ParseError("expected 2 columns at row 1, got 3"),
+        ),
+        (_csv([_ROW[0], _ROW[0], _ROW[1]]), ParseError("non-increasing timestamps at row 2")),
+        (_csv([_ROW[1], _ROW[0], _ROW[2]]), ParseError("non-increasing timestamps at row 2")),
+        (
+            _csv([r.split(",")[0] + "," for r in _ROW]),
+            ValidationError("an energy series needs at least one present reading"),
+        ),
+    ],
+    ids=[
+        "T-separator", "padded-cells", "blank-line", "BOM-header", "CRLF", "quoted-value",
+        "no-final-newline", "underscore-digits", "padded-nan", "inf", "plus-nan", "third-column",
+        "misplaced-comma", "duplicate-timestamp", "decreasing-timestamps", "all-missing",
+    ],
+)
+def test_text_outside_the_written_form_keeps_its_row_wise_outcome(text, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as exc:
+            parse_series(text)
+        assert str(exc.value) == str(expected)
+        return
+    start, resolution, values = expected
+    es = parse_series(text)
+    assert (es.start, es.resolution) == (start, resolution)
+    assert np.array_equal(es.values, np.array(values, dtype=float), equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
