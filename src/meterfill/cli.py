@@ -185,12 +185,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parsed(name: str, text: str, parse):
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValidationError(f"invalid value for {name}: {text!r}") from None
+
+
+def _choice(*options: str):
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(text)
+        return text
+
+    return parse
+
+
 def _setting(ns: argparse.Namespace, file_conf: dict[str, str], key: str, parse, default):
     value = getattr(ns, key, None)
     if value is not None and value is not False:
-        return parse(value) if isinstance(value, str) and parse else value
+        if isinstance(value, str):
+            return _parsed("--" + key.replace("_", "-"), value, parse)
+        return value
     if key in file_conf:
-        return parse(file_conf[key]) if parse else file_conf[key]
+        return _parsed(f"config key {key}", file_conf[key], parse)
     return default
 
 
@@ -209,7 +227,7 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
         cfg.output = ns.output
         cfg.to = ns.to
         cfg.base_energy = g("base_energy", float, None)
-        cfg.meter_kind = g("meter_kind", str, "consumption")
+        cfg.meter_kind = g("meter_kind", _choice("consumption", "generation"), "consumption")
         cfg.monotone_tol = g("monotone_tol", float, 0.0)
     elif ns.command == "insert-gaps":
         cfg.inputs = [ns.input]
@@ -225,11 +243,11 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
     elif ns.command == "impute":
         cfg.inputs = [ns.input]
         cfg.output = ns.output
-        cfg.method = g("method", str, "cpi")
+        cfg.method = g("method", _choice(*metrics.ALL_METHODS), "cpi")
         cfg.weights = g("weights", _parse_weights, DissimilarityWeights())
         cfg.no_scale = bool(getattr(ns, "no_scale", False) or file_conf.get("no_scale") == "true")
-        cfg.input_kind = g("input_kind", str, "energy")
-        cfg.meter_kind = g("meter_kind", str, "consumption")
+        cfg.input_kind = g("input_kind", _choice("energy", "power"), "energy")
+        cfg.meter_kind = g("meter_kind", _choice("consumption", "generation"), "consumption")
         cfg.monotone_tol = g("monotone_tol", float, 0.0)
         cfg.power_out = g("power_out", str, None)
         cfg.audit_out = g("audit_out", str, None)
@@ -247,9 +265,9 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
         cfg.weights = g("weights", _parse_weights, DissimilarityWeights())
         cfg.max_gap_len = g("max_gap_len", int, None)
         cfg.single_fraction = g("single_fraction", float, 0.05)
-        cfg.parallelism = g(
-            "parallelism", int, int(os.environ.get(PARALLELISM_ENV, "1"))
-        )
+        cfg.parallelism = g("parallelism", int, None)
+        if cfg.parallelism is None:
+            cfg.parallelism = _parsed(PARALLELISM_ENV, os.environ.get(PARALLELISM_ENV, "1"), int)
         cfg.report_out = g("report_out", str, "report.csv")
         cfg.aggregate_out = g("aggregate_out", str, "aggregates.csv")
         cfg.synthetic = g("synthetic", int, 0)

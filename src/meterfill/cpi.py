@@ -204,6 +204,7 @@ def _gap_days(series: Series, gap: Gap) -> tuple[np.ndarray, np.ndarray]:
 
 def estimate_daily_energy(
     series: EnergySeries,
+    days: Sequence[DayView],
     gaps: Sequence[Gap],
     pattern: WeeklyPattern,
 ) -> dict[date, float]:
@@ -214,9 +215,8 @@ def estimate_daily_energy(
     pattern is then injected with a zero-sum correction weighted by how much
     of each day lies in the gap, so the gap total is untouched; negative day
     shares are clamped to zero and the rest rescaled to restore the total.
-    Unanchored gaps are rejected.
+    Unanchored gaps are rejected.  ``days`` is the series' ``day_partition``.
     """
-    days = day_partition(series)
     extra = np.zeros(len(days))
     for gap in gaps:
         if not gap.anchored:
@@ -248,18 +248,17 @@ def estimate_daily_energy(
 
 
 def compile_complete_days(
-    series: EnergySeries,
-    estimates: Mapping[date, float] | None = None,
+    days: Sequence[DayView],
+    estimates: Mapping[date, float],
 ) -> list[DayRecord]:
-    """Build one DayRecord per day of the series.
+    """Build one DayRecord per day of a ``day_partition``.
 
     Complete days carry their actual totals; days with gaps take their total
     from ``estimates`` when available and None otherwise (unanchored case).
     Partial boundary days are flagged so they never become copy candidates.
     """
-    estimates = estimates or {}
     records = []
-    for view in day_partition(series):
+    for view in days:
         complete = view.missing == 0
         if complete:
             total = view.known_energy
@@ -541,13 +540,13 @@ def plan_cpi(es: EnergySeries, config: CpiConfig = CpiConfig()) -> CpiPlan:
 
     anchored = [g for g in gaps if g.anchored]
     unanchored = [g for g in gaps if not g.anchored]
-    estimates = estimate_daily_energy(filled, anchored, pattern)
+    estimates = estimate_daily_energy(filled, days, anchored, pattern)
     # Days touched by an unanchored boundary gap get no energy estimate and
     # are matched on weekday and season alone.
     blocked = {days[i].date for gap in unanchored for i in _gap_days(filled, gap)[0]}
     usable = {d: v for d, v in estimates.items() if d not in blocked}
 
-    records = compile_complete_days(filled, usable)
+    records = compile_complete_days(days, usable)
     candidates = [r for r in records if r.is_complete and r.full_day]
     return CpiPlan(
         series=filled,

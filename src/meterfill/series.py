@@ -301,53 +301,49 @@ def detect_gaps(es: EnergySeries) -> list[Gap]:
     return gaps
 
 
-def _power_view(series: Series) -> PowerSeries:
-    return energy_to_power(series) if isinstance(series, EnergySeries) else series
-
-
 def day_partition(series: Series) -> list[DayView]:
     """Split a series into per-day views over the power domain.
 
     The series start must fall on the resolution grid of its calendar day.
     ``known_energy`` sums the day's present power values times the
-    resolution in hours; ``missing`` counts absent power values.
+    resolution in hours; ``missing`` counts absent power values.  Day d
+    covers power indices ``d * spd - off0`` up to ``(d + 1) * spd - off0``
+    (the ``day_slot`` rule), clipped to the series.
     """
-    ps = _power_view(series)
+    ps = energy_to_power(series) if isinstance(series, EnergySeries) else series
     spd = slots_per_day(ps.resolution)
     off0 = grid_offset(ps.start, ps.resolution)
     m = ps.n
     if m == 0:
         return []
-    dt = resolution_hours(ps.resolution)
     miss = np.isnan(ps.values)
-    date0 = ps.start.date()
-
-    # Energy-domain coverage decides whether a day counts as full: the last
-    # day of a day-aligned series keeps spd readings but only spd-1 power
-    # slots, and still qualifies.
-    n_energy = m + 1 if isinstance(series, EnergySeries) else m
-    views = []
     day_count = (off0 + m - 1) // spd + 1
-    for d in range(day_count):
-        start_i = max(d * spd - off0, 0)
-        stop_i = min((d + 1) * spd - off0, m)
-        seg = ps.values[start_i:stop_i]
-        n_missing = int(miss[start_i:stop_i].sum())
-        known = float(np.nansum(seg) * dt) if stop_i > start_i else 0.0
-        e_lo = max(d * spd - off0, 0)
-        e_hi = min((d + 1) * spd - off0, n_energy)
-        views.append(
-            DayView(
-                date=date0 + timedelta(days=d),
-                start=int(start_i),
-                stop=int(stop_i),
-                first_slot=int(off0 + start_i - d * spd),
-                missing=n_missing,
-                known_energy=known,
-                covers_full_day=(e_hi - e_lo) == spd,
-            )
-        )
-    return views
+    edges = np.arange(day_count + 1) * spd - off0
+    bounds = np.clip(edges, 0, m)
+    missing = np.diff(np.concatenate(([0], np.cumsum(miss)))[bounds])
+
+    # Whole days are summed as the rows of one reshape and the partial first
+    # and last days alone, so every day's sum is that of its own slice.
+    zeroed = np.where(miss, 0.0, ps.values)
+    first = int(off0 > 0)
+    rows = (m - bounds[first]) // spd
+    sums = np.empty(day_count)
+    whole = zeroed[bounds[first] : bounds[first] + rows * spd].reshape(rows, spd)
+    sums[first : first + rows] = whole.sum(axis=1)
+    for d in {0, day_count - 1} - set(range(first, first + rows)):
+        sums[d] = zeroed[bounds[d] : bounds[d + 1]].sum()
+
+    # Coverage of the input's own values (readings, for an energy series)
+    # decides whether a day counts as full: the last day of a day-aligned
+    # series keeps spd readings but only spd-1 power slots, and still qualifies.
+    full = np.diff(np.clip(edges, 0, series.n)) == spd
+    date0 = ps.start.date()
+    columns = (bounds[:-1], bounds[1:], bounds[:-1] - edges[:-1], missing,
+               sums * resolution_hours(ps.resolution), full)
+    return [
+        DayView(date0 + timedelta(days=d), *fields)
+        for d, fields in enumerate(zip(*(c.tolist() for c in columns)))
+    ]
 
 
 def fill_energy_from_power(es: EnergySeries, power_values: np.ndarray) -> EnergySeries:
@@ -530,7 +526,10 @@ def parse_series(text: str, config: ParseConfig = ParseConfig()) -> Series:
     if resolution <= timedelta(0):
         raise ParseError("non-increasing timestamps at row 2")
     for i, ts in enumerate(timestamps):
-        expected = timestamps[0] + i * resolution
+        try:
+            expected = timestamps[0] + i * resolution
+        except OverflowError:
+            expected = "a timestamp after year 9999"
         if ts != expected:
             raise ParseError(
                 f"irregular spacing at row {i + 1}: expected {expected}, got {ts}"

@@ -2,6 +2,10 @@
 
 import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,6 +293,44 @@ def test_os_error_without_a_filename_names_its_cause(
     rc = run_cli("impute", "--method", "cpi", series_csv, tmp_path / "out.csv")
     assert rc == 1
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize(
+    "args, config, env, named",
+    [
+        ("impute --weights a,b,c {csv} {out}", "", None, "--weights: 'a,b,c'"),
+        ("evaluate --shares x {csv}", "", None, "--shares: 'x'"),
+        ("evaluate --seeds x {csv}", "", None, "--seeds: 'x'"),
+        ("tune-weights --we a:b {csv}", "", None, "--we: 'a:b'"),
+        ("insert-gaps --share 10 --config {conf} {csv} {out}", "max_gap_len = abc", None,
+         "config key max_gap_len: 'abc'"),
+        ("impute --config {conf} {csv} {out}", "meter_kind = sideways", None,
+         "config key meter_kind: 'sideways'"),
+        ("impute --config {conf} {csv} {out}", "method = magic", None,
+         "config key method: 'magic'"),
+        ("evaluate {csv}", "", "two", "METERFILL_PARALLELISM: 'two'"),
+        ("impute --method linear {overflow} {out}", "", None, "irregular spacing at row 3"),
+    ],
+    ids=["weights", "shares", "seeds", "we", "config-int", "config-meter-kind",
+         "config-method", "parallelism-env", "timestamp-past-9999"],
+)
+def test_malformed_values_give_one_error_line(tmp_path, series_csv, args, config, env, named):
+    paths = {"csv": series_csv, "out": tmp_path / "out.csv", "conf": tmp_path / "run.conf",
+             "overflow": tmp_path / "overflow.csv"}
+    paths["conf"].write_text(config + "\n")
+    paths["overflow"].write_text("timestamp,value\n0001-01-01,0\n6000-01-01,1\n9999-01-01,2\n")
+    child_env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    if env is not None:
+        child_env["METERFILL_PARALLELISM"] = env
+    # A child process, so that an uncaught exception shows as a traceback.
+    proc = subprocess.run(
+        [sys.executable, "-m", "meterfill.cli", *(a.format(**paths) for a in args.split())],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and named in line
 
 
 def test_config_file_supplies_defaults(tmp_path, series_csv):

@@ -1,6 +1,7 @@
 """Tests for the copy-paste imputation pipeline."""
 
 from datetime import date, datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from meterfill import (
     combine_distances,
     compile_complete_days,
     copy_paste_and_scale,
+    day_partition,
     detect_gaps,
     dissimilarity,
     energy_to_power,
@@ -25,7 +27,13 @@ from meterfill import (
     interpolate_singles,
     select_best_match,
 )
-from meterfill.cpi import WeeklyPattern, _best_donors, season_distance, weekday_distance
+from meterfill.cpi import (
+    WeeklyPattern,
+    _best_donors,
+    plan_cpi,
+    season_distance,
+    weekday_distance,
+)
 
 from conftest import HOUR, MONDAY, assert_untouched, energy, with_missing
 
@@ -144,7 +152,7 @@ def test_two_full_days_receive_their_weekly_offsets():
     gaps = detect_gaps(es)
     assert gaps[0].actual_energy == pytest.approx(48.0)
     pattern = _flat_pattern(fri=4.0, sat=-4.0)
-    totals = estimate_daily_energy(es, gaps, pattern)
+    totals = estimate_daily_energy(es, day_partition(es), gaps, pattern)
     assert totals[date(2018, 1, 5)] == pytest.approx(28.0)
     assert totals[date(2018, 1, 6)] == pytest.approx(20.0)
 
@@ -156,7 +164,7 @@ def test_zero_offsets_allocate_proportionally():
     es = with_missing(energy(values), range(3 * 24 + 19, 4 * 24 + 18))
     (gap,) = detect_gaps(es)
     assert gap.actual_energy == pytest.approx(40.0)
-    totals = estimate_daily_energy(es, [gap], _flat_pattern())
+    totals = estimate_daily_energy(es, day_partition(es), [gap], _flat_pattern())
     thursday_known = 18 * 40.0 / 24.0
     friday_known = 6 * 40.0 / 24.0
     assert totals[date(2018, 1, 4)] - thursday_known == pytest.approx(10.0)
@@ -169,7 +177,7 @@ def test_single_day_gap_ignores_the_pattern():
     (gap,) = detect_gaps(es)
     known = 24.0 - 7.0  # 24 slots of 1 kW minus the 7 missing power values
     for pattern in (_flat_pattern(), _flat_pattern(wed=5.0, sun=-5.0)):
-        totals = estimate_daily_energy(es, [gap], pattern)
+        totals = estimate_daily_energy(es, day_partition(es), [gap], pattern)
         assert totals[date(2018, 1, 3)] == pytest.approx(known + gap.actual_energy)
 
 
@@ -177,7 +185,7 @@ def test_unanchored_gap_is_rejected():
     es = with_missing(energy(np.arange(48.0 * 3)), [0, 1, 2])
     (gap,) = detect_gaps(es)
     with pytest.raises(ImputationError, match="unanchored"):
-        estimate_daily_energy(es, [gap], _flat_pattern())
+        estimate_daily_energy(es, day_partition(es), [gap], _flat_pattern())
 
 
 def test_estimation_conserves_every_gap_exactly():
@@ -188,9 +196,7 @@ def test_estimation_conserves_every_gap_exactly():
     es = interpolate_singles(es)
     gaps = detect_gaps(es)
     pattern = _flat_pattern(mon=3.0, tue=-1.0, wed=-2.0)
-    totals = estimate_daily_energy(es, gaps, pattern)
-    from meterfill import day_partition
-
+    totals = estimate_daily_energy(es, day_partition(es), gaps, pattern)
     allocated = sum(totals[v.date] - v.known_energy for v in day_partition(es))
     assert allocated == pytest.approx(sum(g.actual_energy for g in gaps), rel=1e-12)
 
@@ -200,7 +206,9 @@ def test_clamped_negative_allocations_still_conserve():
     base = energy(np.arange(14 * 24 + 1, dtype=float) * 0.05)  # 0.05 kW constant
     es = with_missing(base, range(4 * 24 + 1, 6 * 24))
     (gap,) = detect_gaps(es)
-    totals = estimate_daily_energy(es, [gap], _flat_pattern(fri=40.0, sat=-40.0))
+    totals = estimate_daily_energy(
+        es, day_partition(es), [gap], _flat_pattern(fri=40.0, sat=-40.0)
+    )
     friday, saturday = totals[date(2018, 1, 5)], totals[date(2018, 1, 6)]
     assert friday >= 0.0 and saturday >= 0.0
     assert friday + saturday == pytest.approx(gap.actual_energy, rel=1e-12)
@@ -214,7 +222,7 @@ def test_clamped_negative_allocations_still_conserve():
 def test_fourteen_day_series_with_two_gap_days_has_twelve_candidates():
     base = energy(np.arange(14 * 24 + 1, dtype=float))
     es = with_missing(base, range(4 * 24 + 1, 6 * 24))
-    records = compile_complete_days(es, {})
+    records = compile_complete_days(day_partition(es), {})
     assert len(records) == 14
     candidates = [r for r in records if r.is_complete and r.full_day]
     assert len(candidates) == 12
@@ -225,28 +233,39 @@ def test_fourteen_day_series_with_two_gap_days_has_twelve_candidates():
 def test_complete_year_gives_365_complete_records():
     from meterfill import synthetic_series
 
-    records = compile_complete_days(synthetic_series(3, days=365), {})
+    records = compile_complete_days(day_partition(synthetic_series(3, days=365)), {})
     assert len(records) == 365
     assert all(r.is_complete for r in records)
 
 
 def test_day_of_year_bounds():
     base = energy(np.arange(2 * 24 + 1, dtype=float), start=datetime(2018, 12, 31))
-    records = compile_complete_days(base, {})
+    records = compile_complete_days(day_partition(base), {})
     assert records[0].day_of_year == 365
-    jan = compile_complete_days(energy(np.arange(25.0)), {})
+    jan = compile_complete_days(day_partition(energy(np.arange(25.0))), {})
     assert jan[0].day_of_year == 1
 
 
 def test_estimated_days_carry_the_estimate():
     base = energy(np.arange(14 * 24 + 1, dtype=float))
     es = with_missing(base, range(4 * 24 + 1, 6 * 24))
-    records = compile_complete_days(es, {date(2018, 1, 5): 28.0})
+    records = compile_complete_days(day_partition(es), {date(2018, 1, 5): 28.0})
     by_date = {r.date: r for r in records}
     assert by_date[date(2018, 1, 5)].estimated
     assert by_date[date(2018, 1, 5)].total_energy == 28.0
     assert by_date[date(2018, 1, 6)].total_energy is None
     assert not by_date[date(2018, 1, 6)].estimated
+
+
+def test_plan_partitions_the_series_once():
+    # Boundary and interior gaps: the partition feeds the weekly fit, the
+    # estimates, the day records and the match.
+    base = energy(np.arange(21 * 24 + 1, dtype=float))
+    es = with_missing(base, [0, 1, *range(4 * 24 + 1, 6 * 24), 20 * 24])
+    with mock.patch("meterfill.cpi.day_partition", wraps=day_partition) as spy:
+        plan = plan_cpi(es)
+    assert spy.call_count == 1
+    assert plan.days == tuple(day_partition(plan.series))
 
 
 # ---------------------------------------------------------------------------

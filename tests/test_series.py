@@ -1,10 +1,11 @@
 """Tests for the core series model: parsing, conversion, gaps, day views."""
 
 import math
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, time, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meterfill import (
     EnergySeries,
@@ -23,7 +24,7 @@ from meterfill import (
 from meterfill import series as series_module
 from meterfill.series import format_series
 
-from conftest import MONDAY, QUARTER_HOUR, energy, power, with_missing
+from conftest import HOUR, MONDAY, QUARTER_HOUR, energy, power, with_missing
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +105,13 @@ def test_parse_irregular_spacing_names_the_row():
         ]
     )
     with pytest.raises(ParseError, match="irregular spacing at row 4"):
+        parse_series(text)
+
+
+def test_parse_spacing_past_year_9999_names_the_row():
+    text = _csv(["0001-01-01,0", "6000-01-01,1", "9999-01-01,2"])
+    with pytest.raises(ParseError, match="irregular spacing at row 3: expected a timestamp "
+                       "after year 9999, got 9999-01-01 00:00:00"):
         parse_series(text)
 
 
@@ -470,3 +478,85 @@ def test_day_partition_energy_conservation():
     assert all(g.anchored for g in gaps)
     total = sum(d.known_energy for d in days) + sum(g.actual_energy for g in gaps)
     assert total == pytest.approx(es.values[-1] - es.values[0], abs=1e-9)
+
+
+def _day_partition_oracle(series):
+    """The per-day loop that ``day_partition`` replaced, kept as its reference."""
+    ps = energy_to_power(series) if isinstance(series, EnergySeries) else series
+    spd = series_module.slots_per_day(ps.resolution)
+    off0 = series_module.grid_offset(ps.start, ps.resolution)
+    m = ps.n
+    if m == 0:
+        return []
+    dt = series_module.resolution_hours(ps.resolution)
+    miss = np.isnan(ps.values)
+    date0 = ps.start.date()
+    n_energy = m + 1 if isinstance(series, EnergySeries) else m
+    views = []
+    day_count = (off0 + m - 1) // spd + 1
+    for d in range(day_count):
+        start_i = max(d * spd - off0, 0)
+        stop_i = min((d + 1) * spd - off0, m)
+        seg = ps.values[start_i:stop_i]
+        n_missing = int(miss[start_i:stop_i].sum())
+        known = float(np.nansum(seg) * dt) if stop_i > start_i else 0.0
+        e_lo = max(d * spd - off0, 0)
+        e_hi = min((d + 1) * spd - off0, n_energy)
+        views.append(
+            series_module.DayView(
+                date=date0 + timedelta(days=d),
+                start=int(start_i),
+                stop=int(stop_i),
+                first_slot=int(off0 + start_i - d * spd),
+                missing=n_missing,
+                known_energy=known,
+                covers_full_day=(e_hi - e_lo) == spd,
+            )
+        )
+    return views
+
+
+_PARTITION_RESOLUTIONS = [timedelta(minutes=5), QUARTER_HOUR, HOUR, timedelta(days=1)]
+
+
+@st.composite
+def _partition_inputs(draw):
+    """An energy or power series with NaN runs: anywhere, at either end, whole days."""
+    resolution = draw(st.sampled_from(_PARTITION_RESOLUTIONS))
+    spd = timedelta(days=1) // resolution
+    leap = st.just(date(2020, 2, 28))
+    day = draw(st.one_of(leap, st.dates(date(2015, 1, 1), date(2021, 12, 31))))
+    slot = draw(st.one_of(st.just(0), st.integers(0, spd - 1)))
+    start = datetime.combine(day, time()) + slot * resolution
+    n = draw(st.integers(1, 731 * spd))
+    miss = np.zeros(n, dtype=bool)
+    for where, pos, length in draw(st.lists(st.tuples(
+        st.sampled_from(["inside", "head", "tail", "day"]),
+        st.integers(0, n - 1),
+        st.integers(1, 3 * spd),
+    ), max_size=6)):
+        if where == "inside":
+            miss[pos : pos + length] = True
+        elif where == "head":
+            miss[:length] = True
+        elif where == "tail":
+            miss[-length:] = True
+        else:
+            d = (slot + pos) // spd
+            miss[max(d * spd - slot, 0) : (d + 1) * spd - slot] = True
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-3, 3, size=n)
+    if draw(st.booleans()):
+        miss[n // 2] = False  # an energy series needs a present reading
+        values = np.where(miss, np.nan, 1e3 * rng.random() + np.cumsum(rng.random(n) * scale))
+        return EnergySeries(start=start, resolution=resolution, values=values)
+    values = np.where(miss, np.nan, rng.normal(size=n) * scale)
+    return PowerSeries(start=start, resolution=resolution, values=values)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_partition_inputs())
+def test_day_partition_matches_the_per_day_loop(series):
+    got, want = day_partition(series), _day_partition_oracle(series)
+    assert got == want
+    assert repr(got) == repr(want)  # bit-identical floats and plain Python types
