@@ -22,15 +22,12 @@ from .cpi import (
     ImputationResult,
     SeasonContext,
     WeeklyPattern,
-    combine_distances,
     compile_complete_days,
     copy_paste_and_scale,
-    dissimilarity,
     estimate_daily_energy,
     fit_weekly_pattern,
     impute_cpi,
     interpolate_singles,
-    select_best_match,
 )
 from .errors import (
     ImputationError,

@@ -201,6 +201,10 @@ def _choice(*options: str):
     return parse
 
 
+def _boolean(text: str) -> bool:
+    return _choice("true", "false")(text) == "true"
+
+
 def _setting(ns: argparse.Namespace, file_conf: dict[str, str], key: str, parse, default):
     value = getattr(ns, key, None)
     if value is not None and value is not False:
@@ -245,7 +249,7 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
         cfg.output = ns.output
         cfg.method = g("method", _choice(*metrics.ALL_METHODS), "cpi")
         cfg.weights = g("weights", _parse_weights, DissimilarityWeights())
-        cfg.no_scale = bool(getattr(ns, "no_scale", False) or file_conf.get("no_scale") == "true")
+        cfg.no_scale = g("no_scale", _boolean, False)
         cfg.input_kind = g("input_kind", _choice("energy", "power"), "energy")
         cfg.meter_kind = g("meter_kind", _choice("consumption", "generation"), "consumption")
         cfg.monotone_tol = g("monotone_tol", float, 0.0)
@@ -377,8 +381,8 @@ def _cmd_impute(cfg: RunConfig) -> int:
     power_out = cfg.power_out or _sibling(cfg.output, ".power.csv")
     audit_out = cfg.audit_out or _sibling(cfg.output, ".gaps.jsonl")
 
-    if cfg.method in ("cpi", "cpi_noscale"):
-        config = CpiConfig(scale=not (cfg.no_scale or cfg.method == "cpi_noscale"))
+    if cfg.method in metrics.CPI_METHODS:
+        config = CpiConfig(scale=metrics.CPI_METHODS[cfg.method] and not cfg.no_scale)
         result = impute_cpi(es, cfg.weights, config)
     else:
         result = complete_from_power(
@@ -452,7 +456,7 @@ def run(cfg: RunConfig) -> int:
         return _cmd_insert_gaps(cfg)
     if cfg.command == "impute":
         if cfg.input_kind == "power":
-            if cfg.method in ("cpi", "cpi_noscale"):
+            if cfg.method in metrics.CPI_METHODS:
                 raise ValidationError("copy-paste imputation requires an energy input")
             return _cmd_impute_power_only(cfg)
         return _cmd_impute(cfg)

@@ -32,7 +32,6 @@ from .series import (
     slots_per_day,
 )
 
-WORKDAYS = frozenset({1, 2, 3, 4, 5})
 WEEKDAY_NAMES = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday")
 
 
@@ -278,67 +277,20 @@ def compile_complete_days(
     return records
 
 
-def energy_distance(total_i: float, total_j: float, ctx: SeasonContext) -> float:
-    """Absolute day-total difference normalized by the seasonal energy range."""
-    return abs(total_i - total_j) / (ctx.energy_max - ctx.energy_min)
+def weekday_distance(weekday_i: np.ndarray, weekday_j: np.ndarray) -> np.ndarray:
+    """0 for the same weekday, 0.5 within the workday/weekend class, else 1.
 
-
-def weekday_distance(weekday_i: int, weekday_j: int) -> float:
-    """0 for the same weekday, 0.5 within the workday/weekend class, else 1."""
-    if weekday_i == weekday_j:
-        return 0.0
-    if (weekday_i in WORKDAYS) == (weekday_j in WORKDAYS):
-        return 0.5
-    return 1.0
-
-
-def season_distance(doy_i: int, doy_j: int, cycle_length: int) -> float:
-    """Cyclic day-of-year distance normalized to [0, 1]."""
-    half = cycle_length // 2
-    delta = abs(doy_i - doy_j)
-    if delta <= half:
-        return delta / half
-    return (cycle_length - delta) / half
-
-
-def combine_distances(
-    weights: DissimilarityWeights,
-    d_energy: float,
-    d_weekday: float,
-    d_season: float,
-) -> float:
-    """Weighted sum of the three normalized distance components."""
-    return (
-        weights.energy * d_energy
-        + weights.weekday * d_weekday
-        + weights.season * d_season
-    )
-
-
-def dissimilarity(
-    day_i: DayRecord,
-    day_j: DayRecord,
-    weights: DissimilarityWeights = DEFAULT_WEIGHTS,
-    ctx: SeasonContext | None = None,
-) -> float:
-    """Weighted sum of the energy, weekday and season distances.
-
-    When the day with gaps has no usable energy total (unanchored boundary
-    day) the energy term is dropped and only the weekday and season terms
-    are compared.
+    Elementwise over the broadcast ISO weekdays (1 = Monday).
     """
-    if day_i.total_energy is not None and day_j.total_energy is not None:
-        if ctx is None:
-            raise ValidationError("a SeasonContext is required to compare day totals")
-        d_energy = energy_distance(day_i.total_energy, day_j.total_energy, ctx)
-    else:
-        d_energy = 0.0
-    return combine_distances(
-        weights,
-        d_energy,
-        weekday_distance(day_i.weekday, day_j.weekday),
-        season_distance(day_i.day_of_year, day_j.day_of_year, ctx.cycle_length if ctx else 365),
-    )
+    same_class = (weekday_i <= 5) == (weekday_j <= 5)
+    return np.where(weekday_i == weekday_j, 0.0, np.where(same_class, 0.5, 1.0))
+
+
+def season_distance(doy_i: np.ndarray, doy_j: np.ndarray, cycle_length: int) -> np.ndarray:
+    """Cyclic day-of-year distance normalized to [0, 1], elementwise."""
+    half = cycle_length // 2
+    delta = np.abs(doy_i - doy_j)
+    return np.where(delta <= half, delta, cycle_length - delta) / half
 
 
 def _best_donors(
@@ -350,56 +302,34 @@ def _best_donors(
 ) -> np.ndarray:
     """Index of each day's least dissimilar candidate, from one distance matrix.
 
-    Entry (i, j) is ``dissimilarity(days[i], candidates[j])``, the energy
-    term dropped where a total is missing; candidates outside ``keep[i]``
-    are excluded.  Exact ties go to the smallest calendar distance, then
-    to the earlier date.
+    Entry (i, j) is the dissimilarity of ``days[i]`` and ``candidates[j]``:
+    the weighted sum of the energy, weekday and season distances, the
+    energy term dropped where a total is missing.  The energy distance is
+    the absolute day-total difference over the context's energy range.
+    Candidates outside ``keep[i]`` are excluded.  Exact ties go to the
+    smallest calendar distance, then to the earlier date.
     """
+    if not candidates or (keep is not None and not keep.any(axis=1).all()):
+        raise ImputationError("no complete day available")
+
     def column(attr):
         return np.array([getattr(d, attr) for d in days], dtype=np.float64)[:, None]
 
     def row(attr):
         return np.array([getattr(c, attr) for c in candidates], dtype=np.float64)
 
-    weekday, c_weekday = column("weekday"), row("weekday")
-    dw = np.where(
-        c_weekday == weekday, 0.0, np.where((c_weekday <= 5) == (weekday <= 5), 0.5, 1.0)
-    )
-    half = ctx.cycle_length // 2
-    delta = np.abs(row("day_of_year") - column("day_of_year"))
-    ds = np.where(delta <= half, delta, ctx.cycle_length - delta) / half
+    dw = weekday_distance(column("weekday"), row("weekday"))
+    ds = season_distance(column("day_of_year"), row("day_of_year"), ctx.cycle_length)
     energy = weights.energy * np.abs(row("total_energy") - column("total_energy")) / (
         ctx.energy_max - ctx.energy_min
     )
     value = weights.weekday * dw + weights.season * ds + np.where(np.isnan(energy), 0.0, energy)
     if keep is not None:
-        if not keep.any(axis=1).all():
-            raise ImputationError("no complete day available")
         value = np.where(keep, value, np.inf)
     ordinal = np.array([c.date.toordinal() for c in candidates])
     distance = np.abs(ordinal - np.array([d.date.toordinal() for d in days])[:, None])
     order = np.lexsort((np.broadcast_to(ordinal, value.shape), distance, value), axis=-1)
     return order[:, 0]
-
-
-def select_best_match(
-    day_with_gaps: DayRecord,
-    candidates: Sequence[DayRecord],
-    weights: DissimilarityWeights = DEFAULT_WEIGHTS,
-    ctx: SeasonContext | None = None,
-) -> DayRecord:
-    """Pick the candidate day with the smallest dissimilarity.
-
-    Candidates from both before and after the day are considered; exact ties
-    are broken by the smallest calendar distance, then by the earlier date.
-    """
-    if not candidates:
-        raise ImputationError("no complete day available")
-    if ctx is None:
-        if day_with_gaps.total_energy is not None:
-            raise ValidationError("a SeasonContext is required to compare day totals")
-        ctx = SeasonContext(365, 0.0, 1.0)
-    return candidates[int(_best_donors([day_with_gaps], candidates, weights, ctx)[0])]
 
 
 def copy_paste_and_scale(
@@ -599,5 +529,4 @@ def impute_cpi(
     if not np.isnan(filled.values).any():
         power = energy_to_power(filled)
         return ImputationResult(power, filled, (), power)
-    plan = plan_cpi(es, config)
-    return run_plan(plan, weights, scale=config.scale)
+    return run_plan(plan_cpi(filled, config), weights, scale=config.scale)

@@ -3,19 +3,22 @@
 The harness degrades complete ground-truth series, runs each imputation
 method, and scores pattern fidelity (MAPE over the missing power values)
 and energy conservation (WAPE over the per-gap energies), with wall-clock
-runtime measured around the imputation call only.  Both measures read the
-power each method imputed (for copy-paste: pasted, then scaled if scaling
-is on), never the power re-derived from the rebuilt energy, whose last
-gap slot absorbs any energy miss; so a method that does not conserve
-energy scores a nonzero WAPE.
+runtime measured around the imputation only.  ``cpi`` and ``cpi_noscale``
+run from one plan per degraded series; the runtime of each is that plan's
+time plus its own matching, pasting and scaling, so it is still what the
+method costs alone.  Both measures read the power each method imputed
+(for copy-paste: pasted, then scaled if scaling is on), never the power
+re-derived from the rebuilt energy, whose last gap slot absorbs any
+energy miss; so a method that does not conserve energy scores a nonzero
+WAPE.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import io
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -26,7 +29,7 @@ from .cpi import (
     CpiConfig,
     DEFAULT_WEIGHTS,
     DissimilarityWeights,
-    impute_cpi,
+    interpolate_singles,
     plan_cpi,
     run_plan,
 )
@@ -43,8 +46,10 @@ from .series import (
 
 ZERO_ACTUAL_THRESHOLD = 1e-9  # kW; |actual| below this is excluded from MAPE
 
+# The copy-paste methods by name: whether each scales its gaps to the metered energy.
+CPI_METHODS = {"cpi": True, "cpi_noscale": False}
 BENCHMARK_METHODS = ("cpi", *BASELINES)
-ALL_METHODS = ("cpi", "cpi_noscale", *BASELINES)
+ALL_METHODS = (*CPI_METHODS, *BASELINES)
 
 
 class MapeResult(NamedTuple):
@@ -145,42 +150,21 @@ class EvaluationReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _impute_power(
-    method: str,
-    degraded: EnergySeries,
-    weights: DissimilarityWeights,
-    config: CpiConfig,
-) -> PowerSeries:
-    if method == "cpi":
-        return impute_cpi(degraded, weights, config).imputed_power
-    if method == "cpi_noscale":
-        noscale = CpiConfig(min_complete_days=config.min_complete_days, scale=False)
-        return impute_cpi(degraded, weights, noscale).imputed_power
-    if method not in BASELINES:
-        raise MetricError(f"unknown method {method!r}")
-    return BASELINES[method](energy_to_power(degraded))
-
-
 def score_method(
     method: str,
-    original: EnergySeries,
-    degraded: EnergySeries,
-    weights: DissimilarityWeights = DEFAULT_WEIGHTS,
-    config: CpiConfig = CpiConfig(),
+    actual: PowerSeries,
+    mask: np.ndarray,
+    gaps: Sequence[Gap],
+    imputed: PowerSeries,
+    runtime_seconds: float,
 ) -> MethodScore:
-    """Impute a degraded series and score its imputed power against the original."""
-    actual_power = energy_to_power(original)
-    degraded_power = energy_to_power(degraded)
-    mask = np.flatnonzero(np.isnan(degraded_power.values))
-    gaps = detect_gaps(degraded)
+    """Score a method's imputed power against the original power ``actual``.
 
-    started = time.perf_counter()
-    imputed = _impute_power(method, degraded, weights, config)
-    elapsed = time.perf_counter() - started
-
-    mape = mape_p(actual_power, imputed, mask)
+    ``mask`` and ``gaps`` are the degraded series' missing power indices and gaps.
+    """
+    mape = mape_p(actual, imputed, mask)
     wape = wape_e([g.actual_energy for g in gaps], gap_energies(imputed, gaps))
-    return MethodScore(method, mape.value, wape, elapsed, mape.skipped)
+    return MethodScore(method, mape.value, wape, runtime_seconds, mape.skipped)
 
 
 def _cell_seed(seed: int, series_index: int, share: float) -> int:
@@ -197,28 +181,56 @@ def _evaluate_cell(payload) -> list[ScoreRow]:
         single_fraction=single_fraction,
         seed=_cell_seed(seed, series_index, share),
     )
+
+    def failed(method: str, exc: MeterfillError) -> ScoreRow:
+        return ScoreRow(sid, share, seed, method, float("nan"), float("nan"), 0.0, 0, str(exc))
+
     try:
         degraded, _ = insert_missing(series, spec)
+        actual = energy_to_power(series)
+        degraded_power = energy_to_power(degraded)
+        mask = np.flatnonzero(np.isnan(degraded_power.values))
+        gaps = detect_gaps(degraded)
     except MeterfillError as exc:
-        return [
-            ScoreRow(sid, share, seed, m, float("nan"), float("nan"), 0.0, 0, str(exc))
-            for m in methods
-        ]
+        return [failed(m, exc) for m in methods]
+
+    # Both copy-paste methods run from one plan, and each is charged its
+    # time.  As in ``impute_cpi``, no plan is built when interpolating the
+    # isolated singles leaves no gap.
+    plan_s, plan = 0.0, None
+    if any(m in CPI_METHODS for m in methods):
+        started = time.perf_counter()
+        try:
+            filled = interpolate_singles(degraded)
+            if np.isnan(filled.values).any():
+                plan = plan_cpi(filled, config)
+        except MeterfillError as exc:
+            plan = exc
+        plan_s = time.perf_counter() - started
+
     rows = []
     for method in methods:
+        started, shared_s = time.perf_counter(), 0.0
         try:
-            score = score_method(method, series, degraded, weights, config)
-            rows.append(
-                ScoreRow(
-                    sid, share, seed, method,
-                    score.mape_p, score.wape_e, score.runtime_seconds,
-                    score.skipped_mape_terms,
-                )
-            )
+            if method in CPI_METHODS:
+                if isinstance(plan, MeterfillError):
+                    raise plan
+                shared_s = plan_s
+                if plan is None:
+                    imputed = energy_to_power(filled)
+                else:
+                    imputed = run_plan(plan, weights, CPI_METHODS[method]).imputed_power
+            elif method in BASELINES:
+                imputed = BASELINES[method](degraded_power)
+            else:
+                raise MetricError(f"unknown method {method!r}")
+            elapsed = time.perf_counter() - started + shared_s
+            score = score_method(method, actual, mask, gaps, imputed, elapsed)
         except MeterfillError as exc:
-            rows.append(
-                ScoreRow(sid, share, seed, method, float("nan"), float("nan"), 0.0, 0, str(exc))
-            )
+            rows.append(failed(method, exc))
+        else:
+            rows.append(ScoreRow(sid, share, seed, method, score.mape_p, score.wape_e,
+                                 score.runtime_seconds, score.skipped_mape_terms))
     return rows
 
 
@@ -236,11 +248,15 @@ def evaluate(
     """Degrade, impute and score every (series, share, seed, method) cell.
 
     Method failures are recorded per cell instead of aborting the run.
+    ``config`` sets the copy-paste planning; the method name sets scaling.
     Aggregates are trimmed means per (share, method); groups smaller than
     five fall back to the plain mean and are flagged in the warnings.
+    Cells run in ``parallelism`` worker processes, which must be at least 1.
     """
     if not series_set:
         raise MetricError("evaluation needs at least one series")
+    if parallelism < 1:
+        raise MetricError(f"parallelism must be at least 1, got {parallelism}")
     cells = [
         (sid, series, share, seed, i, tuple(methods), weights, config,
          max_gap_len, single_fraction)
@@ -249,7 +265,7 @@ def evaluate(
         for seed in seeds
     ]
     if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
             chunks = list(pool.map(_evaluate_cell, cells))
     else:
         chunks = [_evaluate_cell(cell) for cell in cells]

@@ -22,7 +22,6 @@ from meterfill import (
     DissimilarityWeights,
     MissingnessSpec,
     ParseConfig,
-    combine_distances,
     detect_gaps,
     energy_to_power,
     evaluate,
@@ -38,6 +37,7 @@ from meterfill import (
 from meterfill.cpi import season_distance, weekday_distance
 
 from conftest import QUARTER_HOUR, energy
+from dissimilarity_oracle import combine_distances
 
 SHARES = (0.01, 0.02, 0.05, 0.1, 0.2, 0.3)
 METHODS = ("cpi", "cpi_noscale", "linear", "histavg", "seasonal")

@@ -212,6 +212,30 @@ def test_impute_no_scale_skips_energy_conservation(tmp_path, series_csv):
     assert mismatched  # pasting without scaling generally misses the metered energy
 
 
+def test_no_scale_from_the_config_file_skips_scaling(tmp_path, series_csv):
+    degraded = tmp_path / "degraded.csv"
+    run_cli("insert-gaps", "--share", "10", "--seed", "12", series_csv, degraded)
+    conf = tmp_path / "run.conf"
+    conf.write_text("no_scale = true\n")
+    rc = run_cli("impute", "--config", conf, degraded, tmp_path / "out.csv")
+    assert rc == 0
+    records = [
+        json.loads(line)
+        for line in (tmp_path / "out.gaps.jsonl").read_text().strip().splitlines()
+    ]
+    anchored = [r for r in records if r["anchored"]]
+    assert anchored and all(r["scale"] == 1.0 for r in anchored)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    code = ("import sys, meterfill.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_evaluate_with_synthetic_series(tmp_path):
     report = tmp_path / "report.csv"
     rc = run_cli(
@@ -308,11 +332,17 @@ def test_os_error_without_a_filename_names_its_cause(
          "config key meter_kind: 'sideways'"),
         ("impute --config {conf} {csv} {out}", "method = magic", None,
          "config key method: 'magic'"),
+        ("impute --config {conf} {csv} {out}", "no_scale = yes", None,
+         "config key no_scale: 'yes'"),
         ("evaluate {csv}", "", "two", "METERFILL_PARALLELISM: 'two'"),
+        ("evaluate --parallelism 0 {csv}", "", None, "parallelism must be at least 1, got 0"),
+        ("evaluate --parallelism -3 {csv}", "", None, "parallelism must be at least 1, got -3"),
+        ("evaluate {csv}", "", "0", "parallelism must be at least 1, got 0"),
         ("impute --method linear {overflow} {out}", "", None, "irregular spacing at row 3"),
     ],
     ids=["weights", "shares", "seeds", "we", "config-int", "config-meter-kind",
-         "config-method", "parallelism-env", "timestamp-past-9999"],
+         "config-method", "config-no-scale", "parallelism-env", "parallelism-zero",
+         "parallelism-negative", "parallelism-env-zero", "timestamp-past-9999"],
 )
 def test_malformed_values_give_one_error_line(tmp_path, series_csv, args, config, env, named):
     paths = {"csv": series_csv, "out": tmp_path / "out.csv", "conf": tmp_path / "run.conf",

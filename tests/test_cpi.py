@@ -14,18 +14,15 @@ from meterfill import (
     MeterKind,
     SeasonContext,
     ValidationError,
-    combine_distances,
     compile_complete_days,
     copy_paste_and_scale,
     day_partition,
     detect_gaps,
-    dissimilarity,
     energy_to_power,
     estimate_daily_energy,
     fit_weekly_pattern,
     impute_cpi,
     interpolate_singles,
-    select_best_match,
 )
 from meterfill.cpi import (
     WeeklyPattern,
@@ -36,6 +33,7 @@ from meterfill.cpi import (
 )
 
 from conftest import HOUR, MONDAY, assert_untouched, energy, with_missing
+from dissimilarity_oracle import combine_distances, dissimilarity
 
 
 def record(day, total=None, complete=False, estimated=False, full=True):
@@ -289,7 +287,7 @@ def test_weekday_distance_case_table(wi, wj, expected):
 
 
 def test_weekday_distance_only_takes_three_values():
-    values = {weekday_distance(i, j) for i in range(1, 8) for j in range(1, 8)}
+    values = {float(weekday_distance(i, j)) for i in range(1, 8) for j in range(1, 8)}
     assert values == {0.0, 0.5, 1.0}
 
 
@@ -381,7 +379,7 @@ def test_second_friday_is_selected_at_dissimilarity_0_4():
     ctx = SeasonContext(365, 20.0, 46.0)
     target = record(date(2018, 1, 5), total=24.27, estimated=True)
     candidates = _fig1_candidates()
-    best = select_best_match(target, candidates, weights, ctx)
+    best = candidates[_best_donors([target], candidates, weights, ctx)[0]]
     assert best.date == date(2018, 1, 12)  # the second Friday
     assert dissimilarity(target, best, weights, ctx) == pytest.approx(0.4, abs=1e-9)
     others = [dissimilarity(target, c, weights, ctx) for c in candidates if c is not best]
@@ -391,7 +389,8 @@ def test_second_friday_is_selected_at_dissimilarity_0_4():
 def test_single_candidate_is_returned():
     target = record(date(2018, 1, 5), total=10.0)
     only = record(date(2018, 1, 8), total=99.0, complete=True)
-    assert select_best_match(target, [only], ctx=SeasonContext(365, 0, 100)) is only
+    ctx = SeasonContext(365, 0, 100)
+    assert [only][_best_donors([target], [only], DissimilarityWeights(), ctx)[0]] is only
 
 
 def test_ties_break_on_calendar_distance_then_earlier_date():
@@ -400,15 +399,16 @@ def test_ties_break_on_calendar_distance_then_earlier_date():
     target = record(date(2018, 6, 15), total=5.0)
     near = record(date(2018, 6, 12), total=5.0, complete=True)   # 3 days away
     far = record(date(2018, 6, 25), total=5.0, complete=True)    # 10 days away
-    assert select_best_match(target, [far, near], weights, ctx) is near
+    assert [far, near][_best_donors([target], [far, near], weights, ctx)[0]] is near
     before = record(date(2018, 6, 12), total=5.0, complete=True)
     after = record(date(2018, 6, 18), total=5.0, complete=True)
-    assert select_best_match(target, [after, before], weights, ctx) is before
+    assert [after, before][_best_donors([target], [after, before], weights, ctx)[0]] is before
 
 
 def test_empty_candidate_list_is_an_error():
     with pytest.raises(ImputationError, match="no complete day available"):
-        select_best_match(record(date(2018, 1, 5), total=1.0), [], ctx=SeasonContext(365, 0, 2))
+        _best_donors([record(date(2018, 1, 5), total=1.0)], [], DissimilarityWeights(),
+                     SeasonContext(365, 0, 2))
 
 
 def test_unanchored_day_matches_on_weekday_and_season_only():
@@ -416,10 +416,8 @@ def test_unanchored_day_matches_on_weekday_and_season_only():
     target = record(date(2018, 1, 5))  # no total available
     same_weekday_far_energy = record(date(2018, 1, 12), total=10.0, complete=True)
     close_energy_other_class = record(date(2018, 1, 6), total=0.0, complete=True)
-    best = select_best_match(
-        target, [close_energy_other_class, same_weekday_far_energy],
-        DissimilarityWeights(50, 1, 1), ctx,
-    )
+    candidates = [close_energy_other_class, same_weekday_far_energy]
+    best = candidates[_best_donors([target], candidates, DissimilarityWeights(50, 1, 1), ctx)[0]]
     assert best is same_weekday_far_energy
 
 
@@ -437,10 +435,11 @@ def test_scaling_all_weights_keeps_the_selection():
             MONDAY.date() + timedelta(days=int(rng.integers(300, 360))),
             total=float(rng.uniform(0, 50)),
         )
-        chosen = select_best_match(target, candidates, base, ctx)
+        chosen = candidates[_best_donors([target], candidates, base, ctx)[0]]
         for c in (2.0, 0.5, 8.0, 3.0):
             scaled = DissimilarityWeights(5 * c, 1 * c, 10 * c)
-            assert select_best_match(target, candidates, scaled, ctx).date == chosen.date
+            best = candidates[_best_donors([target], candidates, scaled, ctx)[0]]
+            assert best.date == chosen.date
 
 
 def test_matrix_match_agrees_with_the_scalar_oracle():
@@ -474,10 +473,24 @@ def test_matrix_match_agrees_with_the_scalar_oracle():
                 dissimilarity(day, c, weights, ctx), abs((c.date - day.date).days), c.date,
             ))
             assert candidates[j].date == expected.date, (trial, day.date)
-        for day in days:
-            assert select_best_match(day, candidates, weights, ctx) is candidates[
-                _best_donors([day], candidates, weights, ctx)[0]
-            ]
+        for day in days:  # one row, no keep mask: every candidate competes
+            expected = min(candidates, key=lambda c: (
+                dissimilarity(day, c, weights, ctx), abs((c.date - day.date).days), c.date,
+            ))
+            assert candidates[_best_donors([day], candidates, weights, ctx)[0]] is expected
+
+
+def test_matrix_match_runs_the_distance_rules_under_test():
+    # The truth tables above test these two functions; the match must use them.
+    days = [record(date(2018, 1, 5), total=1.0), record(date(2018, 1, 6))]
+    candidates = [record(date(2018, 1, 8) + timedelta(days=d), total=1.0, complete=True)
+                  for d in range(3)]
+    with (
+        mock.patch("meterfill.cpi.weekday_distance", wraps=weekday_distance) as weekday,
+        mock.patch("meterfill.cpi.season_distance", wraps=season_distance) as season,
+    ):
+        _best_donors(days, candidates, DissimilarityWeights(), SeasonContext(365, 0, 2))
+    assert (weekday.call_count, season.call_count) == (1, 1)
 
 
 def test_matrix_match_needs_a_kept_candidate_on_every_row():

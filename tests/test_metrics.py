@@ -1,19 +1,28 @@
 """Tests for error measures, aggregation and the evaluation harness."""
 
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from meterfill import (
     DissimilarityWeights,
+    ImputationError,
     MetricError,
+    MissingnessSpec,
     evaluate,
     grid_search_weights,
+    impute_cpi,
+    insert_missing,
     mape_p,
+    synthetic_series,
     synthetic_suite,
     trimmed_mean,
     wape_e,
 )
-from meterfill.metrics import format_aggregates_csv, format_report_csv
+from meterfill.cpi import plan_cpi
+from meterfill.metrics import _cell_seed, format_aggregates_csv, format_report_csv
 
 from conftest import power
 
@@ -162,6 +171,56 @@ def test_parallel_equals_serial(small_suite):
     parallel = evaluate(small_suite, **kwargs, parallelism=3)
     for ra, rb in zip(serial.rows, parallel.rows):
         assert ra.mape_p == rb.mape_p and ra.wape_e == rb.wape_e
+
+
+@pytest.mark.parametrize("parallelism", [0, -3])
+def test_parallelism_below_one_is_an_error(small_suite, parallelism):
+    with pytest.raises(MetricError, match=f"parallelism must be at least 1, got {parallelism}"):
+        evaluate(small_suite[:1], shares=[0.1], methods=["linear"], parallelism=parallelism)
+
+
+@pytest.mark.parametrize(
+    "methods, plans",
+    [(["cpi", "cpi_noscale"], 1), (["linear", "histavg", "seasonal"], 0)],
+    ids=["copy-paste", "baselines"],
+)
+def test_one_cell_plans_once_and_only_for_copy_paste(small_suite, methods, plans):
+    with mock.patch("meterfill.metrics.plan_cpi", wraps=plan_cpi) as planned:
+        report = evaluate(small_suite[:1], shares=[0.1], methods=methods)
+    assert planned.call_count == plans
+    assert [r.error for r in report.rows] == [None] * len(methods)
+
+
+def test_a_failed_plan_fails_both_copy_paste_rows_with_its_error():
+    series = synthetic_series(9, days=20)
+    degraded, _ = insert_missing(series, MissingnessSpec(share=0.3, seed=_cell_seed(0, 0, 0.3)))
+    with pytest.raises(ImputationError, match="needs at least 14 complete days") as planning:
+        impute_cpi(degraded)
+    with mock.patch("meterfill.metrics.plan_cpi", wraps=plan_cpi) as planned:
+        report = evaluate([("short", series)], shares=[0.3],
+                          methods=["cpi", "linear", "cpi_noscale"])
+    assert planned.call_count == 1
+    assert [r.error for r in report.rows] == [str(planning.value), None, str(planning.value)]
+
+
+def test_a_cell_of_isolated_singles_is_scored_without_a_plan():
+    # Ten days are too few to plan, but interpolation alone fills singles.
+    with mock.patch("meterfill.metrics.plan_cpi", wraps=plan_cpi) as planned:
+        report = evaluate([("short", synthetic_series(9, days=10))], shares=[0.02],
+                          methods=["cpi", "cpi_noscale"], single_fraction=1.0)
+    assert planned.call_count == 0
+    assert [(r.error, r.wape_e) for r in report.rows] == [(None, 0.0), (None, 0.0)]
+
+
+def test_each_copy_paste_runtime_includes_the_shared_plan(small_suite):
+    def slow_plan(*args):
+        time.sleep(0.05)
+        return plan_cpi(*args)
+
+    with mock.patch("meterfill.metrics.plan_cpi", slow_plan):
+        report = evaluate(small_suite[:1], shares=[0.1], methods=["cpi", "cpi_noscale"])
+    assert [r.error for r in report.rows] == [None, None]
+    assert all(r.runtime_s >= 0.05 for r in report.rows)
 
 
 def test_method_failures_are_recorded_not_raised(small_suite):
