@@ -5,12 +5,16 @@ linear interpolation between the bracketing known values, the historical
 average week, and an additive seasonal model (piecewise-linear trend plus
 zero-mean daily and weekly profiles) fitted by least squares on the present
 values only.
+
+The seasonal trend, linear between knots every ``TREND_KNOT_DAYS`` days, is
+fitted from its tridiagonal (banded) Gram system, built by ``bincount``
+without a dense design matrix, and read back with ``np.interp``.  Knots with
+no present value between their neighbours are dropped before the fit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -91,19 +95,31 @@ class SeasonalModel:
         return self.trend_at(index) + self.daily_profile[slot] + self.weekly_profile[weekday0]
 
 
-def _hat_basis(index: np.ndarray, knots: Sequence[int]) -> np.ndarray:
-    design = np.zeros((index.size, len(knots)))
-    for j in range(len(knots)):
-        lo = knots[j - 1] if j > 0 else knots[0]
-        hi = knots[j + 1] if j + 1 < len(knots) else knots[-1]
-        up = (index - lo) / (knots[j] - lo) if knots[j] > lo else np.ones_like(index, float)
-        down = (hi - index) / (hi - knots[j]) if hi > knots[j] else np.ones_like(index, float)
-        design[:, j] = np.clip(np.minimum(up, down), 0.0, 1.0)
-    return design
+def _fit_trend(index: np.ndarray, values: np.ndarray, knots: np.ndarray) -> np.ndarray:
+    """Least-squares knot values of the piecewise-linear trend through the points.
+
+    Index t between knots j and j+1 carries the hat weights 1-u and u, so
+    the Gram matrix is tridiagonal and each band is one ``bincount``.
+    """
+    k = knots.size
+    seg = np.minimum(np.searchsorted(knots, index, side="right") - 1, k - 2)
+    u = (index - knots[seg]) / (knots[seg + 1] - knots[seg])
+    w = 1.0 - u
+    band = np.bincount(seg, w * u, k - 1)
+    gram = np.diag(np.bincount(seg, w * w, k) + np.bincount(seg + 1, u * u, k))
+    gram += np.diag(band, 1) + np.diag(band, -1)
+    rhs = np.bincount(seg, w * values, k) + np.bincount(seg + 1, u * values, k)
+    beta, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+    return beta
 
 
 def fit_seasonal_model(ps: PowerSeries) -> SeasonalModel:
-    """Fit the additive model by least squares on the present values only."""
+    """Fit the additive model by least squares on the present values only.
+
+    A trend knot with no present value strictly between its neighbours is
+    dropped, so across a long outage the trend is linear between the nearest
+    supported knots, and constant beyond the outermost one.
+    """
     spd = slots_per_day(ps.resolution)
     present = ~np.isnan(ps.values)
     if present.sum() < 2 * 7 * spd:
@@ -113,16 +129,15 @@ def fit_seasonal_model(ps: PowerSeries) -> SeasonalModel:
         )
     m = ps.n
     idx = np.arange(m)
-    step = TREND_KNOT_DAYS * spd
-    knots = list(range(0, m - 1, step))
-    if knots[-1] != m - 1:
-        knots.append(m - 1)
-    if len(knots) < 2:
-        knots = [0, m - 1]
+    at = np.flatnonzero(present)
+    knots = np.append(np.arange(0, m - 1, TREND_KNOT_DAYS * spd), m - 1)
+    # Present values strictly between each knot's neighbours (-1 and m at the ends).
+    bounds = np.concatenate(([-1], knots, [m]))
+    support = np.searchsorted(at, bounds[2:]) - np.searchsorted(at, bounds[:-2], side="right")
+    knots = knots[support > 0]
 
-    design = _hat_basis(idx[present].astype(float), knots)
-    beta, *_ = np.linalg.lstsq(design, ps.values[present], rcond=None)
-    trend = _hat_basis(idx.astype(float), knots) @ beta
+    beta = _fit_trend(at, ps.values[present], knots)
+    trend = np.interp(idx, knots, beta)
 
     day_index, slot = day_slot(ps, idx)
     weekday0 = (ps.start.date().weekday() + day_index) % 7
@@ -145,7 +160,7 @@ def fit_seasonal_model(ps: PowerSeries) -> SeasonalModel:
 
     shifted = beta + daily_mean + weekly_mean  # fold the removed means into the trend
     return SeasonalModel(
-        knots=tuple(knots),
+        knots=tuple(int(k) for k in knots),
         knot_values=tuple(float(v) for v in shifted),
         daily_profile=daily,
         weekly_profile=weekly,

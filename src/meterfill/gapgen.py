@@ -4,6 +4,14 @@ Removals are split into isolated single readings and multi-value gaps with
 uniformly drawn lengths.  Placement keeps every removal run non-adjacent to
 any other and preserves the first and last readings, so every synthetic gap
 stays anchored.
+
+Placement keeps the free runs of readings in order.  A removal of length L
+fits a run ``[lo, hi]`` at any start in ``[lo+1, hi-L]``, and one draw over
+the count of all fits picks the k-th fit across the runs, so each removal
+costs time in the number of runs, not in the series length.  A gap at s
+splits its run into ``[lo, s-1]`` and ``[s+L, hi]``; a single at p splits it
+into ``[lo, p-2]`` and ``[p+2, hi]``, so two singles are never two readings
+apart.  Gaps are placed first, in drawn order, then the singles.
 """
 
 from __future__ import annotations
@@ -84,36 +92,27 @@ def _draw_gap_lengths(rng: np.random.Generator, budget: int, max_len: int) -> li
     return lengths
 
 
-def _valid_gap_starts(removed: np.ndarray, length: int) -> np.ndarray:
-    """Start indices where a gap of `length` fits without touching anything."""
-    n = removed.size
-    window = np.concatenate(([0], np.cumsum(removed.view(np.int8))))
-    starts = np.arange(1, n - length)
-    if starts.size == 0:
-        return starts
-    occupied = window[starts + length + 1] - window[starts - 1]
-    return starts[occupied == 0]
-
-
 def _place(rng: np.random.Generator, n: int, lengths: list[int], n_singles: int) -> np.ndarray:
+    # Free runs [lo, hi] in order, one row each (the rule is in the module
+    # docstring); ``pad`` keeps later singles two readings from a single.
+    removals = [(length, 0, "no room left for a gap") for length in lengths]
+    removals += [(1, 1, "no room left for a single missing value")] * n_singles
+    runs = np.zeros((1 + len(removals), 2), dtype=np.int64)
+    runs[0, 1], count = n - 1, 1
     removed = np.zeros(n, dtype=bool)
-    for length in lengths:
-        starts = _valid_gap_starts(removed, length)
-        if starts.size == 0:
-            raise InfeasibleSpecError("no room left for a gap")
-        start = int(starts[rng.integers(starts.size)])
+    for length, pad, message in removals:
+        fits = np.maximum(runs[:count, 1] - runs[:count, 0] - length, 0)
+        ends = np.cumsum(fits)
+        if ends[-1] == 0:
+            raise InfeasibleSpecError(message)
+        k = int(rng.integers(int(ends[-1])))
+        run = int(np.searchsorted(ends, k, side="right"))
+        start = int(runs[run, 0]) + 1 + k - int(ends[run] - fits[run])
         removed[start : start + length] = True
-
-    # Singles need both neighbours present, including against earlier removals.
-    placeable = np.zeros(n, dtype=bool)
-    placeable[1 : n - 1] = ~removed[:-2] & ~removed[1:-1] & ~removed[2:]
-    for _ in range(n_singles):
-        options = np.flatnonzero(placeable)
-        if options.size == 0:
-            raise InfeasibleSpecError("no room left for a single missing value")
-        pick = int(options[rng.integers(options.size)])
-        removed[pick] = True
-        placeable[max(pick - 2, 0) : pick + 3] = False
+        runs[run + 2 : count + 1] = runs[run + 1 : count]
+        runs[run + 1] = (start + length + pad, runs[run, 1])
+        runs[run, 1] = start - 1 - pad
+        count += 1
     return removed
 
 

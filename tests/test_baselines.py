@@ -1,16 +1,24 @@
 """Tests for the benchmark imputers."""
 
+from dataclasses import replace
+from datetime import datetime
+
 import numpy as np
 import pytest
 
 from meterfill import (
     ImputationError,
+    MissingnessSpec,
+    energy_to_power,
     fit_seasonal_model,
     impute_hist_avg,
     impute_linear,
     impute_seasonal_model,
+    insert_missing,
+    synthetic_series,
 )
 
+import seasonal_oracle
 from conftest import power
 
 
@@ -165,6 +173,45 @@ def test_seasonal_recovers_a_pure_ramp():
     assert np.allclose(slopes, 2.0, atol=1e-6)
     out = impute_seasonal_model(ps)
     assert out.values[missing] == pytest.approx(truth[missing], abs=1e-5)
+
+
+@pytest.mark.parametrize(
+    "slots, days", [(96, 120), (24, 400), (288, 45)], ids=["15min", "1h", "5min"]
+)
+@pytest.mark.parametrize("start", [datetime(2018, 1, 1), datetime(2018, 3, 7, 13, 0)],
+                         ids=["aligned", "midday"])
+@pytest.mark.parametrize("share", [0.02, 0.3])
+def test_seasonal_matches_the_dense_oracle(slots, days, start, share):
+    # Largest difference seen over these cases with gap seeds 0, 1, 2 and 5: 1.8e-13 kW.
+    truth = synthetic_series(7, days, slots, start)
+    degraded, _ = insert_missing(truth, MissingnessSpec(share=share, seed=5))
+    ps = energy_to_power(degraded)
+    every_knot = list(range(0, ps.n - 1, 28 * slots)) + [ps.n - 1]
+    assert list(fit_seasonal_model(ps).knots) == every_knot
+    out = impute_seasonal_model(ps).values
+    expected = seasonal_oracle.impute_seasonal(ps).values
+    assert np.max(np.abs(out - expected)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "outage, dropped",
+    [(slice(0, 30 * 24), 0), (slice(28 * 24, 84 * 24), 1344)],
+    ids=["leading-30-days", "interior-56-days"],
+)
+def test_seasonal_trend_bridges_a_knot_without_present_values(outage, dropped):
+    truth = energy_to_power(synthetic_series(5, 120, 24))
+    values = np.array(truth.values)
+    values[outage] = np.nan
+    ps = replace(truth, values=values)
+    model = fit_seasonal_model(ps)
+    assert dropped not in model.knots
+    # A knot fitted without support fell to about 0 kW, far below every
+    # present value; the trend over the outage now stays among them.
+    trend = model.trend_at(np.arange(outage.start, outage.stop, dtype=float))
+    assert np.nanmin(values) <= trend.min() and trend.max() <= np.nanmax(values)
+    out = impute_seasonal_model(ps).values
+    assert not np.isnan(out).any()
+    assert np.array_equal(out[~np.isnan(values)], values[~np.isnan(values)])
 
 
 def test_seasonal_needs_two_weeks_of_data():

@@ -1,15 +1,20 @@
 """Tests for artificial missing-value insertion."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meterfill import (
     InfeasibleSpecError,
     MissingnessSpec,
     ValidationError,
+    gapgen,
     insert_missing,
 )
 
+import placement_oracle
 from conftest import QUARTER_HOUR, energy
 
 
@@ -130,3 +135,50 @@ def test_spec_validation():
         MissingnessSpec(share=0.1, max_gap_len=1)
     with pytest.raises(ValidationError):
         MissingnessSpec(share=0.1, single_fraction=1.5)
+
+
+# ---------------------------------------------------------------------------
+# Free-run placement against the rescanning oracle
+# ---------------------------------------------------------------------------
+
+
+def insert_outcome(es, spec, place):
+    """The mask, or the error type and text, of one insertion using ``place``."""
+    with mock.patch.object(gapgen, "_place", place):
+        try:
+            _, mask = insert_missing(es, spec)
+        except (InfeasibleSpecError, ValidationError) as exc:
+            return type(exc).__name__, str(exc)
+    return mask.indices.tolist(), mask.singles.tolist()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(3, 400),
+    share=st.floats(0.005, 0.95),
+    max_gap_len=st.sampled_from([None, 2, 3, 5, 7, 500]),
+    single_fraction=st.sampled_from([0.0, 0.05, 0.3, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_placement_matches_the_oracle(n, share, max_gap_len, single_fraction, seed):
+    es = complete_series(n)
+    spec = MissingnessSpec(share, max_gap_len, single_fraction, seed)
+    expected = insert_outcome(es, spec, placement_oracle.place)
+    assert insert_outcome(es, spec, gapgen._place) == expected
+
+
+@pytest.mark.parametrize("share", [0.01, 0.1, 0.3])
+def test_placement_matches_the_oracle_on_a_year(share):
+    es = complete_series(35040)
+    spec = MissingnessSpec(share=share, seed=12)
+    assert insert_outcome(es, spec, gapgen._place) == insert_outcome(
+        es, spec, placement_oracle.place
+    )
+
+
+def test_placement_leaves_the_generator_where_the_oracle_does():
+    lengths = [5, 2, 9, 3, 1]
+    new, old = np.random.default_rng(8), np.random.default_rng(8)
+    removed = gapgen._place(new, 300, lengths, 12)
+    assert np.array_equal(removed, placement_oracle.place(old, 300, lengths, 12))
+    assert new.bit_generator.state == old.bit_generator.state

@@ -65,6 +65,56 @@ def test_mape_requires_completeness_over_the_mask():
         mape_p(power([np.nan, 1.0]), power([1.0, 1.0]), [0])
 
 
+def set_based_mape(actual, imputed, mask):
+    """MAPE over the distinct mask indices, as first written with a Python set."""
+    idx = np.asarray(sorted(set(int(i) for i in mask)), dtype=np.int64)
+    truth, guess = actual.values[idx], imputed.values[idx]
+    keep = np.abs(truth) >= 1e-9
+    return float(np.mean(np.abs(guess[keep] - truth[keep]) / np.abs(truth[keep]))), int((~keep).sum())
+
+
+@pytest.mark.parametrize(
+    "make_mask",
+    [
+        lambda: [7, 3, 11, 3, 0, 7],
+        lambda: {19, 4, 8},
+        lambda: range(2, 15, 3),
+        lambda: (i * i for i in range(5)),
+        lambda: np.array([12, 1, 12, 5, 18]),
+        lambda: np.array([2.0, 6.0, 2.0]),
+        lambda: np.arange(20, dtype=np.uint16),
+    ],
+    ids=["unsorted-duplicated", "set", "range", "generator", "ndarray", "float-ndarray", "uint"],
+)
+def test_mape_matches_the_set_based_form(make_mask):
+    rng = np.random.default_rng(4)
+    truth = rng.uniform(0.5, 3.0, 20)
+    truth[4] = 0.0
+    actual, imputed = power(truth), power(truth * rng.uniform(0.7, 1.3, 20))
+    result = mape_p(actual, imputed, make_mask())
+    assert (result.value, result.skipped) == set_based_mape(actual, imputed, make_mask())
+
+
+@pytest.mark.parametrize(
+    "mask, imputed_n, message",
+    [
+        ([-1], 4, r"-1 is not an integer in \[0, 4\)"),
+        ([1, 4], 4, r"index 4 is not"),
+        ([10**9], 4, r"1000000000 is not"),
+        ([0, 1.5], 4, r"1.5 is not an integer"),
+        ([float("nan")], 4, "nan is not an integer"),
+        ([True, False], 4, "integer indices"),
+        (np.zeros((2, 1), dtype=int), 4, "integer indices"),
+        ([0, 1], 3, "differ in length: 4 and 3"),
+    ],
+    ids=["negative", "past-the-end", "huge", "fractional", "nan", "bool", "nested", "length"],
+)
+def test_mape_rejects_a_bad_mask_or_length(mask, imputed_n, message):
+    actual = power([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(MetricError, match=message):
+        mape_p(actual, power([1.0] * imputed_n), mask)
+
+
 # ---------------------------------------------------------------------------
 # WAPE over gap energies
 # ---------------------------------------------------------------------------
