@@ -50,7 +50,7 @@ class DissimilarityWeights:
             raise ValidationError("at least one dissimilarity weight must be positive")
 
 
-DEFAULT_WEIGHTS = DissimilarityWeights(5.0, 1.0, 10.0)
+DEFAULT_WEIGHTS = DissimilarityWeights()
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,6 @@ class ImputationResult:
 @dataclass(frozen=True)
 class CpiConfig:
     min_complete_days: int = 14
-    scale: bool = True
 
 
 def interpolate_singles(es: EnergySeries) -> EnergySeries:
@@ -515,18 +514,18 @@ def impute_cpi(
     es: EnergySeries,
     weights: DissimilarityWeights = DEFAULT_WEIGHTS,
     config: CpiConfig = CpiConfig(),
+    scale: bool = True,
 ) -> ImputationResult:
     """Impute every missing value of an energy series by copy-paste.
 
     Deterministic for fixed inputs.  A series without missing values is
     returned unchanged; otherwise the full pipeline runs and the imputed
-    power conserves the metered energy of every anchored gap (unless scaling
-    is disabled via the config, in which case the miss shows in
-    ``imputed_power`` and as a jump at each gap's right anchor in the
-    completed series).
+    power conserves the metered energy of every anchored gap (unless
+    ``scale`` is false, in which case the miss shows in ``imputed_power``
+    and as a jump at each gap's right anchor in the completed series).
     """
     filled = interpolate_singles(es)
     if not np.isnan(filled.values).any():
         power = energy_to_power(filled)
         return ImputationResult(power, filled, (), power)
-    return run_plan(plan_cpi(filled, config), weights, scale=config.scale)
+    return run_plan(plan_cpi(filled, config), weights, scale=scale)

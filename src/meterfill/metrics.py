@@ -26,7 +26,6 @@ import numpy as np
 
 from .baselines import BASELINES
 from .cpi import (
-    CpiConfig,
     DEFAULT_WEIGHTS,
     DissimilarityWeights,
     interpolate_singles,
@@ -193,8 +192,8 @@ def _cell_seed(seed: int, series_index: int, share: float) -> int:
 
 
 def _evaluate_cell(payload) -> list[ScoreRow]:
-    (sid, series, share, seed, series_index, methods, weights, config,
-     max_gap_len, single_fraction) = payload
+    (sid, series, share, seed, series_index, methods, weights, max_gap_len,
+     single_fraction) = payload
     spec = MissingnessSpec(
         share=share,
         max_gap_len=max_gap_len,
@@ -223,7 +222,7 @@ def _evaluate_cell(payload) -> list[ScoreRow]:
         try:
             filled = interpolate_singles(degraded)
             if np.isnan(filled.values).any():
-                plan = plan_cpi(filled, config)
+                plan = plan_cpi(filled)
         except MeterfillError as exc:
             plan = exc
         plan_s = time.perf_counter() - started
@@ -260,7 +259,6 @@ def evaluate(
     methods: Sequence[str] = BENCHMARK_METHODS,
     seeds: Sequence[int] = (0,),
     weights: DissimilarityWeights = DEFAULT_WEIGHTS,
-    config: CpiConfig = CpiConfig(),
     max_gap_len: int | None = None,
     single_fraction: float = 0.05,
     parallelism: int = 1,
@@ -268,7 +266,7 @@ def evaluate(
     """Degrade, impute and score every (series, share, seed, method) cell.
 
     Method failures are recorded per cell instead of aborting the run.
-    ``config`` sets the copy-paste planning; the method name sets scaling.
+    The method name sets whether copy-paste scales (``CPI_METHODS``).
     Aggregates are trimmed means per (share, method); groups smaller than
     five fall back to the plain mean and are flagged in the warnings.
     Cells run in ``parallelism`` worker processes, which must be at least 1.
@@ -278,8 +276,8 @@ def evaluate(
     if parallelism < 1:
         raise MetricError(f"parallelism must be at least 1, got {parallelism}")
     cells = [
-        (sid, series, share, seed, i, tuple(methods), weights, config,
-         max_gap_len, single_fraction)
+        (sid, series, share, seed, i, tuple(methods), weights, max_gap_len,
+         single_fraction)
         for i, (sid, series) in enumerate(series_set)
         for share in shares
         for seed in seeds
@@ -373,7 +371,6 @@ def grid_search_weights(
     share: float = 0.1,
     seed: int = 0,
     max_gap_len: int | None = None,
-    config: CpiConfig = CpiConfig(),
 ) -> GridSearchResult:
     """Exhaustive integer grid search minimizing the aggregate MAPE.
 
@@ -390,7 +387,7 @@ def grid_search_weights(
             share=share, max_gap_len=max_gap_len, seed=_cell_seed(seed, index, share)
         )
         degraded, _ = insert_missing(series, spec)
-        plan = plan_cpi(degraded, config)
+        plan = plan_cpi(degraded)
         actual = energy_to_power(series)
         mask = np.flatnonzero(np.isnan(energy_to_power(degraded).values))
         prepared.append((plan, actual, mask))

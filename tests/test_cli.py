@@ -339,10 +339,20 @@ def test_os_error_without_a_filename_names_its_cause(
         ("evaluate --parallelism -3 {csv}", "", None, "parallelism must be at least 1, got -3"),
         ("evaluate {csv}", "", "0", "parallelism must be at least 1, got 0"),
         ("impute --method linear {overflow} {out}", "", None, "irregular spacing at row 3"),
+        ("insert-gaps --share x {csv} {out}", "", None, "--share: 'x'"),
+        ("evaluate --parallelism two {csv}", "", None, "--parallelism: 'two'"),
+        ("evaluate --max-gap-len 1.5 {csv}", "", None, "--max-gap-len: '1.5'"),
+        ("impute --method magic {csv} {out}", "", None, "--method: 'magic'"),
+        ("impute --meter-kind sideways {csv} {out}", "", None, "--meter-kind: 'sideways'"),
+        ("convert --to sideways {csv} {out}", "", None, "--to: 'sideways'"),
+        ("convert {csv} {out}", "", None, "convert requires --to"),
+        ("insert-gaps {csv} {out}", "", None, "insert-gaps requires --share"),
     ],
     ids=["weights", "shares", "seeds", "we", "config-int", "config-meter-kind",
          "config-method", "config-no-scale", "parallelism-env", "parallelism-zero",
-         "parallelism-negative", "parallelism-env-zero", "timestamp-past-9999"],
+         "parallelism-negative", "parallelism-env-zero", "timestamp-past-9999",
+         "share", "parallelism", "max-gap-len", "method", "meter-kind", "to",
+         "missing-to", "missing-share"],
 )
 def test_malformed_values_give_one_error_line(tmp_path, series_csv, args, config, env, named):
     paths = {"csv": series_csv, "out": tmp_path / "out.csv", "conf": tmp_path / "run.conf",
@@ -384,12 +394,36 @@ def test_flags_override_the_config_file(tmp_path, series_csv):
     assert int(np.isnan(degraded.values).sum()) == round(0.2 * degraded.n)
 
 
-def test_unknown_config_key_is_rejected(tmp_path, series_csv, capsys):
+@pytest.mark.parametrize("key", ["shore", "output"])
+def test_unknown_config_key_is_rejected(tmp_path, series_csv, capsys, key):
+    # A positional is not a config key: only the command's own flags are.
     conf = tmp_path / "run.conf"
-    conf.write_text("shore = 10\n")
+    conf.write_text(f"{key} = elsewhere.csv\n")
     rc = run_cli("insert-gaps", "--config", conf, "--share", "10", series_csv, tmp_path / "o.csv")
     assert rc == 1
-    assert "shore" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_convert_reads_to_from_the_config_file(tmp_path, series_csv):
+    power_flag, power_conf = tmp_path / "flag.csv", tmp_path / "conf.csv"
+    conf = tmp_path / "run.conf"
+    conf.write_text("to = power\nmeter-kind = consumption\n")
+    assert run_cli("convert", "--to", "power", series_csv, power_flag) == 0
+    assert run_cli("convert", "--config", conf, series_csv, power_conf) == 0
+    assert power_conf.read_text() == power_flag.read_text()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["impute", "--shore", "10", "in.csv", "out.csv"], ["impute", "in.csv"], ["frobnicate"]],
+    ids=["unknown-flag", "missing-positional", "unknown-command"],
+)
+def test_usage_errors_print_usage_and_exit_2(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "usage: meterfill" in capsys.readouterr().err
 
 
 def test_outputs_are_reingestible(tmp_path, series_csv):

@@ -726,6 +726,24 @@ def test_two_week_scenario_fills_friday_from_the_second_friday():
     assert_untouched(degraded, result.completed_energy.values)
 
 
+def test_impute_without_scaling_pastes_the_donor_as_is():
+    es = _weekly_profile_series(weeks=3, noise_seed=9)
+    degraded = with_missing(es, range(4 * 24 + 1, 6 * 24))
+    scaled = impute_cpi(degraded)
+    unscaled = impute_cpi(degraded, scale=False)
+
+    (fill,) = unscaled.per_gap
+    assert (fill.scale, fill.fallback) == (1.0, "unscaled")
+    assert fill.sources == scaled.per_gap[0].sources
+    span = slice(fill.gap.first_missing, fill.gap.last_missing + 1)
+    factor = scaled.per_gap[0].scale
+    assert factor != pytest.approx(1.0)
+    assert unscaled.imputed_power.values[span] * factor == pytest.approx(
+        scaled.imputed_power.values[span], rel=1e-12
+    )
+    assert_untouched(degraded, unscaled.completed_energy.values)
+
+
 def test_boundary_gap_is_pasted_without_scaling():
     es = _weekly_profile_series(weeks=4, noise_seed=2)
     degraded = with_missing(es, range(0, 30))
