@@ -9,6 +9,7 @@ imputed energy matches the metered energy difference across the gap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from typing import Mapping, Sequence
@@ -44,6 +45,8 @@ class DissimilarityWeights:
     season: float = 10.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.energy, self.weekday, self.season))):
+            raise ValidationError("dissimilarity weights must be finite")
         if min(self.energy, self.weekday, self.season) < 0:
             raise ValidationError("dissimilarity weights must be non-negative")
         if self.energy + self.weekday + self.season <= 0:
@@ -292,6 +295,96 @@ def season_distance(doy_i: np.ndarray, doy_j: np.ndarray, cycle_length: int) -> 
     return np.where(delta <= half, delta, cycle_length - delta) / half
 
 
+@dataclass(frozen=True, eq=False)
+class MatchTable:
+    """The weight-independent part of matching days with gaps to donors.
+
+    Row i is ``days[i]``.  Every matrix holds that row's candidates in tie
+    order (smaller calendar distance first, then the earlier date), and
+    ``order[i, k]`` is the candidate index of column k, so the first
+    least-dissimilar column of a row is the tie-break winner.  ``energy``
+    is the absolute day-total difference, 0 where a total is missing, which
+    drops the energy term there.
+    """
+
+    days: tuple[date, ...]      # the day of each row
+    donors: tuple[date, ...]    # the date of each candidate
+    weekday: np.ndarray         # weekday distances
+    season: np.ndarray          # season distances
+    energy: np.ndarray          # |day total - candidate total|
+    keep: np.ndarray            # False where a candidate cannot donate to the row
+    order: np.ndarray           # candidate index of each column
+    energy_range: float         # energy_max - energy_min of the season context
+
+
+def match_table(
+    days: Sequence[DayRecord],
+    candidates: Sequence[DayRecord],
+    ctx: SeasonContext,
+    keep: np.ndarray | None = None,
+) -> MatchTable:
+    """Distance components of every (day, candidate) pair, in tie order.
+
+    Candidates outside ``keep[i]`` can never be picked for ``days[i]``.
+    """
+    if not candidates or (keep is not None and not keep.any(axis=1).all()):
+        raise ImputationError("no complete day available")
+
+    ordinal = np.array([c.date.toordinal() for c in candidates])
+    distance = np.abs(ordinal - np.array([d.date.toordinal() for d in days])[:, None])
+    order = np.lexsort((np.broadcast_to(ordinal, distance.shape), distance), axis=-1)
+
+    def column(attr):
+        return np.array([getattr(d, attr) for d in days], dtype=np.float64)[:, None]
+
+    def row(attr):  # the candidates' values, in each row's tie order
+        return np.array([getattr(c, attr) for c in candidates], dtype=np.float64)[order]
+
+    energy = np.abs(row("total_energy") - column("total_energy"))
+    return MatchTable(
+        days=tuple(d.date for d in days),
+        donors=tuple(c.date for c in candidates),
+        weekday=weekday_distance(column("weekday"), row("weekday")),
+        season=season_distance(column("day_of_year"), row("day_of_year"), ctx.cycle_length),
+        energy=np.where(np.isnan(energy), 0.0, energy),
+        keep=np.full(order.shape, True) if keep is None else np.take_along_axis(keep, order, 1),
+        order=order,
+        energy_range=ctx.energy_max - ctx.energy_min,
+    )
+
+
+# Matrix entries evaluated at once: each temporary of a batch of weight
+# triples stays within 512 kB, however large the grid.
+_BATCH_ENTRIES = 1 << 16
+
+
+def match_weights(table: MatchTable, triples) -> np.ndarray:
+    """Donor index of every row of ``table`` under each weight triple.
+
+    ``triples`` is a sequence of (energy, weekday, season) weights; the
+    result has shape (len(triples), rows).  The dissimilarity of a row and a
+    candidate is ``weekday * dw + season * ds + energy * |dE| / range``,
+    evaluated in that order, so every weighting sees exactly the values a
+    single-triple match would.  Exact ties go to the smallest calendar
+    distance, then to the earlier date.
+    """
+    weights = np.asarray(triples, dtype=np.float64).reshape(-1, 3, 1, 1)
+    rows, cols = table.order.shape
+    donors = np.empty((len(weights), rows), dtype=np.int64)
+    excluded = ~table.keep
+    step = max(1, _BATCH_ENTRIES // max(1, rows * cols))
+    for lo in range(0, len(weights), step):
+        w_energy, w_weekday, w_season = weights[lo : lo + step].swapaxes(0, 1)
+        value = w_weekday * table.weekday
+        value += w_season * table.season
+        energy = w_energy * table.energy
+        energy /= table.energy_range
+        value += energy
+        value[:, excluded] = np.inf
+        donors[lo : lo + step] = table.order[np.arange(rows), value.argmin(axis=-1)]
+    return donors
+
+
 def _best_donors(
     days: Sequence[DayRecord],
     candidates: Sequence[DayRecord],
@@ -299,36 +392,12 @@ def _best_donors(
     ctx: SeasonContext,
     keep: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Index of each day's least dissimilar candidate, from one distance matrix.
+    """Index of each day's least dissimilar candidate (see ``match_weights``).
 
-    Entry (i, j) is the dissimilarity of ``days[i]`` and ``candidates[j]``:
-    the weighted sum of the energy, weekday and season distances, the
-    energy term dropped where a total is missing.  The energy distance is
-    the absolute day-total difference over the context's energy range.
-    Candidates outside ``keep[i]`` are excluded.  Exact ties go to the
-    smallest calendar distance, then to the earlier date.
+    Candidates outside ``keep[i]`` are excluded.
     """
-    if not candidates or (keep is not None and not keep.any(axis=1).all()):
-        raise ImputationError("no complete day available")
-
-    def column(attr):
-        return np.array([getattr(d, attr) for d in days], dtype=np.float64)[:, None]
-
-    def row(attr):
-        return np.array([getattr(c, attr) for c in candidates], dtype=np.float64)
-
-    dw = weekday_distance(column("weekday"), row("weekday"))
-    ds = season_distance(column("day_of_year"), row("day_of_year"), ctx.cycle_length)
-    energy = weights.energy * np.abs(row("total_energy") - column("total_energy")) / (
-        ctx.energy_max - ctx.energy_min
-    )
-    value = weights.weekday * dw + weights.season * ds + np.where(np.isnan(energy), 0.0, energy)
-    if keep is not None:
-        value = np.where(keep, value, np.inf)
-    ordinal = np.array([c.date.toordinal() for c in candidates])
-    distance = np.abs(ordinal - np.array([d.date.toordinal() for d in days])[:, None])
-    order = np.lexsort((np.broadcast_to(ordinal, value.shape), distance, value), axis=-1)
-    return order[:, 0]
+    table = match_table(days, candidates, ctx, keep)
+    return match_weights(table, [(weights.energy, weights.weekday, weights.season)])[0]
 
 
 def copy_paste_and_scale(
@@ -374,9 +443,11 @@ def copy_paste_and_scale(
     completed[idx] = donor_values
 
     fills = []
-    for gap in gaps:
+    # The day offsets of each gap's first and last missing value.
+    ends, _ = day_slot(ps, [[g.first_missing for g in gaps], [g.last_missing for g in gaps]])
+    for gap, first, last in zip(gaps, *ends.tolist()):
         span = slice(gap.first_missing, gap.last_missing + 1)
-        touched = [date0 + timedelta(days=int(d)) for d in _gap_days(ps, gap)[0]]
+        touched = [date0 + timedelta(days=d) for d in range(first, last + 1)]
         sources = tuple((gap_date, matches[gap_date]) for gap_date in touched)
         if not gap.anchored:
             fills.append(GapFill(gap, sources, None, anchored=False))
@@ -431,6 +502,7 @@ class CpiPlan:
     records: tuple[DayRecord, ...]
     candidates: tuple[DayRecord, ...]
     context: SeasonContext
+    table: MatchTable           # the days with gaps against the candidates
 
 
 def _season_context(records: Sequence[DayRecord], candidates: Sequence[DayRecord]) -> SeasonContext:
@@ -477,6 +549,15 @@ def plan_cpi(es: EnergySeries, config: CpiConfig = CpiConfig()) -> CpiPlan:
 
     records = compile_complete_days(days, usable)
     candidates = [r for r in records if r.is_complete and r.full_day]
+    context = _season_context(records, candidates)
+
+    # Record i is day offset i; a donor must cover the day's last missing slot.
+    rows = [i for i, r in enumerate(records) if not r.is_complete]
+    day, slot = day_slot(power, np.flatnonzero(np.isnan(power.values)))
+    last_slot = slot[np.searchsorted(day, rows, side="right") - 1]
+    date0 = power.start.date()
+    donor_slots = np.array([days[(c.date - date0).days].slots for c in candidates])
+    keep = donor_slots > last_slot[:, None]
     return CpiPlan(
         series=filled,
         power=power,
@@ -484,21 +565,15 @@ def plan_cpi(es: EnergySeries, config: CpiConfig = CpiConfig()) -> CpiPlan:
         days=tuple(days),
         records=tuple(records),
         candidates=tuple(candidates),
-        context=_season_context(records, candidates),
+        context=context,
+        table=match_table([records[i] for i in rows], candidates, context, keep),
     )
 
 
 def _match_days(plan: CpiPlan, weights: DissimilarityWeights) -> dict[date, date]:
-    # Record i is day offset i; a donor must cover the day's last missing slot.
-    rows = [i for i, r in enumerate(plan.records) if not r.is_complete]
-    day, slot = day_slot(plan.power, np.flatnonzero(np.isnan(plan.power.values)))
-    last_slot = slot[np.searchsorted(day, rows, side="right") - 1]
-    date0 = plan.power.start.date()
-    donor_slots = np.array([plan.days[(c.date - date0).days].slots for c in plan.candidates])
-    keep = donor_slots > last_slot[:, None]
-    best = _best_donors([plan.records[i] for i in rows], plan.candidates, weights,
-                        plan.context, keep)
-    return {plan.records[i].date: plan.candidates[j].date for i, j in zip(rows, best)}
+    table = plan.table
+    best = match_weights(table, [(weights.energy, weights.weekday, weights.season)])[0]
+    return {day: table.donors[j] for day, j in zip(table.days, best.tolist())}
 
 
 def run_plan(

@@ -29,10 +29,11 @@ from .cpi import (
     DEFAULT_WEIGHTS,
     DissimilarityWeights,
     interpolate_singles,
+    match_weights,
     plan_cpi,
     run_plan,
 )
-from .errors import MeterfillError, MetricError
+from .errors import MeterfillError, MetricError, ValidationError
 from .gapgen import MissingnessSpec, insert_missing
 from .series import (
     EnergySeries,
@@ -363,6 +364,34 @@ class GridSearchResult:
     scores: list[tuple[int, int, int, float]]  # (w_energy, w_weekday, w_season, mape)
 
 
+def _weight_grid(
+    energy_range: tuple[int, int],
+    weekday_range: tuple[int, int],
+    season_range: tuple[int, int],
+) -> list[tuple[int, int, int]]:
+    """Every integer (energy, weekday, season) triple of the ranges, all-zero excluded.
+
+    The bounds are checked here because the batched match never builds a
+    ``DissimilarityWeights`` for most triples.
+    """
+    named = (("energy", energy_range), ("weekday", weekday_range), ("season", season_range))
+    for name, (lo, hi) in named:
+        if min(lo, hi) < 0:
+            raise ValidationError("dissimilarity weights must be non-negative")
+        if lo > hi:
+            raise MetricError(f"{name} weight range {lo}:{hi} is reversed: {lo} exceeds {hi}")
+    triples = [
+        (w_energy, w_weekday, w_season)
+        for w_energy in range(energy_range[0], energy_range[1] + 1)
+        for w_weekday in range(weekday_range[0], weekday_range[1] + 1)
+        for w_season in range(season_range[0], season_range[1] + 1)
+        if w_energy + w_weekday + w_season != 0
+    ]
+    if not triples:
+        raise MetricError("weight grid is empty")
+    return triples
+
+
 def grid_search_weights(
     calibration: Sequence[tuple[str, EnergySeries]],
     energy_range: tuple[int, int] = (1, 20),
@@ -374,14 +403,22 @@ def grid_search_weights(
 ) -> GridSearchResult:
     """Exhaustive integer grid search minimizing the aggregate MAPE.
 
-    Matching is re-run per weight combination on shared per-series pipeline
-    state, so only the weight-dependent stages repeat.  Ties are broken by
-    the smaller weight sum, then lexicographically.  The calibration set
-    must be disjoint from the evaluation set (caller's responsibility).
+    The series are handled one at a time, so only one plan is held in
+    memory.  Each series is degraded and planned once, and every weight
+    triple is matched in one batch on the plan's match table
+    (``cpi.match_weights``).  Triples that pick the same donor for every
+    day with gaps give the same imputation, so each distinct assignment is
+    imputed and scored once, and its MAPE is that of all its triples.  The
+    aggregate over the series is the trimmed mean (plain mean below five
+    series).  Ties are broken by the smaller weight sum, then
+    lexicographically.  Reversed or negative ranges and an empty grid are
+    rejected before any series is degraded.  The calibration set must be
+    disjoint from the evaluation set (caller's responsibility).
     """
     if not calibration:
         raise MetricError("grid search needs a non-empty calibration set")
-    prepared = []
+    triples = _weight_grid(energy_range, weekday_range, season_range)
+    mapes = np.empty((len(triples), len(calibration)))
     for index, (sid, series) in enumerate(calibration):
         spec = MissingnessSpec(
             share=share, max_gap_len=max_gap_len, seed=_cell_seed(seed, index, share)
@@ -390,28 +427,18 @@ def grid_search_weights(
         plan = plan_cpi(degraded)
         actual = energy_to_power(series)
         mask = np.flatnonzero(np.isnan(energy_to_power(degraded).values))
-        prepared.append((plan, actual, mask))
+        groups: dict[bytes, list[int]] = {}
+        for t, donors in enumerate(match_weights(plan.table, triples)):
+            groups.setdefault(donors.tobytes(), []).append(t)
+        for members in groups.values():
+            weights = DissimilarityWeights(*triples[members[0]])
+            mapes[members, index] = mape_p(actual, run_plan(plan, weights).imputed_power,
+                                           mask).value
+        del plan  # before the next series is planned: one plan in memory at a time
 
     def aggregate(values: list[float]) -> float:
         return trimmed_mean(values) if len(values) >= 5 else float(np.mean(values))
 
-    scores = []
-    best = None
-    for w_energy in range(energy_range[0], energy_range[1] + 1):
-        for w_weekday in range(weekday_range[0], weekday_range[1] + 1):
-            for w_season in range(season_range[0], season_range[1] + 1):
-                if w_energy + w_weekday + w_season == 0:
-                    continue
-                weights = DissimilarityWeights(w_energy, w_weekday, w_season)
-                mapes = [
-                    mape_p(actual, run_plan(plan, weights).imputed_power, mask).value
-                    for plan, actual, mask in prepared
-                ]
-                score = aggregate(mapes)
-                scores.append((w_energy, w_weekday, w_season, score))
-                key = (score, w_energy + w_weekday + w_season, (w_energy, w_weekday, w_season))
-                if best is None or key < best[0]:
-                    best = (key, weights)
-    if best is None:
-        raise MetricError("weight grid is empty")
-    return GridSearchResult(best=best[1], scores=scores)
+    scores = [(*triple, aggregate(row)) for triple, row in zip(triples, mapes.tolist())]
+    best = min(scores, key=lambda s: (s[3], s[0] + s[1] + s[2], s[:3]))
+    return GridSearchResult(best=DissimilarityWeights(*best[:3]), scores=scores)

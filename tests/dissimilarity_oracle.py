@@ -1,12 +1,17 @@
-"""Scalar reference for the copy-paste dissimilarity of two days.
+"""Reference versions of the copy-paste dissimilarity and donor choice.
 
-The package computes dissimilarities only as one matrix
-(``meterfill.cpi._best_donors``).  This one-pair version, with its own
-scalar weekday, season and combination rules, is the oracle the tests
-compare the matrix against.
+The package computes dissimilarities only as a batch over weight triples
+(``meterfill.cpi.match_weights``).  The one-pair ``dissimilarity``, with its
+own scalar weekday, season and combination rules, and ``lexsort_donors``,
+one matrix per weight triple sorted in full, are the oracles the tests
+compare the batch against.
 """
 
+import numpy as np
+
 from meterfill import DayRecord, DissimilarityWeights, SeasonContext
+from meterfill.cpi import season_distance as season_matrix
+from meterfill.cpi import weekday_distance as weekday_matrix
 
 WORKDAYS = frozenset({1, 2, 3, 4, 5})
 
@@ -64,3 +69,32 @@ def dissimilarity(
         weekday_distance(day_i.weekday, day_j.weekday),
         season_distance(day_i.day_of_year, day_j.day_of_year, ctx.cycle_length),
     )
+
+
+def lexsort_donors(days, candidates, weights, ctx, keep=None):
+    """Index of each day's least dissimilar candidate, one full sort per row.
+
+    Entry (i, j) of the matrix is the weighted sum of the energy, weekday
+    and season distances, the energy term dropped where a total is missing;
+    candidates outside ``keep[i]`` are excluded.  Rows are sorted by value,
+    then calendar distance, then date.
+    """
+
+    def column(attr):
+        return np.array([getattr(d, attr) for d in days], dtype=np.float64)[:, None]
+
+    def row(attr):
+        return np.array([getattr(c, attr) for c in candidates], dtype=np.float64)
+
+    dw = weekday_matrix(column("weekday"), row("weekday"))
+    ds = season_matrix(column("day_of_year"), row("day_of_year"), ctx.cycle_length)
+    energy = weights.energy * np.abs(row("total_energy") - column("total_energy")) / (
+        ctx.energy_max - ctx.energy_min
+    )
+    value = weights.weekday * dw + weights.season * ds + np.where(np.isnan(energy), 0.0, energy)
+    if keep is not None:
+        value = np.where(keep, value, np.inf)
+    ordinal = np.array([c.date.toordinal() for c in candidates])
+    distance = np.abs(ordinal - np.array([d.date.toordinal() for d in days])[:, None])
+    order = np.lexsort((np.broadcast_to(ordinal, value.shape), distance, value), axis=-1)
+    return order[:, 0]

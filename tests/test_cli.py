@@ -14,6 +14,8 @@ from meterfill import ParseConfig, parse_series, read_series, synthetic_series, 
 from meterfill import cli
 from meterfill.cli import main
 
+from grid_oracle import grid_search_per_triple
+
 
 @pytest.fixture()
 def series_csv(tmp_path):
@@ -259,6 +261,47 @@ def test_tune_weights_prints_selection_and_scores(tmp_path, series_csv, capsys):
     lines = scores.read_text().strip().splitlines()
     assert lines[0] == "w_energy,w_weekday,w_season,mape_p"
     assert len(lines) == 2
+
+
+def test_tune_weights_scores_out_equals_the_per_triple_oracle(tmp_path, capsys):
+    paths = [tmp_path / "cal1.csv", tmp_path / "cal2.csv"]
+    for seed, path in enumerate(paths, start=11):
+        write_series(path, synthetic_series(seed, days=42, slots_per_day=24))
+    scores = tmp_path / "grid.csv"
+    rc = run_cli(
+        "tune-weights", "--we", "1:3", "--ww", "0:2", "--ws", "0:3", "--share", "10",
+        "--seed", "3", "--max-gap-len", "40", "--scores-out", scores, *paths,
+    )
+    assert rc == 0
+    calibration = [(str(path), read_series(path)) for path in paths]
+    best, expected = grid_search_per_triple(
+        calibration, (1, 3), (0, 2), (0, 3), share=0.1, seed=3, max_gap_len=40,
+    )
+    text = "w_energy,w_weekday,w_season,mape_p\n" + "".join(
+        f"{we},{ww},{ws},{score!r}\n" for we, ww, ws, score in expected
+    )
+    assert scores.read_bytes() == text.encode()
+    selected = f"{best.energy:g},{best.weekday:g},{best.season:g}"
+    assert capsys.readouterr().out == f"selected weights: {selected}\n"
+
+
+@pytest.mark.parametrize(
+    "ranges, message",
+    [
+        (["--we=-1:2"], "error: dissimilarity weights must be non-negative"),
+        (["--ws", "1:-2"], "error: dissimilarity weights must be non-negative"),
+        (["--we", "5:1"], "error: energy weight range 5:1 is reversed"),
+        (["--we", "0:0", "--ww", "0:0", "--ws", "0:0"], "error: weight grid is empty"),
+    ],
+    ids=["negative-low", "negative-high", "reversed", "all-zero"],
+)
+def test_bad_weight_grid_is_one_error_line(series_csv, capsys, ranges, message):
+    rc = run_cli("tune-weights", *ranges, series_csv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith(message)
 
 
 def test_missing_input_file_is_a_clean_error(tmp_path, capsys):

@@ -24,16 +24,19 @@ from meterfill import (
     impute_cpi,
     interpolate_singles,
 )
+from meterfill import cpi
 from meterfill.cpi import (
     WeeklyPattern,
     _best_donors,
+    match_table,
+    match_weights,
     plan_cpi,
     season_distance,
     weekday_distance,
 )
 
 from conftest import HOUR, MONDAY, assert_untouched, energy, with_missing
-from dissimilarity_oracle import combine_distances, dissimilarity
+from dissimilarity_oracle import combine_distances, dissimilarity, lexsort_donors
 
 
 def record(day, total=None, complete=False, estimated=False, full=True):
@@ -320,6 +323,13 @@ def test_default_weights_are_the_tuned_selection():
     )
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_weights_must_be_finite(bad):
+    for weights in ((bad, 1, 10), (5, bad, 10), (5, 1, bad)):
+        with pytest.raises(ValidationError, match="must be finite"):
+            DissimilarityWeights(*weights)
+
+
 def test_weights_must_be_usable():
     with pytest.raises(ValidationError, match="non-negative"):
         DissimilarityWeights(-1, 1, 1)
@@ -499,6 +509,82 @@ def test_matrix_match_needs_a_kept_candidate_on_every_row():
     keep = np.array([[True], [False]])
     with pytest.raises(ImputationError, match="no complete day available"):
         _best_donors(days, candidates, DissimilarityWeights(), SeasonContext(365, 0, 2), keep)
+
+
+def _tied_rows(table, triple):
+    """Rows of ``table`` whose least dissimilarity is reached more than once."""
+    w_energy, w_weekday, w_season = triple
+    value = w_weekday * table.weekday + w_season * table.season
+    value = value + w_energy * table.energy / table.energy_range
+    value[~table.keep] = np.inf
+    return int(((value == value.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+
+
+def test_batched_match_agrees_with_the_lexsort_oracle_for_every_triple(monkeypatch):
+    # Integer weights over a few discrete totals make exact ties on many
+    # rows; zero weights, missing totals (days touched by an unanchored
+    # boundary gap), per-row keep masks and both cycle lengths cover the
+    # other branches.  Each triple must pick the oracle's donor, in one
+    # batch and in batches of five triples (the last one shorter).
+    rng = np.random.default_rng(53)
+    triples = [
+        (w_energy, w_weekday, w_season)
+        for w_energy in range(4) for w_weekday in range(3) for w_season in range(4)
+        if w_energy + w_weekday + w_season
+    ]
+    ties = 0
+    for trial in range(30):
+        cycle = (365, 366)[trial % 2]
+        first = date(2019 + trial % 2, 1, 1)  # 2020 is a leap year
+        ctx = SeasonContext(cycle, 4.0, 16.0)
+        picks = rng.choice(cycle, size=int(rng.integers(1, 60)), replace=False)
+        candidates = [
+            record(first + timedelta(days=int(d)), total=float(rng.choice([4.0, 8.0, 12.0])),
+                   complete=True)
+            for d in picks
+        ]
+        days = [
+            record(first + timedelta(days=int(d)),
+                   total=None if rng.random() < 0.3 else float(rng.choice([4.0, 8.0, 16.0])))
+            for d in rng.integers(0, cycle, size=int(rng.integers(0, 12)))
+        ]
+        keep = rng.random((len(days), len(candidates))) < 0.6
+        keep[np.arange(len(days)), rng.integers(len(candidates), size=len(days))] = True
+
+        table = match_table(days, candidates, ctx, keep)
+        batched = match_weights(table, triples)
+        with monkeypatch.context() as patch:
+            patch.setattr(cpi, "_BATCH_ENTRIES", 5 * len(days) * len(candidates))
+            assert np.array_equal(match_weights(table, triples), batched)
+        assert batched.shape == (len(triples), len(days))
+        for triple, donors in zip(triples, batched):
+            expected = lexsort_donors(days, candidates, DissimilarityWeights(*triple), ctx, keep)
+            assert donors.tolist() == expected.tolist(), (trial, triple)
+            ties += _tied_rows(table, triple)
+    assert ties > 1000  # the tie-break decided many rows
+
+
+def test_match_table_orders_each_row_by_calendar_distance_then_date():
+    days = [record(date(2018, 6, 15), total=5.0)]
+    candidates = [record(date(2018, 6, d), total=5.0, complete=True) for d in (25, 12, 18, 14)]
+    table = match_table(days, candidates, SeasonContext(365, 0.0, 10.0))
+    dates = [candidates[j].date.day for j in table.order[0]]
+    assert dates == [14, 12, 18, 25]
+    assert table.keep.all() and table.days == (date(2018, 6, 15),)
+    assert table.energy.tolist() == [[0.0] * 4]
+
+
+def test_plan_match_uses_the_table_built_with_the_plan(year_series):
+    degraded = with_missing(year_series, range(5000, 5400))
+    plan = plan_cpi(degraded)
+    gap_days = [r for r in plan.records if not r.is_complete]
+    assert plan.table.days == tuple(r.date for r in gap_days)
+    assert plan.table.donors == tuple(c.date for c in plan.candidates)
+    with mock.patch("meterfill.cpi.match_table", wraps=match_table) as build:
+        matches = cpi._match_days(plan, DissimilarityWeights())
+    assert build.call_count == 0
+    best = lexsort_donors(gap_days, plan.candidates, DissimilarityWeights(), plan.context)
+    assert matches == {r.date: plan.candidates[j].date for r, j in zip(gap_days, best)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for error measures, aggregation and the evaluation harness."""
 
 import time
+from datetime import datetime
 from unittest import mock
 
 import numpy as np
@@ -8,9 +9,11 @@ import pytest
 
 from meterfill import (
     DissimilarityWeights,
+    EnergySeries,
     ImputationError,
     MetricError,
     MissingnessSpec,
+    ValidationError,
     evaluate,
     grid_search_weights,
     impute_cpi,
@@ -21,10 +24,12 @@ from meterfill import (
     trimmed_mean,
     wape_e,
 )
+from meterfill import cpi, metrics
 from meterfill.cpi import plan_cpi
 from meterfill.metrics import _cell_seed, format_aggregates_csv, format_report_csv
 
 from conftest import power
+from grid_oracle import grid_search_per_triple
 
 
 # ---------------------------------------------------------------------------
@@ -364,3 +369,91 @@ def test_seasonal_structure_prefers_the_season_weight():
         share=0.1, seed=2, max_gap_len=30,
     )
     assert result.best.season > result.best.weekday
+
+
+def _with_boundary_gaps(series, spec):
+    """``insert_missing``, then the first 5 and last 7 readings removed too."""
+    degraded, mask = insert_missing(series, spec)
+    values = np.array(degraded.values)
+    values[:5] = values[-7:] = np.nan
+    return EnergySeries(degraded.start, degraded.resolution, values), mask
+
+
+@pytest.mark.parametrize(
+    "suite, grid, options, boundary",
+    [
+        (synthetic_suite(3, base_seed=70, days=60, slots_per_day=24),
+         ((1, 4), (0, 2), (1, 4)), {"share": 0.1, "seed": 2}, False),
+        # Six series: the aggregate is a trimmed mean.  Mid-day starts leave
+        # partial boundary days; zero bounds put zero weights in the grid.
+        (synthetic_suite(6, base_seed=80, days=42, slots_per_day=48,
+                         start=datetime(2019, 12, 20, 13)),
+         ((0, 2), (0, 2), (0, 3)), {"share": 0.2, "seed": 7}, False),
+        # Leap year, short gaps, and unanchored gaps at both ends of every
+        # series, whose days are matched without an energy total.
+        (synthetic_suite(5, base_seed=90, days=70, slots_per_day=24,
+                         start=datetime(2020, 2, 1)),
+         ((1, 3), (0, 2), (1, 3)), {"share": 0.15, "seed": 3, "max_gap_len": 30}, True),
+    ],
+    ids=["three-series", "six-series-mid-day", "boundary-gaps"],
+)
+def test_grid_search_equals_the_per_triple_oracle(monkeypatch, suite, grid, options, boundary):
+    if boundary:
+        monkeypatch.setattr(metrics, "insert_missing", _with_boundary_gaps)
+    (we, ww, ws) = grid
+    result = grid_search_weights(suite, we, ww, ws, **options)
+    best, scores = grid_search_per_triple(suite, we, ww, ws, **options)
+    assert result.scores == scores
+    assert result.best == best
+    assert [type(v) for v in result.scores[0]] == [int, int, int, float]
+    if boundary:
+        plan = plan_cpi(_with_boundary_gaps(suite[0][1], MissingnessSpec(0.15, 30))[0])
+        assert not plan.gaps[0].anchored and not plan.gaps[-1].anchored
+
+
+def test_grid_search_scores_each_distinct_assignment_once_per_series():
+    suite = synthetic_suite(2, base_seed=95, days=42, slots_per_day=24)
+    log = []
+
+    def plan(series):
+        log.append("plan")
+        return plan_cpi(series)
+
+    def run(plan, weights):
+        log.append(tuple(sorted(cpi._match_days(plan, weights).items())))
+        return cpi.run_plan(plan, weights)
+
+    with mock.patch.object(metrics, "plan_cpi", plan), mock.patch.object(metrics, "run_plan", run):
+        result = grid_search_weights(suite, (1, 3), (0, 2), (1, 3), share=0.1, seed=4)
+    assert len(result.scores) == 27
+    first, second = (log[1:log.index("plan", 1)], log[log.index("plan", 1) + 1:])
+    assert log[0] == "plan" and "plan" not in second  # each series is scored before the next
+    for runs in (first, second):
+        assert 1 < len(runs) < 27
+        assert len(set(runs)) == len(runs)  # no assignment is imputed twice
+
+
+@pytest.mark.parametrize(
+    "grid, error, message",
+    [
+        (((-1, 2), (0, 1), (1, 2)), ValidationError, "must be non-negative"),
+        (((1, 2), (0, 1), (-3, -1)), ValidationError, "must be non-negative"),
+        # A negative bound is rejected even where it only meets all-zero triples.
+        (((-1, 0), (1, 1), (0, 0)), ValidationError, "must be non-negative"),
+        (((5, 1), (0, 1), (1, 2)), MetricError, "energy weight range 5:1 is reversed"),
+        (((1, 2), (3, 0), (1, 2)), MetricError, "weekday weight range 3:0 is reversed"),
+        (((1, 2), (0, 1), (4, 3)), MetricError, "season weight range 4:3 is reversed"),
+        (((0, 0), (0, 0), (0, 0)), MetricError, "weight grid is empty"),
+    ],
+    ids=["negative-energy", "negative-season", "negative-beside-zero", "reversed-energy",
+         "reversed-weekday", "reversed-season", "all-zero"],
+)
+def test_bad_weight_grids_fail_before_any_series_is_degraded(grid, error, message):
+    suite = synthetic_suite(1, base_seed=60, days=42)
+    with (
+        mock.patch.object(metrics, "insert_missing") as degrade,
+        mock.patch.object(metrics, "plan_cpi") as plan,
+        pytest.raises(error, match=message),
+    ):
+        grid_search_weights(suite, *grid)
+    assert degrade.call_count == plan.call_count == 0
