@@ -400,9 +400,48 @@ def _best_donors(
     return match_weights(table, [(weights.energy, weights.weekday, weights.season)])[0]
 
 
+@dataclass(frozen=True, eq=False)
+class PasteLayout:
+    """Where a paste writes and what each gap spans, whatever the donors.
+
+    ``days`` are the days with missing power values, in date order: the
+    rows of a plan's match table.  ``missing`` holds every missing power
+    index and ``row`` the position of its day in ``days``.  Gap k covers
+    the power indices ``spans[k]`` and touches ``days[lo:hi]`` for
+    ``(lo, hi) = gap_rows[k]``.
+    """
+
+    gaps: tuple[Gap, ...]
+    days: tuple[date, ...]
+    missing: np.ndarray                     # missing power indices
+    row: np.ndarray                         # the row of `days` of each missing index
+    spans: tuple[slice, ...]                # power span of each gap
+    gap_rows: tuple[tuple[int, int], ...]   # the rows of `days` each gap touches
+
+
+def paste_layout(ps: PowerSeries, gaps: Sequence[Gap]) -> PasteLayout:
+    """The donor-independent part of pasting into ``ps`` and scaling ``gaps``."""
+    missing = np.flatnonzero(np.isnan(ps.values))
+    day, _ = day_slot(ps, missing)
+    offsets, row = np.unique(day, return_inverse=True)
+    # The day offsets of each gap's first and last missing value.
+    ends, _ = day_slot(ps, [[g.first_missing for g in gaps], [g.last_missing for g in gaps]])
+    lo = np.searchsorted(offsets, ends[0])
+    hi = np.searchsorted(offsets, ends[1], side="right")
+    date0 = ps.start.date()
+    return PasteLayout(
+        gaps=tuple(gaps),
+        days=tuple(date0 + timedelta(days=d) for d in offsets.tolist()),
+        missing=missing,
+        row=row,
+        spans=tuple(slice(g.first_missing, g.last_missing + 1) for g in gaps),
+        gap_rows=tuple(zip(lo.tolist(), hi.tolist())),
+    )
+
+
 def copy_paste_and_scale(
     ps: PowerSeries,
-    gaps: Sequence[Gap],
+    gaps: Sequence[Gap] | PasteLayout,
     matches: Mapping[date, date],
     energy: EnergySeries,
     scale: bool = True,
@@ -416,39 +455,32 @@ def copy_paste_and_scale(
     uniform fill.  Unanchored gaps are pasted without scaling and flagged.
     The pasted (and scaled) power is the result's ``imputed_power``; the
     completed series are rebuilt from it by ``complete_from_power``.
+    ``gaps`` may be the ``paste_layout`` of ``ps`` and its gaps, as a plan
+    holds it; any other sequence of gaps is laid out first.
     """
-    dt = resolution_hours(ps.resolution)
-    date0 = ps.start.date()
-    idx = np.flatnonzero(np.isnan(ps.values))
-    day, _ = day_slot(ps, idx)
-    gap_days, which = np.unique(day, return_inverse=True)
-    gap_dates = [date0 + timedelta(days=d) for d in gap_days.tolist()]
-    for gap_date in gap_dates:
-        if gap_date not in matches:
-            raise ImputationError(f"no matched day supplied for {gap_date}")
-    shift = [(matches[d] - d).days for d in gap_dates]
-    src = idx + np.array(shift, dtype=np.int64)[which] * slots_per_day(ps.resolution)
+    layout = gaps if isinstance(gaps, PasteLayout) else paste_layout(ps, gaps)
+    for day in layout.days:
+        if day not in matches:
+            raise ImputationError(f"no matched day supplied for {day}")
+    pairs = [(day, matches[day]) for day in layout.days]
+    shift = np.array([(donor - day).days for day, donor in pairs], dtype=np.int64)
+    src = layout.missing + shift[layout.row] * slots_per_day(ps.resolution)
     inside = (src >= 0) & (src < ps.n)
     donor_values = ps.values[np.where(inside, src, 0)]
     bad = ~inside | np.isnan(donor_values)
     if bad.any():
-        k = which[bad.argmax()]  # the earliest day with a slot it cannot fill
-        gap_date, donor = gap_dates[k], matches[gap_dates[k]]
-        if not inside[which == k].all():
-            raise ImputationError(
-                f"matched day {donor} does not cover all slots needed by {gap_date}"
-            )
+        k = layout.row[bad.argmax()]  # the earliest day with a slot it cannot fill
+        day, donor = pairs[k]
+        if not inside[layout.row == k].all():
+            raise ImputationError(f"matched day {donor} does not cover all slots needed by {day}")
         raise ImputationError(f"matched day {donor} is not complete")
     completed = np.array(ps.values)
-    completed[idx] = donor_values
+    completed[layout.missing] = donor_values
 
+    dt = resolution_hours(ps.resolution)
     fills = []
-    # The day offsets of each gap's first and last missing value.
-    ends, _ = day_slot(ps, [[g.first_missing for g in gaps], [g.last_missing for g in gaps]])
-    for gap, first, last in zip(gaps, *ends.tolist()):
-        span = slice(gap.first_missing, gap.last_missing + 1)
-        touched = [date0 + timedelta(days=d) for d in range(first, last + 1)]
-        sources = tuple((gap_date, matches[gap_date]) for gap_date in touched)
+    for gap, span, (lo, hi) in zip(layout.gaps, layout.spans, layout.gap_rows):
+        sources = tuple(pairs[lo:hi])
         if not gap.anchored:
             fills.append(GapFill(gap, sources, None, anchored=False))
             continue
@@ -493,16 +525,24 @@ def complete_from_power(
 
 @dataclass(frozen=True)
 class CpiPlan:
-    """Weight-independent state shared by all matching runs on one series."""
+    """Weight-independent state shared by all matching runs on one series.
+
+    ``run_plan`` reads the match table to pick donors and the paste layout
+    to paste and scale them; neither is rebuilt per weighting.
+    """
 
     series: EnergySeries        # input with isolated singles already filled
     power: PowerSeries
-    gaps: tuple[Gap, ...]
+    layout: PasteLayout         # the missing slots, their days, and every gap's span
     days: tuple[DayView, ...]
     records: tuple[DayRecord, ...]
     candidates: tuple[DayRecord, ...]
     context: SeasonContext
     table: MatchTable           # the days with gaps against the candidates
+
+    @property
+    def gaps(self) -> tuple[Gap, ...]:
+        return self.layout.gaps
 
 
 def _season_context(records: Sequence[DayRecord], candidates: Sequence[DayRecord]) -> SeasonContext:
@@ -524,6 +564,7 @@ def plan_cpi(es: EnergySeries, config: CpiConfig = CpiConfig()) -> CpiPlan:
     filled = interpolate_singles(es)
     gaps = detect_gaps(filled)
     power = energy_to_power(filled)
+    layout = paste_layout(power, gaps)
     days = day_partition(filled)
 
     complete_full = [
@@ -553,7 +594,7 @@ def plan_cpi(es: EnergySeries, config: CpiConfig = CpiConfig()) -> CpiPlan:
 
     # Record i is day offset i; a donor must cover the day's last missing slot.
     rows = [i for i, r in enumerate(records) if not r.is_complete]
-    day, slot = day_slot(power, np.flatnonzero(np.isnan(power.values)))
+    day, slot = day_slot(power, layout.missing)
     last_slot = slot[np.searchsorted(day, rows, side="right") - 1]
     date0 = power.start.date()
     donor_slots = np.array([days[(c.date - date0).days].slots for c in candidates])
@@ -561,7 +602,7 @@ def plan_cpi(es: EnergySeries, config: CpiConfig = CpiConfig()) -> CpiPlan:
     return CpiPlan(
         series=filled,
         power=power,
-        gaps=tuple(gaps),
+        layout=layout,
         days=tuple(days),
         records=tuple(records),
         candidates=tuple(candidates),
@@ -581,8 +622,14 @@ def run_plan(
     weights: DissimilarityWeights = DEFAULT_WEIGHTS,
     scale: bool = True,
 ) -> ImputationResult:
+    """Impute the plan's series with the donors that ``weights`` pick.
+
+    Only donor-dependent work happens here: matching on the plan's table,
+    then ``copy_paste_and_scale`` over the plan's paste layout, which turns
+    the donors into whole-day shifts and rebuilds the energy.
+    """
     matches = _match_days(plan, weights)
-    return copy_paste_and_scale(plan.power, plan.gaps, matches, plan.series, scale=scale)
+    return copy_paste_and_scale(plan.power, plan.layout, matches, plan.series, scale=scale)
 
 
 def impute_cpi(

@@ -243,8 +243,8 @@ def energy_to_power(es: EnergySeries) -> PowerSeries:
     ``power[i] = (e[i+1] - e[i]) / dt`` and is missing iff either bracketing
     reading is missing.
     """
-    dt = resolution_hours(es.resolution)
-    values = np.diff(es.values) / dt
+    values = np.diff(es.values)
+    values /= resolution_hours(es.resolution)
     return PowerSeries(start=es.start, resolution=es.resolution, values=values)
 
 
@@ -275,18 +275,19 @@ def power_to_energy(
     )
 
 
+def _missing_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and exclusive stops of the maximal runs of NaN in ``values``."""
+    edges = np.flatnonzero(np.diff(np.isnan(values), prepend=False, append=False))
+    return edges[0::2], edges[1::2]
+
+
 def detect_gaps(es: EnergySeries) -> list[Gap]:
     """Locate maximal runs of missing readings as power-domain gaps.
 
     Gaps are disjoint, sorted, and never adjacent.  Runs touching the series
     boundary yield unanchored gaps without an ``actual_energy``.
     """
-    miss = np.isnan(es.values)
-    if not miss.any():
-        return []
-    edges = np.diff(np.concatenate(([0], miss.view(np.int8), [0])))
-    run_starts = np.flatnonzero(edges == 1)
-    run_stops = np.flatnonzero(edges == -1)  # exclusive
+    run_starts, run_stops = _missing_runs(es.values)
     n = es.n
     gaps = []
     for a, b in zip(run_starts.tolist(), (run_stops - 1).tolist()):
@@ -367,14 +368,14 @@ def fill_energy_from_power(es: EnergySeries, power_values: np.ndarray) -> Energy
         raise ImputationError("power values must be complete to rebuild energy")
     dt = resolution_hours(es.resolution)
     filled = np.array(es.values)
-    for gap in detect_gaps(es):
-        lo, hi = gap.energy_first, gap.energy_last
-        if gap.anchor_before is not None:
-            base = es.values[lo - 1]
-            filled[lo : hi + 1] = base + np.cumsum(power_values[lo - 1 : hi]) * dt
+    for lo, stop in zip(*(edge.tolist() for edge in _missing_runs(es.values))):
+        run = filled[lo:stop]
+        if lo > 0:  # base + cumsum(power) * dt, computed in place
+            power_values[lo - 1 : stop - 1].cumsum(out=run)
+            run *= dt
+            run += es.values[lo - 1]
         else:
-            base = es.values[hi + 1]
-            filled[lo : hi + 1] = base - np.cumsum(power_values[lo : hi + 1][::-1] * dt)[::-1]
+            run[:] = es.values[stop] - np.cumsum(power_values[lo:stop][::-1] * dt)[::-1]
     return EnergySeries(
         start=es.start,
         resolution=es.resolution,
@@ -450,17 +451,23 @@ def _parse_written(text: str) -> tuple[datetime, timedelta, np.ndarray] | None:
         return None
     if first != start.isoformat(sep=" "):
         return None
-    rows = text[len(header) : -1].split("\n")
-    if len(rows) < 2 or {row.count(",") for row in rows} != {1}:
+    # Each line end becomes ",\n": one split gives every cell, and a cell
+    # that opens a row starts with "\n".  Two cells per row is one comma per
+    # row on average.  The timestamp cells join to the expected column
+    # joined by line ends only if each holds the line end before it, so
+    # then every row has exactly one comma.
+    body = text[len(header) : -1]
+    rows = body.count("\n") + 1
+    cells = body.replace("\n", ",\n").split(",")
+    if rows < 2 or len(cells) != 2 * rows:
         return None
-    cells = ",".join(rows).split(",")
     stamps, fields = cells[0::2], cells[1::2]
     try:
-        resolution = datetime.fromisoformat(stamps[1]) - start
+        resolution = datetime.fromisoformat(stamps[1][1:]) - start
         if (
             resolution <= timedelta(0)
-            or stamps[-1] != (start + (len(rows) - 1) * resolution).isoformat(sep=" ")
-            or stamps != _timestamps(start, resolution, len(rows))
+            or stamps[-1] != "\n" + (start + (rows - 1) * resolution).isoformat(sep=" ")
+            or "".join(stamps) != "\n".join(_timestamps(start, resolution, rows))
         ):
             return None
         values = np.array([float(f) if f else math.nan for f in fields])

@@ -1,0 +1,109 @@
+"""Reference paste, scale and energy rebuild that lay out every call anew.
+
+The package lays a series out once (``meterfill.cpi.paste_layout``, held by
+each plan) and reuses it for every donor assignment; its energy rebuild
+finds the runs of missing readings with numpy.  These are the earlier
+bodies: each call finds the missing slots, their days and every gap's days
+again, and the rebuild walks the ``Gap`` objects of ``detect_gaps``.  The
+tests require the two to give bit-identical results and the same errors.
+"""
+
+from datetime import timedelta
+
+import numpy as np
+
+from meterfill import (
+    EnergySeries,
+    GapFill,
+    ImputationError,
+    ImputationResult,
+    PowerSeries,
+    ValidationError,
+)
+from meterfill.series import day_slot, detect_gaps, energy_to_power, resolution_hours, slots_per_day
+
+
+def copy_paste_and_scale(ps, gaps, matches, energy, scale=True):
+    dt = resolution_hours(ps.resolution)
+    date0 = ps.start.date()
+    idx = np.flatnonzero(np.isnan(ps.values))
+    day, _ = day_slot(ps, idx)
+    gap_days, which = np.unique(day, return_inverse=True)
+    gap_dates = [date0 + timedelta(days=d) for d in gap_days.tolist()]
+    for gap_date in gap_dates:
+        if gap_date not in matches:
+            raise ImputationError(f"no matched day supplied for {gap_date}")
+    shift = [(matches[d] - d).days for d in gap_dates]
+    src = idx + np.array(shift, dtype=np.int64)[which] * slots_per_day(ps.resolution)
+    inside = (src >= 0) & (src < ps.n)
+    donor_values = ps.values[np.where(inside, src, 0)]
+    bad = ~inside | np.isnan(donor_values)
+    if bad.any():
+        k = which[bad.argmax()]  # the earliest day with a slot it cannot fill
+        gap_date, donor = gap_dates[k], matches[gap_dates[k]]
+        if not inside[which == k].all():
+            raise ImputationError(
+                f"matched day {donor} does not cover all slots needed by {gap_date}"
+            )
+        raise ImputationError(f"matched day {donor} is not complete")
+    completed = np.array(ps.values)
+    completed[idx] = donor_values
+
+    fills = []
+    # The day offsets of each gap's first and last missing value.
+    ends, _ = day_slot(ps, [[g.first_missing for g in gaps], [g.last_missing for g in gaps]])
+    for gap, first, last in zip(gaps, *ends.tolist()):
+        span = slice(gap.first_missing, gap.last_missing + 1)
+        touched = [date0 + timedelta(days=d) for d in range(first, last + 1)]
+        sources = tuple((gap_date, matches[gap_date]) for gap_date in touched)
+        if not gap.anchored:
+            fills.append(GapFill(gap, sources, None, anchored=False))
+            continue
+        if not scale:
+            fills.append(GapFill(gap, sources, 1.0, anchored=True, fallback="unscaled"))
+            continue
+        actual = gap.actual_energy
+        pasted = float(completed[span].sum() * dt)
+        if (pasted == 0.0 and actual != 0.0) or pasted * actual < 0.0:
+            completed[span] = actual / (gap.length * dt)
+            fills.append(GapFill(gap, sources, None, anchored=True, fallback="uniform"))
+            continue
+        factor = actual / pasted if pasted != 0.0 else 1.0
+        completed[span] *= factor
+        fills.append(GapFill(gap, sources, factor, anchored=True))
+
+    imputed = PowerSeries(start=ps.start, resolution=ps.resolution, values=completed)
+    return complete_from_power(energy, imputed, tuple(fills))
+
+
+def complete_from_power(energy, imputed, per_gap):
+    completed_energy = fill_energy_from_power(energy, imputed.values)
+    completed_power = energy_to_power(completed_energy)
+    return ImputationResult(completed_power, completed_energy, per_gap, imputed)
+
+
+def fill_energy_from_power(es, power_values):
+    power_values = np.asarray(power_values, dtype=np.float64)
+    if power_values.shape != (es.n - 1,):
+        raise ValidationError(
+            f"expected {es.n - 1} power values, got {power_values.shape}"
+        )
+    if np.isnan(power_values).any():
+        raise ImputationError("power values must be complete to rebuild energy")
+    dt = resolution_hours(es.resolution)
+    filled = np.array(es.values)
+    for gap in detect_gaps(es):
+        lo, hi = gap.energy_first, gap.energy_last
+        if gap.anchor_before is not None:
+            base = es.values[lo - 1]
+            filled[lo : hi + 1] = base + np.cumsum(power_values[lo - 1 : hi]) * dt
+        else:
+            base = es.values[hi + 1]
+            filled[lo : hi + 1] = base - np.cumsum(power_values[lo : hi + 1][::-1] * dt)[::-1]
+    return EnergySeries(
+        start=es.start,
+        resolution=es.resolution,
+        values=filled,
+        meter_kind=es.meter_kind,
+        monotone_tol=float("inf"),
+    )

@@ -1,16 +1,19 @@
 """Tests for the copy-paste imputation pipeline."""
 
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, time, timedelta
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meterfill import (
     CpiConfig,
     DayRecord,
     DissimilarityWeights,
+    EnergySeries,
     ImputationError,
+    MeterfillError,
     MeterKind,
     SeasonContext,
     ValidationError,
@@ -30,12 +33,15 @@ from meterfill.cpi import (
     _best_donors,
     match_table,
     match_weights,
+    paste_layout,
     plan_cpi,
+    run_plan,
     season_distance,
     weekday_distance,
 )
 
-from conftest import HOUR, MONDAY, assert_untouched, energy, with_missing
+import paste_oracle
+from conftest import HOUR, MONDAY, QUARTER_HOUR, assert_untouched, energy, with_missing
 from dissimilarity_oracle import combine_distances, dissimilarity, lexsort_donors
 
 
@@ -758,6 +764,165 @@ def test_paste_across_midnight_copies_each_day_from_its_own_donor():
         when = p.timestamp(i)
         donor_when = datetime.combine(donors[when.date()], when.time())
         assert result.imputed_power.values[i] == p.values[(donor_when - start) // HOUR]
+
+
+# ---------------------------------------------------------------------------
+# The paste layout against the per-call oracle
+# ---------------------------------------------------------------------------
+
+
+def _outcome(paste, *args):
+    """The result of a paste, or the type and text of its error."""
+    try:
+        return paste(*args)
+    except MeterfillError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    for name in ("completed_power", "completed_energy", "imputed_power"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.start, a.resolution) == (b.start, b.resolution), name
+        assert a.values.tobytes() == b.values.tobytes(), name
+    assert got.completed_energy.meter_kind == want.completed_energy.meter_kind
+    assert got.per_gap == want.per_gap
+    assert repr(got.per_gap) == repr(want.per_gap)  # the same floats, signed zeros included
+
+
+@st.composite
+def _paste_inputs(draw):
+    """A few days of readings with gaps, and donors for every day with gaps.
+
+    Resolutions of 5 min, 15 min and 1 h; starts at 00:00, 07:00 and 13:00,
+    one of them spanning 2020-02-29.  Gaps may touch either end of the
+    series or span more than a day.  A generation meter's days may run at
+    zero or reversed power, so a donor can paste nothing or the opposite
+    sign and force the uniform fallback.  Most draws match every day with
+    gaps to a donor that can fill it; some match a day to any day in or
+    near the series, or leave a day out, so the errors are compared too.
+    """
+    resolution = draw(st.sampled_from([timedelta(minutes=5), QUARTER_HOUR, HOUR]))
+    spd = timedelta(days=1) // resolution
+    day0 = draw(st.sampled_from([date(2018, 1, 1), date(2020, 2, 26)]))
+    start = datetime.combine(day0, time(draw(st.sampled_from([0, 7, 13]))))
+    offset = (start - datetime.combine(day0, time())) // resolution
+    days = draw(st.integers(3, 8))
+    n = days * spd + draw(st.integers(-offset, spd // 2))
+    kind = draw(st.sampled_from(list(MeterKind)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    slot = offset + np.arange(n - 1)
+    levels = [0.5, 1.0, 2.0] if kind is MeterKind.CONSUMPTION else [-1.0, 0.0, 1.0, 2.0]
+    level = rng.choice(levels, size=days + 2)[slot // spd]
+    shape = 1.0 + np.sin(2 * np.pi * (slot % spd) / spd) + 0.1 * rng.random(n - 1)
+    power_values = level * shape
+    dt = resolution / HOUR
+    values = 100.0 + np.concatenate(([0.0], np.cumsum(power_values * dt)))
+
+    missing = np.zeros(n, dtype=bool)
+    kinds = st.sampled_from(["head", "tail", "long", "short"])
+    for where in draw(st.lists(kinds, min_size=1, max_size=4)):
+        length = draw(st.integers(1, spd + spd // 2 if where == "long" else spd // 2))
+        length = min(length, n - 2)
+        first = {"head": 0, "tail": n - length}.get(where)
+        if first is None:
+            first = draw(st.integers(0, n - length))
+        missing[first : first + length] = True
+    if missing.all() or missing[1:-1].all():
+        missing[n // 2] = False
+    es = EnergySeries(start, resolution, np.where(missing, np.nan, values), meter_kind=kind)
+    ps = energy_to_power(es)
+
+    # Every donor day that can fill each day with gaps, by brute force.
+    idx = np.flatnonzero(np.isnan(ps.values))
+    gap_day = (offset + idx) // spd
+    matches = {}
+    for d in np.unique(gap_day).tolist():
+        own = idx[gap_day == d]
+        valid = []
+        for c in range(-1, days + 2):
+            src = own + (c - d) * spd
+            if src.min() >= 0 and src.max() < ps.n and not np.isnan(ps.values[src]).any():
+                valid.append(c)
+        if valid and draw(st.integers(0, 15)) > 0:
+            c = draw(st.sampled_from(valid))
+        elif draw(st.integers(0, 3)) == 0:
+            continue  # this day gets no donor
+        else:
+            c = draw(st.integers(-2, days + 2))
+        matches[day0 + timedelta(days=d)] = day0 + timedelta(days=c)
+    return ps, detect_gaps(es), matches, es, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_paste_inputs())
+def test_paste_matches_the_per_call_oracle(inputs):
+    ps, gaps, matches, es, scale = inputs
+    want = _outcome(paste_oracle.copy_paste_and_scale, ps, gaps, matches, es, scale)
+    _assert_same_outcome(_outcome(copy_paste_and_scale, ps, gaps, matches, es, scale), want)
+    layout = paste_layout(ps, gaps)
+    _assert_same_outcome(_outcome(copy_paste_and_scale, ps, layout, matches, es, scale), want)
+
+
+def test_paste_oracle_draws_cover_every_case():
+    """The drawn inputs reach each fallback, both boundary kinds and each error."""
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_paste_inputs())
+    def collect(inputs):
+        ps, gaps, matches, es, scale = inputs
+        outcome = _outcome(paste_oracle.copy_paste_and_scale, ps, gaps, matches, es, scale)
+        spd = timedelta(days=1) // ps.resolution
+        if isinstance(outcome, tuple):
+            seen.add(outcome[1].split(" ")[0] + (" complete" if "complete" in outcome[1] else ""))
+            return
+        seen.update(f.fallback for f in outcome.per_gap)
+        seen.update("leading" for g in gaps if g.anchor_before is None)
+        seen.update("trailing" for g in gaps if g.anchor_after is None)
+        seen.update("long" for g in gaps if g.length > spd)
+        seen.update("scaled" for f in outcome.per_gap if f.scale not in (None, 1.0))
+
+    collect()
+    assert seen >= {
+        "uniform", "unscaled", None, "leading", "trailing", "long", "scaled",
+        "no", "matched complete", "matched",
+    }
+
+
+@pytest.mark.parametrize("slots, hour", [(96, 0), (24, 7), (288, 13)])
+def test_run_plan_pastes_as_the_oracle_does_from_the_plan_matches(slots, hour):
+    from meterfill import MissingnessSpec, insert_missing, synthetic_series
+
+    start = datetime(2019, 12, 20, hour)  # runs across 2020-02-29
+    truth = synthetic_series(slots + hour, days=90, slots_per_day=slots, start=start)
+    degraded, _ = insert_missing(truth, MissingnessSpec(share=0.2, seed=hour))
+    plan = plan_cpi(degraded)
+    for weights in (DissimilarityWeights(), DissimilarityWeights(1.0, 0.0, 3.0)):
+        matches = cpi._match_days(plan, weights)
+        for scale in (True, False):
+            want = paste_oracle.copy_paste_and_scale(
+                plan.power, plan.gaps, matches, plan.series, scale
+            )
+            _assert_same_outcome(run_plan(plan, weights, scale), want)
+
+
+def test_plan_layout_rows_are_the_match_table_rows(year_series):
+    from meterfill import MissingnessSpec, insert_missing
+
+    degraded, _ = insert_missing(year_series, MissingnessSpec(share=0.1, seed=4))
+    plan = plan_cpi(degraded)
+    layout = plan.layout
+    assert layout.days == plan.table.days
+    assert layout.gaps == plan.gaps == tuple(detect_gaps(plan.series))
+    assert np.array_equal(layout.missing, np.flatnonzero(np.isnan(plan.power.values)))
+    for gap, span, (lo, hi) in zip(layout.gaps, layout.spans, layout.gap_rows):
+        first, last = (plan.power.timestamp(i).date() for i in (span.start, span.stop - 1))
+        assert (layout.days[lo], layout.days[hi - 1]) == (first, last)
+        assert (span.start, span.stop) == (gap.first_missing, gap.last_missing + 1)
 
 
 # ---------------------------------------------------------------------------

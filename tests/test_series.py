@@ -18,12 +18,15 @@ from meterfill import (
     day_partition,
     detect_gaps,
     energy_to_power,
+    fill_energy_from_power,
     parse_series,
     power_to_energy,
 )
 from meterfill import series as series_module
 from meterfill.series import format_series
 
+import csv_oracle
+import paste_oracle
 from conftest import HOUR, MONDAY, QUARTER_HOUR, energy, power, with_missing
 
 
@@ -316,6 +319,84 @@ def test_text_outside_the_written_form_keeps_its_row_wise_outcome(text, expected
     assert np.array_equal(es.values, np.array(values, dtype=float), equal_nan=True)
 
 
+def _same_reading(text):
+    got, want = series_module._parse_written(text), csv_oracle.parse_written(text)
+    if want is None:
+        assert got is None
+        return want
+    assert got is not None
+    assert got[:2] == want[:2]
+    assert got[2].tobytes() == want[2].tobytes()
+    return want
+
+
+_S = ["2018-01-01 00:00:00", "2018-01-01 00:15:00", "2018-01-01 00:30:00"]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [f"{_S[0]},1.0", _S[1], f"2.0,{_S[2]},3.0"],    # no comma, then two: cells align
+        [f"{_S[0]},1.0,{_S[1]}", f"2.0,{_S[2]}", "3.0"],  # two commas, then none
+        [f"{_S[0]},1.0", f"{_S[1]}", f"{_S[2]},2.0,"],
+        [f"{_S[0]},1.0", f"{_S[1]},,", f"{_S[2]}"],
+    ],
+    ids=["none-then-two", "two-then-none", "none-then-trailing", "two-then-bare"],
+)
+def test_written_form_needs_one_comma_on_every_row(rows):
+    assert _same_reading(_csv(rows)) is None
+
+
+_EDITS = (
+    "drop-comma", "add-comma", "crlf", "quote", "empty", "nan", "bad-float",
+    "shift-stamp", "blank-line", "pad",
+)
+
+
+@st.composite
+def _edited_written_text(draw):
+    """A short written CSV, with up to three rows edited."""
+    resolution = draw(st.sampled_from([timedelta(minutes=5), QUARTER_HOUR, HOUR]))
+    start = draw(st.sampled_from([MONDAY, datetime(2018, 1, 1, 7), datetime(2020, 2, 28, 13)]))
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.where(rng.random(n) < 0.2, np.nan, rng.normal(size=n) * 10.0 ** rng.integers(-3, 4))
+    lines = format_series(power(values, start=start, resolution=resolution)).split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(1, n))
+        stamp, value = lines[i].split(",", 1) if "," in lines[i] else (lines[i], "")
+        edit = draw(st.sampled_from(_EDITS))
+        if edit == "drop-comma":
+            lines[i] = lines[i].replace(",", "", 1)
+        elif edit == "add-comma":
+            at = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + "," + lines[i][at:]
+        elif edit == "crlf":
+            lines[i] += "\r"
+        elif edit == "quote":
+            lines[i] = f'{stamp},"{value}"'
+        elif edit in ("empty", "nan", "bad-float", "pad"):
+            new = {
+                "empty": [""],
+                "nan": ["nan", "NaN", "NAN", "-nan"],
+                "bad-float": ["1.0x", "inf", "-inf", "1e999", "--1", "1_0", "0x10", ".", "e5"],
+                "pad": [f" {value}", f"{value} ", "\t1.5"],
+            }[edit]
+            lines[i] = f"{stamp},{draw(st.sampled_from(new))}"
+        elif edit == "shift-stamp":
+            when = start + (i - 1 + draw(st.sampled_from([-1, 1]))) * resolution
+            lines[i] = f"{when.isoformat(sep=' ')},{value}"
+        else:
+            lines.insert(i, "")
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_edited_written_text())
+def test_written_form_reads_as_the_row_splitting_oracle(text):
+    _same_reading(text)
+
+
 # ---------------------------------------------------------------------------
 # energy <-> power
 # ---------------------------------------------------------------------------
@@ -420,6 +501,55 @@ def test_gap_union_covers_exactly_the_missing_power_indices():
         for a, b in zip(gaps, gaps[1:]):
             assert b.energy_first > a.energy_last + 1
             assert b.first_missing > a.last_missing
+
+
+# ---------------------------------------------------------------------------
+# Energy rebuild from imputed power
+# ---------------------------------------------------------------------------
+
+
+def _rebuilt(readings, power_values, kind=MeterKind.CONSUMPTION):
+    es = energy(readings, kind=kind)
+    got = fill_energy_from_power(es, power_values)
+    want = paste_oracle.fill_energy_from_power(es, power_values)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert (got.meter_kind, got.monotone_tol) == (kind, float("inf"))
+    present = ~np.isnan(es.values)
+    assert got.values[present].tobytes() == es.values[present].tobytes()
+    return got.values.tolist()
+
+
+def test_rebuild_walks_a_leading_run_back_from_its_right_anchor():
+    assert _rebuilt([np.nan, np.nan, 3.0, 6.0, 10.0], [1.0, 2.0, 3.0, 4.0]) == [
+        0.0, 1.0, 3.0, 6.0, 10.0,
+    ]
+
+
+def test_rebuild_cumulates_a_trailing_run_from_its_left_anchor():
+    assert _rebuilt([0.0, 1.0, np.nan, np.nan], [1.0, 2.0, 4.0]) == [0.0, 1.0, 3.0, 7.0]
+
+
+def test_rebuild_of_one_missing_reading_keeps_the_right_anchor():
+    # The second power value is not used: reading 2 stays as metered.
+    assert _rebuilt([0.0, np.nan, 5.0], [2.0, 7.0]) == [0.0, 2.0, 5.0]
+
+
+def test_rebuild_fills_runs_at_both_ends():
+    assert _rebuilt([np.nan, 2.0, 4.0, np.nan], [1.0, 1.0, 1.0]) == [1.0, 2.0, 4.0, 5.0]
+    assert _rebuilt(
+        [np.nan, np.nan, 2.0, np.nan, 3.0, np.nan], [1.0, -1.0, 0.5, 2.0, -0.5],
+        kind=MeterKind.GENERATION,
+    ) == [2.0, 3.0, 2.0, 2.5, 3.0, 2.5]
+
+
+def test_rebuild_errors_keep_their_texts():
+    es = energy([0.0, np.nan, 5.0, 6.0])
+    with pytest.raises(ValidationError) as exc:
+        fill_energy_from_power(es, [1.0, 2.0])
+    assert str(exc.value) == "expected 3 power values, got (2,)"
+    with pytest.raises(ImputationError) as exc:
+        fill_energy_from_power(es, [1.0, np.nan, 2.0])
+    assert str(exc.value) == "power values must be complete to rebuild energy"
 
 
 # ---------------------------------------------------------------------------
