@@ -49,8 +49,7 @@ from .metrics import (
     wape_e,
 )
 from .series import (
-    DayRecord,
-    DayView,
+    DayTable,
     EnergySeries,
     Gap,
     MeterKind,

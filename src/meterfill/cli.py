@@ -90,16 +90,8 @@ def _choice(*options: str):
     return parse
 
 
-def _boolean(text: str) -> bool:
-    return _choice("true", "false")(text) == "true"
-
-
 class Setting(NamedTuple):
-    """How one setting is parsed, its default and its ``--help`` text.
-
-    A ``_boolean`` setting is a switch on the command line and ``true`` or
-    ``false`` in a config file.
-    """
+    """How one setting is parsed, its default and its ``--help`` text."""
 
     parse: Callable[[str], Any]
     default: Any = None
@@ -117,7 +109,6 @@ SETTINGS = {
     "method": Setting(_choice(*metrics.ALL_METHODS), "cpi"),
     "weights": Setting(_parse_weights, DEFAULT_WEIGHTS,
                        "copy-paste weights: energy,weekday,season"),
-    "no_scale": Setting(_boolean, False, "skip per-gap energy scaling"),
     "share": Setting(_parse_share, 0.1, "values >= 1 are percentages"),
     "shares": Setting(_parse_share_list, (0.01, 0.02, 0.05, 0.1, 0.2, 0.3),
                       "comma list; values >= 1 are percentages"),
@@ -265,8 +256,7 @@ def _cmd_impute(cfg: SimpleNamespace) -> int:
     audit_out = cfg.audit_out or _sibling(cfg.output, ".gaps.jsonl")
 
     if cfg.method in metrics.CPI_METHODS:
-        scale = metrics.CPI_METHODS[cfg.method] and not cfg.no_scale
-        result = impute_cpi(es, cfg.weights, scale=scale)
+        result = impute_cpi(es, cfg.weights, scale=metrics.CPI_METHODS[cfg.method])
     else:
         result = complete_from_power(
             es,
@@ -343,7 +333,7 @@ COMMANDS = {
     ),
     "impute": Command(
         _cmd_impute, "fill every missing value of a series",
-        ("method", "weights", "no_scale", "input_kind", "meter_kind", "monotone_tol",
+        ("method", "weights", "input_kind", "meter_kind", "monotone_tol",
          "power_out", "audit_out"),
     ),
     "evaluate": Command(
@@ -372,11 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value file supplying flag defaults")
         for key in command.settings:
             setting = SETTINGS[key]
-            if setting.parse is _boolean:
-                kind = {"action": "store_const", "const": "true"}
-            else:
-                options = getattr(setting.parse, "options", None)
-                kind = {"metavar": "{" + ",".join(options) + "}"} if options else {}
+            options = getattr(setting.parse, "options", None)
+            kind = {"metavar": "{" + ",".join(options) + "}"} if options else {}
             p.add_argument(_flag(key), *setting.aliases, dest=key, help=setting.help, **kind)
         for key in command.positionals:
             p.add_argument(key, nargs="*" if key == "inputs" else None)

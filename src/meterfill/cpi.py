@@ -9,6 +9,7 @@ imputed energy matches the metered energy difference across the gap.
 
 from __future__ import annotations
 
+import calendar
 import math
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
@@ -18,8 +19,7 @@ import numpy as np
 
 from .errors import ImputationError, ValidationError
 from .series import (
-    DayRecord,
-    DayView,
+    DayTable,
     EnergySeries,
     Gap,
     PowerSeries,
@@ -158,33 +158,32 @@ def interpolate_singles(es: EnergySeries) -> EnergySeries:
 
 
 def fit_weekly_pattern(
-    complete_days: Sequence[tuple[date, float]],
+    days: DayTable,
+    rows: np.ndarray,
     min_days: int = 14,
 ) -> WeeklyPattern:
     """Least-squares fit of daily totals on a linear trend plus weekday dummies.
 
-    Needs at least 14 days (configurable) and at least one day per weekday
-    class; the per-weekday effects are recentred to zero mean across the
-    seven weekdays and the removed mean is folded into the intercept.
+    Fits the known energy of the day-table ``rows`` (in date order), with
+    the trend counted in days from the first of them.  Needs at least 14
+    days (configurable) and at least one day per weekday class; the
+    per-weekday effects are recentred to zero mean across the seven
+    weekdays and the removed mean is folded into the intercept.
     """
-    if len(complete_days) < min_days:
+    if len(rows) < min_days:
         raise ImputationError(
-            f"weekly pattern needs at least {min_days} complete days, "
-            f"got {len(complete_days)}"
+            f"weekly pattern needs at least {min_days} complete days, got {len(rows)}"
         )
-    dates = [d for d, _ in complete_days]
-    totals = np.array([t for _, t in complete_days], dtype=np.float64)
-    weekdays = np.array([d.isoweekday() for d in dates])
+    weekdays = days.weekday[rows]
     for w in range(1, 8):
         if not (weekdays == w).any():
             raise ImputationError(f"no complete {WEEKDAY_NAMES[w - 1]} (weekday {w}) available")
-    day_index = np.array([(d - dates[0]).days for d in dates], dtype=np.float64)
 
-    design = np.ones((len(dates), 8))
-    design[:, 1] = day_index
+    design = np.ones((len(rows), 8))
+    design[:, 1] = rows - rows[0]
     for w in range(1, 7):  # weekday 7 is the reference class
         design[:, 1 + w] = weekdays == w
-    beta, *_ = np.linalg.lstsq(design, totals, rcond=None)
+    beta, *_ = np.linalg.lstsq(design, days.known_energy[rows], rcond=None)
 
     effects = np.append(beta[2:8], 0.0)
     mean_effect = effects.mean()
@@ -197,86 +196,78 @@ def fit_weekly_pattern(
     )
 
 
-def _gap_days(series: Series, gap: Gap) -> tuple[np.ndarray, np.ndarray]:
-    """Day offsets the gap's power span touches, and its length on each."""
-    day, _ = day_slot(series, np.arange(gap.first_missing, gap.last_missing + 1))
-    return np.arange(day[0], day[-1] + 1), np.bincount(day - day[0])
+def _gap_day_range(series: Series, gaps: Sequence[Gap]) -> np.ndarray:
+    """Day offsets of each gap's first and last missing value, shape (2, gaps)."""
+    ends = [[g.first_missing for g in gaps], [g.last_missing for g in gaps]]
+    return day_slot(series, np.array(ends, dtype=np.int64).reshape(2, -1))[0]
 
 
 def estimate_daily_energy(
     series: EnergySeries,
-    days: Sequence[DayView],
+    days: DayTable,
     gaps: Sequence[Gap],
     pattern: WeeklyPattern,
-) -> dict[date, float]:
+) -> np.ndarray:
     """Estimate each day's total energy, allocating gap energy across days.
 
-    Per anchored gap: the metered gap energy is first split across the
-    overlapped days in proportion to their missing values; the weekly
+    Row d of the result is day d's known energy plus its share of the
+    gaps.  Per anchored gap: the metered gap energy is first split across
+    the overlapped days in proportion to their missing values; the weekly
     pattern is then injected with a zero-sum correction weighted by how much
     of each day lies in the gap, so the gap total is untouched; negative day
     shares are clamped to zero and the rest rescaled to restore the total.
-    Unanchored gaps are rejected.  ``days`` is the series' ``day_partition``.
+    The shares are added into the days in gap order.  Unanchored gaps are
+    rejected.  ``days`` is the series' ``day_partition``.
     """
-    extra = np.zeros(len(days))
-    for gap in gaps:
-        if not gap.anchored:
-            raise ImputationError(
-                "cannot allocate energy for an unanchored gap; boundary gaps "
-                "are handled without an energy estimate"
-            )
-        touched, counts = _gap_days(series, gap)
-        gap_energy = gap.actual_energy
-        allocation = gap_energy * counts / counts.sum()
-        if touched.size > 1:
-            coverage = counts / np.array([days[i].slots for i in touched])
-            offs = np.array(
-                [pattern.offset_for(days[i].date.isoweekday()) for i in touched]
-            )
-            centred = offs - (coverage * offs).sum() / coverage.sum()
-            adjusted = allocation + coverage * centred
-            if adjusted.min() < 0 and gap_energy > 0:
-                adjusted = np.clip(adjusted, 0.0, None)
-                total = adjusted.sum()
-                adjusted = (
-                    adjusted * (gap_energy / total) if total > 0 else allocation
-                )
-            elif adjusted.min() < 0:
-                adjusted = allocation
-            allocation = adjusted
-        extra[touched] += allocation
-    return {view.date: view.known_energy + extra[i] for i, view in enumerate(days)}
-
-
-def compile_complete_days(
-    days: Sequence[DayView],
-    estimates: Mapping[date, float],
-) -> list[DayRecord]:
-    """Build one DayRecord per day of a ``day_partition``.
-
-    Complete days carry their actual totals; days with gaps take their total
-    from ``estimates`` when available and None otherwise (unanchored case).
-    Partial boundary days are flagged so they never become copy candidates.
-    """
-    records = []
-    for view in days:
-        complete = view.missing == 0
-        if complete:
-            total = view.known_energy
-        else:
-            total = estimates.get(view.date)
-        records.append(
-            DayRecord(
-                date=view.date,
-                total_energy=total,
-                weekday=view.date.isoweekday(),
-                day_of_year=view.date.timetuple().tm_yday,
-                is_complete=complete,
-                estimated=(not complete) and total is not None,
-                full_day=view.covers_full_day,
-            )
+    if not all(gap.anchored for gap in gaps):
+        raise ImputationError(
+            "cannot allocate energy for an unanchored gap; boundary gaps "
+            "are handled without an energy estimate"
         )
-    return records
+    # One (gap, day) pair per day each gap touches, in gap order.
+    first_day, last_day = _gap_day_range(series, gaps)
+    ndays = last_day - first_day + 1
+    offset = np.cumsum(ndays) - ndays
+    gap = np.repeat(np.arange(len(gaps)), ndays)
+    day = np.arange(gap.size) - offset[gap] + first_day[gap]
+    first = np.array([g.first_missing for g in gaps], dtype=np.int64)[gap]
+    stop = np.array([g.last_missing + 1 for g in gaps], dtype=np.int64)[gap]
+    counts = np.minimum(stop, days.stop[day]) - np.maximum(first, days.start[day])
+    energy = np.array([g.actual_energy for g in gaps], dtype=np.float64)
+    allocation = energy[gap] * counts / (stop - first)
+
+    # A gap over several days takes the weekly pattern, centred on the
+    # gap's coverage of each day.  The two sums of each such gap are taken
+    # over its own pairs, so they add up in the order they always have.
+    coverage = counts / days.slots[day]
+    offs = np.array(pattern.offsets)[days.weekday[day] - 1]
+    weighted = coverage * offs
+    multi = np.flatnonzero(ndays > 1).tolist()
+    spans = [slice(offset[k], offset[k] + ndays[k]) for k in multi]
+    centre = np.zeros(len(gaps))
+    centre[multi] = [weighted[p].sum() / coverage[p].sum() for p in spans]
+    adjusted = allocation + coverage * (offs - centre[gap])
+    for k, pairs in zip(multi, spans):
+        if adjusted[pairs].min() >= 0:
+            allocation[pairs] = adjusted[pairs]
+        elif gaps[k].actual_energy > 0:  # clamp, then restore the gap total
+            clamped = np.clip(adjusted[pairs], 0.0, None)
+            total = clamped.sum()
+            if total > 0:
+                allocation[pairs] = clamped * (gaps[k].actual_energy / total)
+    extra = np.zeros(len(days))
+    np.add.at(extra, day, allocation)
+    return days.known_energy + extra
+
+
+def compile_complete_days(days: DayTable, estimates: np.ndarray) -> DayTable:
+    """The day table with its ``total`` column filled in for matching.
+
+    Complete days carry their actual totals; days with gaps take theirs
+    from ``estimates``, which is NaN where a day has none (one touched by
+    an unanchored boundary gap).
+    """
+    return replace(days, total=np.where(days.missing == 0, days.known_energy, estimates))
 
 
 def weekday_distance(weekday_i: np.ndarray, weekday_j: np.ndarray) -> np.ndarray:
@@ -318,36 +309,43 @@ class MatchTable:
 
 
 def match_table(
-    days: Sequence[DayRecord],
-    candidates: Sequence[DayRecord],
+    days: DayTable,
+    rows: np.ndarray,
+    candidates: np.ndarray,
     ctx: SeasonContext,
-    keep: np.ndarray | None = None,
+    last_slot: np.ndarray,
 ) -> MatchTable:
-    """Distance components of every (day, candidate) pair, in tie order.
+    """Distance components of every (row, candidate) pair of ``days``, in tie order.
 
-    Candidates outside ``keep[i]`` can never be picked for ``days[i]``.
+    ``rows`` and ``candidates`` are day-table rows in date order, and the
+    day totals are the table's ``total`` column.  A candidate can donate
+    to ``rows[i]`` only if it reaches within-day slot ``last_slot[i]``, the
+    row's last missing slot.
     """
-    if not candidates or (keep is not None and not keep.any(axis=1).all()):
+    # Candidates are in date order: a stable sort by calendar distance puts
+    # the earlier date first on a tie.
+    order = np.argsort(np.abs(candidates - rows[:, None]), axis=-1, kind="stable")
+    donor = candidates[order]
+    keep = days.slots[donor] > last_slot[:, None]
+    if not candidates.size or not keep.any(axis=1).all():
         raise ImputationError("no complete day available")
 
-    ordinal = np.array([c.date.toordinal() for c in candidates])
-    distance = np.abs(ordinal - np.array([d.date.toordinal() for d in days])[:, None])
-    order = np.lexsort((np.broadcast_to(ordinal, distance.shape), distance), axis=-1)
-
-    def column(attr):
-        return np.array([getattr(d, attr) for d in days], dtype=np.float64)[:, None]
-
-    def row(attr):  # the candidates' values, in each row's tie order
-        return np.array([getattr(c, attr) for c in candidates], dtype=np.float64)[order]
-
-    energy = np.abs(row("total_energy") - column("total_energy"))
+    # Both distances take few values: look them up by weekday pair (entry
+    # 7 * (w_i - 1) + w_j - 1 of the 7 x 7 table) and by day-of-year difference.
+    week = np.arange(1, 8)
+    weekday = days.weekday
+    pair = (7 * weekday[rows] - 8)[:, None] + weekday[donor]
+    day_of_year = days.day_of_year
+    delta = np.abs(day_of_year[rows][:, None] - day_of_year[donor])
+    energy = np.abs(days.total[donor] - days.total[rows][:, None])
+    ordinal = days.first.toordinal()
     return MatchTable(
-        days=tuple(d.date for d in days),
-        donors=tuple(c.date for c in candidates),
-        weekday=weekday_distance(column("weekday"), row("weekday")),
-        season=season_distance(column("day_of_year"), row("day_of_year"), ctx.cycle_length),
+        days=tuple(map(date.fromordinal, (ordinal + rows).tolist())),
+        donors=tuple(map(date.fromordinal, (ordinal + candidates).tolist())),
+        weekday=weekday_distance(week[:, None], week).ravel()[pair],
+        season=season_distance(0, np.arange(367), ctx.cycle_length)[delta],
         energy=np.where(np.isnan(energy), 0.0, energy),
-        keep=np.full(order.shape, True) if keep is None else np.take_along_axis(keep, order, 1),
+        keep=keep,
         order=order,
         energy_range=ctx.energy_max - ctx.energy_min,
     )
@@ -383,21 +381,6 @@ def match_weights(table: MatchTable, triples) -> np.ndarray:
         value[:, excluded] = np.inf
         donors[lo : lo + step] = table.order[np.arange(rows), value.argmin(axis=-1)]
     return donors
-
-
-def _best_donors(
-    days: Sequence[DayRecord],
-    candidates: Sequence[DayRecord],
-    weights: DissimilarityWeights,
-    ctx: SeasonContext,
-    keep: np.ndarray | None = None,
-) -> np.ndarray:
-    """Index of each day's least dissimilar candidate (see ``match_weights``).
-
-    Candidates outside ``keep[i]`` are excluded.
-    """
-    table = match_table(days, candidates, ctx, keep)
-    return match_weights(table, [(weights.energy, weights.weekday, weights.season)])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,7 +424,7 @@ def paste_layout(ps: PowerSeries, gaps: Sequence[Gap]) -> PasteLayout:
 
 def copy_paste_and_scale(
     ps: PowerSeries,
-    gaps: Sequence[Gap] | PasteLayout,
+    layout: PasteLayout,
     matches: Mapping[date, date],
     energy: EnergySeries,
     scale: bool = True,
@@ -455,10 +438,8 @@ def copy_paste_and_scale(
     uniform fill.  Unanchored gaps are pasted without scaling and flagged.
     The pasted (and scaled) power is the result's ``imputed_power``; the
     completed series are rebuilt from it by ``complete_from_power``.
-    ``gaps`` may be the ``paste_layout`` of ``ps`` and its gaps, as a plan
-    holds it; any other sequence of gaps is laid out first.
+    ``layout`` is the ``paste_layout`` of ``ps`` and its gaps.
     """
-    layout = gaps if isinstance(gaps, PasteLayout) else paste_layout(ps, gaps)
     for day in layout.days:
         if day not in matches:
             raise ImputationError(f"no matched day supplied for {day}")
@@ -527,16 +508,18 @@ def complete_from_power(
 class CpiPlan:
     """Weight-independent state shared by all matching runs on one series.
 
-    ``run_plan`` reads the match table to pick donors and the paste layout
-    to paste and scale them; neither is rebuilt per weighting.
+    ``days`` is the series' day table with its ``total`` column filled in,
+    and ``candidates`` are its rows of complete full days: the donors of
+    the match table, in date order.  ``run_plan`` reads the match table to
+    pick donors and the paste layout to paste and scale them; neither is
+    rebuilt per weighting.
     """
 
     series: EnergySeries        # input with isolated singles already filled
     power: PowerSeries
     layout: PasteLayout         # the missing slots, their days, and every gap's span
-    days: tuple[DayView, ...]
-    records: tuple[DayRecord, ...]
-    candidates: tuple[DayRecord, ...]
+    days: DayTable
+    candidates: np.ndarray      # the day-table rows of the copy candidates
     context: SeasonContext
     table: MatchTable           # the days with gaps against the candidates
 
@@ -545,69 +528,62 @@ class CpiPlan:
         return self.layout.gaps
 
 
-def _season_context(records: Sequence[DayRecord], candidates: Sequence[DayRecord]) -> SeasonContext:
-    cycle = 365
-    for record in records:
-        if record.date.month == 2 and record.date.day == 29:
-            cycle = 366
-            break
-    totals = [c.total_energy for c in candidates]
-    totals += [r.total_energy for r in records if r.estimated and r.total_energy is not None]
-    lo, hi = min(totals), max(totals)
+def _season_context(days: DayTable, candidates: np.ndarray) -> SeasonContext:
+    """Cycle length and day-total range of the candidates and the estimated days."""
+    last = days.first + timedelta(days=len(days) - 1)
+    leap_day = any(
+        calendar.isleap(year) and days.first <= date(year, 2, 29) <= last
+        for year in range(days.first.year, last.year + 1)
+    )
+    ranged = (days.missing > 0) & ~np.isnan(days.total)
+    ranged[candidates] = True
+    lo, hi = float(days.total[ranged].min()), float(days.total[ranged].max())
     if not hi > lo:
         hi = lo + 1.0  # all day totals identical; any range gives zero distances
-    return SeasonContext(cycle, lo, hi)
+    return SeasonContext(366 if leap_day else 365, lo, hi)
 
 
 def plan_cpi(es: EnergySeries, config: CpiConfig = CpiConfig()) -> CpiPlan:
-    """Run the weight-independent pipeline stages once for a series."""
+    """Run the weight-independent pipeline stages once for a series.
+
+    One day table carries the plan from the partition to the match table:
+    the weekly fit reads its complete full days, the gap-day estimates and
+    the day totals become its ``total`` column, and the match table is
+    built by indexing its columns.
+    """
     filled = interpolate_singles(es)
     gaps = detect_gaps(filled)
     power = energy_to_power(filled)
     layout = paste_layout(power, gaps)
     days = day_partition(filled)
 
-    complete_full = [
-        view for view in days if view.missing == 0 and view.covers_full_day
-    ]
-    if len(complete_full) < config.min_complete_days:
+    candidates = np.flatnonzero((days.missing == 0) & days.full_day)
+    if candidates.size < config.min_complete_days:
         raise ImputationError(
             f"copy-paste imputation needs at least {config.min_complete_days} "
-            f"complete days, got {len(complete_full)}"
+            f"complete days, got {candidates.size}"
         )
-    pattern = fit_weekly_pattern(
-        [(v.date, v.known_energy) for v in complete_full],
-        min_days=config.min_complete_days,
-    )
+    pattern = fit_weekly_pattern(days, candidates, min_days=config.min_complete_days)
 
-    anchored = [g for g in gaps if g.anchored]
-    unanchored = [g for g in gaps if not g.anchored]
-    estimates = estimate_daily_energy(filled, days, anchored, pattern)
+    estimates = estimate_daily_energy(filled, days, [g for g in gaps if g.anchored], pattern)
     # Days touched by an unanchored boundary gap get no energy estimate and
     # are matched on weekday and season alone.
-    blocked = {days[i].date for gap in unanchored for i in _gap_days(filled, gap)[0]}
-    usable = {d: v for d, v in estimates.items() if d not in blocked}
+    for first, last in _gap_day_range(filled, [g for g in gaps if not g.anchored]).T.tolist():
+        estimates[first : last + 1] = np.nan
+    days = compile_complete_days(days, estimates)
+    context = _season_context(days, candidates)
 
-    records = compile_complete_days(days, usable)
-    candidates = [r for r in records if r.is_complete and r.full_day]
-    context = _season_context(records, candidates)
-
-    # Record i is day offset i; a donor must cover the day's last missing slot.
-    rows = [i for i, r in enumerate(records) if not r.is_complete]
+    rows = np.flatnonzero(days.missing)
     day, slot = day_slot(power, layout.missing)
     last_slot = slot[np.searchsorted(day, rows, side="right") - 1]
-    date0 = power.start.date()
-    donor_slots = np.array([days[(c.date - date0).days].slots for c in candidates])
-    keep = donor_slots > last_slot[:, None]
     return CpiPlan(
         series=filled,
         power=power,
         layout=layout,
-        days=tuple(days),
-        records=tuple(records),
-        candidates=tuple(candidates),
+        days=days,
+        candidates=candidates,
         context=context,
-        table=match_table([records[i] for i in rows], candidates, context, keep),
+        table=match_table(days, rows, candidates, context, last_slot),
     )
 
 

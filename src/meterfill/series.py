@@ -153,47 +153,53 @@ class Gap:
         return self.last_missing if self.anchor_after is not None else self.last_missing + 1
 
 
-@dataclass(frozen=True)
-class DayView:
-    """One calendar day's view over the power domain of a series."""
+@dataclass(frozen=True, eq=False)
+class DayTable:
+    """The calendar days of a series' power domain as columns, one row per day.
 
-    date: date
-    start: int              # first power index of the day
-    stop: int               # one past the last power index
-    first_slot: int         # within-day slot of `start`
-    missing: int            # missing power values in the day
-    known_energy: float     # resolution-hours * sum of present power (kWh)
-    covers_full_day: bool   # series spans every energy reading of the day
-
-    @property
-    def slots(self) -> int:
-        return self.stop - self.start
-
-
-@dataclass(frozen=True)
-class DayRecord:
-    """Calendar-day properties used for dissimilarity matching.
-
-    ``total_energy`` is the day's actual total for complete days, the
-    estimated total for days whose gaps are all anchored, and None for days
-    touched by an unanchored boundary gap.
+    Row d is the date ``first + d days``; its ordinal, ISO weekday and day of
+    year are derived from ``first`` by arithmetic.  ``start``/``stop`` bound
+    the day's power indices, ``first_slot`` is the within-day slot of
+    ``start``, ``missing`` counts absent power values, ``known_energy`` is
+    resolution-hours times the sum of the present ones (kWh), and
+    ``full_day`` is set where the series spans every reading of the day.
+    ``total`` is the day's energy for matching, filled in by the planner
+    (NaN where a day has none), and None before that.
     """
 
-    date: date
-    total_energy: float | None
-    weekday: int            # 1 = Monday .. 7 = Sunday
-    day_of_year: int        # 1 .. 366
-    is_complete: bool
-    estimated: bool
-    full_day: bool
+    first: date
+    start: np.ndarray
+    stop: np.ndarray
+    first_slot: np.ndarray
+    missing: np.ndarray
+    known_energy: np.ndarray
+    full_day: np.ndarray
+    total: np.ndarray | None = None
 
-    def __post_init__(self):
-        if not 1 <= self.weekday <= 7:
-            raise ValidationError(f"weekday must be in 1..7, got {self.weekday}")
-        if not 1 <= self.day_of_year <= 366:
-            raise ValidationError(f"day of year must be in 1..366, got {self.day_of_year}")
-        if self.is_complete and self.estimated:
-            raise ValidationError("a complete day cannot carry an estimated total")
+    def __len__(self) -> int:
+        return int(self.start.size)
+
+    @property
+    def slots(self) -> np.ndarray:
+        return self.stop - self.start
+
+    @property
+    def ordinal(self) -> np.ndarray:
+        """``date.toordinal()`` of each day."""
+        return self.first.toordinal() + np.arange(len(self))
+
+    @property
+    def weekday(self) -> np.ndarray:
+        """ISO weekday of each day, 1 = Monday .. 7 = Sunday."""
+        return (self.first.isoweekday() - 1 + np.arange(len(self))) % 7 + 1
+
+    @property
+    def day_of_year(self) -> np.ndarray:
+        """Day of year of each day, 1 .. 366."""
+        ordinal = self.ordinal
+        last = self.first + timedelta(days=len(self) - 1)
+        jan1 = np.array([date(y, 1, 1).toordinal() for y in range(self.first.year, last.year + 1)])
+        return ordinal - jan1[np.searchsorted(jan1, ordinal, side="right") - 1] + 1
 
 
 def resolution_hours(resolution: timedelta) -> float:
@@ -302,21 +308,20 @@ def detect_gaps(es: EnergySeries) -> list[Gap]:
     return gaps
 
 
-def day_partition(series: Series) -> list[DayView]:
-    """Split a series into per-day views over the power domain.
+def day_partition(series: Series) -> DayTable:
+    """Split a series into the day table of its power domain.
 
     The series start must fall on the resolution grid of its calendar day.
-    ``known_energy`` sums the day's present power values times the
-    resolution in hours; ``missing`` counts absent power values.  Day d
-    covers power indices ``d * spd - off0`` up to ``(d + 1) * spd - off0``
-    (the ``day_slot`` rule), clipped to the series.
+    Day d covers power indices ``d * spd - off0`` up to
+    ``(d + 1) * spd - off0`` (the ``day_slot`` rule), clipped to the series.
     """
     ps = energy_to_power(series) if isinstance(series, EnergySeries) else series
     spd = slots_per_day(ps.resolution)
     off0 = grid_offset(ps.start, ps.resolution)
     m = ps.n
     if m == 0:
-        return []
+        none = np.zeros(0, dtype=np.int64)
+        return DayTable(ps.start.date(), none, none, none, none, np.zeros(0), none == 0)
     miss = np.isnan(ps.values)
     day_count = (off0 + m - 1) // spd + 1
     edges = np.arange(day_count + 1) * spd - off0
@@ -338,13 +343,15 @@ def day_partition(series: Series) -> list[DayView]:
     # decides whether a day counts as full: the last day of a day-aligned
     # series keeps spd readings but only spd-1 power slots, and still qualifies.
     full = np.diff(np.clip(edges, 0, series.n)) == spd
-    date0 = ps.start.date()
-    columns = (bounds[:-1], bounds[1:], bounds[:-1] - edges[:-1], missing,
-               sums * resolution_hours(ps.resolution), full)
-    return [
-        DayView(date0 + timedelta(days=d), *fields)
-        for d, fields in enumerate(zip(*(c.tolist() for c in columns)))
-    ]
+    return DayTable(
+        first=ps.start.date(),
+        start=bounds[:-1],
+        stop=bounds[1:],
+        first_slot=bounds[:-1] - edges[:-1],
+        missing=missing,
+        known_energy=sums * resolution_hours(ps.resolution),
+        full_day=full,
+    )
 
 
 def fill_energy_from_power(es: EnergySeries, power_values: np.ndarray) -> EnergySeries:

@@ -9,9 +9,10 @@ compare the batch against.
 
 import numpy as np
 
-from meterfill import DayRecord, DissimilarityWeights, SeasonContext
+from meterfill import DissimilarityWeights, SeasonContext
 from meterfill.cpi import season_distance as season_matrix
 from meterfill.cpi import weekday_distance as weekday_matrix
+from plan_oracle import DayRecord
 
 WORKDAYS = frozenset({1, 2, 3, 4, 5})
 

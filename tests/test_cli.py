@@ -200,13 +200,14 @@ def test_impute_no_scale_skips_energy_conservation(tmp_path, series_csv):
     degraded = tmp_path / "degraded.csv"
     run_cli("insert-gaps", "--share", "10", "--seed", "12", series_csv, degraded)
     out = tmp_path / "unscaled.csv"
-    rc = run_cli("impute", "--method", "cpi", "--no-scale", degraded, out)
+    rc = run_cli("impute", "--method", "cpi_noscale", degraded, out)
     assert rc == 0
     records = [
         json.loads(line)
         for line in (tmp_path / "unscaled.gaps.jsonl").read_text().strip().splitlines()
     ]
     assert all(r["fallback"] == "unscaled" for r in records if r["anchored"])
+    assert {r["method"] for r in records} == {"cpi_noscale"}
     mismatched = [
         r for r in records
         if r["anchored"] and abs(r["imputed_energy"] - r["actual_energy"]) > 1e-9
@@ -218,7 +219,7 @@ def test_no_scale_from_the_config_file_skips_scaling(tmp_path, series_csv):
     degraded = tmp_path / "degraded.csv"
     run_cli("insert-gaps", "--share", "10", "--seed", "12", series_csv, degraded)
     conf = tmp_path / "run.conf"
-    conf.write_text("no_scale = true\n")
+    conf.write_text("method = cpi_noscale\n")
     rc = run_cli("impute", "--config", conf, degraded, tmp_path / "out.csv")
     assert rc == 0
     records = [
@@ -375,8 +376,8 @@ def test_os_error_without_a_filename_names_its_cause(
          "config key meter_kind: 'sideways'"),
         ("impute --config {conf} {csv} {out}", "method = magic", None,
          "config key method: 'magic'"),
-        ("impute --config {conf} {csv} {out}", "no_scale = yes", None,
-         "config key no_scale: 'yes'"),
+        ("impute --config {conf} {csv} {out}", "no_scale = true", None,
+         "unknown config key 'no_scale'"),
         ("evaluate {csv}", "", "two", "METERFILL_PARALLELISM: 'two'"),
         ("evaluate --parallelism 0 {csv}", "", None, "parallelism must be at least 1, got 0"),
         ("evaluate --parallelism -3 {csv}", "", None, "parallelism must be at least 1, got -3"),
@@ -459,8 +460,9 @@ def test_convert_reads_to_from_the_config_file(tmp_path, series_csv):
 
 @pytest.mark.parametrize(
     "args",
-    [["impute", "--shore", "10", "in.csv", "out.csv"], ["impute", "in.csv"], ["frobnicate"]],
-    ids=["unknown-flag", "missing-positional", "unknown-command"],
+    [["impute", "--shore", "10", "in.csv", "out.csv"], ["impute", "in.csv"], ["frobnicate"],
+     ["impute", "--no-scale", "in.csv", "out.csv"]],
+    ids=["unknown-flag", "missing-positional", "unknown-command", "no-scale"],
 )
 def test_usage_errors_print_usage_and_exit_2(args, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from meterfill import (
     CpiConfig,
-    DayRecord,
+    DayTable,
     DissimilarityWeights,
     EnergySeries,
     ImputationError,
@@ -29,8 +29,8 @@ from meterfill import (
 )
 from meterfill import cpi
 from meterfill.cpi import (
+    DEFAULT_WEIGHTS,
     WeeklyPattern,
-    _best_donors,
     match_table,
     match_weights,
     paste_layout,
@@ -41,12 +41,14 @@ from meterfill.cpi import (
 )
 
 import paste_oracle
+import plan_oracle
 from conftest import HOUR, MONDAY, QUARTER_HOUR, assert_untouched, energy, with_missing
 from dissimilarity_oracle import combine_distances, dissimilarity, lexsort_donors
+from plan_oracle import best_donors
 
 
 def record(day, total=None, complete=False, estimated=False, full=True):
-    return DayRecord(
+    return plan_oracle.DayRecord(
         date=day,
         total_energy=total,
         weekday=day.isoweekday(),
@@ -91,13 +93,24 @@ def test_interpolated_single_splits_the_energy_between_both_power_values():
 # ---------------------------------------------------------------------------
 
 
+def table(first, known, total=None, slots=24):
+    """A day table of whole days from ``first``, each of ``slots`` slots."""
+    n = len(known)
+    bounds = np.arange(n + 1) * slots
+    zero = np.zeros(n, dtype=np.int64)
+    total = None if total is None else np.array(total, dtype=np.float64)
+    return DayTable(first, bounds[:-1], bounds[1:], zero, zero,
+                    np.array(known, dtype=np.float64), zero == 0, total)
+
+
 def _days(totals, start=MONDAY.date()):
-    return [(start + timedelta(days=i), t) for i, t in enumerate(totals)]
+    """The table of consecutive days with these totals, and its every row."""
+    return table(start, totals), np.arange(len(totals))
 
 
 def test_weekend_offsets_recover_the_closed_form():
     totals = [110.0 if d % 7 in (5, 6) else 100.0 for d in range(28)]
-    pattern = fit_weekly_pattern(_days(totals))
+    pattern = fit_weekly_pattern(*_days(totals))
     for w in range(1, 6):
         assert pattern.offsets[w - 1] == pytest.approx(-20 / 7, abs=1e-6)
     for w in (6, 7):
@@ -106,31 +119,27 @@ def test_weekend_offsets_recover_the_closed_form():
 
 
 def test_constant_totals_give_zero_offsets_and_slope():
-    pattern = fit_weekly_pattern(_days([42.0] * 21))
+    pattern = fit_weekly_pattern(*_days([42.0] * 21))
     assert max(abs(o) for o in pattern.offsets) < 1e-9
     assert abs(pattern.slope) < 1e-9
     assert pattern.intercept == pytest.approx(42.0)
 
 
 def test_pure_trend_recovers_the_slope_exactly():
-    pattern = fit_weekly_pattern(_days([2.0 * i for i in range(28)]))
+    pattern = fit_weekly_pattern(*_days([2.0 * i for i in range(28)]))
     assert pattern.slope == pytest.approx(2.0, abs=1e-9)
     assert max(abs(o) for o in pattern.offsets) < 1e-9
 
 
 def test_fewer_than_fourteen_days_is_an_error():
     with pytest.raises(ImputationError, match="14"):
-        fit_weekly_pattern(_days([1.0] * 13))
+        fit_weekly_pattern(*_days([1.0] * 13))
 
 
 def test_missing_weekday_class_is_named():
-    days = [
-        (MONDAY.date() + timedelta(days=i), 10.0)
-        for i in range(20)
-        if (MONDAY.date() + timedelta(days=i)).isoweekday() != 7
-    ]
+    days, rows = _days([10.0] * 20)
     with pytest.raises(ImputationError, match="Sunday"):
-        fit_weekly_pattern(days)
+        fit_weekly_pattern(days, rows[days.weekday != 7])
 
 
 def test_offsets_must_sum_to_zero():
@@ -141,6 +150,11 @@ def test_offsets_must_sum_to_zero():
 # ---------------------------------------------------------------------------
 # Daily energy estimation
 # ---------------------------------------------------------------------------
+
+
+def _row(day):
+    """The day-table row of ``day`` in a series that starts on MONDAY."""
+    return (day - MONDAY.date()).days
 
 
 def _flat_pattern(**overrides):
@@ -160,8 +174,8 @@ def test_two_full_days_receive_their_weekly_offsets():
     assert gaps[0].actual_energy == pytest.approx(48.0)
     pattern = _flat_pattern(fri=4.0, sat=-4.0)
     totals = estimate_daily_energy(es, day_partition(es), gaps, pattern)
-    assert totals[date(2018, 1, 5)] == pytest.approx(28.0)
-    assert totals[date(2018, 1, 6)] == pytest.approx(20.0)
+    assert totals[_row(date(2018, 1, 5))] == pytest.approx(28.0)
+    assert totals[_row(date(2018, 1, 6))] == pytest.approx(20.0)
 
 
 def test_zero_offsets_allocate_proportionally():
@@ -174,8 +188,8 @@ def test_zero_offsets_allocate_proportionally():
     totals = estimate_daily_energy(es, day_partition(es), [gap], _flat_pattern())
     thursday_known = 18 * 40.0 / 24.0
     friday_known = 6 * 40.0 / 24.0
-    assert totals[date(2018, 1, 4)] - thursday_known == pytest.approx(10.0)
-    assert totals[date(2018, 1, 5)] - friday_known == pytest.approx(30.0)
+    assert totals[_row(date(2018, 1, 4))] - thursday_known == pytest.approx(10.0)
+    assert totals[_row(date(2018, 1, 5))] - friday_known == pytest.approx(30.0)
 
 
 def test_single_day_gap_ignores_the_pattern():
@@ -185,7 +199,7 @@ def test_single_day_gap_ignores_the_pattern():
     known = 24.0 - 7.0  # 24 slots of 1 kW minus the 7 missing power values
     for pattern in (_flat_pattern(), _flat_pattern(wed=5.0, sun=-5.0)):
         totals = estimate_daily_energy(es, day_partition(es), [gap], pattern)
-        assert totals[date(2018, 1, 3)] == pytest.approx(known + gap.actual_energy)
+        assert totals[_row(date(2018, 1, 3))] == pytest.approx(known + gap.actual_energy)
 
 
 def test_unanchored_gap_is_rejected():
@@ -204,7 +218,7 @@ def test_estimation_conserves_every_gap_exactly():
     gaps = detect_gaps(es)
     pattern = _flat_pattern(mon=3.0, tue=-1.0, wed=-2.0)
     totals = estimate_daily_energy(es, day_partition(es), gaps, pattern)
-    allocated = sum(totals[v.date] - v.known_energy for v in day_partition(es))
+    allocated = (totals - day_partition(es).known_energy).sum()
     assert allocated == pytest.approx(sum(g.actual_energy for g in gaps), rel=1e-12)
 
 
@@ -216,7 +230,7 @@ def test_clamped_negative_allocations_still_conserve():
     totals = estimate_daily_energy(
         es, day_partition(es), [gap], _flat_pattern(fri=40.0, sat=-40.0)
     )
-    friday, saturday = totals[date(2018, 1, 5)], totals[date(2018, 1, 6)]
+    friday, saturday = totals[_row(date(2018, 1, 5))], totals[_row(date(2018, 1, 6))]
     assert friday >= 0.0 and saturday >= 0.0
     assert friday + saturday == pytest.approx(gap.actual_energy, rel=1e-12)
 
@@ -226,53 +240,67 @@ def test_clamped_negative_allocations_still_conserve():
 # ---------------------------------------------------------------------------
 
 
+def _no_estimates(days):
+    return np.full(len(days), np.nan)
+
+
 def test_fourteen_day_series_with_two_gap_days_has_twelve_candidates():
     base = energy(np.arange(14 * 24 + 1, dtype=float))
     es = with_missing(base, range(4 * 24 + 1, 6 * 24))
-    records = compile_complete_days(day_partition(es), {})
-    assert len(records) == 14
-    candidates = [r for r in records if r.is_complete and r.full_day]
-    assert len(candidates) == 12
-    incomplete = [r.date for r in records if not r.is_complete]
-    assert incomplete == [date(2018, 1, 5), date(2018, 1, 6)]
+    days = day_partition(es)
+    days = compile_complete_days(days, _no_estimates(days))
+    assert len(days) == 14
+    plan = plan_cpi(es, CpiConfig(min_complete_days=12))
+    assert plan.candidates.tolist() == [0, 1, 2, 3, 6, 7, 8, 9, 10, 11, 12, 13]
+    assert plan.table.days == (date(2018, 1, 5), date(2018, 1, 6))
+    assert np.flatnonzero(np.isnan(days.total)).tolist() == [4, 5]
 
 
 def test_complete_year_gives_365_complete_records():
     from meterfill import synthetic_series
 
-    records = compile_complete_days(day_partition(synthetic_series(3, days=365)), {})
-    assert len(records) == 365
-    assert all(r.is_complete for r in records)
+    days = day_partition(synthetic_series(3, days=365))
+    days = compile_complete_days(days, _no_estimates(days))
+    assert len(days) == 365
+    assert (days.missing == 0).all()
+    assert np.array_equal(days.total, days.known_energy)
 
 
 def test_day_of_year_bounds():
     base = energy(np.arange(2 * 24 + 1, dtype=float), start=datetime(2018, 12, 31))
-    records = compile_complete_days(day_partition(base), {})
-    assert records[0].day_of_year == 365
-    jan = compile_complete_days(day_partition(energy(np.arange(25.0))), {})
-    assert jan[0].day_of_year == 1
+    assert day_partition(base).day_of_year.tolist() == [365, 1]
+    assert day_partition(energy(np.arange(25.0))).day_of_year.tolist() == [1]
+    leap = energy(np.arange(3 * 24 + 1, dtype=float), start=datetime(2020, 2, 28))
+    assert day_partition(leap).day_of_year.tolist() == [59, 60, 61]
+    assert day_partition(leap).weekday.tolist() == [5, 6, 7]  # Friday 2020-02-28
 
 
 def test_estimated_days_carry_the_estimate():
     base = energy(np.arange(14 * 24 + 1, dtype=float))
     es = with_missing(base, range(4 * 24 + 1, 6 * 24))
-    records = compile_complete_days(day_partition(es), {date(2018, 1, 5): 28.0})
-    by_date = {r.date: r for r in records}
-    assert by_date[date(2018, 1, 5)].estimated
-    assert by_date[date(2018, 1, 5)].total_energy == 28.0
-    assert by_date[date(2018, 1, 6)].total_energy is None
-    assert not by_date[date(2018, 1, 6)].estimated
+    days = day_partition(es)
+    estimates = _no_estimates(days)
+    estimates[[_row(date(2018, 1, 5)), 0]] = 28.0
+    days = compile_complete_days(days, estimates)
+    assert days.total[_row(date(2018, 1, 5))] == 28.0
+    assert np.isnan(days.total[_row(date(2018, 1, 6))])
+    assert days.total[0] == days.known_energy[0] == 24.0  # complete: its own total
+
+
+def _columns(days):
+    return [getattr(days, name).tolist()
+            for name in ("start", "stop", "first_slot", "missing", "known_energy", "full_day")]
 
 
 def test_plan_partitions_the_series_once():
     # Boundary and interior gaps: the partition feeds the weekly fit, the
-    # estimates, the day records and the match.
+    # estimates, the day totals and the match.
     base = energy(np.arange(21 * 24 + 1, dtype=float))
     es = with_missing(base, [0, 1, *range(4 * 24 + 1, 6 * 24), 20 * 24])
     with mock.patch("meterfill.cpi.day_partition", wraps=day_partition) as spy:
         plan = plan_cpi(es)
     assert spy.call_count == 1
-    assert plan.days == tuple(day_partition(plan.series))
+    assert _columns(plan.days) == _columns(day_partition(plan.series))
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +423,7 @@ def test_second_friday_is_selected_at_dissimilarity_0_4():
     ctx = SeasonContext(365, 20.0, 46.0)
     target = record(date(2018, 1, 5), total=24.27, estimated=True)
     candidates = _fig1_candidates()
-    best = candidates[_best_donors([target], candidates, weights, ctx)[0]]
+    best = candidates[best_donors([target], candidates, weights, ctx)[0]]
     assert best.date == date(2018, 1, 12)  # the second Friday
     assert dissimilarity(target, best, weights, ctx) == pytest.approx(0.4, abs=1e-9)
     others = [dissimilarity(target, c, weights, ctx) for c in candidates if c is not best]
@@ -406,7 +434,7 @@ def test_single_candidate_is_returned():
     target = record(date(2018, 1, 5), total=10.0)
     only = record(date(2018, 1, 8), total=99.0, complete=True)
     ctx = SeasonContext(365, 0, 100)
-    assert [only][_best_donors([target], [only], DissimilarityWeights(), ctx)[0]] is only
+    assert [only][best_donors([target], [only], DissimilarityWeights(), ctx)[0]] is only
 
 
 def test_ties_break_on_calendar_distance_then_earlier_date():
@@ -415,16 +443,17 @@ def test_ties_break_on_calendar_distance_then_earlier_date():
     target = record(date(2018, 6, 15), total=5.0)
     near = record(date(2018, 6, 12), total=5.0, complete=True)   # 3 days away
     far = record(date(2018, 6, 25), total=5.0, complete=True)    # 10 days away
-    assert [far, near][_best_donors([target], [far, near], weights, ctx)[0]] is near
+    assert [far, near][best_donors([target], [far, near], weights, ctx)[0]] is near
     before = record(date(2018, 6, 12), total=5.0, complete=True)
     after = record(date(2018, 6, 18), total=5.0, complete=True)
-    assert [after, before][_best_donors([target], [after, before], weights, ctx)[0]] is before
+    assert [after, before][best_donors([target], [after, before], weights, ctx)[0]] is before
 
 
 def test_empty_candidate_list_is_an_error():
+    days = table(date(2018, 1, 5), [1.0], total=[1.0])
     with pytest.raises(ImputationError, match="no complete day available"):
-        _best_donors([record(date(2018, 1, 5), total=1.0)], [], DissimilarityWeights(),
-                     SeasonContext(365, 0, 2))
+        match_table(days, np.array([0]), np.array([], dtype=np.int64),
+                    SeasonContext(365, 0, 2), np.array([0]))
 
 
 def test_unanchored_day_matches_on_weekday_and_season_only():
@@ -433,7 +462,7 @@ def test_unanchored_day_matches_on_weekday_and_season_only():
     same_weekday_far_energy = record(date(2018, 1, 12), total=10.0, complete=True)
     close_energy_other_class = record(date(2018, 1, 6), total=0.0, complete=True)
     candidates = [close_energy_other_class, same_weekday_far_energy]
-    best = candidates[_best_donors([target], candidates, DissimilarityWeights(50, 1, 1), ctx)[0]]
+    best = candidates[best_donors([target], candidates, DissimilarityWeights(50, 1, 1), ctx)[0]]
     assert best is same_weekday_far_energy
 
 
@@ -451,10 +480,10 @@ def test_scaling_all_weights_keeps_the_selection():
             MONDAY.date() + timedelta(days=int(rng.integers(300, 360))),
             total=float(rng.uniform(0, 50)),
         )
-        chosen = candidates[_best_donors([target], candidates, base, ctx)[0]]
+        chosen = candidates[best_donors([target], candidates, base, ctx)[0]]
         for c in (2.0, 0.5, 8.0, 3.0):
             scaled = DissimilarityWeights(5 * c, 1 * c, 10 * c)
-            best = candidates[_best_donors([target], candidates, scaled, ctx)[0]]
+            best = candidates[best_donors([target], candidates, scaled, ctx)[0]]
             assert best.date == chosen.date
 
 
@@ -482,7 +511,7 @@ def test_matrix_match_agrees_with_the_scalar_oracle():
         keep = rng.random((len(days), len(candidates))) < 0.7
         keep[np.arange(len(days)), rng.integers(len(candidates), size=len(days))] = True
 
-        chosen = _best_donors(days, candidates, weights, ctx, keep)
+        chosen = best_donors(days, candidates, weights, ctx, keep)
         for day, row, j in zip(days, keep, chosen):
             kept = [c for c, k in zip(candidates, row) if k]
             expected = min(kept, key=lambda c: (
@@ -493,28 +522,36 @@ def test_matrix_match_agrees_with_the_scalar_oracle():
             expected = min(candidates, key=lambda c: (
                 dissimilarity(day, c, weights, ctx), abs((c.date - day.date).days), c.date,
             ))
-            assert candidates[_best_donors([day], candidates, weights, ctx)[0]] is expected
+            assert candidates[best_donors([day], candidates, weights, ctx)[0]] is expected
 
 
 def test_matrix_match_runs_the_distance_rules_under_test():
     # The truth tables above test these two functions; the match must use them.
-    days = [record(date(2018, 1, 5), total=1.0), record(date(2018, 1, 6))]
-    candidates = [record(date(2018, 1, 8) + timedelta(days=d), total=1.0, complete=True)
-                  for d in range(3)]
+    days = table(date(2018, 1, 5), [1.0] * 6, total=[1.0, np.nan, 1.0, 1.0, 1.0, 1.0])
+    ctx = SeasonContext(365, 0, 2)
     with (
         mock.patch("meterfill.cpi.weekday_distance", wraps=weekday_distance) as weekday,
         mock.patch("meterfill.cpi.season_distance", wraps=season_distance) as season,
     ):
-        _best_donors(days, candidates, DissimilarityWeights(), SeasonContext(365, 0, 2))
+        match = match_table(days, np.array([0, 1]), np.array([3, 4, 5]), ctx, np.array([0, 0]))
     assert (weekday.call_count, season.call_count) == (1, 1)
+    assert np.array_equal(match.weekday, weekday_distance(
+        np.array([[5], [6]]), np.array([1, 2, 3])[match.order]))
+    assert np.array_equal(match.season, season_distance(
+        np.array([[5], [6]]), np.array([8, 9, 10])[match.order], 365))
 
 
 def test_matrix_match_needs_a_kept_candidate_on_every_row():
-    days = [record(date(2018, 1, 5), total=1.0), record(date(2018, 1, 6), total=1.0)]
-    candidates = [record(date(2018, 1, 8), total=1.0, complete=True)]
-    keep = np.array([[True], [False]])
+    # The last day has 20 slots: it cannot fill the second row's slot 22.
+    days = table(date(2018, 1, 5), [1.0] * 3, total=[1.0] * 3)
+    days = DayTable(days.first, days.start, np.array([24, 48, 68]), *(
+        getattr(days, name) for name in ("first_slot", "missing", "known_energy",
+                                         "full_day", "total")))
+    ctx = SeasonContext(365, 0, 2)
+    match = match_table(days, np.array([0, 1]), np.array([2]), ctx, np.array([5, 19]))
+    assert match.keep.tolist() == [[True], [True]]
     with pytest.raises(ImputationError, match="no complete day available"):
-        _best_donors(days, candidates, DissimilarityWeights(), SeasonContext(365, 0, 2), keep)
+        match_table(days, np.array([0, 1]), np.array([2]), ctx, np.array([5, 22]))
 
 
 def _tied_rows(table, triple):
@@ -557,7 +594,7 @@ def test_batched_match_agrees_with_the_lexsort_oracle_for_every_triple(monkeypat
         keep = rng.random((len(days), len(candidates))) < 0.6
         keep[np.arange(len(days)), rng.integers(len(candidates), size=len(days))] = True
 
-        table = match_table(days, candidates, ctx, keep)
+        table = plan_oracle.match_table(days, candidates, ctx, keep)
         batched = match_weights(table, triples)
         with monkeypatch.context() as patch:
             patch.setattr(cpi, "_BATCH_ENTRIES", 5 * len(days) * len(candidates))
@@ -571,26 +608,30 @@ def test_batched_match_agrees_with_the_lexsort_oracle_for_every_triple(monkeypat
 
 
 def test_match_table_orders_each_row_by_calendar_distance_then_date():
-    days = [record(date(2018, 6, 15), total=5.0)]
-    candidates = [record(date(2018, 6, d), total=5.0, complete=True) for d in (25, 12, 18, 14)]
-    table = match_table(days, candidates, SeasonContext(365, 0.0, 10.0))
-    dates = [candidates[j].date.day for j in table.order[0]]
+    days = table(date(2018, 6, 12), [5.0] * 14, total=[5.0] * 14)  # 2018-06-12 .. 06-25
+    candidates = np.array([0, 2, 6, 13])  # the 12th, 14th, 18th and 25th
+    match = match_table(days, np.array([3]), candidates, SeasonContext(365, 0.0, 10.0),
+                        np.array([0]))
+    dates = [match.donors[j].day for j in match.order[0]]
     assert dates == [14, 12, 18, 25]
-    assert table.keep.all() and table.days == (date(2018, 6, 15),)
-    assert table.energy.tolist() == [[0.0] * 4]
+    assert match.keep.all() and match.days == (date(2018, 6, 15),)
+    assert match.energy.tolist() == [[0.0] * 4]
 
 
 def test_plan_match_uses_the_table_built_with_the_plan(year_series):
     degraded = with_missing(year_series, range(5000, 5400))
     plan = plan_cpi(degraded)
-    gap_days = [r for r in plan.records if not r.is_complete]
-    assert plan.table.days == tuple(r.date for r in gap_days)
-    assert plan.table.donors == tuple(c.date for c in plan.candidates)
+    first = plan.days.first
+    rows = np.flatnonzero(plan.days.missing).tolist()
+    assert plan.table.days == tuple(first + timedelta(days=d) for d in rows)
+    assert plan.table.donors == tuple(first + timedelta(days=d) for d in plan.candidates.tolist())
     with mock.patch("meterfill.cpi.match_table", wraps=match_table) as build:
         matches = cpi._match_days(plan, DissimilarityWeights())
     assert build.call_count == 0
-    best = lexsort_donors(gap_days, plan.candidates, DissimilarityWeights(), plan.context)
-    assert matches == {r.date: plan.candidates[j].date for r, j in zip(gap_days, best)}
+    oracle = plan_oracle.plan_cpi(degraded)
+    gap_days = [r for r in oracle.records if not r.is_complete]
+    best = lexsort_donors(gap_days, oracle.candidates, DissimilarityWeights(), oracle.context)
+    assert matches == {r.date: oracle.candidates[j].date for r, j in zip(gap_days, best)}
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +652,11 @@ def _gap_series(day1_power, actual_gap_power, missing_slots=(1, 2, 3, 4)):
     return es
 
 
+def _paste(es, matches, scale=True):
+    ps = energy_to_power(es)
+    return copy_paste_and_scale(ps, paste_layout(ps, detect_gaps(es)), matches, es, scale=scale)
+
+
 def _donor_short_of_metered_energy():
     """Donor slots hold 2 kW (8 kWh pasted); the gap meters 10 kWh over 4 hours."""
     day1 = np.ones(24)
@@ -627,10 +673,7 @@ def _donor_short_of_metered_energy():
 
 def test_scaling_follows_the_energy_ratio():
     es, gap = _donor_short_of_metered_energy()
-    result = copy_paste_and_scale(
-        energy_to_power(es), [gap],
-        {date(2018, 1, 2): date(2018, 1, 1)}, es,
-    )
+    result = _paste(es, {date(2018, 1, 2): date(2018, 1, 1)})
     imputed = result.completed_power.values[gap.first_missing : gap.last_missing + 1]
     assert imputed == pytest.approx([2.5, 2.5, 2.5, 2.5])
     assert result.per_gap[0].scale == pytest.approx(10.0 / 8.0)
@@ -639,10 +682,7 @@ def test_scaling_follows_the_energy_ratio():
 
 def test_unscaled_paste_keeps_its_energy_miss_in_the_imputed_power():
     es, gap = _donor_short_of_metered_energy()
-    result = copy_paste_and_scale(
-        energy_to_power(es), [gap],
-        {date(2018, 1, 2): date(2018, 1, 1)}, es, scale=False,
-    )
+    result = _paste(es, {date(2018, 1, 2): date(2018, 1, 1)}, scale=False)
     span = slice(gap.first_missing, gap.last_missing + 1)
     assert result.imputed_power.values[span] == pytest.approx([2.0, 2.0, 2.0, 2.0])
     assert result.imputed_power.values[span].sum() * 1.0 == pytest.approx(8.0)
@@ -663,9 +703,7 @@ def test_identical_energy_needs_no_scaling():
     es = energy(np.concatenate(([0.0], np.cumsum(np.tile(day, 3)))))
     es = with_missing(es, range(26, 29))
     (gap,) = detect_gaps(es)
-    result = copy_paste_and_scale(
-        energy_to_power(es), [gap], {date(2018, 1, 2): date(2018, 1, 1)}, es
-    )
+    result = _paste(es, {date(2018, 1, 2): date(2018, 1, 1)})
     assert result.per_gap[0].scale == pytest.approx(1.0)
     imputed = result.completed_power.values[gap.first_missing : gap.last_missing + 1]
     assert imputed == pytest.approx([2.0, 2.0, 2.0, 2.0])
@@ -676,9 +714,7 @@ def test_zero_pasted_energy_falls_back_to_uniform_fill():
     es = energy(np.concatenate(([0.0], np.cumsum(levels))))
     es = with_missing(es, range(26, 29))  # 4 missing power values, 4 kWh metered
     (gap,) = detect_gaps(es)
-    result = copy_paste_and_scale(
-        energy_to_power(es), [gap], {date(2018, 1, 2): date(2018, 1, 1)}, es
-    )
+    result = _paste(es, {date(2018, 1, 2): date(2018, 1, 1)})
     fill = result.per_gap[0]
     assert fill.fallback == "uniform"
     imputed = result.completed_power.values[gap.first_missing : gap.last_missing + 1]
@@ -692,9 +728,7 @@ def test_opposite_sign_energy_falls_back_to_uniform_fill():
     es = with_missing(es, range(26, 29))
     (gap,) = detect_gaps(es)
     assert gap.actual_energy == pytest.approx(-4.0)
-    result = copy_paste_and_scale(
-        energy_to_power(es), [gap], {date(2018, 1, 2): date(2018, 1, 1)}, es
-    )
+    result = _paste(es, {date(2018, 1, 2): date(2018, 1, 1)})
     assert result.per_gap[0].fallback == "uniform"
     imputed = result.completed_power.values[gap.first_missing : gap.last_missing + 1]
     assert imputed == pytest.approx([-1.0, -1.0, -1.0, -1.0])
@@ -706,9 +740,7 @@ def test_rebuilt_energy_meets_the_right_anchor():
     es = energy(np.concatenate(([0.0], np.cumsum(np.tile(day, 3) * 1.1))))
     es = with_missing(es, range(26, 33))
     (gap,) = detect_gaps(es)
-    result = copy_paste_and_scale(
-        energy_to_power(es), [gap], {date(2018, 1, 2): date(2018, 1, 1)}, es
-    )
+    result = _paste(es, {date(2018, 1, 2): date(2018, 1, 1)})
     e = result.completed_energy.values
     p = result.completed_power.values
     last = gap.energy_last
@@ -716,10 +748,6 @@ def test_rebuilt_energy_meets_the_right_anchor():
         gap.anchor_after, abs=1e-9
     )
     assert_untouched(es, e)
-
-
-def _paste(es, matches, scale=True):
-    return copy_paste_and_scale(energy_to_power(es), detect_gaps(es), matches, es, scale=scale)
 
 
 def test_donor_outside_the_series_is_an_imputation_error():
@@ -862,7 +890,6 @@ def _paste_inputs(draw):
 def test_paste_matches_the_per_call_oracle(inputs):
     ps, gaps, matches, es, scale = inputs
     want = _outcome(paste_oracle.copy_paste_and_scale, ps, gaps, matches, es, scale)
-    _assert_same_outcome(_outcome(copy_paste_and_scale, ps, gaps, matches, es, scale), want)
     layout = paste_layout(ps, gaps)
     _assert_same_outcome(_outcome(copy_paste_and_scale, ps, layout, matches, es, scale), want)
 
@@ -923,6 +950,213 @@ def test_plan_layout_rows_are_the_match_table_rows(year_series):
         first, last = (plan.power.timestamp(i).date() for i in (span.start, span.stop - 1))
         assert (layout.days[lo], layout.days[hi - 1]) == (first, last)
         assert (span.start, span.stop) == (gap.first_missing, gap.last_missing + 1)
+
+
+# ---------------------------------------------------------------------------
+# The plan against the per-day oracle
+# ---------------------------------------------------------------------------
+
+# The longest span drawn at each resolution, in days: finer data over
+# shorter spans keeps the oracle test within a few seconds.
+_PLAN_SPANS = {timedelta(minutes=5): 90, QUARTER_HOUR: 400, HOUR: 731}
+
+
+@st.composite
+def _plan_inputs(draw):
+    """A series of 14 days to 2 years with gaps, as ``plan_cpi`` takes it.
+
+    Resolutions of 5 min, 15 min and 1 h; starts at 00:00, 07:00 and 13:00
+    on days that put Feb 29, a leap year's Dec 31 without its Feb 29, or
+    neither in the series.  Many series end at a midnight, so the last day
+    is a full donor one power slot short.  Gaps may touch either end, span
+    several days, crowd three to six into one day or recur every week.  A
+    generation meter's power changes sign from day to day.  Some draws
+    leave too few complete days or no complete day of some weekday, so the
+    errors are compared too.
+    """
+    resolution = draw(st.sampled_from(list(_PLAN_SPANS)))
+    spd = timedelta(days=1) // resolution
+    day0 = draw(st.sampled_from([
+        date(2018, 1, 1), date(2020, 2, 20), date(2019, 12, 30), date(2020, 3, 1),
+        date(2019, 3, 4),
+    ]))
+    start = datetime.combine(day0, time(draw(st.sampled_from([0, 7, 13]))))
+    offset = (start - datetime.combine(day0, time())) // resolution
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # A quarter of the series span two weeks; the rest, any length up to the cap.
+    days = draw(st.sampled_from([0, 0, 0, 14])) or int(rng.integers(28, _PLAN_SPANS[resolution]))
+    n = days * spd - offset + draw(st.one_of(st.just(0), st.integers(0, spd - 1)))
+    kind = draw(st.sampled_from(list(MeterKind)))
+
+    slot = offset + np.arange(n - 1)
+    low = 0.5 if kind is MeterKind.CONSUMPTION else -1.0
+    level = rng.uniform(low, 2.0, size=days + 1)[slot // spd]
+    shape = 1.0 + np.sin(2 * np.pi * (slot % spd) / spd) + 0.1 * rng.random(n - 1)
+    values = 100.0 + np.concatenate(([0.0], np.cumsum(level * shape * (resolution / HOUR))))
+
+    missing = np.zeros(n, dtype=bool)
+    kinds = st.sampled_from(["head", "tail", "long", "long", "short", "short", "crowd", "crowd",
+                             "weekly"])
+    for where in draw(st.lists(kinds, min_size=1, max_size=6)):
+        if where == "crowd":  # three to six gaps inside one day
+            first = draw(st.integers(0, n - spd))
+            count = draw(st.integers(3, 6))
+            step = spd // count
+            for k in range(count):
+                missing[first + k * step + 1 : first + (k + 1) * step - 1] = True
+            continue
+        if where == "weekly":  # the same hour of one weekday in every week
+            for week in range(draw(st.integers(0, 7 * spd)), n - 3, 7 * spd):
+                missing[week + 1 : week + 3] = True
+            continue
+        longest = {"long": 3 * spd, "short": spd // 2}.get(where, spd)
+        length = draw(st.integers(spd + 1 if where == "long" else 2, longest))
+        first = {"head": 0, "tail": n - length}.get(where)
+        if first is None:
+            first = draw(st.integers(0, n - length))
+        missing[first : first + length] = True
+    missing[n // 2] = False  # an energy series needs a present reading
+    return EnergySeries(start, resolution, np.where(missing, np.nan, values), meter_kind=kind)
+
+
+def _assert_same_plan(got, want):
+    """The day table, candidates, context, layout and match table agree bit for bit."""
+    views = plan_oracle.views(got.days)
+    assert views == list(want.days)
+    assert repr(views) == repr(list(want.days))
+    records = want.records
+    totals = np.array([np.nan if r.total_energy is None else r.total_energy for r in records])
+    assert got.days.total.tobytes() == totals.tobytes()
+    assert got.days.weekday.tolist() == [r.weekday for r in records]
+    assert got.days.day_of_year.tolist() == [r.day_of_year for r in records]
+    assert [records[i].date for i in got.candidates.tolist()] == [c.date for c in want.candidates]
+
+    assert got.context == want.context
+    assert type(got.context.energy_min) is float and type(got.context.energy_max) is float
+
+    a, b = got.layout, want.layout
+    assert (a.gaps, a.days, a.spans, a.gap_rows) == (b.gaps, b.days, b.spans, b.gap_rows)
+    assert a.missing.tobytes() == b.missing.tobytes() and a.row.tobytes() == b.row.tobytes()
+
+    for name in ("weekday", "season", "energy", "keep", "order"):
+        a, b = getattr(got.table, name), getattr(want.table, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert (got.table.days, got.table.donors) == (want.table.days, want.table.donors)
+    assert got.table.energy_range == want.table.energy_range
+    triples = [(5, 1, 10), (1, 0, 0), (0, 1, 1), (2.5, 0.5, 7)]
+    assert np.array_equal(match_weights(got.table, triples), match_weights(want.table, triples))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_plan_inputs())
+def test_plan_matches_the_per_day_oracle(es):
+    want = _outcome(plan_oracle.plan_cpi, es)
+    got = _outcome(plan_cpi, es)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    _assert_same_plan(got, want)
+    for scale in (True, False):
+        _assert_same_outcome(_outcome(run_plan, got, DEFAULT_WEIGHTS, scale),
+                             _outcome(run_plan, want, DEFAULT_WEIGHTS, scale))
+
+
+def test_plan_oracle_draws_cover_every_case():
+    """The drawn series reach each error, both cycles, boundary and crowded days."""
+    seen = set()
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(_plan_inputs())
+    def collect(es):
+        outcome = _outcome(plan_oracle.plan_cpi, es)
+        if isinstance(outcome, tuple):
+            seen.add(outcome[1].split(" ")[0])
+            return
+        seen.add(outcome.context.cycle_length)
+        seen.add(es.resolution)
+        spd = timedelta(days=1) // es.resolution
+        seen.update("long" for g in outcome.layout.gaps if g.length > spd)
+        seen.update("boundary" for r in outcome.records if r.total_energy is None)
+        touched = [row for lo, hi in outcome.layout.gap_rows for row in range(lo, hi)]
+        if touched and max(map(touched.count, touched)) >= 3:
+            seen.add("crowded")
+        if not outcome.table.keep.all():
+            seen.add("short donor")
+        if (np.diff(es.values[np.isfinite(es.values)]) < 0).any():
+            seen.add("sign change")
+
+    collect()
+    assert seen >= {
+        365, 366, "boundary", "long", "crowded", "short donor", "sign change",
+        timedelta(minutes=5), QUARTER_HOUR, HOUR, "copy-paste", "no",
+    }
+
+
+@pytest.mark.parametrize("stage", ["too-few", "weekday", "misaligned", "resolution"])
+def test_plan_errors_match_the_oracle(stage):
+    es = _weekly_profile_series(weeks=4, noise_seed=4)
+    if stage == "too-few":
+        es = with_missing(_weekly_profile_series(weeks=2), range(4 * 24 + 1, 6 * 24))
+    elif stage == "weekday":
+        es = with_missing(es, [i for w in range(4) for i in range((7 * w + 6) * 24 + 5, (7 * w + 6) * 24 + 8)])
+    elif stage == "misaligned":
+        es = with_missing(energy(es.values, start=MONDAY + timedelta(minutes=7)), range(40, 45))
+    else:
+        es = with_missing(energy(es.values, resolution=timedelta(minutes=7)), range(40, 45))
+    want = _outcome(plan_oracle.plan_cpi, es)
+    assert isinstance(want, tuple)
+    assert _outcome(plan_cpi, es) == want
+    if stage in ("misaligned", "resolution"):
+        assert _outcome(day_partition, es) == _outcome(plan_oracle.day_partition, es)
+
+
+def test_estimates_add_the_gap_shares_in_gap_order():
+    # Each of twenty days holds four gaps: the end of one across the last
+    # midnight, two inside the day and the start of one across the next.
+    # The weekly pattern gives the shares of the crossing gaps bits that
+    # other sums round differently, and almost all of a day's energy lies
+    # in its gaps, so a day's total is the oracle's only if its shares are
+    # added in the oracle's gap order.
+    rng = np.random.default_rng(29)
+    crowded = [24 * d + h for d in range(2, 22) for h in (-2, -1, 0, 1, 2, 7, 8, 14, 15)]
+    power = rng.uniform(0.001, 0.002, size=28 * 24)
+    gap_power = np.unique(np.clip([i + k for i in crowded for k in (-1, 0)], 0, None))
+    power[gap_power] = rng.uniform(1.0, 3.0, size=gap_power.size)
+    es = with_missing(energy(np.concatenate(([0.0], np.cumsum(power)))), crowded)
+    pattern = WeeklyPattern((0.3, -0.1, 0.25, -0.45, 0.0, 0.7, -0.7), 0.0, 0.0)
+    gaps = detect_gaps(es)
+    got = estimate_daily_energy(es, day_partition(es), gaps, pattern)
+    want = plan_oracle.estimate_daily_energy(es, plan_oracle.day_partition(es), gaps, pattern)
+    assert got.tobytes() == np.array(list(want.values())).tobytes()
+
+
+def test_stage_errors_match_the_oracle():
+    es = with_missing(energy(np.arange(48.0 * 3)), [0, 1, 2])
+    gaps = detect_gaps(es)
+    got = _outcome(estimate_daily_energy, es, day_partition(es), gaps, _flat_pattern())
+    want = _outcome(plan_oracle.estimate_daily_energy, es, plan_oracle.day_partition(es), gaps,
+                    _flat_pattern())
+    assert isinstance(want, tuple) and got == want
+
+    days = table(date(2018, 1, 5), [1.0] * 3, total=[1.0] * 3)  # 24 slots a day
+    got = _outcome(match_table, days, np.array([0]), np.array([2]), SeasonContext(365, 0, 2),
+                   np.array([24]))
+    want = _outcome(plan_oracle.match_table, [record(date(2018, 1, 5), total=1.0)],
+                    [record(date(2018, 1, 7), total=1.0, complete=True)],
+                    SeasonContext(365, 0, 2), np.array([[False]]))
+    assert isinstance(want, tuple) and got == want
+
+
+def test_season_context_holds_plain_floats():
+    from meterfill import MissingnessSpec, insert_missing, synthetic_series
+
+    for seed in range(3):
+        truth = synthetic_series(seed, days=120)
+        for share in (0.01, 0.1, 0.3):
+            degraded, _ = insert_missing(truth, MissingnessSpec(share=share, seed=seed))
+            context = plan_cpi(degraded).context
+            assert type(context.energy_min) is float and type(context.energy_max) is float
+            assert context == plan_oracle.plan_cpi(degraded).context
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from meterfill.series import format_series
 
 import csv_oracle
 import paste_oracle
+import plan_oracle
 from conftest import HOUR, MONDAY, QUARTER_HOUR, energy, power, with_missing
 
 
@@ -561,18 +562,18 @@ def test_day_aligned_quarter_hourly_partition():
     values = np.arange(3 * 96, dtype=float) * 0.25  # 3 days of 1 kW
     es = energy(values, resolution=QUARTER_HOUR)
     days = day_partition(es)
-    assert [d.slots for d in days] == [96, 96, 95]
-    assert all(d.covers_full_day for d in days)
-    assert days[0].missing == 0
-    assert days[0].known_energy == pytest.approx(24.0)  # 96 slots of 1 kW for 15 min
+    assert days.slots.tolist() == [96, 96, 95]
+    assert days.full_day.all()
+    assert days.missing[0] == 0
+    assert days.known_energy[0] == pytest.approx(24.0)  # 96 slots of 1 kW for 15 min
 
 
 def test_day_fully_inside_a_gap():
     values = np.arange(3 * 96, dtype=float) * 0.25
     es = with_missing(energy(values, resolution=QUARTER_HOUR), range(95, 193))
     days = day_partition(es)
-    assert days[1].missing == 96
-    assert days[1].known_energy == 0.0
+    assert days.missing[1] == 96
+    assert days.known_energy[1] == 0.0
 
 
 def test_partial_first_day_is_not_full():
@@ -580,9 +581,9 @@ def test_partial_first_day_is_not_full():
     values = np.arange(48 + 96, dtype=float)
     es = energy(values, start=start, resolution=QUARTER_HOUR)
     days = day_partition(es)
-    assert not days[0].covers_full_day
-    assert days[0].first_slot == 48
-    assert days[1].covers_full_day
+    assert not days.full_day[0]
+    assert days.first_slot[0] == 48
+    assert days.full_day[1]
 
 
 def test_misaligned_start_is_rejected():
@@ -606,7 +607,7 @@ def test_day_partition_energy_conservation():
     days = day_partition(es)
     gaps = detect_gaps(es)
     assert all(g.anchored for g in gaps)
-    total = sum(d.known_energy for d in days) + sum(g.actual_energy for g in gaps)
+    total = days.known_energy.sum() + sum(g.actual_energy for g in gaps)
     assert total == pytest.approx(es.values[-1] - es.values[0], abs=1e-9)
 
 
@@ -633,7 +634,7 @@ def _day_partition_oracle(series):
         e_lo = max(d * spd - off0, 0)
         e_hi = min((d + 1) * spd - off0, n_energy)
         views.append(
-            series_module.DayView(
+            plan_oracle.DayView(
                 date=date0 + timedelta(days=d),
                 start=int(start_i),
                 stop=int(stop_i),
@@ -687,6 +688,12 @@ def _partition_inputs(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_partition_inputs())
 def test_day_partition_matches_the_per_day_loop(series):
-    got, want = day_partition(series), _day_partition_oracle(series)
+    table, want = day_partition(series), _day_partition_oracle(series)
+    got = plan_oracle.views(table)
     assert got == want
-    assert repr(got) == repr(want)  # bit-identical floats and plain Python types
+    assert repr(got) == repr(want)  # bit-identical floats
+    assert table.total is None
+    dates = [view.date for view in want]
+    assert [date.fromordinal(o) for o in table.ordinal.tolist()] == dates
+    assert table.weekday.tolist() == [d.isoweekday() for d in dates]
+    assert table.day_of_year.tolist() == [d.timetuple().tm_yday for d in dates]
