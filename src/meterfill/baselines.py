@@ -38,6 +38,7 @@ def impute_linear(ps: PowerSeries) -> PowerSeries:
     idx = np.arange(ps.n)
     filled = np.interp(idx, idx[present], ps.values[present])
     filled[present] = ps.values[present]
+    filled.setflags(write=False)
     return replace(ps, values=filled)
 
 
@@ -63,6 +64,7 @@ def impute_hist_avg(ps: PowerSeries) -> PowerSeries:
         raise ImputationError(f"no present value at weekly slot {bad}")
     filled = np.array(ps.values)
     filled[missing_idx] = sums[slot[missing_idx]] / counts[slot[missing_idx]]
+    filled.setflags(write=False)
     return replace(ps, values=filled)
 
 
@@ -178,6 +180,7 @@ def impute_seasonal_model(ps: PowerSeries) -> PowerSeries:
     weekday0 = (ps.start.date().weekday() + day_index) % 7
     filled = np.array(ps.values)
     filled[idx] = model.predict(idx.astype(float), slot, weekday0)
+    filled.setflags(write=False)
     return replace(ps, values=filled)
 
 

@@ -154,6 +154,7 @@ def interpolate_singles(es: EnergySeries) -> EnergySeries:
     values = np.array(es.values)
     idx = np.flatnonzero(single)
     values[idx] = 0.5 * (values[idx - 1] + values[idx + 1])
+    values.setflags(write=False)
     return replace(es, values=values)
 
 
@@ -478,6 +479,7 @@ def copy_paste_and_scale(
         completed[span] *= factor
         fills.append(GapFill(gap, sources, factor, anchored=True))
 
+    completed.setflags(write=False)
     imputed = PowerSeries(start=ps.start, resolution=ps.resolution, values=completed)
     return complete_from_power(energy, imputed, tuple(fills))
 

@@ -93,25 +93,48 @@ def _draw_gap_lengths(rng: np.random.Generator, budget: int, max_len: int) -> li
 
 
 def _place(rng: np.random.Generator, n: int, lengths: list[int], n_singles: int) -> np.ndarray:
-    # Free runs [lo, hi] in order, one row each (the rule is in the module
-    # docstring); ``pad`` keeps later singles two readings from a single.
-    removals = [(length, 0, "no room left for a gap") for length in lengths]
-    removals += [(1, 1, "no room left for a single missing value")] * n_singles
-    runs = np.zeros((1 + len(removals), 2), dtype=np.int64)
+    # Free runs [lo, hi] in order, one row each (the rule is in the module docstring).
+    runs = np.zeros((1 + len(lengths), 2), dtype=np.int64)
     runs[0, 1], count = n - 1, 1
     removed = np.zeros(n, dtype=bool)
-    for length, pad, message in removals:
+    for length in lengths:
         fits = np.maximum(runs[:count, 1] - runs[:count, 0] - length, 0)
         ends = np.cumsum(fits)
         if ends[-1] == 0:
-            raise InfeasibleSpecError(message)
+            raise InfeasibleSpecError("no room left for a gap")
         k = int(rng.integers(int(ends[-1])))
         run = int(np.searchsorted(ends, k, side="right"))
         start = int(runs[run, 0]) + 1 + k - int(ends[run] - fits[run])
         removed[start : start + length] = True
         runs[run + 2 : count + 1] = runs[run + 1 : count]
-        runs[run + 1] = (start + length + pad, runs[run, 1])
-        runs[run, 1] = start - 1 - pad
+        runs[run + 1] = (start + length, runs[run, 1])
+        runs[run, 1] = start - 1
+        count += 1
+
+    # Singles draw over a running prefix sum of the runs' fits: ``ends[r]``
+    # counts the fits before run r, and the slots past the last run hold a
+    # sentinel above any draw.  A split replaces one fit by two and shifts
+    # every later sum by the difference, in one slice.
+    lo, hi = runs[:count, 0].tolist(), runs[:count, 1].tolist()
+    ends = np.full(count + n_singles + 1, np.iinfo(np.int64).max)
+    ends[0] = 0
+    np.cumsum(np.maximum(runs[:count, 1] - runs[:count, 0] - 1, 0), out=ends[1 : count + 1])
+    for _ in range(n_singles):
+        total = int(ends[count])
+        if total == 0:
+            raise InfeasibleSpecError("no room left for a single missing value")
+        k = int(rng.integers(total))
+        run = int(ends.searchsorted(k, side="right")) - 1
+        before = int(ends[run])
+        single = lo[run] + 1 + k - before
+        removed[single] = True
+        hi.insert(run, single - 2)
+        lo.insert(run + 1, single + 2)
+        left = before + max(hi[run] - lo[run] - 1, 0)
+        after = left + max(hi[run + 1] - lo[run + 1] - 1, 0)
+        ends[run + 3 : count + 2] = ends[run + 2 : count + 1] + (after - ends[run + 1])
+        ends[run + 1] = left
+        ends[run + 2] = after
         count += 1
     return removed
 
@@ -167,6 +190,7 @@ def insert_missing(es: EnergySeries, spec: MissingnessSpec) -> tuple[EnergySerie
 
     degraded = np.array(es.values)
     degraded[indices] = np.nan
+    degraded.setflags(write=False)
     out = EnergySeries(
         start=es.start,
         resolution=es.resolution,

@@ -98,10 +98,12 @@ def mape_p(actual: PowerSeries, imputed: PowerSeries, mask: Iterable[int]) -> Ma
     return MapeResult(value, skipped)
 
 
-def wape_e(actual_energies: Sequence[float], imputed_energies: Sequence[float]) -> float:
+def wape_e(actual_energies: Iterable[float], imputed_energies: Iterable[float]) -> float:
     """Sum of absolute per-gap energy errors over the sum of actual energies."""
-    actual = np.asarray(list(actual_energies), dtype=np.float64)
-    imputed = np.asarray(list(imputed_energies), dtype=np.float64)
+    actual, imputed = (
+        np.asarray(e if isinstance(e, np.ndarray) else list(e), dtype=np.float64)
+        for e in (actual_energies, imputed_energies)
+    )
     if actual.size == 0 or actual.size != imputed.size:
         raise MetricError("gap energy lists must be non-empty and equally long")
     denom = actual.sum()
@@ -118,13 +120,52 @@ def trimmed_mean(values: Sequence[float]) -> float:
     return float(np.sort(vals)[2:-2].mean())
 
 
-def gap_energies(imputed: PowerSeries, gaps: Sequence[Gap]) -> list[float]:
+class GapSpans(NamedTuple):
+    """The power spans of a series' gaps, grouped by length.
+
+    ``actual`` is each gap's metered energy in gap order (NaN where a gap
+    is unanchored).  Each group holds the positions of the gaps of one
+    length and the matrix of their power indices, one row per gap.
+    """
+
+    actual: np.ndarray
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def gap_spans(gaps: Sequence[Gap]) -> GapSpans:
+    """Group the gaps' power spans by length, for ``gap_energies``.
+
+    Every span's power indices are laid out in one flat index, by length
+    and then in gap order; each group's matrix is a reshaped slice of it.
+    """
+    first = np.array([g.first_missing for g in gaps], dtype=np.int64)
+    length = np.array([g.last_missing for g in gaps], dtype=np.int64) - first + 1
+    order = np.argsort(length, kind="stable")
+    length = length[order]
+    offset = np.cumsum(length) - length
+    flat = np.repeat(first[order] - offset, length) + np.arange(length.sum())
+    edges = np.flatnonzero(np.diff(length, prepend=0, append=0)).tolist()
+    offsets, widths = [*offset.tolist(), flat.size], length.tolist()
+    groups = tuple(
+        (order[a:b], flat[offsets[a] : offsets[b]].reshape(b - a, widths[a]))
+        for a, b in zip(edges, edges[1:])
+    )
+    actual = np.array([g.actual_energy for g in gaps], dtype=np.float64)
+    return GapSpans(actual, groups)
+
+
+def gap_energies(imputed: PowerSeries, spans: GapSpans) -> np.ndarray:
     """Energy of each gap in ``imputed``: resolution-hours times the power sum.
 
-    The harness passes the power as imputed, so the energies show any miss.
+    Each group of equally long spans is summed as the rows of one gathered
+    matrix.  A row's sum equals ``ndarray.sum`` of that span's slice bit
+    for bit; ``np.add.reduceat`` adds in another order and does not.  The
+    harness passes the power as imputed, so the energies show any miss.
     """
-    dt = resolution_hours(imputed.resolution)
-    return [float(imputed.values[g.first_missing : g.last_missing + 1].sum() * dt) for g in gaps]
+    sums = np.empty(spans.actual.size)
+    for rows, index in spans.groups:
+        sums[rows] = imputed.values[index].sum(axis=1)
+    return sums * resolution_hours(imputed.resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +215,17 @@ def score_method(
     method: str,
     actual: PowerSeries,
     mask: np.ndarray,
-    gaps: Sequence[Gap],
+    spans: GapSpans,
     imputed: PowerSeries,
     runtime_seconds: float,
 ) -> MethodScore:
     """Score a method's imputed power against the original power ``actual``.
 
-    ``mask`` and ``gaps`` are the degraded series' missing power indices and gaps.
+    ``mask`` is the degraded series' missing power indices, and ``spans``
+    are its gaps as ``gap_spans`` groups them.
     """
     mape = mape_p(actual, imputed, mask)
-    wape = wape_e([g.actual_energy for g in gaps], gap_energies(imputed, gaps))
+    wape = wape_e(spans.actual, gap_energies(imputed, spans))
     return MethodScore(method, mape.value, wape, runtime_seconds, mape.skipped)
 
 
@@ -210,7 +252,7 @@ def _evaluate_cell(payload) -> list[ScoreRow]:
         actual = energy_to_power(series)
         degraded_power = energy_to_power(degraded)
         mask = np.flatnonzero(np.isnan(degraded_power.values))
-        gaps = detect_gaps(degraded)
+        spans = gap_spans(detect_gaps(degraded))
     except MeterfillError as exc:
         return [failed(m, exc) for m in methods]
 
@@ -245,7 +287,7 @@ def _evaluate_cell(payload) -> list[ScoreRow]:
             else:
                 raise MetricError(f"unknown method {method!r}")
             elapsed = time.perf_counter() - started + shared_s
-            score = score_method(method, actual, mask, gaps, imputed, elapsed)
+            score = score_method(method, actual, mask, spans, imputed, elapsed)
         except MeterfillError as exc:
             rows.append(failed(method, exc))
         else:
@@ -271,11 +313,19 @@ def evaluate(
     Aggregates are trimmed means per (share, method); groups smaller than
     five fall back to the plain mean and are flagged in the warnings.
     Cells run in ``parallelism`` worker processes, which must be at least 1.
+    The degradation settings of every share are checked, and an empty
+    share or seed list is rejected, before any series is degraded.
     """
     if not series_set:
         raise MetricError("evaluation needs at least one series")
     if parallelism < 1:
         raise MetricError(f"parallelism must be at least 1, got {parallelism}")
+    if not shares:
+        raise MetricError("evaluation needs at least one share")
+    if not seeds:
+        raise MetricError("evaluation needs at least one seed")
+    for share in shares:
+        MissingnessSpec(share, max_gap_len, single_fraction)
     cells = [
         (sid, series, share, seed, i, tuple(methods), weights, max_gap_len,
          single_fraction)
@@ -411,12 +461,14 @@ def grid_search_weights(
     imputed and scored once, and its MAPE is that of all its triples.  The
     aggregate over the series is the trimmed mean (plain mean below five
     series).  Ties are broken by the smaller weight sum, then
-    lexicographically.  Reversed or negative ranges and an empty grid are
-    rejected before any series is degraded.  The calibration set must be
-    disjoint from the evaluation set (caller's responsibility).
+    lexicographically.  Reversed or negative ranges, an empty grid and
+    bad degradation settings are rejected before any series is degraded.  The
+    calibration set must be disjoint from the evaluation set (caller's
+    responsibility).
     """
     if not calibration:
         raise MetricError("grid search needs a non-empty calibration set")
+    MissingnessSpec(share, max_gap_len)
     triples = _weight_grid(energy_range, weekday_range, season_range)
     mapes = np.empty((len(triples), len(calibration)))
     for index, (sid, series) in enumerate(calibration):

@@ -35,7 +35,23 @@ class MeterKind(str, Enum):
 
 
 def _as_values(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+    """The read-only float64 array a series holds.
+
+    A float64 array that owns its memory and is already read-only is
+    adopted as it is; the package's producers freeze each array they build
+    before wrapping it.  Anything else (a writeable array, a view, a list,
+    another dtype) is copied, so that a later write to the argument never
+    reaches the series.
+    """
+    if (
+        type(values) is np.ndarray
+        and values.dtype == np.float64
+        and values.base is None
+        and not values.flags.writeable
+    ):
+        arr = values
+    else:
+        arr = np.array(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValidationError("series values must be one-dimensional")
     if np.isinf(arr).any():
@@ -49,7 +65,8 @@ class EnergySeries:
     """Equally spaced cumulative meter readings, NaN = missing.
 
     Consumption series are validated to be monotone non-decreasing across
-    present readings, up to ``monotone_tol`` (kWh).  Generation meters skip
+    present readings, up to ``monotone_tol`` (kWh), which must not be
+    negative or NaN; ``inf`` turns the check off.  Generation meters skip
     the monotonicity check.
     """
 
@@ -63,6 +80,10 @@ class EnergySeries:
         object.__setattr__(self, "values", _as_values(self.values))
         if self.resolution <= timedelta(0):
             raise ValidationError("resolution must be positive")
+        if not self.monotone_tol >= 0.0:
+            raise ValidationError(
+                f"monotone_tol must be non-negative, got {float(self.monotone_tol)}"
+            )
         if self.values.size == 0 or not np.isfinite(self.values).any():
             raise ValidationError("an energy series needs at least one present reading")
         if self.meter_kind is MeterKind.CONSUMPTION and math.isfinite(self.monotone_tol):
@@ -251,6 +272,7 @@ def energy_to_power(es: EnergySeries) -> PowerSeries:
     """
     values = np.diff(es.values)
     values /= resolution_hours(es.resolution)
+    values.setflags(write=False)
     return PowerSeries(start=es.start, resolution=es.resolution, values=values)
 
 
@@ -272,6 +294,7 @@ def power_to_energy(
     energies[0] = base_energy
     np.cumsum(ps.values * dt, out=energies[1:])
     energies[1:] += base_energy
+    energies.setflags(write=False)
     return EnergySeries(
         start=ps.start,
         resolution=ps.resolution,
@@ -383,6 +406,7 @@ def fill_energy_from_power(es: EnergySeries, power_values: np.ndarray) -> Energy
             run += es.values[lo - 1]
         else:
             run[:] = es.values[stop] - np.cumsum(power_values[lo:stop][::-1] * dt)[::-1]
+    filled.setflags(write=False)
     return EnergySeries(
         start=es.start,
         resolution=es.resolution,
@@ -554,6 +578,7 @@ def parse_series(text: str, config: ParseConfig = ParseConfig()) -> Series:
 def _build_series(
     start: datetime, resolution: timedelta, values: np.ndarray, config: ParseConfig
 ) -> Series:
+    values.setflags(write=False)
     if config.kind == "power":
         return PowerSeries(start=start, resolution=resolution, values=values)
     return EnergySeries(

@@ -391,12 +391,25 @@ def test_os_error_without_a_filename_names_its_cause(
         ("convert --to sideways {csv} {out}", "", None, "--to: 'sideways'"),
         ("convert {csv} {out}", "", None, "convert requires --to"),
         ("insert-gaps {csv} {out}", "", None, "insert-gaps requires --share"),
+        ("evaluate --shares nan {csv}", "", None, "share must be in (0, 1), got nan"),
+        ("evaluate --shares 10,150 {csv}", "", None, "share must be in (0, 1), got 1.5"),
+        ("tune-weights --share nan {csv}", "", None, "share must be in (0, 1), got nan"),
+        ("evaluate --shares , {csv}", "", None, "evaluation needs at least one share"),
+        ("evaluate --seeds , {csv}", "", None, "evaluation needs at least one seed"),
+        ("impute --monotone-tol -1 {csv} {out}", "", None,
+         "monotone_tol must be non-negative, got -1.0"),
+        ("impute --monotone-tol nan {csv} {out}", "", None,
+         "monotone_tol must be non-negative, got nan"),
+        ("convert --to power --config {conf} {csv} {out}", "monotone_tol = -0.5", None,
+         "monotone_tol must be non-negative, got -0.5"),
     ],
     ids=["weights", "shares", "seeds", "we", "config-int", "config-meter-kind",
          "config-method", "config-no-scale", "parallelism-env", "parallelism-zero",
          "parallelism-negative", "parallelism-env-zero", "timestamp-past-9999",
          "share", "parallelism", "max-gap-len", "method", "meter-kind", "to",
-         "missing-to", "missing-share"],
+         "missing-to", "missing-share", "shares-nan", "shares-above-one", "tune-share-nan",
+         "shares-empty", "seeds-empty", "monotone-tol-negative", "monotone-tol-nan",
+         "config-monotone-tol"],
 )
 def test_malformed_values_give_one_error_line(tmp_path, series_csv, args, config, env, named):
     paths = {"csv": series_csv, "out": tmp_path / "out.csv", "conf": tmp_path / "run.conf",

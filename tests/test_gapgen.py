@@ -182,3 +182,25 @@ def test_placement_leaves_the_generator_where_the_oracle_does():
     removed = gapgen._place(new, 300, lengths, 12)
     assert np.array_equal(removed, placement_oracle.place(old, 300, lengths, 12))
     assert new.bit_generator.state == old.bit_generator.state
+
+
+def place_outcome(place, seed, n, share, single_fraction):
+    """The mask or error text of one placement, and where it leaves the generator."""
+    rng = np.random.default_rng(seed)
+    total = round(share * n)
+    n_singles = round(single_fraction * total)
+    lengths = gapgen._draw_gap_lengths(rng, total - n_singles, 3 * 96)
+    try:
+        outcome = np.flatnonzero(place(rng, n, lengths, n_singles)).tolist()
+    except InfeasibleSpecError as exc:
+        outcome = str(exc)
+    return outcome, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("share", [0.1, 0.3])
+@pytest.mark.parametrize("single_fraction", [0.5, 1.0])
+def test_singles_heavy_year_matches_the_oracle(share, single_fraction):
+    # At 30 % share every reading a single: the year runs out of room part
+    # way, so the error text and the draws up to it are compared as well.
+    expected = place_outcome(placement_oracle.place, 31, 35040, share, single_fraction)
+    assert place_outcome(gapgen._place, 31, 35040, share, single_fraction) == expected

@@ -1,15 +1,18 @@
 """Tests for error measures, aggregation and the evaluation harness."""
 
 import time
-from datetime import datetime
+from dataclasses import replace
+from datetime import datetime, timedelta
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meterfill import (
     DissimilarityWeights,
     EnergySeries,
+    Gap,
     ImputationError,
     MetricError,
     MissingnessSpec,
@@ -28,6 +31,7 @@ from meterfill import cpi, metrics
 from meterfill.cpi import plan_cpi
 from meterfill.metrics import _cell_seed, format_aggregates_csv, format_report_csv
 
+import score_oracle
 from conftest import power
 from grid_oracle import grid_search_per_triple
 
@@ -138,6 +142,70 @@ def test_wape_zero_total_is_an_error():
         wape_e([1.0, -1.0], [1.0, 1.0])
     with pytest.raises(MetricError):
         wape_e([], [])
+
+
+def test_wape_accepts_any_iterable():
+    expected = wape_e([10.0, 20.0], [9.0, 22.0])
+    assert wape_e(np.array([10.0, 20.0]), iter([9.0, 22.0])) == expected
+    assert wape_e((e for e in (10.0, 20.0)), np.array([9, 22])) == expected
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@st.composite
+def spans_over_power(draw):
+    """Gaps laid over a power array: repeated lengths, -0.0, mixed signs and scales."""
+    lengths = draw(st.lists(
+        st.one_of(st.sampled_from([1, 2, 2, 3, 17, 96]), st.integers(1, 300)),
+        min_size=1, max_size=40,
+    ))
+    lengths += draw(st.lists(st.integers(8193, 20000), max_size=2))
+    lengths = draw(st.permutations(lengths))
+    spacing = draw(st.lists(st.integers(1, 5), min_size=len(lengths) + 1,
+                            max_size=len(lengths) + 1))
+    gaps, position = [], spacing[0]
+    for length, space in zip(lengths, spacing[1:]):
+        gaps.append(Gap(position, position + length - 1, 0.0, 1.0, 1.0))
+        position += length + space
+    seed = draw(st.integers(0, 2**32 - 1))
+    low = draw(st.integers(-8, 11))
+    high = draw(st.integers(low + 1, 12))
+    rng = np.random.default_rng(seed)
+    values = 10.0 ** rng.uniform(low, high, position) * rng.choice([-1.0, 1.0], position)
+    values[rng.random(position) < 0.05] = -0.0
+    resolution = draw(st.sampled_from([timedelta(minutes=5), timedelta(minutes=15),
+                                       timedelta(hours=1)]))
+    return power(values, resolution=resolution), gaps, rng.uniform(-1e6, 1e6, len(gaps))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(spans_over_power())
+def test_grouped_gap_energies_match_the_per_gap_slices(case):
+    imputed, gaps, actual_energies = case
+    actual_gaps = [replace(g, actual_energy=float(e)) for g, e in zip(gaps, actual_energies)]
+    spans = metrics.gap_spans(actual_gaps)
+    expected = score_oracle.gap_energies(imputed, actual_gaps)
+    energies = metrics.gap_energies(imputed, spans)
+    assert bits(energies) == bits(expected)
+    assert bits(spans.actual) == bits([g.actual_energy for g in actual_gaps])
+    assert bits([wape_e(spans.actual, energies)]) == bits(
+        [wape_e([g.actual_energy for g in actual_gaps], expected)]
+    )
+
+
+def test_gap_spans_of_no_gaps_score_as_an_empty_list():
+    spans = metrics.gap_spans([])
+    assert spans.groups == () and spans.actual.size == 0
+    assert metrics.gap_energies(power([1.0, 2.0]), spans).size == 0
+    with pytest.raises(MetricError, match="non-empty"):
+        wape_e(spans.actual, metrics.gap_energies(power([1.0, 2.0]), spans))
+
+
+def test_unanchored_gaps_have_no_actual_energy():
+    spans = metrics.gap_spans([Gap(0, 1, None, 3.0, None), Gap(3, 4, 1.0, 2.0, 1.0)])
+    assert np.isnan(spans.actual[0]) and spans.actual[1] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -457,3 +525,42 @@ def test_bad_weight_grids_fail_before_any_series_is_degraded(grid, error, messag
     ):
         grid_search_weights(suite, *grid)
     assert degrade.call_count == plan.call_count == 0
+
+
+@pytest.mark.parametrize(
+    "settings, error, message",
+    [
+        ({"shares": (0.1, float("nan"))}, ValidationError, r"share must be in \(0, 1\), got nan"),
+        ({"shares": (0.0,)}, ValidationError, r"share must be in \(0, 1\), got 0.0"),
+        ({"shares": (0.1, 1.0)}, ValidationError, r"share must be in \(0, 1\), got 1.0"),
+        ({"shares": ()}, MetricError, "evaluation needs at least one share"),
+        ({"seeds": ()}, MetricError, "evaluation needs at least one seed"),
+        ({"max_gap_len": 1}, ValidationError, "max_gap_len must be at least 2"),
+        ({"single_fraction": 1.5}, ValidationError, "single_fraction must be in"),
+    ],
+    ids=["nan", "zero", "one", "no-shares", "no-seeds", "max-gap-len", "single-fraction"],
+)
+def test_bad_degradation_settings_fail_before_any_series_is_degraded(settings, error, message):
+    suite = synthetic_suite(1, base_seed=60, days=42)
+    with (
+        mock.patch.object(metrics, "insert_missing") as degrade,
+        pytest.raises(error, match=message),
+    ):
+        evaluate(suite, **{"shares": (0.1,), "seeds": (0,), **settings})
+    assert degrade.call_count == 0
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [({"share": float("nan")}, "got nan"), ({"share": 0.0}, "got 0.0"),
+     ({"share": 1.0}, "got 1.0"), ({"max_gap_len": 1}, "max_gap_len must be at least 2")],
+    ids=["nan", "zero", "one", "max-gap-len"],
+)
+def test_bad_tuning_settings_fail_before_any_series_is_degraded(settings, message):
+    suite = synthetic_suite(1, base_seed=60, days=42)
+    with (
+        mock.patch.object(metrics, "insert_missing") as degrade,
+        pytest.raises(ValidationError, match=message),
+    ):
+        grid_search_weights(suite, (1, 2), (0, 1), (1, 2), **settings)
+    assert degrade.call_count == 0

@@ -22,13 +22,15 @@ from meterfill import (
     parse_series,
     power_to_energy,
 )
+from meterfill import cpi, gapgen
 from meterfill import series as series_module
+from meterfill.baselines import BASELINES
 from meterfill.series import format_series
 
 import csv_oracle
 import paste_oracle
 import plan_oracle
-from conftest import HOUR, MONDAY, QUARTER_HOUR, energy, power, with_missing
+from conftest import HOUR, MONDAY, QUARTER_HOUR, day_profile_series, energy, power, with_missing
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +67,101 @@ def test_values_are_immutable():
 def test_infinite_values_rejected():
     with pytest.raises(ValidationError, match="finite"):
         energy([0.0, np.inf])
+
+
+@pytest.mark.parametrize("tol", [-1, -1e-12, float("nan")])
+def test_monotone_tolerance_must_be_non_negative(tol):
+    message = f"monotone_tol must be non-negative, got {float(tol)}"
+    with pytest.raises(ValidationError, match=message):
+        energy([0.0, 1.0, 2.0], tol=tol)
+
+
+def test_an_infinite_monotone_tolerance_turns_the_check_off():
+    assert energy([0.0, 2.0, 1.0], tol=float("inf")).n == 3
+
+
+# ---------------------------------------------------------------------------
+# The copy rule: a series copies what its caller could still write
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", [energy, power])
+def test_a_writeable_array_is_copied(make):
+    values = np.array([0.0, 1.0, 2.0])
+    series = make(values)
+    values[1] = 1.5
+    assert series.values.tolist() == [0.0, 1.0, 2.0]
+    assert values.flags.writeable  # the caller's array is left as it was
+
+
+@pytest.mark.parametrize("make", [energy, power])
+def test_a_read_only_view_of_a_writeable_base_is_copied(make):
+    base = np.array([0.0, 1.0, 2.0, 3.0])
+    view = base[1:]
+    view.setflags(write=False)
+    series = make(view)
+    base[2] = 2.5
+    assert series.values.tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("make", [energy, power])
+def test_a_read_only_array_that_owns_its_memory_is_adopted(make):
+    values = np.array([0.0, 1.0, 2.0])
+    values.setflags(write=False)
+    assert make(values).values is values
+
+
+@pytest.mark.parametrize("make", [energy, power])
+@pytest.mark.parametrize(
+    "values",
+    [[0, 1, 2], (0.0, 1.0, 2.0), np.array([0, 1, 2]), np.array([0, 1, 2], dtype=np.float32),
+     np.array([0, 1, 2]).view(np.ndarray)],
+    ids=["list", "tuple", "int-array", "float32-array", "int-view"],
+)
+def test_lists_and_other_dtypes_are_converted(make, values):
+    if isinstance(values, np.ndarray):
+        values.setflags(write=False)  # read-only, yet not float64: still converted
+    series = make(values)
+    assert series.values.dtype == np.float64 and series.values.tolist() == [0.0, 1.0, 2.0]
+    assert not series.values.flags.writeable and series.values is not values
+
+
+def test_every_producer_returns_read_only_values_of_its_own(monkeypatch):
+    complete = day_profile_series([1.0 + 0.1 * (d % 7) + 0.01 * d for d in range(28)])
+    degraded = with_missing(complete, [30, 200, *range(100, 111)])
+    text = format_series(degraded)
+    # Each producer freezes the array it builds, so the series adopts it.
+    copied, hold = [], series_module._as_values
+
+    def watched(values):
+        held = hold(values)
+        if held is not values:
+            copied.append(values)
+        return held
+
+    monkeypatch.setattr(series_module, "_as_values", watched)
+    complete_power, degraded_power = energy_to_power(complete), energy_to_power(degraded)
+    plan = cpi.plan_cpi(degraded)
+    result = cpi.run_plan(plan, cpi.DEFAULT_WEIGHTS)
+    outputs = [
+        ("energy_to_power", degraded, degraded_power),
+        ("power_to_energy", complete_power, power_to_energy(complete_power, 0.0)),
+        ("fill_energy_from_power", degraded,
+         fill_energy_from_power(degraded, result.imputed_power.values)),
+        ("fill_energy_from_power", result.imputed_power, result.completed_energy),
+        ("copy_paste_and_scale", plan.power, result.imputed_power),
+        ("interpolate_singles", degraded, cpi.interpolate_singles(degraded)),
+        ("insert_missing", complete,
+         gapgen.insert_missing(complete, gapgen.MissingnessSpec(0.05, seed=1))[0]),
+        *((name, degraded_power, fill(degraded_power)) for name, fill in BASELINES.items()),
+    ]
+    parsed = [parse_series(text), parse_series(text.replace("\n", "\r\n"))]
+    assert copied == []
+    for name, source, out in outputs:
+        assert not out.values.flags.writeable, name
+        assert not np.shares_memory(out.values, source.values), name
+    for series in parsed:
+        assert not series.values.flags.writeable and series.values.base is None
 
 
 # ---------------------------------------------------------------------------
