@@ -4,7 +4,8 @@ All three imputers return a complete series and never touch present values:
 linear interpolation between the bracketing known values, the historical
 average week, and an additive seasonal model (piecewise-linear trend plus
 zero-mean daily and weekly profiles) fitted by least squares on the present
-values only.
+values only.  Each works over two index sets: it fits from the present
+indices and writes only the missing ones.
 
 The seasonal trend, linear between knots every ``TREND_KNOT_DAYS`` days, is
 fitted from its tridiagonal (banded) Gram system, built by ``bincount``
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ImputationError, ValidationError
-from .series import PowerSeries, day_slot, slots_per_day
+from .series import PowerSeries, grid_offset, slots_per_day
 
 TREND_KNOT_DAYS = 28
 
@@ -28,16 +29,18 @@ def impute_linear(ps: PowerSeries) -> PowerSeries:
     """Linearly interpolate each gap between its bracketing present values.
 
     Runs touching the series boundary are filled by constant extension of
-    the nearest present value.
+    the nearest present value.  ``np.interp`` is evaluated at the missing
+    indices only; it is pointwise, so each value is the one a full-length
+    call gives.
     """
-    present = ~np.isnan(ps.values)
-    if not present.any():
+    missing = np.isnan(ps.values)
+    if missing.all():
         raise ImputationError("cannot interpolate a series with no present values")
-    if present.all():
+    if not missing.any():
         return ps
-    idx = np.arange(ps.n)
-    filled = np.interp(idx, idx[present], ps.values[present])
-    filled[present] = ps.values[present]
+    at, idx = np.flatnonzero(~missing), np.flatnonzero(missing)
+    filled = np.array(ps.values)
+    filled[idx] = np.interp(idx, at, ps.values[at])
     filled.setflags(write=False)
     return replace(ps, values=filled)
 
@@ -51,19 +54,22 @@ def impute_hist_avg(ps: PowerSeries) -> PowerSeries:
     """
     spd = slots_per_day(ps.resolution)
     week = 7 * spd
-    present = ~np.isnan(ps.values)
-    if present.all():
+    missing = np.isnan(ps.values)
+    if not missing.any():
         return ps
-    slot = np.arange(ps.n) % week
+    slot = np.tile(np.arange(week), -(-ps.n // week))[: ps.n]
+    present = ~missing
     sums = np.bincount(slot[present], weights=ps.values[present], minlength=week)
     counts = np.bincount(slot[present], minlength=week)
-    missing_idx = np.flatnonzero(~present)
-    empty = counts[slot[missing_idx]] == 0
+    missing_idx = np.flatnonzero(missing)
+    missing_slot = slot[missing_idx]
+    missing_count = counts[missing_slot]
+    empty = missing_count == 0
     if empty.any():
-        bad = int(slot[missing_idx[empty][0]])
+        bad = int(missing_slot[empty.argmax()])
         raise ImputationError(f"no present value at weekly slot {bad}")
     filled = np.array(ps.values)
-    filled[missing_idx] = sums[slot[missing_idx]] / counts[slot[missing_idx]]
+    filled[missing_idx] = sums[missing_slot] / missing_count
     filled.setflags(write=False)
     return replace(ps, values=filled)
 
@@ -97,15 +103,35 @@ class SeasonalModel:
         return self.trend_at(index) + self.daily_profile[slot] + self.weekly_profile[weekday0]
 
 
-def _fit_trend(index: np.ndarray, values: np.ndarray, knots: np.ndarray) -> np.ndarray:
+def calendar_columns(ps: PowerSeries, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(within-day slot, weekday with Monday 0) of sorted power indices.
+
+    Day d holds the indices from ``d * spd - grid_offset`` on (the
+    ``day_slot`` rule), so one ``searchsorted`` of those day edges into
+    ``index`` counts each day's indices, and every column is a per-day
+    value repeated that many times.
+    """
+    spd = slots_per_day(ps.resolution)
+    offset = grid_offset(ps.start, ps.resolution)
+    day_start = np.arange((offset + ps.n - 1) // spd + 1) * spd - offset
+    count = np.diff(np.searchsorted(index, day_start), append=index.size)
+    weekday0 = (ps.start.date().weekday() + np.arange(day_start.size)) % 7
+    return index - np.repeat(day_start, count), np.repeat(weekday0, count)
+
+
+def _fit_trend(at: np.ndarray, values: np.ndarray, knots: np.ndarray) -> np.ndarray:
     """Least-squares knot values of the piecewise-linear trend through the points.
 
-    Index t between knots j and j+1 carries the hat weights 1-u and u, so
-    the Gram matrix is tridiagonal and each band is one ``bincount``.
+    ``at`` is sorted, so segment j (knots j to j+1, the last one closed)
+    holds the points from the first at or after knot j on: one
+    ``searchsorted`` of the inner knots counts each segment's points.  Point
+    t in segment j carries the hat weights 1-u and u, so the Gram matrix is
+    tridiagonal and each band is one ``bincount``.
     """
     k = knots.size
-    seg = np.minimum(np.searchsorted(knots, index, side="right") - 1, k - 2)
-    u = (index - knots[seg]) / (knots[seg + 1] - knots[seg])
+    count = np.diff(np.searchsorted(at, knots[1:-1]), prepend=0, append=at.size)
+    seg = np.repeat(np.arange(k - 1), count)
+    u = (at - np.repeat(knots[:-1], count)) / np.repeat(np.diff(knots), count)
     w = 1.0 - u
     band = np.bincount(seg, w * u, k - 1)
     gram = np.diag(np.bincount(seg, w * w, k) + np.bincount(seg + 1, u * u, k))
@@ -120,42 +146,39 @@ def fit_seasonal_model(ps: PowerSeries) -> SeasonalModel:
 
     A trend knot with no present value strictly between its neighbours is
     dropped, so across a long outage the trend is linear between the nearest
-    supported knots, and constant beyond the outermost one.
+    supported knots, and constant beyond the outermost one.  Every column
+    of the fit is built at the present indices only.
     """
     spd = slots_per_day(ps.resolution)
-    present = ~np.isnan(ps.values)
-    if present.sum() < 2 * 7 * spd:
+    at = np.flatnonzero(~np.isnan(ps.values))
+    if at.size < 2 * 7 * spd:
         raise ImputationError(
             "seasonal model needs at least two weeks of present values, got "
-            f"{int(present.sum())} of {2 * 7 * spd}"
+            f"{at.size} of {2 * 7 * spd}"
         )
     m = ps.n
-    idx = np.arange(m)
-    at = np.flatnonzero(present)
     knots = np.append(np.arange(0, m - 1, TREND_KNOT_DAYS * spd), m - 1)
     # Present values strictly between each knot's neighbours (-1 and m at the ends).
     bounds = np.concatenate(([-1], knots, [m]))
     support = np.searchsorted(at, bounds[2:]) - np.searchsorted(at, bounds[:-2], side="right")
     knots = knots[support > 0]
 
-    beta = _fit_trend(at, ps.values[present], knots)
-    trend = np.interp(idx, knots, beta)
+    values = ps.values[at]
+    beta = _fit_trend(at, values, knots)
+    slot, weekday0 = calendar_columns(ps, at)
 
-    day_index, slot = day_slot(ps, idx)
-    weekday0 = (ps.start.date().weekday() + day_index) % 7
-
-    detrended = ps.values - trend
+    detrended = values - np.interp(at, knots, beta)
     daily = np.zeros(spd)
-    counts = np.bincount(slot[present], minlength=spd)
-    sums = np.bincount(slot[present], weights=detrended[present], minlength=spd)
+    counts = np.bincount(slot, minlength=spd)
+    sums = np.bincount(slot, weights=detrended, minlength=spd)
     np.divide(sums, counts, out=daily, where=counts > 0)
     daily_mean = daily.mean()
     daily -= daily_mean
 
     residual = detrended - daily_mean - daily[slot]
     weekly = np.zeros(7)
-    wcounts = np.bincount(weekday0[present], minlength=7)
-    wsums = np.bincount(weekday0[present], weights=residual[present], minlength=7)
+    wcounts = np.bincount(weekday0, minlength=7)
+    wsums = np.bincount(weekday0, weights=residual, minlength=7)
     np.divide(wsums, wcounts, out=weekly, where=wcounts > 0)
     weekly_mean = weekly.mean()
     weekly -= weekly_mean
@@ -171,13 +194,12 @@ def fit_seasonal_model(ps: PowerSeries) -> SeasonalModel:
 
 def impute_seasonal_model(ps: PowerSeries) -> PowerSeries:
     """Fill missing values with the fitted seasonal model's value at t."""
-    present = ~np.isnan(ps.values)
-    if present.all():
+    missing = np.isnan(ps.values)
+    if not missing.any():
         return ps
     model = fit_seasonal_model(ps)
-    idx = np.flatnonzero(~present)
-    day_index, slot = day_slot(ps, idx)
-    weekday0 = (ps.start.date().weekday() + day_index) % 7
+    idx = np.flatnonzero(missing)
+    slot, weekday0 = calendar_columns(ps, idx)
     filled = np.array(ps.values)
     filled[idx] = model.predict(idx.astype(float), slot, weekday0)
     filled.setflags(write=False)

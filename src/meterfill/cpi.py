@@ -238,24 +238,26 @@ def estimate_daily_energy(
     allocation = energy[gap] * counts / (stop - first)
 
     # A gap over several days takes the weekly pattern, centred on the
-    # gap's coverage of each day.  The two sums of each such gap are taken
-    # over its own pairs, so they add up in the order they always have.
+    # gap's coverage of each day.  The gaps over L days are handled as the
+    # rows of one (gaps, L) matrix of their pairs; a row's sum equals
+    # ``ndarray.sum`` of that gap's own pairs bit for bit.
     coverage = counts / days.slots[day]
     offs = np.array(pattern.offsets)[days.weekday[day] - 1]
-    weighted = coverage * offs
-    multi = np.flatnonzero(ndays > 1).tolist()
-    spans = [slice(offset[k], offset[k] + ndays[k]) for k in multi]
-    centre = np.zeros(len(gaps))
-    centre[multi] = [weighted[p].sum() / coverage[p].sum() for p in spans]
-    adjusted = allocation + coverage * (offs - centre[gap])
-    for k, pairs in zip(multi, spans):
-        if adjusted[pairs].min() >= 0:
-            allocation[pairs] = adjusted[pairs]
-        elif gaps[k].actual_energy > 0:  # clamp, then restore the gap total
-            clamped = np.clip(adjusted[pairs], 0.0, None)
-            total = clamped.sum()
-            if total > 0:
-                allocation[pairs] = clamped * (gaps[k].actual_energy / total)
+    for width in sorted(set(ndays.tolist()) - {1}):
+        rows = np.flatnonzero(ndays == width)
+        pairs = offset[rows, None] + np.arange(width)
+        cover = coverage[pairs]
+        centre = (cover * offs[pairs]).sum(axis=1) / cover.sum(axis=1)
+        adjusted = allocation[pairs] + cover * (offs[pairs] - centre[:, None])
+        fits = adjusted.min(axis=1) >= 0
+        allocation[pairs[fits]] = adjusted[fits]
+        clamp = ~fits & (energy[rows] > 0)
+        if clamp.any():  # clamp the negative shares, then restore the gap total
+            clamped = np.clip(adjusted[clamp], 0.0, None)
+            total = clamped.sum(axis=1)
+            kept = total > 0
+            scale = energy[rows[clamp][kept]] / total[kept]
+            allocation[pairs[clamp][kept]] = clamped[kept] * scale[:, None]
     extra = np.zeros(len(days))
     np.add.at(extra, day, allocation)
     return days.known_energy + extra

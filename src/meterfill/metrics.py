@@ -37,10 +37,9 @@ from .errors import MeterfillError, MetricError, ValidationError
 from .gapgen import MissingnessSpec, insert_missing
 from .series import (
     EnergySeries,
-    Gap,
     PowerSeries,
-    detect_gaps,
     energy_to_power,
+    gap_arrays,
     resolution_hours,
 )
 
@@ -62,7 +61,8 @@ def mape_p(actual: PowerSeries, imputed: PowerSeries, mask: Iterable[int]) -> Ma
 
     ``mask`` is any iterable of integer power indices (an integer array, a
     list, a set, a range or a generator) in ``[0, actual.n)``; duplicates
-    count once.  Any other index, or series of different lengths, raise
+    count once, and a strictly increasing integer array is used as the
+    index as it is.  Any other index, or series of different lengths, raise
     ``MetricError``.  Terms whose actual power is smaller than
     ``ZERO_ACTUAL_THRESHOLD`` in magnitude are excluded and counted in
     ``skipped``.
@@ -71,21 +71,7 @@ def mape_p(actual: PowerSeries, imputed: PowerSeries, mask: Iterable[int]) -> Ma
         raise MetricError(
             f"actual and imputed series differ in length: {actual.n} and {imputed.n}"
         )
-    raw = np.asarray(mask if isinstance(mask, np.ndarray) else list(mask))
-    if raw.size == 0:
-        raise MetricError("no evaluable points: empty mask")
-    if raw.dtype.kind not in "iuf" or raw.ndim != 1:
-        raise MetricError(
-            f"mask must be a flat sequence of integer indices, got a {raw.ndim}-d {raw.dtype} array"
-        )
-    bad = raw[(raw != np.trunc(raw)) | (raw < 0) | (raw >= actual.n)]
-    if bad.size:
-        raise MetricError(f"mask index {bad[0]} is not an integer in [0, {actual.n})")
-    # The sorted distinct indices, from a bitmap: np.unique (numpy 2.4) took
-    # 30 times as long on a one-year mask at 30 % share.
-    masked = np.zeros(actual.n, dtype=bool)
-    masked[raw.astype(np.int64)] = True
-    idx = np.flatnonzero(masked)
+    idx = _sorted_index(mask, actual.n)
     truth = actual.values[idx]
     guess = imputed.values[idx]
     if np.isnan(truth).any() or np.isnan(guess).any():
@@ -96,6 +82,40 @@ def mape_p(actual: PowerSeries, imputed: PowerSeries, mask: Iterable[int]) -> Ma
         raise MetricError("no evaluable points: all actual values are zero")
     value = float(np.mean(np.abs(guess[keep] - truth[keep]) / np.abs(truth[keep])))
     return MapeResult(value, skipped)
+
+
+def _sorted_index(mask: Iterable[int], n: int) -> np.ndarray:
+    """The sorted distinct indices of ``mask``, checked to lie in ``[0, n)``.
+
+    A strictly increasing one-dimensional integer array whose entries lie in
+    range already is that index (``np.flatnonzero`` gives one) and is used
+    as it is.
+    """
+    if (
+        isinstance(mask, np.ndarray)
+        and mask.dtype.kind in "iu"
+        and mask.ndim == 1
+        and mask.size
+        and mask[0] >= 0
+        and mask[-1] < n
+        and (mask[1:] > mask[:-1]).all()
+    ):
+        return mask
+    raw = np.asarray(mask if isinstance(mask, np.ndarray) else list(mask))
+    if raw.size == 0:
+        raise MetricError("no evaluable points: empty mask")
+    if raw.dtype.kind not in "iuf" or raw.ndim != 1:
+        raise MetricError(
+            f"mask must be a flat sequence of integer indices, got a {raw.ndim}-d {raw.dtype} array"
+        )
+    bad = raw[(raw != np.trunc(raw)) | (raw < 0) | (raw >= n)]
+    if bad.size:
+        raise MetricError(f"mask index {bad[0]} is not an integer in [0, {n})")
+    # The sorted distinct indices, from a bitmap: np.unique (numpy 2.4) took
+    # 30 times as long on a one-year mask at 30 % share.
+    masked = np.zeros(n, dtype=bool)
+    masked[raw.astype(np.int64)] = True
+    return np.flatnonzero(masked)
 
 
 def wape_e(actual_energies: Iterable[float], imputed_energies: Iterable[float]) -> float:
@@ -132,14 +152,16 @@ class GapSpans(NamedTuple):
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-def gap_spans(gaps: Sequence[Gap]) -> GapSpans:
-    """Group the gaps' power spans by length, for ``gap_energies``.
+def gap_spans(first: np.ndarray, last: np.ndarray, actual: np.ndarray) -> GapSpans:
+    """Group the power spans ``[first, last]`` of the gaps by length, for ``gap_energies``.
 
-    Every span's power indices are laid out in one flat index, by length
-    and then in gap order; each group's matrix is a reshaped slice of it.
+    The three arrays hold one entry per gap, as the ``gap_arrays`` columns
+    of the same names do.  Every span's power indices are laid out in one
+    flat index, by length and then in gap order; each group's matrix is a
+    reshaped slice of it.
     """
-    first = np.array([g.first_missing for g in gaps], dtype=np.int64)
-    length = np.array([g.last_missing for g in gaps], dtype=np.int64) - first + 1
+    first = np.asarray(first, dtype=np.int64)
+    length = np.asarray(last, dtype=np.int64) - first + 1
     order = np.argsort(length, kind="stable")
     length = length[order]
     offset = np.cumsum(length) - length
@@ -150,8 +172,7 @@ def gap_spans(gaps: Sequence[Gap]) -> GapSpans:
         (order[a:b], flat[offsets[a] : offsets[b]].reshape(b - a, widths[a]))
         for a, b in zip(edges, edges[1:])
     )
-    actual = np.array([g.actual_energy for g in gaps], dtype=np.float64)
-    return GapSpans(actual, groups)
+    return GapSpans(np.asarray(actual, dtype=np.float64), groups)
 
 
 def gap_energies(imputed: PowerSeries, spans: GapSpans) -> np.ndarray:
@@ -252,7 +273,8 @@ def _evaluate_cell(payload) -> list[ScoreRow]:
         actual = energy_to_power(series)
         degraded_power = energy_to_power(degraded)
         mask = np.flatnonzero(np.isnan(degraded_power.values))
-        spans = gap_spans(detect_gaps(degraded))
+        gaps = gap_arrays(degraded)
+        spans = gap_spans(gaps.first_missing, gaps.last_missing, gaps.actual_energy)
     except MeterfillError as exc:
         return [failed(m, exc) for m in methods]
 

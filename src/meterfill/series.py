@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -310,25 +310,46 @@ def _missing_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges[0::2], edges[1::2]
 
 
+class GapArrays(NamedTuple):
+    """The gaps of an energy series as columns, one entry per gap in order.
+
+    Each column is the ``Gap`` field of the same name; an anchor that a
+    boundary run lacks is NaN, and so is that gap's ``actual_energy``.
+    """
+
+    first_missing: np.ndarray
+    last_missing: np.ndarray
+    anchor_before: np.ndarray
+    anchor_after: np.ndarray
+    actual_energy: np.ndarray
+
+
+def gap_arrays(es: EnergySeries) -> GapArrays:
+    """Power spans and energy anchors of the maximal runs of missing readings.
+
+    A run of missing readings ``[a, b]`` spans the power indices
+    ``[a - 1, b]``; a run at the series start has no left anchor and
+    starts at ``a``, and one at the end has no right anchor and stops at
+    ``b - 1``.
+    """
+    run_starts, run_stops = _missing_runs(es.values)
+    first = np.maximum(run_starts - 1, 0)
+    last = np.minimum(run_stops, es.n - 1) - 1
+    before = np.where(run_starts > 0, es.values[first], np.nan)
+    after = np.where(run_stops < es.n, es.values[last + 1], np.nan)
+    return GapArrays(first, last, before, after, after - before)
+
+
 def detect_gaps(es: EnergySeries) -> list[Gap]:
     """Locate maximal runs of missing readings as power-domain gaps.
 
     Gaps are disjoint, sorted, and never adjacent.  Runs touching the series
     boundary yield unanchored gaps without an ``actual_energy``.
     """
-    run_starts, run_stops = _missing_runs(es.values)
-    n = es.n
-    gaps = []
-    for a, b in zip(run_starts.tolist(), (run_stops - 1).tolist()):
-        anchored_left = a > 0
-        anchored_right = b < n - 1
-        first = a - 1 if anchored_left else a
-        last = b if anchored_right else b - 1
-        before = float(es.values[a - 1]) if anchored_left else None
-        after = float(es.values[b + 1]) if anchored_right else None
-        energy = after - before if (before is not None and after is not None) else None
-        gaps.append(Gap(first, last, before, after, energy))
-    return gaps
+    first, last, *floats = (column.tolist() for column in gap_arrays(es))
+    # A missing anchor, and the energy of its gap, is None in a Gap.
+    floats = ([None if v != v else v for v in column] for column in floats)
+    return list(map(Gap, first, last, *floats))
 
 
 def day_partition(series: Series) -> DayTable:

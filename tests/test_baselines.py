@@ -1,14 +1,17 @@
 """Tests for the benchmark imputers."""
 
 from dataclasses import replace
-from datetime import datetime
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meterfill import (
     ImputationError,
     MissingnessSpec,
+    PowerSeries,
     energy_to_power,
     fit_seasonal_model,
     impute_hist_avg,
@@ -17,7 +20,12 @@ from meterfill import (
     insert_missing,
     synthetic_series,
 )
+from meterfill import baselines
+from meterfill.baselines import calendar_columns
+from meterfill.errors import MeterfillError
+from meterfill.series import day_slot
 
+import baseline_oracle
 import seasonal_oracle
 from conftest import power
 
@@ -244,3 +252,68 @@ def test_method_table_dispatches_through_the_module_functions(monkeypatch):
     monkeypatch.setattr(baselines, "impute_linear", lambda series: calls.append(series) or series)
     assert baselines.BASELINES["linear"](ps) is ps
     assert calls == [ps]
+
+
+# ---------------------------------------------------------------------------
+# Index-set bodies against the full-length oracle
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def gappy_power(draw):
+    """Power series over 14 days to 2 years with boundary runs and long outages.
+
+    Starts fall on or off the day boundary, now and then off the resolution
+    grid, and a 7-minute resolution does not divide a day.  Outages may
+    leave every value present, drop trend knots, empty a weekly slot or
+    leave under two weeks of data.
+    """
+    minutes = draw(st.sampled_from([5, 15, 15, 60, 60, 7]))
+    spd = 1440 // minutes
+    days = draw(st.integers(14, {5: 60, 15: 240, 60: 731, 7: 30}[minutes]))
+    day0 = draw(st.dates(date(2019, 1, 1), date(2021, 12, 31)))
+    start = datetime.combine(day0, datetime.min.time()) + draw(st.sampled_from(
+        [timedelta(0), timedelta(hours=7), timedelta(hours=7, minutes=15),
+         timedelta(hours=13), timedelta(minutes=3)]
+    ))
+    n = days * spd + draw(st.integers(-spd + 1, spd - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.arange(n)
+    values = (5.0 + 0.002 * t / spd + np.sin(2 * np.pi * t / spd)
+              + 0.5 * (t // spd % 7 >= 5) + 0.3 * rng.standard_normal(n))
+    values[rng.random(n) < draw(st.sampled_from([0.0, 0.01, 0.1, 0.3]))] = np.nan
+    for _ in range(draw(st.integers(0, 3))):
+        length = int(draw(st.sampled_from([1, spd // 2, 3 * spd, 8 * spd, 60 * spd, n])))
+        at = draw(st.sampled_from(["start", "end", "inside"]))
+        lo = 0 if at == "start" else n - length if at == "end" else rng.integers(0, n)
+        values[max(lo, 0) : lo + length] = np.nan
+    return PowerSeries(start, timedelta(minutes=minutes), values)
+
+
+def outcome(fn, ps):
+    """A fill's or a model's bytes, or the type and text of its error."""
+    try:
+        result = fn(ps)
+    except MeterfillError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, PowerSeries):
+        return result.values.tobytes()
+    return (result.knots, np.array(result.knot_values).tobytes(),
+            result.daily_profile.tobytes(), result.weekly_profile.tobytes())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(gappy_power())
+def test_baselines_match_the_full_length_oracle(ps):
+    for name in ("impute_linear", "impute_hist_avg", "fit_seasonal_model",
+                 "impute_seasonal_model"):
+        got = outcome(getattr(baselines, name), ps)
+        assert got == outcome(getattr(baseline_oracle, name), ps), name
+    try:
+        day, slot = day_slot(ps, np.arange(ps.n))
+    except MeterfillError:
+        return
+    for index in (np.flatnonzero(np.isnan(ps.values)), np.flatnonzero(~np.isnan(ps.values))):
+        columns = calendar_columns(ps, index)
+        assert np.array_equal(columns[0], slot[index])
+        assert np.array_equal(columns[1], (ps.start.weekday() + day[index]) % 7)

@@ -17,6 +17,7 @@ from meterfill import (
     MetricError,
     MissingnessSpec,
     ValidationError,
+    detect_gaps,
     evaluate,
     grid_search_weights,
     impute_cpi,
@@ -30,6 +31,7 @@ from meterfill import (
 from meterfill import cpi, metrics
 from meterfill.cpi import plan_cpi
 from meterfill.metrics import _cell_seed, format_aggregates_csv, format_report_csv
+from meterfill.series import gap_arrays
 
 import score_oracle
 from conftest import power
@@ -92,8 +94,13 @@ def set_based_mape(actual, imputed, mask):
         lambda: np.array([12, 1, 12, 5, 18]),
         lambda: np.array([2.0, 6.0, 2.0]),
         lambda: np.arange(20, dtype=np.uint16),
+        lambda: np.flatnonzero(np.arange(20) % 3 == 1),
+        lambda: np.array([0]),
+        lambda: np.array([19]),
+        lambda: np.array([1, 4, 9, 18], dtype=np.int32),
     ],
-    ids=["unsorted-duplicated", "set", "range", "generator", "ndarray", "float-ndarray", "uint"],
+    ids=["unsorted-duplicated", "set", "range", "generator", "ndarray", "float-ndarray", "uint",
+         "sorted-int64", "first-only", "last-only", "sorted-int32"],
 )
 def test_mape_matches_the_set_based_form(make_mask):
     rng = np.random.default_rng(4)
@@ -115,8 +122,11 @@ def test_mape_matches_the_set_based_form(make_mask):
         ([True, False], 4, "integer indices"),
         (np.zeros((2, 1), dtype=int), 4, "integer indices"),
         ([0, 1], 3, "differ in length: 4 and 3"),
+        (np.array([-1, 2]), 4, r"-1 is not an integer in \[0, 4\)"),
+        (np.array([1, 4]), 4, r"index 4 is not an integer in \[0, 4\)"),
     ],
-    ids=["negative", "past-the-end", "huge", "fractional", "nan", "bool", "nested", "length"],
+    ids=["negative", "past-the-end", "huge", "fractional", "nan", "bool", "nested", "length",
+         "sorted-negative", "sorted-past-the-end"],
 )
 def test_mape_rejects_a_bad_mask_or_length(mask, imputed_n, message):
     actual = power([1.0, 2.0, 3.0, 4.0])
@@ -185,7 +195,9 @@ def spans_over_power(draw):
 def test_grouped_gap_energies_match_the_per_gap_slices(case):
     imputed, gaps, actual_energies = case
     actual_gaps = [replace(g, actual_energy=float(e)) for g, e in zip(gaps, actual_energies)]
-    spans = metrics.gap_spans(actual_gaps)
+    first = np.array([g.first_missing for g in gaps], dtype=np.int64)
+    last = np.array([g.last_missing for g in gaps], dtype=np.int64)
+    spans = metrics.gap_spans(first, last, actual_energies)
     expected = score_oracle.gap_energies(imputed, actual_gaps)
     energies = metrics.gap_energies(imputed, spans)
     assert bits(energies) == bits(expected)
@@ -196,7 +208,7 @@ def test_grouped_gap_energies_match_the_per_gap_slices(case):
 
 
 def test_gap_spans_of_no_gaps_score_as_an_empty_list():
-    spans = metrics.gap_spans([])
+    spans = metrics.gap_spans(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), [])
     assert spans.groups == () and spans.actual.size == 0
     assert metrics.gap_energies(power([1.0, 2.0]), spans).size == 0
     with pytest.raises(MetricError, match="non-empty"):
@@ -204,8 +216,23 @@ def test_gap_spans_of_no_gaps_score_as_an_empty_list():
 
 
 def test_unanchored_gaps_have_no_actual_energy():
-    spans = metrics.gap_spans([Gap(0, 1, None, 3.0, None), Gap(3, 4, 1.0, 2.0, 1.0)])
+    spans = metrics.gap_spans(np.array([0, 3]), np.array([1, 4]), np.array([np.nan, 1.0]))
     assert np.isnan(spans.actual[0]) and spans.actual[1] == 1.0
+
+
+def test_gap_arrays_agree_with_the_gap_list():
+    readings = np.cumsum(np.random.default_rng(8).uniform(0.0, 2.0, 40))
+    readings[[0, 1, 7, 8, 9, 20, 38, 39]] = np.nan
+    es = EnergySeries(datetime(2018, 1, 1), timedelta(hours=1), readings)
+    gaps = detect_gaps(es)
+    arrays = gap_arrays(es)
+    spans = [(0, 1), (6, 9), (19, 20), (37, 38)]
+    assert [(g.first_missing, g.last_missing) for g in gaps] == spans
+    assert arrays.first_missing.tolist() == [g.first_missing for g in gaps]
+    assert arrays.last_missing.tolist() == [g.last_missing for g in gaps]
+    energies = [np.nan if g.actual_energy is None else g.actual_energy for g in gaps]
+    assert np.array_equal(arrays.actual_energy, energies, equal_nan=True)
+    assert np.isnan(arrays.actual_energy[[0, -1]]).all()
 
 
 # ---------------------------------------------------------------------------
