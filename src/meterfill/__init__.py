@@ -41,7 +41,6 @@ from .gapgen import MissingMask, MissingnessSpec, insert_missing
 from .metrics import (
     EvaluationReport,
     GridSearchResult,
-    MethodScore,
     evaluate,
     grid_search_weights,
     mape_p,

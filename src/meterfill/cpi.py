@@ -13,7 +13,7 @@ import calendar
 import math
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -89,9 +89,6 @@ class WeeklyPattern:
             raise ValidationError("weekly pattern needs exactly 7 offsets")
         if abs(sum(self.offsets)) > 1e-6:
             raise ValidationError("weekday offsets must sum to zero")
-
-    def offset_for(self, weekday: int) -> float:
-        return self.offsets[weekday - 1]
 
 
 @dataclass(frozen=True)
@@ -293,16 +290,15 @@ def season_distance(doy_i: np.ndarray, doy_j: np.ndarray, cycle_length: int) -> 
 class MatchTable:
     """The weight-independent part of matching days with gaps to donors.
 
-    Row i is ``days[i]``.  Every matrix holds that row's candidates in tie
-    order (smaller calendar distance first, then the earlier date), and
-    ``order[i, k]`` is the candidate index of column k, so the first
-    least-dissimilar column of a row is the tie-break winner.  ``energy``
-    is the absolute day-total difference, 0 where a total is missing, which
-    drops the energy term there.
+    Row i is the day-table row ``rows[i]`` of ``match_table`` (in a plan,
+    ``layout.days[i]``), and candidate index j is ``candidates[j]``.  Every
+    matrix holds a row's candidates in tie order (smaller calendar distance
+    first, then the earlier date), and ``order[i, k]`` is the candidate
+    index of column k, so the first least-dissimilar column of a row is the
+    tie-break winner.  ``energy`` is the absolute day-total difference, 0
+    where a total is missing, which drops the energy term there.
     """
 
-    days: tuple[date, ...]      # the day of each row
-    donors: tuple[date, ...]    # the date of each candidate
     weekday: np.ndarray         # weekday distances
     season: np.ndarray          # season distances
     energy: np.ndarray          # |day total - candidate total|
@@ -341,10 +337,7 @@ def match_table(
     day_of_year = days.day_of_year
     delta = np.abs(day_of_year[rows][:, None] - day_of_year[donor])
     energy = np.abs(days.total[donor] - days.total[rows][:, None])
-    ordinal = days.first.toordinal()
     return MatchTable(
-        days=tuple(map(date.fromordinal, (ordinal + rows).tolist())),
-        donors=tuple(map(date.fromordinal, (ordinal + candidates).tolist())),
         weekday=weekday_distance(week[:, None], week).ravel()[pair],
         season=season_distance(0, np.arange(367), ctx.cycle_length)[delta],
         energy=np.where(np.isnan(energy), 0.0, energy),
@@ -390,37 +383,33 @@ def match_weights(table: MatchTable, triples) -> np.ndarray:
 class PasteLayout:
     """Where a paste writes and what each gap spans, whatever the donors.
 
-    ``days`` are the days with missing power values, in date order: the
-    rows of a plan's match table.  ``missing`` holds every missing power
-    index and ``row`` the position of its day in ``days``.  Gap k covers
-    the power indices ``spans[k]`` and touches ``days[lo:hi]`` for
-    ``(lo, hi) = gap_rows[k]``.
+    ``days`` are the day-table rows (day offsets from the start's date)
+    that have missing power values, in date order: the rows of a plan's
+    match table.  ``missing`` holds every missing power index and ``row``
+    the position of its day in ``days``.  Gap k touches ``days[lo:hi]``
+    for ``(lo, hi) = gap_rows[k]``.
     """
 
     gaps: tuple[Gap, ...]
-    days: tuple[date, ...]
+    days: np.ndarray                        # the day-table rows with missing power
     missing: np.ndarray                     # missing power indices
-    row: np.ndarray                         # the row of `days` of each missing index
-    spans: tuple[slice, ...]                # power span of each gap
-    gap_rows: tuple[tuple[int, int], ...]   # the rows of `days` each gap touches
+    row: np.ndarray                         # the position in `days` of each missing index
+    gap_rows: tuple[tuple[int, int], ...]   # the positions in `days` each gap touches
 
 
 def paste_layout(ps: PowerSeries, gaps: Sequence[Gap]) -> PasteLayout:
     """The donor-independent part of pasting into ``ps`` and scaling ``gaps``."""
     missing = np.flatnonzero(np.isnan(ps.values))
     day, _ = day_slot(ps, missing)
-    offsets, row = np.unique(day, return_inverse=True)
-    # The day offsets of each gap's first and last missing value.
-    ends, _ = day_slot(ps, [[g.first_missing for g in gaps], [g.last_missing for g in gaps]])
-    lo = np.searchsorted(offsets, ends[0])
-    hi = np.searchsorted(offsets, ends[1], side="right")
-    date0 = ps.start.date()
+    days, row = np.unique(day, return_inverse=True)
+    first, last = _gap_day_range(ps, gaps)
+    lo = np.searchsorted(days, first)
+    hi = np.searchsorted(days, last, side="right")
     return PasteLayout(
         gaps=tuple(gaps),
-        days=tuple(date0 + timedelta(days=d) for d in offsets.tolist()),
+        days=days,
         missing=missing,
         row=row,
-        spans=tuple(slice(g.first_missing, g.last_missing + 1) for g in gaps),
         gap_rows=tuple(zip(lo.tolist(), hi.tolist())),
     )
 
@@ -428,30 +417,36 @@ def paste_layout(ps: PowerSeries, gaps: Sequence[Gap]) -> PasteLayout:
 def copy_paste_and_scale(
     ps: PowerSeries,
     layout: PasteLayout,
-    matches: Mapping[date, date],
-    energy: EnergySeries,
+    donors: np.ndarray,
     scale: bool = True,
-) -> ImputationResult:
-    """Fill missing power slots from matched days, then conserve gap energy.
+) -> tuple[PowerSeries, tuple[GapFill, ...]]:
+    """Fill missing power slots from donor days, then conserve gap energy.
 
-    Every missing power value is copied from the same within-day slot of the
-    matched donor day, a whole-day shift of its index.  Each anchored gap is
+    ``donors[i]`` is the day-table row of the donor of ``layout.days[i]``.
+    Every missing power value is copied from the same within-day slot of
+    its day's donor, a whole-day shift of its index.  Each anchored gap is
     then multiplied by the ratio of its metered energy to its pasted energy;
     if the pasted energy is zero or of opposite sign, the gap falls back to a
     uniform fill.  Unanchored gaps are pasted without scaling and flagged.
-    The pasted (and scaled) power is the result's ``imputed_power``; the
-    completed series are rebuilt from it by ``complete_from_power``.
-    ``layout`` is the ``paste_layout`` of ``ps`` and its gaps.
+    Returns the pasted (and scaled) power, a result's ``imputed_power``, and
+    the per-gap audit; ``complete_from_power`` builds the completed series
+    from them.  ``layout`` is the ``paste_layout`` of ``ps`` and its gaps.
     """
-    for day in layout.days:
-        if day not in matches:
-            raise ImputationError(f"no matched day supplied for {day}")
-    pairs = [(day, matches[day]) for day in layout.days]
-    shift = np.array([(donor - day).days for day, donor in pairs], dtype=np.int64)
+    donors = np.asarray(donors)
+    if donors.shape != layout.days.shape or not np.issubdtype(donors.dtype, np.integer):
+        raise ImputationError(
+            f"expected one integer donor row for each of {layout.days.size} days "
+            f"with gaps, got shape {donors.shape} of {donors.dtype}"
+        )
+    donors = donors.astype(np.int64)
+    shift = donors - layout.days
     src = layout.missing + shift[layout.row] * slots_per_day(ps.resolution)
     inside = (src >= 0) & (src < ps.n)
     donor_values = ps.values[np.where(inside, src, 0)]
     bad = ~inside | np.isnan(donor_values)
+    ordinal = ps.start.date().toordinal()
+    pairs = list(zip(*(map(date.fromordinal, (ordinal + rows).tolist())
+                       for rows in (layout.days, donors))))
     if bad.any():
         k = layout.row[bad.argmax()]  # the earliest day with a slot it cannot fill
         day, donor = pairs[k]
@@ -463,7 +458,8 @@ def copy_paste_and_scale(
 
     dt = resolution_hours(ps.resolution)
     fills = []
-    for gap, span, (lo, hi) in zip(layout.gaps, layout.spans, layout.gap_rows):
+    for gap, (lo, hi) in zip(layout.gaps, layout.gap_rows):
+        span = slice(gap.first_missing, gap.last_missing + 1)
         sources = tuple(pairs[lo:hi])
         if not gap.anchored:
             fills.append(GapFill(gap, sources, None, anchored=False))
@@ -482,8 +478,7 @@ def copy_paste_and_scale(
         fills.append(GapFill(gap, sources, factor, anchored=True))
 
     completed.setflags(write=False)
-    imputed = PowerSeries(start=ps.start, resolution=ps.resolution, values=completed)
-    return complete_from_power(energy, imputed, tuple(fills))
+    return PowerSeries(start=ps.start, resolution=ps.resolution, values=completed), tuple(fills)
 
 
 def complete_from_power(
@@ -521,7 +516,7 @@ class CpiPlan:
 
     series: EnergySeries        # input with isolated singles already filled
     power: PowerSeries
-    layout: PasteLayout         # the missing slots, their days, and every gap's span
+    layout: PasteLayout         # the missing slots, their days, and every gap's days
     days: DayTable
     candidates: np.ndarray      # the day-table rows of the copy candidates
     context: SeasonContext
@@ -577,9 +572,8 @@ def plan_cpi(es: EnergySeries, config: CpiConfig = CpiConfig()) -> CpiPlan:
     days = compile_complete_days(days, estimates)
     context = _season_context(days, candidates)
 
-    rows = np.flatnonzero(days.missing)
     day, slot = day_slot(power, layout.missing)
-    last_slot = slot[np.searchsorted(day, rows, side="right") - 1]
+    last_slot = slot[np.searchsorted(day, layout.days, side="right") - 1]
     return CpiPlan(
         series=filled,
         power=power,
@@ -587,14 +581,8 @@ def plan_cpi(es: EnergySeries, config: CpiConfig = CpiConfig()) -> CpiPlan:
         days=days,
         candidates=candidates,
         context=context,
-        table=match_table(days, rows, candidates, context, last_slot),
+        table=match_table(days, layout.days, candidates, context, last_slot),
     )
-
-
-def _match_days(plan: CpiPlan, weights: DissimilarityWeights) -> dict[date, date]:
-    table = plan.table
-    best = match_weights(table, [(weights.energy, weights.weekday, weights.season)])[0]
-    return {day: table.donors[j] for day, j in zip(table.days, best.tolist())}
 
 
 def run_plan(
@@ -605,11 +593,12 @@ def run_plan(
     """Impute the plan's series with the donors that ``weights`` pick.
 
     Only donor-dependent work happens here: matching on the plan's table,
-    then ``copy_paste_and_scale`` over the plan's paste layout, which turns
-    the donors into whole-day shifts and rebuilds the energy.
+    ``copy_paste_and_scale`` of the donors' day-table rows over the plan's
+    paste layout, and the energy rebuild of ``complete_from_power``.
     """
-    matches = _match_days(plan, weights)
-    return copy_paste_and_scale(plan.power, plan.layout, matches, plan.series, scale=scale)
+    best = match_weights(plan.table, [(weights.energy, weights.weekday, weights.season)])[0]
+    imputed, per_gap = copy_paste_and_scale(plan.power, plan.layout, plan.candidates[best], scale)
+    return complete_from_power(plan.series, imputed, per_gap)
 
 
 def impute_cpi(

@@ -195,15 +195,6 @@ def gap_energies(imputed: PowerSeries, spans: GapSpans) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MethodScore:
-    method: str
-    mape_p: float
-    wape_e: float
-    runtime_seconds: float
-    skipped_mape_terms: int
-
-
-@dataclass(frozen=True)
 class ScoreRow:
     series_id: str
     share: float
@@ -233,21 +224,18 @@ class EvaluationReport:
 
 
 def score_method(
-    method: str,
     actual: PowerSeries,
     mask: np.ndarray,
     spans: GapSpans,
     imputed: PowerSeries,
-    runtime_seconds: float,
-) -> MethodScore:
-    """Score a method's imputed power against the original power ``actual``.
+) -> tuple[MapeResult, float]:
+    """The MAPE and WAPE of a method's imputed power against ``actual``.
 
     ``mask`` is the degraded series' missing power indices, and ``spans``
     are its gaps as ``gap_spans`` groups them.
     """
     mape = mape_p(actual, imputed, mask)
-    wape = wape_e(spans.actual, gap_energies(imputed, spans))
-    return MethodScore(method, mape.value, wape, runtime_seconds, mape.skipped)
+    return mape, wape_e(spans.actual, gap_energies(imputed, spans))
 
 
 def _cell_seed(seed: int, series_index: int, share: float) -> int:
@@ -309,12 +297,11 @@ def _evaluate_cell(payload) -> list[ScoreRow]:
             else:
                 raise MetricError(f"unknown method {method!r}")
             elapsed = time.perf_counter() - started + shared_s
-            score = score_method(method, actual, mask, spans, imputed, elapsed)
+            mape, wape = score_method(actual, mask, spans, imputed)
         except MeterfillError as exc:
             rows.append(failed(method, exc))
         else:
-            rows.append(ScoreRow(sid, share, seed, method, score.mape_p, score.wape_e,
-                                 score.runtime_seconds, score.skipped_mape_terms))
+            rows.append(ScoreRow(sid, share, seed, method, mape.value, wape, elapsed, mape.skipped))
     return rows
 
 

@@ -45,6 +45,18 @@ def with_missing(series, indices):
     )
 
 
+def matched_days(plan, weights):
+    """Each day with gaps of ``plan`` mapped to the donor day ``weights`` pick."""
+    from meterfill.cpi import match_weights
+
+    best = match_weights(plan.table, [(weights.energy, weights.weekday, weights.season)])[0]
+    first = plan.days.first
+    return {
+        first + timedelta(days=day): first + timedelta(days=donor)
+        for day, donor in zip(plan.layout.days.tolist(), plan.candidates[best].tolist())
+    }
+
+
 def assert_untouched(original, result_values):
     """Every originally present value is unchanged bit-for-bit."""
     present = ~np.isnan(original.values)

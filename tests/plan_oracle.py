@@ -179,7 +179,7 @@ def estimate_daily_energy(series, days, gaps, pattern) -> dict[date, float]:
         if touched.size > 1:
             coverage = counts / np.array([days[i].slots for i in touched])
             offs = np.array(
-                [pattern.offset_for(days[i].date.isoweekday()) for i in touched]
+                [pattern.offsets[days[i].date.isoweekday() - 1] for i in touched]
             )
             centred = offs - (coverage * offs).sum() / coverage.sum()
             adjusted = allocation + coverage * centred
@@ -234,8 +234,6 @@ def match_table(days, candidates, ctx, keep=None) -> MatchTable:
 
     energy = np.abs(row("total_energy") - column("total_energy"))
     return MatchTable(
-        days=tuple(d.date for d in days),
-        donors=tuple(c.date for c in candidates),
         weekday=weekday_distance(column("weekday"), row("weekday")),
         season=season_distance(column("day_of_year"), row("day_of_year"), ctx.cycle_length),
         energy=np.where(np.isnan(energy), 0.0, energy),
@@ -267,15 +265,20 @@ def season_context(records, candidates) -> SeasonContext:
 
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """What the earlier ``plan_cpi`` held; ``run_plan`` reads the last four."""
+    """What the earlier ``plan_cpi`` held; ``run_plan`` reads the last five.
+
+    ``candidate_records`` are the records of the copy candidates, and
+    ``candidates`` their day-table rows, as the package's plan holds them.
+    """
 
     days: tuple[DayView, ...]
     records: tuple[DayRecord, ...]
-    candidates: tuple[DayRecord, ...]
+    candidate_records: tuple[DayRecord, ...]
     context: SeasonContext
     series: EnergySeries
     power: object
     layout: PasteLayout
+    candidates: np.ndarray
     table: MatchTable
 
 
@@ -306,22 +309,23 @@ def plan_cpi(es, config=CpiConfig()) -> Plan:
     usable = {d: v for d, v in estimates.items() if d not in blocked}
 
     records = compile_complete_days(days, usable)
-    candidates = [r for r in records if r.is_complete and r.full_day]
+    rows = [i for i, r in enumerate(records) if r.is_complete and r.full_day]
+    candidates = [records[i] for i in rows]
     context = season_context(records, candidates)
 
-    rows = [i for i, r in enumerate(records) if not r.is_complete]
+    gap_rows = [i for i, r in enumerate(records) if not r.is_complete]
     day, slot = day_slot(power, layout.missing)
-    last_slot = slot[np.searchsorted(day, rows, side="right") - 1]
-    date0 = power.start.date()
-    donor_slots = np.array([days[(c.date - date0).days].slots for c in candidates])
+    last_slot = slot[np.searchsorted(day, gap_rows, side="right") - 1]
+    donor_slots = np.array([days[i].slots for i in rows])
     keep = donor_slots > last_slot[:, None]
     return Plan(
         days=tuple(days),
         records=tuple(records),
-        candidates=tuple(candidates),
+        candidate_records=tuple(candidates),
         context=context,
         series=filled,
         power=power,
         layout=layout,
-        table=match_table([records[i] for i in rows], candidates, context, keep),
+        candidates=np.array(rows, dtype=np.int64),
+        table=match_table([records[i] for i in gap_rows], candidates, context, keep),
     )

@@ -31,6 +31,7 @@ from meterfill import cpi
 from meterfill.cpi import (
     DEFAULT_WEIGHTS,
     WeeklyPattern,
+    complete_from_power,
     match_table,
     match_weights,
     paste_layout,
@@ -42,7 +43,15 @@ from meterfill.cpi import (
 
 import paste_oracle
 import plan_oracle
-from conftest import HOUR, MONDAY, QUARTER_HOUR, assert_untouched, energy, with_missing
+from conftest import (
+    HOUR,
+    MONDAY,
+    QUARTER_HOUR,
+    assert_untouched,
+    energy,
+    matched_days,
+    with_missing,
+)
 from dissimilarity_oracle import combine_distances, dissimilarity, lexsort_donors
 from plan_oracle import best_donors
 
@@ -252,7 +261,7 @@ def test_fourteen_day_series_with_two_gap_days_has_twelve_candidates():
     assert len(days) == 14
     plan = plan_cpi(es, CpiConfig(min_complete_days=12))
     assert plan.candidates.tolist() == [0, 1, 2, 3, 6, 7, 8, 9, 10, 11, 12, 13]
-    assert plan.table.days == (date(2018, 1, 5), date(2018, 1, 6))
+    assert plan.layout.days.tolist() == [4, 5]
     assert np.flatnonzero(np.isnan(days.total)).tolist() == [4, 5]
 
 
@@ -612,26 +621,25 @@ def test_match_table_orders_each_row_by_calendar_distance_then_date():
     candidates = np.array([0, 2, 6, 13])  # the 12th, 14th, 18th and 25th
     match = match_table(days, np.array([3]), candidates, SeasonContext(365, 0.0, 10.0),
                         np.array([0]))
-    dates = [match.donors[j].day for j in match.order[0]]
-    assert dates == [14, 12, 18, 25]
-    assert match.keep.all() and match.days == (date(2018, 6, 15),)
+    assert (12 + candidates[match.order[0]]).tolist() == [14, 12, 18, 25]
+    assert match.keep.all()
     assert match.energy.tolist() == [[0.0] * 4]
 
 
 def test_plan_match_uses_the_table_built_with_the_plan(year_series):
     degraded = with_missing(year_series, range(5000, 5400))
     plan = plan_cpi(degraded)
-    first = plan.days.first
-    rows = np.flatnonzero(plan.days.missing).tolist()
-    assert plan.table.days == tuple(first + timedelta(days=d) for d in rows)
-    assert plan.table.donors == tuple(first + timedelta(days=d) for d in plan.candidates.tolist())
+    assert plan.table.order.shape == (plan.layout.days.size, plan.candidates.size)
     with mock.patch("meterfill.cpi.match_table", wraps=match_table) as build:
-        matches = cpi._match_days(plan, DissimilarityWeights())
+        result = run_plan(plan, DissimilarityWeights())
     assert build.call_count == 0
+    matches = matched_days(plan, DissimilarityWeights())
+    assert dict(pair for fill in result.per_gap for pair in fill.sources) == matches
     oracle = plan_oracle.plan_cpi(degraded)
     gap_days = [r for r in oracle.records if not r.is_complete]
-    best = lexsort_donors(gap_days, oracle.candidates, DissimilarityWeights(), oracle.context)
-    assert matches == {r.date: oracle.candidates[j].date for r, j in zip(gap_days, best)}
+    candidates = oracle.candidate_records
+    best = lexsort_donors(gap_days, candidates, DissimilarityWeights(), oracle.context)
+    assert matches == {r.date: candidates[j].date for r, j in zip(gap_days, best)}
 
 
 # ---------------------------------------------------------------------------
@@ -652,9 +660,17 @@ def _gap_series(day1_power, actual_gap_power, missing_slots=(1, 2, 3, 4)):
     return es
 
 
+def _paste_dates(ps, layout, matches, es, scale=True):
+    """The completed paste of ``matches``, a ``day with gaps -> donor day`` dict."""
+    first = ps.start.date()
+    donors = [(matches[first + timedelta(days=d)] - first).days for d in layout.days.tolist()]
+    imputed, per_gap = copy_paste_and_scale(ps, layout, np.array(donors, dtype=np.int64), scale)
+    return complete_from_power(es, imputed, per_gap)
+
+
 def _paste(es, matches, scale=True):
     ps = energy_to_power(es)
-    return copy_paste_and_scale(ps, paste_layout(ps, detect_gaps(es)), matches, es, scale=scale)
+    return _paste_dates(ps, paste_layout(ps, detect_gaps(es)), matches, es, scale)
 
 
 def _donor_short_of_metered_energy():
@@ -756,10 +772,14 @@ def test_donor_outside_the_series_is_an_imputation_error():
         _paste(es, {date(2018, 1, 2): date(2018, 1, 9)})
 
 
-def test_day_without_a_match_is_an_imputation_error():
+@pytest.mark.parametrize("donors", [[], [0, 0], [0.0]], ids=["empty", "too-long", "float"])
+def test_donors_other_than_one_integer_row_per_day_are_an_imputation_error(donors):
     es = with_missing(energy(np.arange(73.0)), range(26, 29))
-    with pytest.raises(ImputationError, match="no matched day supplied for 2018-01-02"):
-        _paste(es, {})
+    ps = energy_to_power(es)
+    layout = paste_layout(ps, detect_gaps(es))
+    assert layout.days.tolist() == [1]
+    with pytest.raises(ImputationError, match="integer donor row"):
+        copy_paste_and_scale(ps, layout, np.array(donors))
 
 
 def test_donor_missing_a_needed_slot_is_an_imputation_error():
@@ -891,7 +911,13 @@ def test_paste_matches_the_per_call_oracle(inputs):
     ps, gaps, matches, es, scale = inputs
     want = _outcome(paste_oracle.copy_paste_and_scale, ps, gaps, matches, es, scale)
     layout = paste_layout(ps, gaps)
-    _assert_same_outcome(_outcome(copy_paste_and_scale, ps, layout, matches, es, scale), want)
+    first = ps.start.date()
+    if any(first + timedelta(days=d) not in matches for d in layout.days.tolist()):
+        # The package takes one donor row per day with gaps, so only the
+        # oracle can be handed a day without one.
+        assert isinstance(want, tuple) and want[1].startswith("no matched day supplied")
+        return
+    _assert_same_outcome(_outcome(_paste_dates, ps, layout, matches, es, scale), want)
 
 
 def test_paste_oracle_draws_cover_every_case():
@@ -929,7 +955,7 @@ def test_run_plan_pastes_as_the_oracle_does_from_the_plan_matches(slots, hour):
     degraded, _ = insert_missing(truth, MissingnessSpec(share=0.2, seed=hour))
     plan = plan_cpi(degraded)
     for weights in (DissimilarityWeights(), DissimilarityWeights(1.0, 0.0, 3.0)):
-        matches = cpi._match_days(plan, weights)
+        matches = matched_days(plan, weights)
         for scale in (True, False):
             want = paste_oracle.copy_paste_and_scale(
                 plan.power, plan.gaps, matches, plan.series, scale
@@ -943,13 +969,15 @@ def test_plan_layout_rows_are_the_match_table_rows(year_series):
     degraded, _ = insert_missing(year_series, MissingnessSpec(share=0.1, seed=4))
     plan = plan_cpi(degraded)
     layout = plan.layout
-    assert layout.days == plan.table.days
+    assert layout.days.dtype == np.int64
+    assert np.array_equal(layout.days, np.flatnonzero(plan.days.missing))
+    assert plan.table.order.shape[0] == layout.days.size
     assert layout.gaps == plan.gaps == tuple(detect_gaps(plan.series))
     assert np.array_equal(layout.missing, np.flatnonzero(np.isnan(plan.power.values)))
-    for gap, span, (lo, hi) in zip(layout.gaps, layout.spans, layout.gap_rows):
-        first, last = (plan.power.timestamp(i).date() for i in (span.start, span.stop - 1))
-        assert (layout.days[lo], layout.days[hi - 1]) == (first, last)
-        assert (span.start, span.stop) == (gap.first_missing, gap.last_missing + 1)
+    for gap, (lo, hi) in zip(layout.gaps, layout.gap_rows):
+        first, last = (plan.power.timestamp(i).date() for i in (gap.first_missing, gap.last_missing))
+        days = [plan.days.first + timedelta(days=d) for d in layout.days[[lo, hi - 1]].tolist()]
+        assert days == [first, last]
 
 
 # ---------------------------------------------------------------------------
@@ -1029,19 +1057,22 @@ def _assert_same_plan(got, want):
     assert got.days.total.tobytes() == totals.tobytes()
     assert got.days.weekday.tolist() == [r.weekday for r in records]
     assert got.days.day_of_year.tolist() == [r.day_of_year for r in records]
-    assert [records[i].date for i in got.candidates.tolist()] == [c.date for c in want.candidates]
+    assert got.candidates.tobytes() == want.candidates.tobytes()
+    assert [records[i].date for i in got.candidates.tolist()] == [
+        c.date for c in want.candidate_records
+    ]
 
     assert got.context == want.context
     assert type(got.context.energy_min) is float and type(got.context.energy_max) is float
 
     a, b = got.layout, want.layout
-    assert (a.gaps, a.days, a.spans, a.gap_rows) == (b.gaps, b.days, b.spans, b.gap_rows)
-    assert a.missing.tobytes() == b.missing.tobytes() and a.row.tobytes() == b.row.tobytes()
+    assert (a.gaps, a.gap_rows) == (b.gaps, b.gap_rows)
+    for name in ("days", "missing", "row"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
     for name in ("weekday", "season", "energy", "keep", "order"):
         a, b = getattr(got.table, name), getattr(want.table, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-    assert (got.table.days, got.table.donors) == (want.table.days, want.table.donors)
     assert got.table.energy_range == want.table.energy_range
     triples = [(5, 1, 10), (1, 0, 0), (0, 1, 1), (2.5, 0.5, 7)]
     assert np.array_equal(match_weights(got.table, triples), match_weights(want.table, triples))
@@ -1284,3 +1315,49 @@ def test_year_run_conserves_energy_and_is_idempotent(year_series):
     again = impute_cpi(result.completed_energy)
     assert np.array_equal(again.completed_energy.values, result.completed_energy.values)
     assert np.array_equal(again.completed_power.values, result.completed_power.values)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_plan_inputs())
+def test_impute_cpi_fills_every_gap_from_complete_donors(es):
+    """Wherever a plan can be built, both copy-paste methods keep their invariants.
+
+    Present readings are untouched, every donor is another complete full
+    day, the unscaled paste copies the donor's value at the same
+    within-day slot, the scaled paste conserves each anchored gap's
+    metered energy, and scaling leaves the donors as they are.
+    """
+    if isinstance(_outcome(plan_cpi, es), tuple):
+        return
+    scaled, unscaled = impute_cpi(es), impute_cpi(es, scale=False)
+    present = ~np.isnan(es.values)
+    for result in (scaled, unscaled):
+        assert result.completed_energy.values[present].tobytes() == es.values[present].tobytes()
+    assert [f.sources for f in scaled.per_gap] == [f.sources for f in unscaled.per_gap]
+
+    filled = interpolate_singles(es)
+    days = day_partition(filled)
+    donors = np.full(len(days), -1)  # the day-table row of each day's donor
+    for fill in unscaled.per_gap:
+        assert fill.sources
+        for day, donor in fill.sources:
+            row, source = (day - days.first).days, (donor - days.first).days
+            assert source != row
+            assert days.missing[source] == 0 and days.full_day[source]
+            donors[row] = source
+
+    ps = energy_to_power(filled)
+    spd = timedelta(days=1) // es.resolution
+    first_slot = (es.start - datetime.combine(days.first, time())) // es.resolution
+    missing = np.flatnonzero(np.isnan(ps.values))
+    day = (first_slot + missing) // spd
+    assert (donors[day] >= 0).all()
+    source = missing + (donors[day] - day) * spd
+    assert unscaled.imputed_power.values[missing].tobytes() == ps.values[source].tobytes()
+
+    dt = es.resolution / HOUR
+    for fill in scaled.per_gap:
+        if fill.anchored:
+            span = slice(fill.gap.first_missing, fill.gap.last_missing + 1)
+            pasted = scaled.imputed_power.values[span].sum() * dt
+            assert pasted == pytest.approx(fill.gap.actual_energy, rel=1e-9)

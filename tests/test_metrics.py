@@ -34,7 +34,7 @@ from meterfill.metrics import _cell_seed, format_aggregates_csv, format_report_c
 from meterfill.series import gap_arrays
 
 import score_oracle
-from conftest import power
+from conftest import matched_days, power
 from grid_oracle import grid_search_per_triple
 
 
@@ -515,7 +515,7 @@ def test_grid_search_scores_each_distinct_assignment_once_per_series():
         return plan_cpi(series)
 
     def run(plan, weights):
-        log.append(tuple(sorted(cpi._match_days(plan, weights).items())))
+        log.append(tuple(sorted(matched_days(plan, weights).items())))
         return cpi.run_plan(plan, weights)
 
     with mock.patch.object(metrics, "plan_cpi", plan), mock.patch.object(metrics, "run_plan", run):
