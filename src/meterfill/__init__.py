@@ -4,31 +4,13 @@ The copy-paste imputer fills each day that has missing values with the most
 similar complete day of the same series, then rescales every gap so the
 metered energy across the gap is preserved exactly.  Linear, historical
 average and seasonal-model benchmarks plus a degradation/evaluation harness
-round out the package.
+round out the package.  The top level holds what README documents; the
+plan's stages and the series internals live in ``meterfill.cpi``,
+``meterfill.series`` and ``meterfill.baselines``.
 """
 
-from .baselines import (
-    SeasonalModel,
-    fit_seasonal_model,
-    impute_hist_avg,
-    impute_linear,
-    impute_seasonal_model,
-)
-from .cpi import (
-    CpiConfig,
-    DEFAULT_WEIGHTS,
-    DissimilarityWeights,
-    GapFill,
-    ImputationResult,
-    SeasonContext,
-    WeeklyPattern,
-    compile_complete_days,
-    copy_paste_and_scale,
-    estimate_daily_energy,
-    fit_weekly_pattern,
-    impute_cpi,
-    interpolate_singles,
-)
+from .baselines import impute_hist_avg, impute_linear, impute_seasonal_model
+from .cpi import DEFAULT_WEIGHTS, DissimilarityWeights, GapFill, ImputationResult, impute_cpi
 from .errors import (
     ImputationError,
     InfeasibleSpecError,
@@ -48,16 +30,11 @@ from .metrics import (
     wape_e,
 )
 from .series import (
-    DayTable,
     EnergySeries,
-    Gap,
     MeterKind,
     ParseConfig,
     PowerSeries,
-    day_partition,
-    detect_gaps,
     energy_to_power,
-    fill_energy_from_power,
     parse_series,
     power_to_energy,
     read_series,

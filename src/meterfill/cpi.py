@@ -33,6 +33,7 @@ from .series import (
     slots_per_day,
 )
 
+_MAX_ORDINAL = date.max.toordinal()
 WEEKDAY_NAMES = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday")
 
 
@@ -127,11 +128,6 @@ class ImputationResult:
             raise ValidationError("completed energy series still contains missing values")
         if np.isnan(self.imputed_power.values).any():
             raise ValidationError("imputed power series still contains missing values")
-
-
-@dataclass(frozen=True)
-class CpiConfig:
-    min_complete_days: int = 14
 
 
 def interpolate_singles(es: EnergySeries) -> EnergySeries:
@@ -438,21 +434,24 @@ def copy_paste_and_scale(
             f"expected one integer donor row for each of {layout.days.size} days "
             f"with gaps, got shape {donors.shape} of {donors.dtype}"
         )
-    donors = donors.astype(np.int64)
-    shift = donors - layout.days
-    src = layout.missing + shift[layout.row] * slots_per_day(ps.resolution)
-    inside = (src >= 0) & (src < ps.n)
+    # A row outside the series' days covers none of its day's slots.  It is
+    # set aside before the index arithmetic, which could overflow on it.
+    in_range = (donors >= 0) & (donors <= int(day_slot(ps, ps.n - 1)[0]))
+    rows = np.where(in_range, donors.astype(np.int64), layout.days)
+    src = layout.missing + (rows - layout.days)[layout.row] * slots_per_day(ps.resolution)
+    inside = in_range[layout.row] & (src >= 0) & (src < ps.n)
     donor_values = ps.values[np.where(inside, src, 0)]
     bad = ~inside | np.isnan(donor_values)
     ordinal = ps.start.date().toordinal()
-    pairs = list(zip(*(map(date.fromordinal, (ordinal + rows).tolist())
-                       for rows in (layout.days, donors))))
     if bad.any():
         k = layout.row[bad.argmax()]  # the earliest day with a slot it cannot fill
-        day, donor = pairs[k]
+        day = date.fromordinal(ordinal + int(layout.days[k]))
+        donor = ordinal + int(donors[k])  # named by its row where no date holds it
+        donor = date.fromordinal(donor) if 1 <= donor <= _MAX_ORDINAL else f"at row {donors[k]}"
         if not inside[layout.row == k].all():
             raise ImputationError(f"matched day {donor} does not cover all slots needed by {day}")
         raise ImputationError(f"matched day {donor} is not complete")
+    pairs = list(zip(*(map(date.fromordinal, (ordinal + r).tolist()) for r in (layout.days, rows))))
     completed = np.array(ps.values)
     completed[layout.missing] = donor_values
 
@@ -522,10 +521,6 @@ class CpiPlan:
     context: SeasonContext
     table: MatchTable           # the days with gaps against the candidates
 
-    @property
-    def gaps(self) -> tuple[Gap, ...]:
-        return self.layout.gaps
-
 
 def _season_context(days: DayTable, candidates: np.ndarray) -> SeasonContext:
     """Cycle length and day-total range of the candidates and the estimated days."""
@@ -542,13 +537,14 @@ def _season_context(days: DayTable, candidates: np.ndarray) -> SeasonContext:
     return SeasonContext(366 if leap_day else 365, lo, hi)
 
 
-def plan_cpi(es: EnergySeries, config: CpiConfig = CpiConfig()) -> CpiPlan:
+def plan_cpi(es: EnergySeries, min_complete_days: int = 14) -> CpiPlan:
     """Run the weight-independent pipeline stages once for a series.
 
     One day table carries the plan from the partition to the match table:
     the weekly fit reads its complete full days, the gap-day estimates and
     the day totals become its ``total`` column, and the match table is
-    built by indexing its columns.
+    built by indexing its columns.  The series needs at least
+    ``min_complete_days`` complete full days.
     """
     filled = interpolate_singles(es)
     gaps = detect_gaps(filled)
@@ -557,12 +553,12 @@ def plan_cpi(es: EnergySeries, config: CpiConfig = CpiConfig()) -> CpiPlan:
     days = day_partition(filled)
 
     candidates = np.flatnonzero((days.missing == 0) & days.full_day)
-    if candidates.size < config.min_complete_days:
+    if candidates.size < min_complete_days:
         raise ImputationError(
-            f"copy-paste imputation needs at least {config.min_complete_days} "
+            f"copy-paste imputation needs at least {min_complete_days} "
             f"complete days, got {candidates.size}"
         )
-    pattern = fit_weekly_pattern(days, candidates, min_days=config.min_complete_days)
+    pattern = fit_weekly_pattern(days, candidates, min_days=min_complete_days)
 
     estimates = estimate_daily_energy(filled, days, [g for g in gaps if g.anchored], pattern)
     # Days touched by an unanchored boundary gap get no energy estimate and
@@ -604,8 +600,8 @@ def run_plan(
 def impute_cpi(
     es: EnergySeries,
     weights: DissimilarityWeights = DEFAULT_WEIGHTS,
-    config: CpiConfig = CpiConfig(),
     scale: bool = True,
+    min_complete_days: int = 14,
 ) -> ImputationResult:
     """Impute every missing value of an energy series by copy-paste.
 
@@ -614,9 +610,11 @@ def impute_cpi(
     power conserves the metered energy of every anchored gap (unless
     ``scale`` is false, in which case the miss shows in ``imputed_power``
     and as a jump at each gap's right anchor in the completed series).
+    ``min_complete_days`` is the least number of complete days ``plan_cpi``
+    accepts.
     """
     filled = interpolate_singles(es)
     if not np.isnan(filled.values).any():
         power = energy_to_power(filled)
         return ImputationResult(power, filled, (), power)
-    return run_plan(plan_cpi(filled, config), weights, scale=scale)
+    return run_plan(plan_cpi(filled, min_complete_days), weights, scale=scale)

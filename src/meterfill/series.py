@@ -104,10 +104,6 @@ class EnergySeries:
     def timestamp(self, index: int) -> datetime:
         return self.start + index * self.resolution
 
-    @property
-    def missing(self) -> np.ndarray:
-        return np.isnan(self.values)
-
 
 @dataclass(frozen=True, eq=False)
 class PowerSeries:
@@ -128,10 +124,6 @@ class PowerSeries:
 
     def timestamp(self, index: int) -> datetime:
         return self.start + index * self.resolution
-
-    @property
-    def missing(self) -> np.ndarray:
-        return np.isnan(self.values)
 
 
 Series = Union[EnergySeries, PowerSeries]

@@ -9,7 +9,8 @@ compare the batch against.
 
 import numpy as np
 
-from meterfill import DissimilarityWeights, SeasonContext
+from meterfill import DissimilarityWeights
+from meterfill.cpi import SeasonContext
 from meterfill.cpi import season_distance as season_matrix
 from meterfill.cpi import weekday_distance as weekday_matrix
 from plan_oracle import DayRecord

@@ -15,19 +15,13 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 import numpy as np
 
-from meterfill import (
-    CpiConfig,
-    DissimilarityWeights,
-    EnergySeries,
-    ImputationError,
-    SeasonContext,
-    ValidationError,
-    WeeklyPattern,
-)
+from meterfill import DissimilarityWeights, EnergySeries, ImputationError, ValidationError
 from meterfill.cpi import (
     WEEKDAY_NAMES,
     MatchTable,
     PasteLayout,
+    SeasonContext,
+    WeeklyPattern,
     interpolate_singles,
     match_weights,
     paste_layout,
@@ -282,7 +276,7 @@ class Plan:
     table: MatchTable
 
 
-def plan_cpi(es, config=CpiConfig()) -> Plan:
+def plan_cpi(es, min_complete_days=14) -> Plan:
     filled = interpolate_singles(es)
     gaps = detect_gaps(filled)
     power = energy_to_power(filled)
@@ -292,14 +286,14 @@ def plan_cpi(es, config=CpiConfig()) -> Plan:
     complete_full = [
         view for view in days if view.missing == 0 and view.covers_full_day
     ]
-    if len(complete_full) < config.min_complete_days:
+    if len(complete_full) < min_complete_days:
         raise ImputationError(
-            f"copy-paste imputation needs at least {config.min_complete_days} "
+            f"copy-paste imputation needs at least {min_complete_days} "
             f"complete days, got {len(complete_full)}"
         )
     pattern = fit_weekly_pattern(
         [(v.date, v.known_energy) for v in complete_full],
-        min_days=config.min_complete_days,
+        min_days=min_complete_days,
     )
 
     anchored = [g for g in gaps if g.anchored]

@@ -22,7 +22,6 @@ from meterfill import (
     DissimilarityWeights,
     MissingnessSpec,
     ParseConfig,
-    detect_gaps,
     energy_to_power,
     evaluate,
     impute_cpi,
@@ -35,6 +34,7 @@ from meterfill import (
     wape_e,
 )
 from meterfill.cpi import season_distance, weekday_distance
+from meterfill.series import detect_gaps
 
 from conftest import QUARTER_HOUR, energy
 from dissimilarity_oracle import combine_distances

@@ -13,7 +13,6 @@ from meterfill import (
     MissingnessSpec,
     PowerSeries,
     energy_to_power,
-    fit_seasonal_model,
     impute_hist_avg,
     impute_linear,
     impute_seasonal_model,
@@ -21,7 +20,7 @@ from meterfill import (
     synthetic_series,
 )
 from meterfill import baselines
-from meterfill.baselines import calendar_columns
+from meterfill.baselines import calendar_columns, fit_seasonal_model
 from meterfill.errors import MeterfillError
 from meterfill.series import day_slot
 

@@ -8,30 +8,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meterfill import (
-    CpiConfig,
-    DayTable,
     DissimilarityWeights,
     EnergySeries,
     ImputationError,
     MeterfillError,
     MeterKind,
-    SeasonContext,
     ValidationError,
-    compile_complete_days,
-    copy_paste_and_scale,
-    day_partition,
-    detect_gaps,
     energy_to_power,
-    estimate_daily_energy,
-    fit_weekly_pattern,
     impute_cpi,
-    interpolate_singles,
 )
 from meterfill import cpi
 from meterfill.cpi import (
     DEFAULT_WEIGHTS,
+    SeasonContext,
     WeeklyPattern,
+    compile_complete_days,
     complete_from_power,
+    copy_paste_and_scale,
+    estimate_daily_energy,
+    fit_weekly_pattern,
+    interpolate_singles,
     match_table,
     match_weights,
     paste_layout,
@@ -40,6 +36,7 @@ from meterfill.cpi import (
     season_distance,
     weekday_distance,
 )
+from meterfill.series import DayTable, day_partition, detect_gaps
 
 import paste_oracle
 import plan_oracle
@@ -259,7 +256,7 @@ def test_fourteen_day_series_with_two_gap_days_has_twelve_candidates():
     days = day_partition(es)
     days = compile_complete_days(days, _no_estimates(days))
     assert len(days) == 14
-    plan = plan_cpi(es, CpiConfig(min_complete_days=12))
+    plan = plan_cpi(es, min_complete_days=12)
     assert plan.candidates.tolist() == [0, 1, 2, 3, 6, 7, 8, 9, 10, 11, 12, 13]
     assert plan.layout.days.tolist() == [4, 5]
     assert np.flatnonzero(np.isnan(days.total)).tolist() == [4, 5]
@@ -772,6 +769,25 @@ def test_donor_outside_the_series_is_an_imputation_error():
         _paste(es, {date(2018, 1, 2): date(2018, 1, 9)})
 
 
+@pytest.mark.parametrize("row", [-800000, 5000000, 2**62])
+def test_donor_row_beyond_any_date_is_an_imputation_error(row):
+    """A row no ``datetime.date`` holds is named by its number.
+
+    Row 2**62 would wrap to day 0 in the index arithmetic, whose slots are
+    present, so the rows are checked against the series before it.
+    """
+    from meterfill import synthetic_series
+
+    es = with_missing(synthetic_series(3, days=60, slots_per_day=24), range(49, 53))
+    ps = energy_to_power(es)
+    layout = paste_layout(ps, detect_gaps(es))
+    assert layout.days.tolist() == [2]
+    with pytest.raises(
+        ImputationError, match=f"matched day at row {row} does not cover all slots needed by "
+    ):
+        copy_paste_and_scale(ps, layout, np.array([row]))
+
+
 @pytest.mark.parametrize("donors", [[], [0, 0], [0.0]], ids=["empty", "too-long", "float"])
 def test_donors_other_than_one_integer_row_per_day_are_an_imputation_error(donors):
     es = with_missing(energy(np.arange(73.0)), range(26, 29))
@@ -946,6 +962,33 @@ def test_paste_oracle_draws_cover_every_case():
     }
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_paste_inputs(), st.data())
+def test_any_integer_donors_paste_or_raise_an_imputation_error(inputs, data):
+    """Donor rows of the right shape, from anywhere in int64, paste or raise cleanly.
+
+    Each day takes its drawn match, a row in or near the series, or any
+    int64.  A paste keeps every present value and fills every missing one.
+    """
+    ps, gaps, matches, _, scale = inputs
+    layout = paste_layout(ps, gaps)
+    first = ps.start.date()
+    near = st.integers(-3, int(layout.days.max(initial=0)) + 3)
+    anywhere = st.integers(-(2**63), 2**63 - 1)
+    donors = []
+    for day in (first + timedelta(days=d) for d in layout.days.tolist()):
+        matched = st.just((matches[day] - first).days) if day in matches else near
+        donors.append(data.draw(st.one_of(matched, near, anywhere)))
+    try:
+        imputed, per_gap = copy_paste_and_scale(ps, layout, np.array(donors, dtype=np.int64), scale)
+    except ImputationError:
+        return
+    present = ~np.isnan(ps.values)
+    assert imputed.values[present].tobytes() == ps.values[present].tobytes()
+    assert not np.isnan(imputed.values).any()
+    assert len(per_gap) == len(gaps)
+
+
 @pytest.mark.parametrize("slots, hour", [(96, 0), (24, 7), (288, 13)])
 def test_run_plan_pastes_as_the_oracle_does_from_the_plan_matches(slots, hour):
     from meterfill import MissingnessSpec, insert_missing, synthetic_series
@@ -958,7 +1001,7 @@ def test_run_plan_pastes_as_the_oracle_does_from_the_plan_matches(slots, hour):
         matches = matched_days(plan, weights)
         for scale in (True, False):
             want = paste_oracle.copy_paste_and_scale(
-                plan.power, plan.gaps, matches, plan.series, scale
+                plan.power, plan.layout.gaps, matches, plan.series, scale
             )
             _assert_same_outcome(run_plan(plan, weights, scale), want)
 
@@ -972,7 +1015,7 @@ def test_plan_layout_rows_are_the_match_table_rows(year_series):
     assert layout.days.dtype == np.int64
     assert np.array_equal(layout.days, np.flatnonzero(plan.days.missing))
     assert plan.table.order.shape[0] == layout.days.size
-    assert layout.gaps == plan.gaps == tuple(detect_gaps(plan.series))
+    assert layout.gaps == plan.layout.gaps == tuple(detect_gaps(plan.series))
     assert np.array_equal(layout.missing, np.flatnonzero(np.isnan(plan.power.values)))
     for gap, (lo, hi) in zip(layout.gaps, layout.gap_rows):
         first, last = (plan.power.timestamp(i).date() for i in (gap.first_missing, gap.last_missing))
@@ -1221,8 +1264,7 @@ def test_complete_input_is_returned_unchanged():
 def test_two_week_scenario_fills_friday_from_the_second_friday():
     es = _weekly_profile_series(weeks=2, noise_seed=9)
     degraded = with_missing(es, range(4 * 24 + 1, 6 * 24))
-    config = CpiConfig(min_complete_days=12)
-    result = impute_cpi(degraded, DissimilarityWeights(20, 1, 5), config)
+    result = impute_cpi(degraded, DissimilarityWeights(20, 1, 5), min_complete_days=12)
 
     (fill,) = result.per_gap
     assert dict(fill.sources) == {
@@ -1325,7 +1367,9 @@ def test_impute_cpi_fills_every_gap_from_complete_donors(es):
     Present readings are untouched, every donor is another complete full
     day, the unscaled paste copies the donor's value at the same
     within-day slot, the scaled paste conserves each anchored gap's
-    metered energy, and scaling leaves the donors as they are.
+    metered energy, and scaling leaves the donors as they are.  A second
+    imputation of the completed energy is the identity, and a consumption
+    meter's scaled power is nowhere negative.
     """
     if isinstance(_outcome(plan_cpi, es), tuple):
         return
@@ -1361,3 +1405,10 @@ def test_impute_cpi_fills_every_gap_from_complete_donors(es):
             span = slice(fill.gap.first_missing, fill.gap.last_missing + 1)
             pasted = scaled.imputed_power.values[span].sum() * dt
             assert pasted == pytest.approx(fill.gap.actual_energy, rel=1e-9)
+
+    again = impute_cpi(scaled.completed_energy)
+    assert again.completed_energy.values.tobytes() == scaled.completed_energy.values.tobytes()
+    assert again.completed_power.values.tobytes() == scaled.completed_power.values.tobytes()
+    if es.meter_kind is MeterKind.CONSUMPTION:  # every drawn consumption day is >= 0
+        assert (scaled.imputed_power.values >= 0).all()
+        assert (scaled.completed_power.values >= 0).all()

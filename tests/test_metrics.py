@@ -12,12 +12,10 @@ from hypothesis import given, settings, strategies as st
 from meterfill import (
     DissimilarityWeights,
     EnergySeries,
-    Gap,
     ImputationError,
     MetricError,
     MissingnessSpec,
     ValidationError,
-    detect_gaps,
     evaluate,
     grid_search_weights,
     impute_cpi,
@@ -31,7 +29,7 @@ from meterfill import (
 from meterfill import cpi, metrics
 from meterfill.cpi import plan_cpi
 from meterfill.metrics import _cell_seed, format_aggregates_csv, format_report_csv
-from meterfill.series import gap_arrays
+from meterfill.series import Gap, detect_gaps, gap_arrays
 
 import score_oracle
 from conftest import matched_days, power
@@ -503,7 +501,7 @@ def test_grid_search_equals_the_per_triple_oracle(monkeypatch, suite, grid, opti
     assert [type(v) for v in result.scores[0]] == [int, int, int, float]
     if boundary:
         plan = plan_cpi(_with_boundary_gaps(suite[0][1], MissingnessSpec(0.15, 30))[0])
-        assert not plan.gaps[0].anchored and not plan.gaps[-1].anchored
+        assert not plan.layout.gaps[0].anchored and not plan.layout.gaps[-1].anchored
 
 
 def test_grid_search_scores_each_distinct_assignment_once_per_series():

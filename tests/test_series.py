@@ -15,17 +15,14 @@ from meterfill import (
     ParseError,
     PowerSeries,
     ValidationError,
-    day_partition,
-    detect_gaps,
     energy_to_power,
-    fill_energy_from_power,
     parse_series,
     power_to_energy,
 )
 from meterfill import cpi, gapgen
 from meterfill import series as series_module
 from meterfill.baselines import BASELINES
-from meterfill.series import format_series
+from meterfill.series import day_partition, detect_gaps, fill_energy_from_power, format_series
 
 import csv_oracle
 import paste_oracle
