@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import errno
+import io
 import json
 import os
 import subprocess
@@ -9,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meterfill import ParseConfig, parse_series, read_series, synthetic_series, write_series
+from meterfill.series import format_series
 from meterfill import cli
 from meterfill.cli import main
 
@@ -427,6 +431,108 @@ def test_malformed_values_give_one_error_line(tmp_path, series_csv, args, config
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and named in line
+
+
+# Text that no setting's parser accepts: without a digit, a vowel, a comma,
+# a colon, a sign or "#" (a config comment), it is no number, list, range,
+# weight triple or option name.
+_GARBAGE = st.text(alphabet="bdgjkqxz!%&", min_size=1, max_size=8)
+# The settings whose text is parsed, per command, and the valid values that
+# each command requires.  Path settings take any text.
+_PARSED = [(name, key) for name, command in cli.COMMANDS.items() for key in command.settings
+           if cli.SETTINGS[key].parse is not str]
+_REQUIRED = {"convert": ["--to=power"], "insert-gaps": ["--share=10"]}
+_CSV_COMMANDS = [
+    ["impute", "--method=cpi"], ["impute", "--method=cpi_noscale"], ["impute", "--method=linear"],
+    ["impute", "--method=histavg"], ["impute", "--method=seasonal"], ["convert", "--to=power"],
+    ["insert-gaps", "--share=10"], ["evaluate", "--methods=linear"], ["tune-weights"],
+]
+
+
+def _positionals(command, csv, out):
+    return [csv] if cli.COMMANDS[command].positionals == ("inputs",) else [csv, out]
+
+
+@st.composite
+def _bad_csv(draw):
+    """A command reading a two-day hourly CSV with one fault: (argv, file bytes, named)."""
+    text = format_series(synthetic_series(draw(st.integers(0, 99)), days=2, slots_per_day=24))
+    header, *rows = text.splitlines()
+    k = draw(st.integers(1, len(rows) - 2))  # neither the first nor the last row
+    stamp, value = rows[k].split(",")
+    garbage = draw(_GARBAGE)
+    fault = draw(st.sampled_from([
+        "header", "stamp", "value", "drop", "columns", "inf", "decrease", "no-values",
+        "one-row", "empty", "bytes",
+    ]))
+    named = None
+    if fault == "header":
+        header, named = garbage + ",value", "expected header"
+    elif fault == "stamp":
+        rows[k], named = f"{garbage},{value}", f"invalid timestamp at row {k + 1}"
+    elif fault == "value":
+        rows[k], named = f"{stamp},{garbage}", f"non-numeric value at row {k + 1}"
+    elif fault == "drop":
+        del rows[k]
+        named = f"irregular spacing at row {k + 1}"
+    elif fault == "columns":
+        rows[k], named = rows[k] + ",1", f"expected 2 columns at row {k + 1}"
+    elif fault == "inf":
+        rows[k], named = f"{stamp},{draw(st.sampled_from(['inf', '-inf', 'Infinity']))}", \
+            f"non-finite value at row {k + 1}"
+    elif fault == "decrease":
+        rows[k], named = f"{stamp},-1000000.0", f"decrease from index {k - 1} to {k}"
+    elif fault == "no-values":
+        rows = [row.split(",")[0] + "," for row in rows]
+        named = "at least one present reading"
+    elif fault == "one-row":
+        rows, named = rows[:1], "at least two rows"
+    elif fault == "empty":
+        header, rows, named = "", [], "empty file"
+    data = "".join(line + "\n" for line in [header, *rows]).encode()
+    if fault == "bytes":
+        data, named = data.replace(b"\n", b"\n\xff", 1), "not UTF-8"
+    return draw(st.sampled_from(_CSV_COMMANDS)), data, named
+
+
+@st.composite
+def _bad_setting(draw):
+    """A command with one unparsable flag value or config entry: (argv, config, named)."""
+    command, key = draw(st.sampled_from(_PARSED))
+    garbage = draw(_GARBAGE)
+    where = draw(st.sampled_from(["flag", "config", "unknown key"]))
+    required = [f for f in _REQUIRED.get(command, []) if not f.startswith(cli._flag(key) + "=")]
+    argv = [command, *required]
+    if where == "flag":
+        return [*argv, f"{cli._flag(key)}={garbage}"], "", repr(garbage)
+    if where == "config":
+        return argv, f"{key} = {garbage}", repr(garbage)
+    return argv, f"{garbage} = 1", f"unknown config key {garbage!r}"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=st.one_of(_bad_csv(), _bad_setting()))
+def test_bad_input_is_one_error_line_and_exit_1(tmp_path_factory, case):
+    """Faulty CSV text, config entries and flag values only ever raise MeterfillError.
+
+    ``main`` runs in this process, so any other exception fails the test
+    with its traceback.
+    """
+    tmp = tmp_path_factory.mktemp("bad")
+    csv, out, conf = tmp / "in.csv", tmp / "out.csv", tmp / "run.conf"
+    argv, content, named = case
+    if isinstance(content, bytes):
+        csv.write_bytes(content)
+    else:
+        write_series(csv, synthetic_series(1, days=2, slots_per_day=24))
+        conf.write_text(content + "\n")
+        argv = [*argv, f"--config={conf}"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main([*argv, *map(str, _positionals(argv[0], csv, out))])
+    assert rc == 1
+    (line,) = err.getvalue().splitlines()
     assert line.startswith("error: ") and named in line
 
 

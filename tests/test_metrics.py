@@ -321,6 +321,39 @@ def test_parallel_equals_serial(small_suite):
         assert ra.mape_p == rb.mape_p and ra.wape_e == rb.wape_e
 
 
+@st.composite
+def evaluation_grids(draw):
+    """``evaluate`` arguments over one or two short hourly series."""
+    days = draw(st.integers(21, 42))
+    start = datetime(2020, 2, draw(st.integers(1, 28)), draw(st.sampled_from([0, 7, 13])))
+    suite = synthetic_suite(draw(st.integers(1, 2)), base_seed=draw(st.integers(0, 999)),
+                            days=days, slots_per_day=24, start=start)
+    return dict(
+        series_set=suite,
+        shares=draw(st.lists(st.sampled_from([0.01, 0.05, 0.1, 0.3]), min_size=1, max_size=2,
+                             unique=True)),
+        methods=draw(st.lists(st.sampled_from(metrics.ALL_METHODS), min_size=1, unique=True)),
+        seeds=draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=2, unique=True)),
+        weights=DissimilarityWeights(*draw(st.tuples(*[st.integers(1, 20)] * 3))),
+        max_gap_len=draw(st.one_of(st.none(), st.integers(2, 48))),
+    )
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(evaluation_grids())
+def test_every_row_is_the_same_at_any_parallelism(kwargs):
+    """Rows, aggregates and warnings agree at parallelism 1 and 2, runtimes aside."""
+    serial, parallel = (evaluate(**kwargs, parallelism=p) for p in (1, 2))
+    for a, b in [(serial.rows, parallel.rows), (serial.aggregates, parallel.aggregates)]:
+        untimed = [
+            [repr(replace(r, **{f: 0.0 for f in ("runtime_s", "runtime_s_mean")
+                                if hasattr(r, f)})) for r in rows]
+            for rows in (a, b)
+        ]
+        assert untimed[0] == untimed[1]
+    assert serial.warnings == parallel.warnings
+
+
 @pytest.mark.parametrize("parallelism", [0, -3])
 def test_parallelism_below_one_is_an_error(small_suite, parallelism):
     with pytest.raises(MetricError, match=f"parallelism must be at least 1, got {parallelism}"):
