@@ -13,7 +13,6 @@ import calendar
 import math
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
-from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .series import (
     DayTable,
     EnergySeries,
     Gap,
+    GapArrays,
     PowerSeries,
     Series,
     day_partition,
@@ -190,16 +190,15 @@ def fit_weekly_pattern(
     )
 
 
-def _gap_day_range(series: Series, gaps: Sequence[Gap]) -> np.ndarray:
+def _gap_day_range(series: Series, gaps: GapArrays) -> np.ndarray:
     """Day offsets of each gap's first and last missing value, shape (2, gaps)."""
-    ends = [[g.first_missing for g in gaps], [g.last_missing for g in gaps]]
-    return day_slot(series, np.array(ends, dtype=np.int64).reshape(2, -1))[0]
+    return day_slot(series, np.stack([gaps.first_missing, gaps.last_missing]))[0]
 
 
 def estimate_daily_energy(
-    series: EnergySeries,
     days: DayTable,
-    gaps: Sequence[Gap],
+    gaps: GapArrays,
+    gap_days: np.ndarray,
     pattern: WeeklyPattern,
 ) -> np.ndarray:
     """Estimate each day's total energy, allocating gap energy across days.
@@ -211,23 +210,25 @@ def estimate_daily_energy(
     of each day lies in the gap, so the gap total is untouched; negative day
     shares are clamped to zero and the rest rescaled to restore the total.
     The shares are added into the days in gap order.  Unanchored gaps are
-    rejected.  ``days`` is the series' ``day_partition``.
+    rejected.  ``days`` is the series' ``day_partition``, ``gaps`` rows of
+    its ``detect_gaps`` table, and ``gap_days`` their first and last
+    day-table rows, shape (2, gaps), as a ``PasteLayout`` holds them.
     """
-    if not all(gap.anchored for gap in gaps):
+    if not gaps.anchored.all():
         raise ImputationError(
             "cannot allocate energy for an unanchored gap; boundary gaps "
             "are handled without an energy estimate"
         )
     # One (gap, day) pair per day each gap touches, in gap order.
-    first_day, last_day = _gap_day_range(series, gaps)
+    first_day, last_day = gap_days
     ndays = last_day - first_day + 1
     offset = np.cumsum(ndays) - ndays
-    gap = np.repeat(np.arange(len(gaps)), ndays)
+    gap = np.repeat(np.arange(ndays.size), ndays)
     day = np.arange(gap.size) - offset[gap] + first_day[gap]
-    first = np.array([g.first_missing for g in gaps], dtype=np.int64)[gap]
-    stop = np.array([g.last_missing + 1 for g in gaps], dtype=np.int64)[gap]
+    first = gaps.first_missing[gap]
+    stop = gaps.last_missing[gap] + 1
     counts = np.minimum(stop, days.stop[day]) - np.maximum(first, days.start[day])
-    energy = np.array([g.actual_energy for g in gaps], dtype=np.float64)
+    energy = gaps.actual_energy
     allocation = energy[gap] * counts / (stop - first)
 
     # A gap over several days takes the weekly pattern, centred on the
@@ -379,30 +380,34 @@ def match_weights(table: MatchTable, triples) -> np.ndarray:
 class PasteLayout:
     """Where a paste writes and what each gap spans, whatever the donors.
 
-    ``days`` are the day-table rows (day offsets from the start's date)
-    that have missing power values, in date order: the rows of a plan's
-    match table.  ``missing`` holds every missing power index and ``row``
-    the position of its day in ``days``.  Gap k touches ``days[lo:hi]``
-    for ``(lo, hi) = gap_rows[k]``.
+    ``gaps`` is the series' ``detect_gaps`` table and ``gap_days`` the
+    first and last day-table row (day offset from the start's date) of
+    each gap, shape (2, gaps).  ``days`` are the day-table rows that have
+    missing power values, in date order: the rows of a plan's match table.
+    ``missing`` holds every missing power index and ``row`` the position
+    of its day in ``days``.  Gap k touches ``days[lo:hi]`` for
+    ``(lo, hi) = gap_rows[k]``.
     """
 
-    gaps: tuple[Gap, ...]
+    gaps: GapArrays
+    gap_days: np.ndarray                    # each gap's first and last day row
     days: np.ndarray                        # the day-table rows with missing power
     missing: np.ndarray                     # missing power indices
     row: np.ndarray                         # the position in `days` of each missing index
     gap_rows: tuple[tuple[int, int], ...]   # the positions in `days` each gap touches
 
 
-def paste_layout(ps: PowerSeries, gaps: Sequence[Gap]) -> PasteLayout:
-    """The donor-independent part of pasting into ``ps`` and scaling ``gaps``."""
+def paste_layout(ps: PowerSeries, gaps: GapArrays) -> PasteLayout:
+    """The donor-independent part of pasting into ``ps`` and scaling its gap table ``gaps``."""
     missing = np.flatnonzero(np.isnan(ps.values))
     day, _ = day_slot(ps, missing)
     days, row = np.unique(day, return_inverse=True)
-    first, last = _gap_day_range(ps, gaps)
-    lo = np.searchsorted(days, first)
-    hi = np.searchsorted(days, last, side="right")
+    gap_days = _gap_day_range(ps, gaps)
+    lo = np.searchsorted(days, gap_days[0])
+    hi = np.searchsorted(days, gap_days[1], side="right")
     return PasteLayout(
-        gaps=tuple(gaps),
+        gaps=gaps,
+        gap_days=gap_days,
         days=days,
         missing=missing,
         row=row,
@@ -457,7 +462,7 @@ def copy_paste_and_scale(
 
     dt = resolution_hours(ps.resolution)
     fills = []
-    for gap, (lo, hi) in zip(layout.gaps, layout.gap_rows):
+    for gap, (lo, hi) in zip(layout.gaps.records, layout.gap_rows):
         span = slice(gap.first_missing, gap.last_missing + 1)
         sources = tuple(pairs[lo:hi])
         if not gap.anchored:
@@ -560,10 +565,12 @@ def plan_cpi(es: EnergySeries, min_complete_days: int = 14) -> CpiPlan:
         )
     pattern = fit_weekly_pattern(days, candidates, min_days=min_complete_days)
 
-    estimates = estimate_daily_energy(filled, days, [g for g in gaps if g.anchored], pattern)
+    anchored = gaps.anchored
+    anchored_gaps = GapArrays(*(column[anchored] for column in gaps))
+    estimates = estimate_daily_energy(days, anchored_gaps, layout.gap_days[:, anchored], pattern)
     # Days touched by an unanchored boundary gap get no energy estimate and
     # are matched on weekday and season alone.
-    for first, last in _gap_day_range(filled, [g for g in gaps if not g.anchored]).T.tolist():
+    for first, last in layout.gap_days[:, ~anchored].T.tolist():
         estimates[first : last + 1] = np.nan
     days = compile_complete_days(days, estimates)
     context = _season_context(days, candidates)

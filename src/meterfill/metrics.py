@@ -37,9 +37,10 @@ from .errors import MeterfillError, MetricError, ValidationError
 from .gapgen import MissingnessSpec, insert_missing
 from .series import (
     EnergySeries,
+    GapArrays,
     PowerSeries,
+    detect_gaps,
     energy_to_power,
-    gap_arrays,
     resolution_hours,
 )
 
@@ -152,16 +153,14 @@ class GapSpans(NamedTuple):
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-def gap_spans(first: np.ndarray, last: np.ndarray, actual: np.ndarray) -> GapSpans:
-    """Group the power spans ``[first, last]`` of the gaps by length, for ``gap_energies``.
+def gap_spans(gaps: GapArrays) -> GapSpans:
+    """Group the power spans of the ``detect_gaps`` table by length, for ``gap_energies``.
 
-    The three arrays hold one entry per gap, as the ``gap_arrays`` columns
-    of the same names do.  Every span's power indices are laid out in one
-    flat index, by length and then in gap order; each group's matrix is a
-    reshaped slice of it.
+    Every span's power indices are laid out in one flat index, by length
+    and then in gap order; each group's matrix is a reshaped slice of it.
     """
-    first = np.asarray(first, dtype=np.int64)
-    length = np.asarray(last, dtype=np.int64) - first + 1
+    first = gaps.first_missing
+    length = gaps.last_missing - first + 1
     order = np.argsort(length, kind="stable")
     length = length[order]
     offset = np.cumsum(length) - length
@@ -172,7 +171,7 @@ def gap_spans(first: np.ndarray, last: np.ndarray, actual: np.ndarray) -> GapSpa
         (order[a:b], flat[offsets[a] : offsets[b]].reshape(b - a, widths[a]))
         for a, b in zip(edges, edges[1:])
     )
-    return GapSpans(np.asarray(actual, dtype=np.float64), groups)
+    return GapSpans(gaps.actual_energy, groups)
 
 
 def gap_energies(imputed: PowerSeries, spans: GapSpans) -> np.ndarray:
@@ -261,8 +260,7 @@ def _evaluate_cell(payload) -> list[ScoreRow]:
         actual = energy_to_power(series)
         degraded_power = energy_to_power(degraded)
         mask = np.flatnonzero(np.isnan(degraded_power.values))
-        gaps = gap_arrays(degraded)
-        spans = gap_spans(gaps.first_missing, gaps.last_missing, gaps.actual_energy)
+        spans = gap_spans(detect_gaps(degraded))
     except MeterfillError as exc:
         return [failed(m, exc) for m in methods]
 
@@ -322,17 +320,19 @@ def evaluate(
     Aggregates are trimmed means per (share, method); groups smaller than
     five fall back to the plain mean and are flagged in the warnings.
     Cells run in ``parallelism`` worker processes, which must be at least 1.
-    The degradation settings of every share are checked, and an empty
-    share or seed list is rejected, before any series is degraded.
+    Every share's degradation settings are checked, and an empty or
+    repeating share, seed or method list rejected, before any series is degraded.
     """
     if not series_set:
         raise MetricError("evaluation needs at least one series")
     if parallelism < 1:
         raise MetricError(f"parallelism must be at least 1, got {parallelism}")
-    if not shares:
-        raise MetricError("evaluation needs at least one share")
-    if not seeds:
-        raise MetricError("evaluation needs at least one seed")
+    for name, values in (("share", shares), ("seed", seeds), ("method", methods)):
+        if not values:
+            raise MetricError(f"evaluation needs at least one {name}")
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise MetricError(f"{name} {repeated[0]!r} is listed more than once")
     for share in shares:
         MissingnessSpec(share, max_gap_len, single_fraction)
     cells = [

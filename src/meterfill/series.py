@@ -16,10 +16,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, datetime, timedelta
 from enum import Enum
-from typing import NamedTuple, Union
+from functools import cached_property
+from typing import Union
 
 import numpy as np
 
@@ -131,13 +132,9 @@ Series = Union[EnergySeries, PowerSeries]
 
 @dataclass(frozen=True)
 class Gap:
-    """A maximal run of missing power values with its energy anchors.
+    """The audit's record of one gap: a row of ``detect_gaps``' table.
 
-    ``first_missing``/``last_missing`` index the power array.  For a run of
-    missing energy readings at indices ``[a, b]`` the power span is
-    ``[a - 1, b]`` when interior; a run touching the series start or end
-    loses the corresponding anchor and one power index.  ``actual_energy``
-    is ``anchor_after - anchor_before`` and is absent for unanchored gaps.
+    A missing anchor, and the ``actual_energy`` of its gap, is None.
     """
 
     first_missing: int
@@ -155,16 +152,6 @@ class Gap:
     def anchored(self) -> bool:
         return self.anchor_before is not None and self.anchor_after is not None
 
-    @property
-    def energy_first(self) -> int:
-        """Index of the first missing energy reading."""
-        return self.first_missing + 1 if self.anchor_before is not None else self.first_missing
-
-    @property
-    def energy_last(self) -> int:
-        """Index of the last missing energy reading."""
-        return self.last_missing if self.anchor_after is not None else self.last_missing + 1
-
 
 @dataclass(frozen=True, eq=False)
 class DayTable:
@@ -172,10 +159,10 @@ class DayTable:
 
     Row d is the date ``first + d days``; its ordinal, ISO weekday and day of
     year are derived from ``first`` by arithmetic.  ``start``/``stop`` bound
-    the day's power indices, ``first_slot`` is the within-day slot of
-    ``start``, ``missing`` counts absent power values, ``known_energy`` is
-    resolution-hours times the sum of the present ones (kWh), and
-    ``full_day`` is set where the series spans every reading of the day.
+    the day's power indices, ``missing`` counts absent power values,
+    ``known_energy`` is resolution-hours times the sum of the present ones
+    (kWh), and ``full_day`` is set where the series spans every reading of
+    the day.
     ``total`` is the day's energy for matching, filled in by the planner
     (NaN where a day has none), and None before that.
     """
@@ -183,7 +170,6 @@ class DayTable:
     first: date
     start: np.ndarray
     stop: np.ndarray
-    first_slot: np.ndarray
     missing: np.ndarray
     known_energy: np.ndarray
     full_day: np.ndarray
@@ -302,11 +288,15 @@ def _missing_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges[0::2], edges[1::2]
 
 
-class GapArrays(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class GapArrays:
     """The gaps of an energy series as columns, one entry per gap in order.
 
-    Each column is the ``Gap`` field of the same name; an anchor that a
-    boundary run lacks is NaN, and so is that gap's ``actual_energy``.
+    ``first_missing``/``last_missing`` bound each gap's missing power
+    values.  ``anchor_before``/``anchor_after`` are the metered readings on
+    either side, NaN where a boundary run lacks one, and ``actual_energy``
+    is their difference (NaN then too).  ``anchored`` is set where a gap
+    has both anchors.  Iterating the table gives its columns in this order.
     """
 
     first_missing: np.ndarray
@@ -314,34 +304,35 @@ class GapArrays(NamedTuple):
     anchor_before: np.ndarray
     anchor_after: np.ndarray
     actual_energy: np.ndarray
+    anchored: np.ndarray
+
+    def __iter__(self):
+        return (getattr(self, field.name) for field in fields(self))
+
+    @cached_property
+    def records(self) -> tuple[Gap, ...]:
+        """Each gap's audit record, in order; built once per table, on first use."""
+        floats = (self.anchor_before, self.anchor_after, self.actual_energy)
+        floats = ([None if v != v else v for v in column.tolist()] for column in floats)
+        return tuple(map(Gap, self.first_missing.tolist(), self.last_missing.tolist(), *floats))
 
 
-def gap_arrays(es: EnergySeries) -> GapArrays:
-    """Power spans and energy anchors of the maximal runs of missing readings.
+def detect_gaps(es: EnergySeries) -> GapArrays:
+    """The table of the maximal runs of missing readings, as power-domain gaps.
 
     A run of missing readings ``[a, b]`` spans the power indices
     ``[a - 1, b]``; a run at the series start has no left anchor and
     starts at ``a``, and one at the end has no right anchor and stops at
-    ``b - 1``.
+    ``b - 1``.  Gaps are sorted and disjoint, and a present reading
+    separates any two.
     """
     run_starts, run_stops = _missing_runs(es.values)
     first = np.maximum(run_starts - 1, 0)
     last = np.minimum(run_stops, es.n - 1) - 1
-    before = np.where(run_starts > 0, es.values[first], np.nan)
-    after = np.where(run_stops < es.n, es.values[last + 1], np.nan)
-    return GapArrays(first, last, before, after, after - before)
-
-
-def detect_gaps(es: EnergySeries) -> list[Gap]:
-    """Locate maximal runs of missing readings as power-domain gaps.
-
-    Gaps are disjoint, sorted, and never adjacent.  Runs touching the series
-    boundary yield unanchored gaps without an ``actual_energy``.
-    """
-    first, last, *floats = (column.tolist() for column in gap_arrays(es))
-    # A missing anchor, and the energy of its gap, is None in a Gap.
-    floats = ([None if v != v else v for v in column] for column in floats)
-    return list(map(Gap, first, last, *floats))
+    has_before, has_after = run_starts > 0, run_stops < es.n
+    before = np.where(has_before, es.values[first], np.nan)
+    after = np.where(has_after, es.values[last + 1], np.nan)
+    return GapArrays(first, last, before, after, after - before, has_before & has_after)
 
 
 def day_partition(series: Series) -> DayTable:
@@ -357,7 +348,7 @@ def day_partition(series: Series) -> DayTable:
     m = ps.n
     if m == 0:
         none = np.zeros(0, dtype=np.int64)
-        return DayTable(ps.start.date(), none, none, none, none, np.zeros(0), none == 0)
+        return DayTable(ps.start.date(), none, none, none, np.zeros(0), none == 0)
     miss = np.isnan(ps.values)
     day_count = (off0 + m - 1) // spd + 1
     edges = np.arange(day_count + 1) * spd - off0
@@ -383,7 +374,6 @@ def day_partition(series: Series) -> DayTable:
         first=ps.start.date(),
         start=bounds[:-1],
         stop=bounds[1:],
-        first_slot=bounds[:-1] - edges[:-1],
         missing=missing,
         known_energy=sums * resolution_hours(ps.resolution),
         full_day=full,

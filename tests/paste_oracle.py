@@ -4,7 +4,7 @@ The package lays a series out once (``meterfill.cpi.paste_layout``, held by
 each plan) and reuses it for every donor assignment; its energy rebuild
 finds the runs of missing readings with numpy.  These are the earlier
 bodies: each call finds the missing slots, their days and every gap's days
-again, and the rebuild walks the ``Gap`` objects of ``detect_gaps``.  The
+again, and the rebuild walks the ``Gap`` records of ``detect_gaps``.  The
 tests require the two to give bit-identical results and the same errors.
 """
 
@@ -92,8 +92,10 @@ def fill_energy_from_power(es, power_values):
         raise ImputationError("power values must be complete to rebuild energy")
     dt = resolution_hours(es.resolution)
     filled = np.array(es.values)
-    for gap in detect_gaps(es):
-        lo, hi = gap.energy_first, gap.energy_last
+    for gap in detect_gaps(es).records:
+        # The first and last missing reading of the gap.
+        lo = gap.first_missing + (gap.anchor_before is not None)
+        hi = gap.last_missing + (gap.anchor_after is None)
         if gap.anchor_before is not None:
             base = es.values[lo - 1]
             filled[lo : hi + 1] = base + np.cumsum(power_values[lo - 1 : hi]) * dt

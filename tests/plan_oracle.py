@@ -45,7 +45,6 @@ class DayView:
     date: date
     start: int              # first power index of the day
     stop: int               # one past the last power index
-    first_slot: int         # within-day slot of `start`
     missing: int            # missing power values in the day
     known_energy: float     # resolution-hours * sum of present power (kWh)
     covers_full_day: bool   # series spans every energy reading of the day
@@ -83,8 +82,7 @@ class DayRecord:
 
 def views(table) -> list[DayView]:
     """The rows of a package day table as the per-day views it replaced."""
-    columns = (table.start, table.stop, table.first_slot, table.missing,
-               table.known_energy, table.full_day)
+    columns = (table.start, table.stop, table.missing, table.known_energy, table.full_day)
     return [
         DayView(table.first + timedelta(days=d), *fields)
         for d, fields in enumerate(zip(*(c.tolist() for c in columns)))
@@ -115,8 +113,7 @@ def day_partition(series) -> list[DayView]:
 
     full = np.diff(np.clip(edges, 0, series.n)) == spd
     date0 = ps.start.date()
-    columns = (bounds[:-1], bounds[1:], bounds[:-1] - edges[:-1], missing,
-               sums * resolution_hours(ps.resolution), full)
+    columns = (bounds[:-1], bounds[1:], missing, sums * resolution_hours(ps.resolution), full)
     return [
         DayView(date0 + timedelta(days=d), *fields)
         for d, fields in enumerate(zip(*(c.tolist() for c in columns)))
@@ -296,8 +293,8 @@ def plan_cpi(es, min_complete_days=14) -> Plan:
         min_days=min_complete_days,
     )
 
-    anchored = [g for g in gaps if g.anchored]
-    unanchored = [g for g in gaps if not g.anchored]
+    anchored = [g for g in gaps.records if g.anchored]
+    unanchored = [g for g in gaps.records if not g.anchored]
     estimates = estimate_daily_energy(filled, days, anchored, pattern)
     blocked = {days[i].date for gap in unanchored for i in _gap_days(filled, gap)[0]}
     usable = {d: v for d, v in estimates.items() if d not in blocked}

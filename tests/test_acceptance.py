@@ -161,7 +161,7 @@ def test_criterion_5_gap_synthesis_contract():
             assert mask.singles.size == round(0.05 * expected_total)
             runs = np.split(mask.indices, np.flatnonzero(np.diff(mask.indices) > 1) + 1)
             assert max(len(r) for r in runs) <= 3 * 96
-            assert all(g.anchored for g in detect_gaps(degraded))
+            assert detect_gaps(degraded).anchored.all()
             _, again = insert_missing(es, spec)
             assert np.array_equal(mask.indices, again.indices)
             assert np.array_equal(mask.singles, again.singles)

@@ -400,6 +400,9 @@ def test_os_error_without_a_filename_names_its_cause(
         ("tune-weights --share nan {csv}", "", None, "share must be in (0, 1), got nan"),
         ("evaluate --shares , {csv}", "", None, "evaluation needs at least one share"),
         ("evaluate --seeds , {csv}", "", None, "evaluation needs at least one seed"),
+        ("evaluate --methods , {csv}", "", None, "evaluation needs at least one method"),
+        ("evaluate --shares 10,10 --methods cpi {csv}", "", None,
+         "share 0.1 is listed more than once"),
         ("impute --monotone-tol -1 {csv} {out}", "", None,
          "monotone_tol must be non-negative, got -1.0"),
         ("impute --monotone-tol nan {csv} {out}", "", None,
@@ -412,7 +415,8 @@ def test_os_error_without_a_filename_names_its_cause(
          "parallelism-negative", "parallelism-env-zero", "timestamp-past-9999",
          "share", "parallelism", "max-gap-len", "method", "meter-kind", "to",
          "missing-to", "missing-share", "shares-nan", "shares-above-one", "tune-share-nan",
-         "shares-empty", "seeds-empty", "monotone-tol-negative", "monotone-tol-nan",
+         "shares-empty", "seeds-empty", "methods-empty", "shares-repeated",
+         "monotone-tol-negative", "monotone-tol-nan",
          "config-monotone-tol"],
 )
 def test_malformed_values_give_one_error_line(tmp_path, series_csv, args, config, env, named):
@@ -443,6 +447,13 @@ _GARBAGE = st.text(alphabet="bdgjkqxz!%&", min_size=1, max_size=8)
 _PARSED = [(name, key) for name, command in cli.COMMANDS.items() for key in command.settings
            if cli.SETTINGS[key].parse is not str]
 _REQUIRED = {"convert": ["--to=power"], "insert-gaps": ["--share=10"]}
+# Evaluation lists that parse but name nothing, or an entry twice.
+_BAD_LISTS = [
+    ("--methods=,", "evaluation needs at least one method"),
+    ("--shares=5,0.05", "share 0.05 is listed more than once"),
+    ("--seeds=3,1,3", "seed 3 is listed more than once"),
+    ("--methods=cpi,linear,cpi", "method 'cpi' is listed more than once"),
+]
 _CSV_COMMANDS = [
     ["impute", "--method=cpi"], ["impute", "--method=cpi_noscale"], ["impute", "--method=linear"],
     ["impute", "--method=histavg"], ["impute", "--method=seasonal"], ["convert", "--to=power"],
@@ -466,7 +477,6 @@ def _bad_csv(draw):
         "header", "stamp", "value", "drop", "columns", "inf", "decrease", "no-values",
         "one-row", "empty", "bytes",
     ]))
-    named = None
     if fault == "header":
         header, named = garbage + ",value", "expected header"
     elif fault == "stamp":
@@ -498,17 +508,20 @@ def _bad_csv(draw):
 
 @st.composite
 def _bad_setting(draw):
-    """A command with one unparsable flag value or config entry: (argv, config, named)."""
+    """A command with one bad flag value or config entry: (argv, config, named)."""
     command, key = draw(st.sampled_from(_PARSED))
     garbage = draw(_GARBAGE)
-    where = draw(st.sampled_from(["flag", "config", "unknown key"]))
+    where = draw(st.sampled_from(["flag", "config", "unknown key", "list"]))
     required = [f for f in _REQUIRED.get(command, []) if not f.startswith(cli._flag(key) + "=")]
     argv = [command, *required]
     if where == "flag":
         return [*argv, f"{cli._flag(key)}={garbage}"], "", repr(garbage)
     if where == "config":
         return argv, f"{key} = {garbage}", repr(garbage)
-    return argv, f"{garbage} = 1", f"unknown config key {garbage!r}"
+    if where == "unknown key":
+        return argv, f"{garbage} = 1", f"unknown config key {garbage!r}"
+    flag, named = draw(st.sampled_from(_BAD_LISTS))
+    return ["evaluate", flag], "", named
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -528,9 +541,13 @@ def test_bad_input_is_one_error_line_and_exit_1(tmp_path_factory, case):
         write_series(csv, synthetic_series(1, days=2, slots_per_day=24))
         conf.write_text(content + "\n")
         argv = [*argv, f"--config={conf}"]
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        rc = main([*argv, *map(str, _positionals(argv[0], csv, out))])
+    err, cwd = io.StringIO(), os.getcwd()
+    os.chdir(tmp)  # where a command that wrongly succeeds writes its default outputs
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main([*argv, *map(str, _positionals(argv[0], csv, out))])
+    finally:
+        os.chdir(cwd)
     assert rc == 1
     (line,) = err.getvalue().splitlines()
     assert line.startswith("error: ") and named in line

@@ -36,6 +36,7 @@ from meterfill.cpi import (
     season_distance,
     weekday_distance,
 )
+from meterfill.cpi import _gap_day_range
 from meterfill.series import DayTable, day_partition, detect_gaps
 
 import paste_oracle
@@ -105,7 +106,7 @@ def table(first, known, total=None, slots=24):
     bounds = np.arange(n + 1) * slots
     zero = np.zeros(n, dtype=np.int64)
     total = None if total is None else np.array(total, dtype=np.float64)
-    return DayTable(first, bounds[:-1], bounds[1:], zero, zero,
+    return DayTable(first, bounds[:-1], bounds[1:], zero,
                     np.array(known, dtype=np.float64), zero == 0, total)
 
 
@@ -171,15 +172,20 @@ def _flat_pattern(**overrides):
     return WeeklyPattern(offsets=tuple(offsets), intercept=0.0, slope=0.0)
 
 
+def _estimate(es, gaps, pattern):
+    """``estimate_daily_energy`` of ``es``'s day table and the rows ``gaps`` of its gap table."""
+    return estimate_daily_energy(day_partition(es), gaps, _gap_day_range(es, gaps), pattern)
+
+
 def test_two_full_days_receive_their_weekly_offsets():
     # Friday and Saturday fully missing in the power domain: readings from
     # Friday 01:00 through Saturday 23:00 removed, 48 kWh metered over the gap.
     base = energy(np.arange(14 * 24 + 1, dtype=float))  # 1 kW constant, hourly
     es = with_missing(base, range(4 * 24 + 1, 6 * 24))
     gaps = detect_gaps(es)
-    assert gaps[0].actual_energy == pytest.approx(48.0)
+    assert gaps.actual_energy.tolist() == pytest.approx([48.0])
     pattern = _flat_pattern(fri=4.0, sat=-4.0)
-    totals = estimate_daily_energy(es, day_partition(es), gaps, pattern)
+    totals = _estimate(es, gaps, pattern)
     assert totals[_row(date(2018, 1, 5))] == pytest.approx(28.0)
     assert totals[_row(date(2018, 1, 6))] == pytest.approx(20.0)
 
@@ -189,9 +195,9 @@ def test_zero_offsets_allocate_proportionally():
     # Thursday/Friday boundary; constant 40/24 kW makes the gap worth 40 kWh.
     values = np.arange(14 * 24 + 1, dtype=float) * (40.0 / 24.0)
     es = with_missing(energy(values), range(3 * 24 + 19, 4 * 24 + 18))
-    (gap,) = detect_gaps(es)
-    assert gap.actual_energy == pytest.approx(40.0)
-    totals = estimate_daily_energy(es, day_partition(es), [gap], _flat_pattern())
+    gaps = detect_gaps(es)
+    assert gaps.actual_energy.tolist() == pytest.approx([40.0])
+    totals = _estimate(es, gaps, _flat_pattern())
     thursday_known = 18 * 40.0 / 24.0
     friday_known = 6 * 40.0 / 24.0
     assert totals[_row(date(2018, 1, 4))] - thursday_known == pytest.approx(10.0)
@@ -201,18 +207,19 @@ def test_zero_offsets_allocate_proportionally():
 def test_single_day_gap_ignores_the_pattern():
     base = energy(np.arange(14 * 24 + 1, dtype=float))
     es = with_missing(base, range(2 * 24 + 3, 2 * 24 + 9))
-    (gap,) = detect_gaps(es)
+    gaps = detect_gaps(es)
     known = 24.0 - 7.0  # 24 slots of 1 kW minus the 7 missing power values
     for pattern in (_flat_pattern(), _flat_pattern(wed=5.0, sun=-5.0)):
-        totals = estimate_daily_energy(es, day_partition(es), [gap], pattern)
-        assert totals[_row(date(2018, 1, 3))] == pytest.approx(known + gap.actual_energy)
+        totals = _estimate(es, gaps, pattern)
+        assert totals[_row(date(2018, 1, 3))] == pytest.approx(known + gaps.actual_energy[0])
 
 
 def test_unanchored_gap_is_rejected():
     es = with_missing(energy(np.arange(48.0 * 3)), [0, 1, 2])
-    (gap,) = detect_gaps(es)
+    gaps = detect_gaps(es)
+    assert gaps.anchored.tolist() == [False]
     with pytest.raises(ImputationError, match="unanchored"):
-        estimate_daily_energy(es, day_partition(es), [gap], _flat_pattern())
+        _estimate(es, gaps, _flat_pattern())
 
 
 def test_estimation_conserves_every_gap_exactly():
@@ -223,22 +230,20 @@ def test_estimation_conserves_every_gap_exactly():
     es = interpolate_singles(es)
     gaps = detect_gaps(es)
     pattern = _flat_pattern(mon=3.0, tue=-1.0, wed=-2.0)
-    totals = estimate_daily_energy(es, day_partition(es), gaps, pattern)
+    totals = _estimate(es, gaps, pattern)
     allocated = (totals - day_partition(es).known_energy).sum()
-    assert allocated == pytest.approx(sum(g.actual_energy for g in gaps), rel=1e-12)
+    assert allocated == pytest.approx(gaps.actual_energy.sum(), rel=1e-12)
 
 
 def test_clamped_negative_allocations_still_conserve():
     # Large negative offset forces a clamp on the second day of the gap.
     base = energy(np.arange(14 * 24 + 1, dtype=float) * 0.05)  # 0.05 kW constant
     es = with_missing(base, range(4 * 24 + 1, 6 * 24))
-    (gap,) = detect_gaps(es)
-    totals = estimate_daily_energy(
-        es, day_partition(es), [gap], _flat_pattern(fri=40.0, sat=-40.0)
-    )
+    gaps = detect_gaps(es)
+    totals = _estimate(es, gaps, _flat_pattern(fri=40.0, sat=-40.0))
     friday, saturday = totals[_row(date(2018, 1, 5))], totals[_row(date(2018, 1, 6))]
     assert friday >= 0.0 and saturday >= 0.0
-    assert friday + saturday == pytest.approx(gap.actual_energy, rel=1e-12)
+    assert friday + saturday == pytest.approx(gaps.actual_energy[0], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +300,7 @@ def test_estimated_days_carry_the_estimate():
 
 def _columns(days):
     return [getattr(days, name).tolist()
-            for name in ("start", "stop", "first_slot", "missing", "known_energy", "full_day")]
+            for name in ("start", "stop", "missing", "known_energy", "full_day")]
 
 
 def test_plan_partitions_the_series_once():
@@ -551,7 +556,7 @@ def test_matrix_match_needs_a_kept_candidate_on_every_row():
     # The last day has 20 slots: it cannot fill the second row's slot 22.
     days = table(date(2018, 1, 5), [1.0] * 3, total=[1.0] * 3)
     days = DayTable(days.first, days.start, np.array([24, 48, 68]), *(
-        getattr(days, name) for name in ("first_slot", "missing", "known_energy",
+        getattr(days, name) for name in ("missing", "known_energy",
                                          "full_day", "total")))
     ctx = SeasonContext(365, 0, 2)
     match = match_table(days, np.array([0, 1]), np.array([2]), ctx, np.array([5, 19]))
@@ -679,7 +684,7 @@ def _donor_short_of_metered_energy():
     levels = np.concatenate([day1, day2, np.ones(24)])
     es = energy(np.concatenate(([0.0], np.cumsum(levels))))
     es = with_missing(es, range(26, 29))  # readings 02:00-04:00 of Tuesday
-    (gap,) = detect_gaps(es)
+    (gap,) = detect_gaps(es).records
     assert gap.actual_energy == pytest.approx(10.0)
     return es, gap
 
@@ -705,7 +710,7 @@ def test_unscaled_paste_keeps_its_energy_miss_in_the_imputed_power():
     e = result.completed_energy.values
     p = result.completed_power.values
     assert_untouched(es, e)
-    assert e[gap.energy_last] + p[gap.last_missing] * 1.0 == pytest.approx(gap.anchor_after)
+    assert e[gap.last_missing] + p[gap.last_missing] * 1.0 == pytest.approx(gap.anchor_after)
     assert p[span] == pytest.approx([2.0, 2.0, 2.0, 4.0])
     assert np.array_equal(energy_to_power(result.completed_energy).values, p)
 
@@ -715,7 +720,7 @@ def test_identical_energy_needs_no_scaling():
     day[1:5] = 2.0
     es = energy(np.concatenate(([0.0], np.cumsum(np.tile(day, 3)))))
     es = with_missing(es, range(26, 29))
-    (gap,) = detect_gaps(es)
+    (gap,) = detect_gaps(es).records
     result = _paste(es, {date(2018, 1, 2): date(2018, 1, 1)})
     assert result.per_gap[0].scale == pytest.approx(1.0)
     imputed = result.completed_power.values[gap.first_missing : gap.last_missing + 1]
@@ -726,7 +731,7 @@ def test_zero_pasted_energy_falls_back_to_uniform_fill():
     levels = np.concatenate([np.zeros(24), np.ones(24), np.ones(24)])
     es = energy(np.concatenate(([0.0], np.cumsum(levels))))
     es = with_missing(es, range(26, 29))  # 4 missing power values, 4 kWh metered
-    (gap,) = detect_gaps(es)
+    (gap,) = detect_gaps(es).records
     result = _paste(es, {date(2018, 1, 2): date(2018, 1, 1)})
     fill = result.per_gap[0]
     assert fill.fallback == "uniform"
@@ -739,7 +744,7 @@ def test_opposite_sign_energy_falls_back_to_uniform_fill():
     es = energy(np.concatenate(([10.0], np.cumsum(levels) + 10.0)),
                 kind=MeterKind.GENERATION)
     es = with_missing(es, range(26, 29))
-    (gap,) = detect_gaps(es)
+    (gap,) = detect_gaps(es).records
     assert gap.actual_energy == pytest.approx(-4.0)
     result = _paste(es, {date(2018, 1, 2): date(2018, 1, 1)})
     assert result.per_gap[0].fallback == "uniform"
@@ -752,12 +757,11 @@ def test_rebuilt_energy_meets_the_right_anchor():
     day[5:9] = 3.0
     es = energy(np.concatenate(([0.0], np.cumsum(np.tile(day, 3) * 1.1))))
     es = with_missing(es, range(26, 33))
-    (gap,) = detect_gaps(es)
+    (gap,) = detect_gaps(es).records
     result = _paste(es, {date(2018, 1, 2): date(2018, 1, 1)})
     e = result.completed_energy.values
     p = result.completed_power.values
-    last = gap.energy_last
-    assert e[last] + p[gap.last_missing] * 1.0 == pytest.approx(
+    assert e[gap.last_missing] + p[gap.last_missing] * 1.0 == pytest.approx(
         gap.anchor_after, abs=1e-9
     )
     assert_untouched(es, e)
@@ -925,7 +929,7 @@ def _paste_inputs(draw):
 @given(_paste_inputs())
 def test_paste_matches_the_per_call_oracle(inputs):
     ps, gaps, matches, es, scale = inputs
-    want = _outcome(paste_oracle.copy_paste_and_scale, ps, gaps, matches, es, scale)
+    want = _outcome(paste_oracle.copy_paste_and_scale, ps, gaps.records, matches, es, scale)
     layout = paste_layout(ps, gaps)
     first = ps.start.date()
     if any(first + timedelta(days=d) not in matches for d in layout.days.tolist()):
@@ -944,6 +948,7 @@ def test_paste_oracle_draws_cover_every_case():
     @given(_paste_inputs())
     def collect(inputs):
         ps, gaps, matches, es, scale = inputs
+        gaps = gaps.records
         outcome = _outcome(paste_oracle.copy_paste_and_scale, ps, gaps, matches, es, scale)
         spd = timedelta(days=1) // ps.resolution
         if isinstance(outcome, tuple):
@@ -986,7 +991,7 @@ def test_any_integer_donors_paste_or_raise_an_imputation_error(inputs, data):
     present = ~np.isnan(ps.values)
     assert imputed.values[present].tobytes() == ps.values[present].tobytes()
     assert not np.isnan(imputed.values).any()
-    assert len(per_gap) == len(gaps)
+    assert len(per_gap) == gaps.first_missing.size
 
 
 @pytest.mark.parametrize("slots, hour", [(96, 0), (24, 7), (288, 13)])
@@ -1001,7 +1006,7 @@ def test_run_plan_pastes_as_the_oracle_does_from_the_plan_matches(slots, hour):
         matches = matched_days(plan, weights)
         for scale in (True, False):
             want = paste_oracle.copy_paste_and_scale(
-                plan.power, plan.layout.gaps, matches, plan.series, scale
+                plan.power, plan.layout.gaps.records, matches, plan.series, scale
             )
             _assert_same_outcome(run_plan(plan, weights, scale), want)
 
@@ -1015,12 +1020,16 @@ def test_plan_layout_rows_are_the_match_table_rows(year_series):
     assert layout.days.dtype == np.int64
     assert np.array_equal(layout.days, np.flatnonzero(plan.days.missing))
     assert plan.table.order.shape[0] == layout.days.size
-    assert layout.gaps == plan.layout.gaps == tuple(detect_gaps(plan.series))
+    for got, want in zip(layout.gaps, detect_gaps(plan.series), strict=True):
+        assert got.tobytes() == want.tobytes()
     assert np.array_equal(layout.missing, np.flatnonzero(np.isnan(plan.power.values)))
-    for gap, (lo, hi) in zip(layout.gaps, layout.gap_rows):
-        first, last = (plan.power.timestamp(i).date() for i in (gap.first_missing, gap.last_missing))
+    ends = zip(layout.gaps.first_missing.tolist(), layout.gaps.last_missing.tolist())
+    for (first, last), gap_days, (lo, hi) in zip(ends, layout.gap_days.T.tolist(),
+                                                 layout.gap_rows, strict=True):
+        first, last = (plan.power.timestamp(i).date() for i in (first, last))
         days = [plan.days.first + timedelta(days=d) for d in layout.days[[lo, hi - 1]].tolist()]
         assert days == [first, last]
+        assert [plan.days.first + timedelta(days=d) for d in gap_days] == [first, last]
 
 
 # ---------------------------------------------------------------------------
@@ -1109,9 +1118,10 @@ def _assert_same_plan(got, want):
     assert type(got.context.energy_min) is float and type(got.context.energy_max) is float
 
     a, b = got.layout, want.layout
-    assert (a.gaps, a.gap_rows) == (b.gaps, b.gap_rows)
-    for name in ("days", "missing", "row"):
+    assert a.gap_rows == b.gap_rows
+    for name in ("days", "missing", "row", "gap_days"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert [c.tobytes() for c in a.gaps] == [c.tobytes() for c in b.gaps]
 
     for name in ("weekday", "season", "energy", "keep", "order"):
         a, b = getattr(got.table, name), getattr(want.table, name)
@@ -1149,7 +1159,7 @@ def test_plan_oracle_draws_cover_every_case():
         seen.add(outcome.context.cycle_length)
         seen.add(es.resolution)
         spd = timedelta(days=1) // es.resolution
-        seen.update("long" for g in outcome.layout.gaps if g.length > spd)
+        seen.update("long" for g in outcome.layout.gaps.records if g.length > spd)
         seen.update("boundary" for r in outcome.records if r.total_energy is None)
         touched = [row for lo, hi in outcome.layout.gap_rows for row in range(lo, hi)]
         if touched and max(map(touched.count, touched)) >= 3:
@@ -1199,17 +1209,18 @@ def test_estimates_add_the_gap_shares_in_gap_order():
     es = with_missing(energy(np.concatenate(([0.0], np.cumsum(power)))), crowded)
     pattern = WeeklyPattern((0.3, -0.1, 0.25, -0.45, 0.0, 0.7, -0.7), 0.0, 0.0)
     gaps = detect_gaps(es)
-    got = estimate_daily_energy(es, day_partition(es), gaps, pattern)
-    want = plan_oracle.estimate_daily_energy(es, plan_oracle.day_partition(es), gaps, pattern)
+    got = _estimate(es, gaps, pattern)
+    want = plan_oracle.estimate_daily_energy(es, plan_oracle.day_partition(es), gaps.records,
+                                             pattern)
     assert got.tobytes() == np.array(list(want.values())).tobytes()
 
 
 def test_stage_errors_match_the_oracle():
     es = with_missing(energy(np.arange(48.0 * 3)), [0, 1, 2])
     gaps = detect_gaps(es)
-    got = _outcome(estimate_daily_energy, es, day_partition(es), gaps, _flat_pattern())
-    want = _outcome(plan_oracle.estimate_daily_energy, es, plan_oracle.day_partition(es), gaps,
-                    _flat_pattern())
+    got = _outcome(_estimate, es, gaps, _flat_pattern())
+    want = _outcome(plan_oracle.estimate_daily_energy, es, plan_oracle.day_partition(es),
+                    gaps.records, _flat_pattern())
     assert isinstance(want, tuple) and got == want
 
     days = table(date(2018, 1, 5), [1.0] * 3, total=[1.0] * 3)  # 24 slots a day
@@ -1348,7 +1359,7 @@ def test_year_run_conserves_energy_and_is_idempotent(year_series):
     degraded, _ = insert_missing(year_series, MissingnessSpec(share=0.2, seed=1))
     result = impute_cpi(degraded)
     dt = 0.25
-    for gap in detect_gaps(degraded):
+    for gap in detect_gaps(degraded).records:
         imputed = result.completed_power.values[
             gap.first_missing : gap.last_missing + 1
         ].sum() * dt

@@ -29,7 +29,7 @@ from meterfill import (
 from meterfill import cpi, metrics
 from meterfill.cpi import plan_cpi
 from meterfill.metrics import _cell_seed, format_aggregates_csv, format_report_csv
-from meterfill.series import Gap, detect_gaps, gap_arrays
+from meterfill.series import Gap, GapArrays, detect_gaps
 
 import score_oracle
 from conftest import matched_days, power
@@ -158,6 +158,17 @@ def test_wape_accepts_any_iterable():
     assert wape_e((e for e in (10.0, 20.0)), np.array([9, 22])) == expected
 
 
+def _table(gaps):
+    """The ``detect_gaps`` table whose records are ``gaps``."""
+    columns = [[g.first_missing for g in gaps], [g.last_missing for g in gaps]]
+    columns += [[np.nan if v is None else v for v in values] for values in (
+        [g.anchor_before for g in gaps], [g.anchor_after for g in gaps],
+        [g.actual_energy for g in gaps])]
+    return GapArrays(*(np.array(c, dtype=np.int64) for c in columns[:2]),
+                     *(np.array(c, dtype=np.float64) for c in columns[2:]),
+                     np.array([g.anchored for g in gaps], dtype=bool))
+
+
 def bits(values):
     return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
 
@@ -193,9 +204,7 @@ def spans_over_power(draw):
 def test_grouped_gap_energies_match_the_per_gap_slices(case):
     imputed, gaps, actual_energies = case
     actual_gaps = [replace(g, actual_energy=float(e)) for g, e in zip(gaps, actual_energies)]
-    first = np.array([g.first_missing for g in gaps], dtype=np.int64)
-    last = np.array([g.last_missing for g in gaps], dtype=np.int64)
-    spans = metrics.gap_spans(first, last, actual_energies)
+    spans = metrics.gap_spans(_table(actual_gaps))
     expected = score_oracle.gap_energies(imputed, actual_gaps)
     energies = metrics.gap_energies(imputed, spans)
     assert bits(energies) == bits(expected)
@@ -206,7 +215,7 @@ def test_grouped_gap_energies_match_the_per_gap_slices(case):
 
 
 def test_gap_spans_of_no_gaps_score_as_an_empty_list():
-    spans = metrics.gap_spans(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), [])
+    spans = metrics.gap_spans(_table([]))
     assert spans.groups == () and spans.actual.size == 0
     assert metrics.gap_energies(power([1.0, 2.0]), spans).size == 0
     with pytest.raises(MetricError, match="non-empty"):
@@ -214,7 +223,7 @@ def test_gap_spans_of_no_gaps_score_as_an_empty_list():
 
 
 def test_unanchored_gaps_have_no_actual_energy():
-    spans = metrics.gap_spans(np.array([0, 3]), np.array([1, 4]), np.array([np.nan, 1.0]))
+    spans = metrics.gap_spans(_table([Gap(0, 1, None, 2.0, None), Gap(3, 4, 3.0, 4.0, 1.0)]))
     assert np.isnan(spans.actual[0]) and spans.actual[1] == 1.0
 
 
@@ -222,8 +231,8 @@ def test_gap_arrays_agree_with_the_gap_list():
     readings = np.cumsum(np.random.default_rng(8).uniform(0.0, 2.0, 40))
     readings[[0, 1, 7, 8, 9, 20, 38, 39]] = np.nan
     es = EnergySeries(datetime(2018, 1, 1), timedelta(hours=1), readings)
-    gaps = detect_gaps(es)
-    arrays = gap_arrays(es)
+    arrays = detect_gaps(es)
+    gaps = arrays.records
     spans = [(0, 1), (6, 9), (19, 20), (37, 38)]
     assert [(g.first_missing, g.last_missing) for g in gaps] == spans
     assert arrays.first_missing.tolist() == [g.first_missing for g in gaps]
@@ -231,6 +240,8 @@ def test_gap_arrays_agree_with_the_gap_list():
     energies = [np.nan if g.actual_energy is None else g.actual_energy for g in gaps]
     assert np.array_equal(arrays.actual_energy, energies, equal_nan=True)
     assert np.isnan(arrays.actual_energy[[0, -1]]).all()
+    assert arrays.anchored.tolist() == [g.anchored for g in gaps] == [False, True, True, False]
+    assert _table(gaps).records == gaps
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +545,7 @@ def test_grid_search_equals_the_per_triple_oracle(monkeypatch, suite, grid, opti
     assert [type(v) for v in result.scores[0]] == [int, int, int, float]
     if boundary:
         plan = plan_cpi(_with_boundary_gaps(suite[0][1], MissingnessSpec(0.15, 30))[0])
-        assert not plan.layout.gaps[0].anchored and not plan.layout.gaps[-1].anchored
+        assert not plan.layout.gaps.anchored[[0, -1]].any()
 
 
 def test_grid_search_scores_each_distinct_assignment_once_per_series():
@@ -593,10 +604,16 @@ def test_bad_weight_grids_fail_before_any_series_is_degraded(grid, error, messag
         ({"shares": (0.1, 1.0)}, ValidationError, r"share must be in \(0, 1\), got 1.0"),
         ({"shares": ()}, MetricError, "evaluation needs at least one share"),
         ({"seeds": ()}, MetricError, "evaluation needs at least one seed"),
+        ({"methods": ()}, MetricError, "evaluation needs at least one method"),
+        ({"shares": (0.1, 0.3, 0.1)}, MetricError, "share 0.1 is listed more than once"),
+        ({"seeds": (4, 4)}, MetricError, "seed 4 is listed more than once"),
+        ({"methods": ("cpi", "linear", "cpi")}, MetricError,
+         "method 'cpi' is listed more than once"),
         ({"max_gap_len": 1}, ValidationError, "max_gap_len must be at least 2"),
         ({"single_fraction": 1.5}, ValidationError, "single_fraction must be in"),
     ],
-    ids=["nan", "zero", "one", "no-shares", "no-seeds", "max-gap-len", "single-fraction"],
+    ids=["nan", "zero", "one", "no-shares", "no-seeds", "no-methods", "repeated-share",
+         "repeated-seed", "repeated-method", "max-gap-len", "single-fraction"],
 )
 def test_bad_degradation_settings_fail_before_any_series_is_degraded(settings, error, message):
     suite = synthetic_suite(1, base_seed=60, days=42)

@@ -22,7 +22,7 @@ from meterfill import (
 from meterfill import cpi, gapgen
 from meterfill import series as series_module
 from meterfill.baselines import BASELINES
-from meterfill.series import day_partition, detect_gaps, fill_energy_from_power, format_series
+from meterfill.series import Gap, day_partition, detect_gaps, fill_energy_from_power, format_series
 
 import csv_oracle
 import paste_oracle
@@ -543,38 +543,44 @@ def test_round_trip_is_identity_on_random_series():
 # ---------------------------------------------------------------------------
 
 
+def _gap_rows(es):
+    """The rows of ``detect_gaps(es)``: one tuple of its columns per gap."""
+    return list(zip(*(column.tolist() for column in detect_gaps(es))))
+
+
 def test_interior_gap_indices_anchors_and_energy():
     base = energy(np.arange(10.0))
     es = with_missing(base, [5, 6])
-    (gap,) = detect_gaps(es)
     # Two missing readings kill three power values: the spans needing e5 or e6.
-    assert (gap.first_missing, gap.last_missing) == (4, 6)
-    assert gap.length == 3
-    assert (gap.anchor_before, gap.anchor_after) == (4.0, 7.0)
-    assert gap.actual_energy == 3.0
-    assert (gap.energy_first, gap.energy_last) == (5, 6)
+    assert _gap_rows(es) == [(4, 6, 4.0, 7.0, 3.0, True)]
+    (gap,) = detect_gaps(es).records
+    assert gap == Gap(4, 6, 4.0, 7.0, 3.0)
+    assert gap.length == 3 and gap.anchored
 
 
 def test_complete_series_has_no_gaps():
-    assert detect_gaps(energy(np.arange(5.0))) == []
+    gaps = detect_gaps(energy(np.arange(5.0)))
+    assert [column.size for column in gaps] == [0] * 6
+    assert gaps.records == ()
 
 
 def test_leading_gap_is_unanchored():
     es = with_missing(energy(np.arange(10.0)), [0, 1, 2])
-    (gap,) = detect_gaps(es)
-    assert gap.anchor_before is None
-    assert gap.actual_energy is None
+    ((first, last, before, after, actual, anchored),) = _gap_rows(es)
+    assert (first, last, after, anchored) == (0, 2, 3.0, False)
+    assert np.isnan(before) and np.isnan(actual)
+    (gap,) = detect_gaps(es).records
+    assert gap.anchor_before is None and gap.actual_energy is None
     assert not gap.anchored
-    assert (gap.first_missing, gap.last_missing) == (0, 2)
-    assert (gap.energy_first, gap.energy_last) == (0, 2)
 
 
 def test_trailing_gap_is_unanchored():
     es = with_missing(energy(np.arange(10.0)), [8, 9])
-    (gap,) = detect_gaps(es)
-    assert gap.anchor_after is None
-    assert (gap.first_missing, gap.last_missing) == (7, 8)
-    assert (gap.energy_first, gap.energy_last) == (8, 9)
+    ((first, last, before, after, actual, anchored),) = _gap_rows(es)
+    assert (first, last, before, anchored) == (7, 8, 7.0, False)
+    assert np.isnan(after) and np.isnan(actual)
+    (gap,) = detect_gaps(es).records
+    assert gap.anchor_after is None and not gap.anchored
 
 
 def test_gap_union_covers_exactly_the_missing_power_indices():
@@ -589,13 +595,16 @@ def test_gap_union_covers_exactly_the_missing_power_indices():
         missing_power = set(np.flatnonzero(np.isnan(energy_to_power(es).values)).tolist())
         covered = set()
         gaps = detect_gaps(es)
-        for gap in gaps:
-            covered.update(range(gap.first_missing, gap.last_missing + 1))
+        for first, last in zip(gaps.first_missing.tolist(), gaps.last_missing.tolist()):
+            covered.update(range(first, last + 1))
         assert covered == missing_power
-        # maximality: two adjacent runs of missing readings would be one gap
-        for a, b in zip(gaps, gaps[1:]):
-            assert b.energy_first > a.energy_last + 1
-            assert b.first_missing > a.last_missing
+        # maximality: a present reading separates consecutive runs of missing
+        # readings, so each gap but the last has a right anchor, each but the
+        # first a left one, and no two spans overlap
+        assert np.isfinite(gaps.anchor_after[:-1]).all()
+        assert np.isfinite(gaps.anchor_before[1:]).all()
+        assert (gaps.first_missing[1:] > gaps.last_missing[:-1]).all()
+        assert gaps.anchored.tolist() == np.isfinite(gaps.actual_energy).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +685,7 @@ def test_partial_first_day_is_not_full():
     es = energy(values, start=start, resolution=QUARTER_HOUR)
     days = day_partition(es)
     assert not days.full_day[0]
-    assert days.first_slot[0] == 48
+    assert days.slots[0] == 48
     assert days.full_day[1]
 
 
@@ -700,8 +709,8 @@ def test_day_partition_energy_conservation():
     es = with_missing(es, [30, 31, 32, 200, 290, 291])
     days = day_partition(es)
     gaps = detect_gaps(es)
-    assert all(g.anchored for g in gaps)
-    total = days.known_energy.sum() + sum(g.actual_energy for g in gaps)
+    assert gaps.anchored.all()
+    total = days.known_energy.sum() + gaps.actual_energy.sum()
     assert total == pytest.approx(es.values[-1] - es.values[0], abs=1e-9)
 
 
@@ -732,7 +741,6 @@ def _day_partition_oracle(series):
                 date=date0 + timedelta(days=d),
                 start=int(start_i),
                 stop=int(stop_i),
-                first_slot=int(off0 + start_i - d * spd),
                 missing=n_missing,
                 known_energy=known,
                 covers_full_day=(e_hi - e_lo) == spd,
