@@ -35,8 +35,8 @@ from meterfill.cpi import (
     run_plan,
     season_distance,
     weekday_distance,
+    _gap_day_range,
 )
-from meterfill.cpi import _gap_day_range
 from meterfill.series import DayTable, day_partition, detect_gaps
 
 import paste_oracle
