@@ -261,7 +261,7 @@ def _cmd_impute(cfg: SimpleNamespace) -> int:
         result = complete_from_power(
             es,
             BASELINES[cfg.method](energy_to_power(es)),
-            tuple(GapFill(g, (), None, anchored=g.anchored) for g in detect_gaps(es).records),
+            tuple(GapFill(g, (), None) for g in detect_gaps(es).records),
         )
     write_series(cfg.output, result.completed_energy)
     write_series(power_out, result.completed_power)

@@ -58,49 +58,18 @@ DEFAULT_WEIGHTS = DissimilarityWeights()
 
 
 @dataclass(frozen=True)
-class SeasonContext:
-    """Seasonal cycle length and the day-total range used for normalization."""
-
-    cycle_length: int
-    energy_min: float
-    energy_max: float
-
-    def __post_init__(self):
-        if self.cycle_length not in (365, 366):
-            raise ValidationError("seasonal cycle length must be 365 or 366")
-        if not self.energy_max > self.energy_min:
-            raise ValidationError("energy_max must exceed energy_min")
-
-
-@dataclass(frozen=True)
-class WeeklyPattern:
-    """Zero-mean per-weekday offsets of daily energy plus a linear trend.
-
-    ``offsets[w - 1]`` is the kWh offset of weekday w (1 = Monday); the trend
-    is ``intercept + slope * day_index`` with day_index counted from the
-    first day used in the fit.
-    """
-
-    offsets: tuple[float, ...]
-    intercept: float
-    slope: float
-
-    def __post_init__(self):
-        if len(self.offsets) != 7:
-            raise ValidationError("weekly pattern needs exactly 7 offsets")
-        if abs(sum(self.offsets)) > 1e-6:
-            raise ValidationError("weekday offsets must sum to zero")
-
-
-@dataclass(frozen=True)
 class GapFill:
     """Audit record of how one gap was filled."""
 
     gap: Gap
     sources: tuple[tuple[date, date], ...]  # (day with gaps, donor day) pairs
     scale: float | None
-    anchored: bool
     fallback: str | None = None
+
+    @property
+    def anchored(self) -> bool:
+        """Whether the gap has a metered reading on both sides."""
+        return self.gap.anchored
 
 
 @dataclass(frozen=True)
@@ -155,14 +124,15 @@ def fit_weekly_pattern(
     days: DayTable,
     rows: np.ndarray,
     min_days: int = 14,
-) -> WeeklyPattern:
-    """Least-squares fit of daily totals on a linear trend plus weekday dummies.
+) -> np.ndarray:
+    """Zero-mean weekday offsets of daily energy, fitted beside a linear trend.
 
-    Fits the known energy of the day-table ``rows`` (in date order), with
-    the trend counted in days from the first of them.  Needs at least 14
-    days (configurable) and at least one day per weekday class; the
-    per-weekday effects are recentred to zero mean across the seven
-    weekdays and the removed mean is folded into the intercept.
+    Least-squares fit of the known energy of the day-table ``rows`` (in
+    date order) on a trend, counted in days from the first of them, plus
+    weekday dummies.  Needs at least 14 days (configurable) and at least
+    one day per weekday class.  Returns the per-weekday effects recentred
+    to zero mean as a read-only float64 array, Monday first: entry w - 1
+    is the kWh offset of ISO weekday w.
     """
     if len(rows) < min_days:
         raise ImputationError(
@@ -180,14 +150,10 @@ def fit_weekly_pattern(
     beta, *_ = np.linalg.lstsq(design, days.known_energy[rows], rcond=None)
 
     effects = np.append(beta[2:8], 0.0)
-    mean_effect = effects.mean()
-    offsets = effects - mean_effect
-    offsets -= offsets.mean()  # absorb rounding so the invariant holds exactly
-    return WeeklyPattern(
-        offsets=tuple(float(o) for o in offsets),
-        intercept=float(beta[0] + mean_effect),
-        slope=float(beta[1]),
-    )
+    offsets = effects - effects.mean()
+    offsets -= offsets.mean()  # absorb rounding so the offsets sum to zero
+    offsets.setflags(write=False)
+    return offsets
 
 
 def _gap_day_range(series: Series, gaps: GapArrays) -> np.ndarray:
@@ -199,16 +165,17 @@ def estimate_daily_energy(
     days: DayTable,
     gaps: GapArrays,
     gap_days: np.ndarray,
-    pattern: WeeklyPattern,
+    offsets: np.ndarray,
 ) -> np.ndarray:
     """Estimate each day's total energy, allocating gap energy across days.
 
     Row d of the result is day d's known energy plus its share of the
     gaps.  Per anchored gap: the metered gap energy is first split across
-    the overlapped days in proportion to their missing values; the weekly
-    pattern is then injected with a zero-sum correction weighted by how much
-    of each day lies in the gap, so the gap total is untouched; negative day
-    shares are clamped to zero and the rest rescaled to restore the total.
+    the overlapped days in proportion to their missing values; the weekday
+    ``offsets`` of ``fit_weekly_pattern`` are then injected with a zero-sum
+    correction weighted by how much of each day lies in the gap, so the gap
+    total is untouched; negative day shares are clamped to zero and the
+    rest rescaled to restore the total.
     The shares are added into the days in gap order.  Unanchored gaps are
     rejected.  ``days`` is the series' ``day_partition``, ``gaps`` rows of
     its ``detect_gaps`` table, and ``gap_days`` their first and last
@@ -231,12 +198,12 @@ def estimate_daily_energy(
     energy = gaps.actual_energy
     allocation = energy[gap] * counts / (stop - first)
 
-    # A gap over several days takes the weekly pattern, centred on the
+    # A gap over several days takes the weekday offsets, centred on the
     # gap's coverage of each day.  The gaps over L days are handled as the
     # rows of one (gaps, L) matrix of their pairs; a row's sum equals
     # ``ndarray.sum`` of that gap's own pairs bit for bit.
     coverage = counts / days.slots[day]
-    offs = np.array(pattern.offsets)[days.weekday[day] - 1]
+    offs = offsets[days.weekday[day] - 1]
     for width in sorted(set(ndays.tolist()) - {1}):
         rows = np.flatnonzero(ndays == width)
         pairs = offset[rows, None] + np.arange(width)
@@ -293,7 +260,9 @@ class MatchTable:
     first, then the earlier date), and ``order[i, k]`` is the candidate
     index of column k, so the first least-dissimilar column of a row is the
     tie-break winner.  ``energy`` is the absolute day-total difference, 0
-    where a total is missing, which drops the energy term there.
+    where a total is missing, which drops the energy term there;
+    ``match_weights`` divides it by ``energy_range``, the largest minus the
+    smallest known total of the rows and candidates.
     """
 
     weekday: np.ndarray         # weekday distances
@@ -301,14 +270,13 @@ class MatchTable:
     energy: np.ndarray          # |day total - candidate total|
     keep: np.ndarray            # False where a candidate cannot donate to the row
     order: np.ndarray           # candidate index of each column
-    energy_range: float         # energy_max - energy_min of the season context
+    energy_range: float         # the span of the known day totals
 
 
 def match_table(
     days: DayTable,
     rows: np.ndarray,
     candidates: np.ndarray,
-    ctx: SeasonContext,
     last_slot: np.ndarray,
 ) -> MatchTable:
     """Distance components of every (row, candidate) pair of ``days``, in tie order.
@@ -316,7 +284,10 @@ def match_table(
     ``rows`` and ``candidates`` are day-table rows in date order, and the
     day totals are the table's ``total`` column.  A candidate can donate
     to ``rows[i]`` only if it reaches within-day slot ``last_slot[i]``, the
-    row's last missing slot.
+    row's last missing slot.  The energy range spans the known totals of
+    the rows and candidates; where all are equal it is taken as
+    ``(lo + 1) - lo``.  The season cycle is 366 days when a 29 February
+    lies between the table's first and last date, else 365.
     """
     # Candidates are in date order: a stable sort by calendar distance puts
     # the earlier date first on a tie.
@@ -325,6 +296,17 @@ def match_table(
     keep = days.slots[donor] > last_slot[:, None]
     if not candidates.size or not keep.any(axis=1).all():
         raise ImputationError("no complete day available")
+
+    totals = days.total[np.concatenate([rows, candidates])]
+    totals = totals[~np.isnan(totals)]
+    lo, hi = float(totals.min()), float(totals.max())
+    if not hi > lo:
+        hi = lo + 1.0  # all day totals equal; any range gives zero distances
+    last = days.first + timedelta(days=len(days) - 1)
+    leap_day = any(
+        calendar.isleap(year) and days.first <= date(year, 2, 29) <= last
+        for year in range(days.first.year, last.year + 1)
+    )
 
     # Both distances take few values: look them up by weekday pair (entry
     # 7 * (w_i - 1) + w_j - 1 of the 7 x 7 table) and by day-of-year difference.
@@ -336,11 +318,11 @@ def match_table(
     energy = np.abs(days.total[donor] - days.total[rows][:, None])
     return MatchTable(
         weekday=weekday_distance(week[:, None], week).ravel()[pair],
-        season=season_distance(0, np.arange(367), ctx.cycle_length)[delta],
+        season=season_distance(0, np.arange(367), 366 if leap_day else 365)[delta],
         energy=np.where(np.isnan(energy), 0.0, energy),
         keep=keep,
         order=order,
-        energy_range=ctx.energy_max - ctx.energy_min,
+        energy_range=hi - lo,
     )
 
 
@@ -466,20 +448,20 @@ def copy_paste_and_scale(
         span = slice(gap.first_missing, gap.last_missing + 1)
         sources = tuple(pairs[lo:hi])
         if not gap.anchored:
-            fills.append(GapFill(gap, sources, None, anchored=False))
+            fills.append(GapFill(gap, sources, None))
             continue
         if not scale:
-            fills.append(GapFill(gap, sources, 1.0, anchored=True, fallback="unscaled"))
+            fills.append(GapFill(gap, sources, 1.0, fallback="unscaled"))
             continue
         actual = gap.actual_energy
         pasted = float(completed[span].sum() * dt)
         if (pasted == 0.0 and actual != 0.0) or pasted * actual < 0.0:
             completed[span] = actual / (gap.length * dt)
-            fills.append(GapFill(gap, sources, None, anchored=True, fallback="uniform"))
+            fills.append(GapFill(gap, sources, None, fallback="uniform"))
             continue
         factor = actual / pasted if pasted != 0.0 else 1.0
         completed[span] *= factor
-        fills.append(GapFill(gap, sources, factor, anchored=True))
+        fills.append(GapFill(gap, sources, factor))
 
     completed.setflags(write=False)
     return PowerSeries(start=ps.start, resolution=ps.resolution, values=completed), tuple(fills)
@@ -513,9 +495,10 @@ class CpiPlan:
 
     ``days`` is the series' day table with its ``total`` column filled in,
     and ``candidates`` are its rows of complete full days: the donors of
-    the match table, in date order.  ``run_plan`` reads the match table to
-    pick donors and the paste layout to paste and scale them; neither is
-    rebuilt per weighting.
+    the match table, in date order.  ``run_plan`` reads the match table,
+    which holds the season and energy normalization, to pick donors and
+    the paste layout to paste and scale them; neither is rebuilt per
+    weighting.
     """
 
     series: EnergySeries        # input with isolated singles already filled
@@ -523,23 +506,7 @@ class CpiPlan:
     layout: PasteLayout         # the missing slots, their days, and every gap's days
     days: DayTable
     candidates: np.ndarray      # the day-table rows of the copy candidates
-    context: SeasonContext
     table: MatchTable           # the days with gaps against the candidates
-
-
-def _season_context(days: DayTable, candidates: np.ndarray) -> SeasonContext:
-    """Cycle length and day-total range of the candidates and the estimated days."""
-    last = days.first + timedelta(days=len(days) - 1)
-    leap_day = any(
-        calendar.isleap(year) and days.first <= date(year, 2, 29) <= last
-        for year in range(days.first.year, last.year + 1)
-    )
-    ranged = (days.missing > 0) & ~np.isnan(days.total)
-    ranged[candidates] = True
-    lo, hi = float(days.total[ranged].min()), float(days.total[ranged].max())
-    if not hi > lo:
-        hi = lo + 1.0  # all day totals identical; any range gives zero distances
-    return SeasonContext(366 if leap_day else 365, lo, hi)
 
 
 def plan_cpi(es: EnergySeries, min_complete_days: int = 14) -> CpiPlan:
@@ -563,17 +530,16 @@ def plan_cpi(es: EnergySeries, min_complete_days: int = 14) -> CpiPlan:
             f"copy-paste imputation needs at least {min_complete_days} "
             f"complete days, got {candidates.size}"
         )
-    pattern = fit_weekly_pattern(days, candidates, min_days=min_complete_days)
+    offsets = fit_weekly_pattern(days, candidates, min_days=min_complete_days)
 
     anchored = gaps.anchored
     anchored_gaps = GapArrays(*(column[anchored] for column in gaps))
-    estimates = estimate_daily_energy(days, anchored_gaps, layout.gap_days[:, anchored], pattern)
+    estimates = estimate_daily_energy(days, anchored_gaps, layout.gap_days[:, anchored], offsets)
     # Days touched by an unanchored boundary gap get no energy estimate and
     # are matched on weekday and season alone.
     for first, last in layout.gap_days[:, ~anchored].T.tolist():
         estimates[first : last + 1] = np.nan
     days = compile_complete_days(days, estimates)
-    context = _season_context(days, candidates)
 
     day, slot = day_slot(power, layout.missing)
     last_slot = slot[np.searchsorted(day, layout.days, side="right") - 1]
@@ -583,8 +549,7 @@ def plan_cpi(es: EnergySeries, min_complete_days: int = 14) -> CpiPlan:
         layout=layout,
         days=days,
         candidates=candidates,
-        context=context,
-        table=match_table(days, layout.days, candidates, context, last_slot),
+        table=match_table(days, layout.days, candidates, last_slot),
     )
 
 

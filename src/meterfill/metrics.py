@@ -290,10 +290,8 @@ def _evaluate_cell(payload) -> list[ScoreRow]:
                     imputed = energy_to_power(filled)
                 else:
                     imputed = run_plan(plan, weights, CPI_METHODS[method]).imputed_power
-            elif method in BASELINES:
-                imputed = BASELINES[method](degraded_power)
             else:
-                raise MetricError(f"unknown method {method!r}")
+                imputed = BASELINES[method](degraded_power)
             elapsed = time.perf_counter() - started + shared_s
             mape, wape = score_method(actual, mask, spans, imputed)
         except MeterfillError as exc:
@@ -321,7 +319,8 @@ def evaluate(
     five fall back to the plain mean and are flagged in the warnings.
     Cells run in ``parallelism`` worker processes, which must be at least 1.
     Every share's degradation settings are checked, and an empty or
-    repeating share, seed or method list rejected, before any series is degraded.
+    repeating share, seed or method list or an unknown method rejected,
+    before any series is degraded.
     """
     if not series_set:
         raise MetricError("evaluation needs at least one series")
@@ -333,6 +332,9 @@ def evaluate(
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise MetricError(f"{name} {repeated[0]!r} is listed more than once")
+    for method in methods:
+        if method not in ALL_METHODS:
+            raise MetricError(f"unknown method {method!r}")
     for share in shares:
         MissingnessSpec(share, max_gap_len, single_fraction)
     cells = [

@@ -10,7 +10,6 @@ compare the batch against.
 import numpy as np
 
 from meterfill import DissimilarityWeights
-from meterfill.cpi import SeasonContext
 from meterfill.cpi import season_distance as season_matrix
 from meterfill.cpi import weekday_distance as weekday_matrix
 from plan_oracle import DayRecord
@@ -54,26 +53,27 @@ def dissimilarity(
     day_i: DayRecord,
     day_j: DayRecord,
     weights: DissimilarityWeights,
-    ctx: SeasonContext,
+    cycle_length: int,
+    energy_range: float,
 ) -> float:
     """Weighted sum of the energy, weekday and season distances.
 
-    The energy distance is the absolute day-total difference over the
-    context's energy range; it is dropped when either day has no total.
+    The energy distance is the absolute day-total difference over
+    ``energy_range``; it is dropped when either day has no total.
     """
     if day_i.total_energy is not None and day_j.total_energy is not None:
-        d_energy = abs(day_i.total_energy - day_j.total_energy) / (ctx.energy_max - ctx.energy_min)
+        d_energy = abs(day_i.total_energy - day_j.total_energy) / energy_range
     else:
         d_energy = 0.0
     return combine_distances(
         weights,
         d_energy,
         weekday_distance(day_i.weekday, day_j.weekday),
-        season_distance(day_i.day_of_year, day_j.day_of_year, ctx.cycle_length),
+        season_distance(day_i.day_of_year, day_j.day_of_year, cycle_length),
     )
 
 
-def lexsort_donors(days, candidates, weights, ctx, keep=None):
+def lexsort_donors(days, candidates, weights, cycle_length, energy_range, keep=None):
     """Index of each day's least dissimilar candidate, one full sort per row.
 
     Entry (i, j) of the matrix is the weighted sum of the energy, weekday
@@ -89,10 +89,8 @@ def lexsort_donors(days, candidates, weights, ctx, keep=None):
         return np.array([getattr(c, attr) for c in candidates], dtype=np.float64)
 
     dw = weekday_matrix(column("weekday"), row("weekday"))
-    ds = season_matrix(column("day_of_year"), row("day_of_year"), ctx.cycle_length)
-    energy = weights.energy * np.abs(row("total_energy") - column("total_energy")) / (
-        ctx.energy_max - ctx.energy_min
-    )
+    ds = season_matrix(column("day_of_year"), row("day_of_year"), cycle_length)
+    energy = weights.energy * np.abs(row("total_energy") - column("total_energy")) / energy_range
     value = weights.weekday * dw + weights.season * ds + np.where(np.isnan(energy), 0.0, energy)
     if keep is not None:
         value = np.where(keep, value, np.inf)

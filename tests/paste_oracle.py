@@ -57,20 +57,20 @@ def copy_paste_and_scale(ps, gaps, matches, energy, scale=True):
         touched = [date0 + timedelta(days=d) for d in range(first, last + 1)]
         sources = tuple((gap_date, matches[gap_date]) for gap_date in touched)
         if not gap.anchored:
-            fills.append(GapFill(gap, sources, None, anchored=False))
+            fills.append(GapFill(gap, sources, None))
             continue
         if not scale:
-            fills.append(GapFill(gap, sources, 1.0, anchored=True, fallback="unscaled"))
+            fills.append(GapFill(gap, sources, 1.0, fallback="unscaled"))
             continue
         actual = gap.actual_energy
         pasted = float(completed[span].sum() * dt)
         if (pasted == 0.0 and actual != 0.0) or pasted * actual < 0.0:
             completed[span] = actual / (gap.length * dt)
-            fills.append(GapFill(gap, sources, None, anchored=True, fallback="uniform"))
+            fills.append(GapFill(gap, sources, None, fallback="uniform"))
             continue
         factor = actual / pasted if pasted != 0.0 else 1.0
         completed[span] *= factor
-        fills.append(GapFill(gap, sources, factor, anchored=True))
+        fills.append(GapFill(gap, sources, factor))
 
     imputed = PowerSeries(start=ps.start, resolution=ps.resolution, values=completed)
     return complete_from_power(energy, imputed, tuple(fills))

@@ -20,8 +20,6 @@ from meterfill.cpi import (
     WEEKDAY_NAMES,
     MatchTable,
     PasteLayout,
-    SeasonContext,
-    WeeklyPattern,
     interpolate_singles,
     match_weights,
     paste_layout,
@@ -120,7 +118,7 @@ def day_partition(series) -> list[DayView]:
     ]
 
 
-def fit_weekly_pattern(complete_days, min_days=14) -> WeeklyPattern:
+def fit_weekly_pattern(complete_days, min_days=14) -> np.ndarray:
     if len(complete_days) < min_days:
         raise ImputationError(
             f"weekly pattern needs at least {min_days} complete days, "
@@ -141,14 +139,9 @@ def fit_weekly_pattern(complete_days, min_days=14) -> WeeklyPattern:
     beta, *_ = np.linalg.lstsq(design, totals, rcond=None)
 
     effects = np.append(beta[2:8], 0.0)
-    mean_effect = effects.mean()
-    offsets = effects - mean_effect
+    offsets = effects - effects.mean()
     offsets -= offsets.mean()
-    return WeeklyPattern(
-        offsets=tuple(float(o) for o in offsets),
-        intercept=float(beta[0] + mean_effect),
-        slope=float(beta[1]),
-    )
+    return offsets
 
 
 def _gap_days(series, gap):
@@ -156,7 +149,7 @@ def _gap_days(series, gap):
     return np.arange(day[0], day[-1] + 1), np.bincount(day - day[0])
 
 
-def estimate_daily_energy(series, days, gaps, pattern) -> dict[date, float]:
+def estimate_daily_energy(series, days, gaps, offsets) -> dict[date, float]:
     extra = np.zeros(len(days))
     for gap in gaps:
         if not gap.anchored:
@@ -170,7 +163,7 @@ def estimate_daily_energy(series, days, gaps, pattern) -> dict[date, float]:
         if touched.size > 1:
             coverage = counts / np.array([days[i].slots for i in touched])
             offs = np.array(
-                [pattern.offsets[days[i].date.isoweekday() - 1] for i in touched]
+                [offsets[days[i].date.isoweekday() - 1] for i in touched]
             )
             centred = offs - (coverage * offs).sum() / coverage.sum()
             adjusted = allocation + coverage * centred
@@ -209,7 +202,7 @@ def compile_complete_days(days, estimates) -> list[DayRecord]:
     return records
 
 
-def match_table(days, candidates, ctx, keep=None) -> MatchTable:
+def match_table(days, candidates, cycle_length, energy_range, keep=None) -> MatchTable:
     if not candidates or (keep is not None and not keep.any(axis=1).all()):
         raise ImputationError("no complete day available")
 
@@ -226,21 +219,23 @@ def match_table(days, candidates, ctx, keep=None) -> MatchTable:
     energy = np.abs(row("total_energy") - column("total_energy"))
     return MatchTable(
         weekday=weekday_distance(column("weekday"), row("weekday")),
-        season=season_distance(column("day_of_year"), row("day_of_year"), ctx.cycle_length),
+        season=season_distance(column("day_of_year"), row("day_of_year"), cycle_length),
         energy=np.where(np.isnan(energy), 0.0, energy),
         keep=np.full(order.shape, True) if keep is None else np.take_along_axis(keep, order, 1),
         order=order,
-        energy_range=ctx.energy_max - ctx.energy_min,
+        energy_range=energy_range,
     )
 
 
-def best_donors(days, candidates, weights: DissimilarityWeights, ctx, keep=None) -> np.ndarray:
+def best_donors(days, candidates, weights: DissimilarityWeights, cycle_length, energy_range,
+                keep=None) -> np.ndarray:
     """Index of each day's least dissimilar candidate, as ``match_weights`` picks it."""
-    table = match_table(days, candidates, ctx, keep)
+    table = match_table(days, candidates, cycle_length, energy_range, keep)
     return match_weights(table, [(weights.energy, weights.weekday, weights.season)])[0]
 
 
-def season_context(records, candidates) -> SeasonContext:
+def season_normalization(records, candidates) -> tuple[int, float]:
+    """The seasonal cycle length and the range of the candidates' and estimated days' totals."""
     cycle = 365
     for record in records:
         if record.date.month == 2 and record.date.day == 29:
@@ -251,7 +246,7 @@ def season_context(records, candidates) -> SeasonContext:
     lo, hi = min(totals), max(totals)
     if not hi > lo:
         hi = lo + 1.0
-    return SeasonContext(cycle, lo, hi)
+    return cycle, hi - lo
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,7 +260,8 @@ class Plan:
     days: tuple[DayView, ...]
     records: tuple[DayRecord, ...]
     candidate_records: tuple[DayRecord, ...]
-    context: SeasonContext
+    cycle_length: int
+    energy_range: float
     series: EnergySeries
     power: object
     layout: PasteLayout
@@ -288,21 +284,21 @@ def plan_cpi(es, min_complete_days=14) -> Plan:
             f"copy-paste imputation needs at least {min_complete_days} "
             f"complete days, got {len(complete_full)}"
         )
-    pattern = fit_weekly_pattern(
+    offsets = fit_weekly_pattern(
         [(v.date, v.known_energy) for v in complete_full],
         min_days=min_complete_days,
     )
 
     anchored = [g for g in gaps.records if g.anchored]
     unanchored = [g for g in gaps.records if not g.anchored]
-    estimates = estimate_daily_energy(filled, days, anchored, pattern)
+    estimates = estimate_daily_energy(filled, days, anchored, offsets)
     blocked = {days[i].date for gap in unanchored for i in _gap_days(filled, gap)[0]}
     usable = {d: v for d, v in estimates.items() if d not in blocked}
 
     records = compile_complete_days(days, usable)
     rows = [i for i, r in enumerate(records) if r.is_complete and r.full_day]
     candidates = [records[i] for i in rows]
-    context = season_context(records, candidates)
+    cycle_length, energy_range = season_normalization(records, candidates)
 
     gap_rows = [i for i, r in enumerate(records) if not r.is_complete]
     day, slot = day_slot(power, layout.missing)
@@ -313,10 +309,12 @@ def plan_cpi(es, min_complete_days=14) -> Plan:
         days=tuple(days),
         records=tuple(records),
         candidate_records=tuple(candidates),
-        context=context,
+        cycle_length=cycle_length,
+        energy_range=energy_range,
         series=filled,
         power=power,
         layout=layout,
         candidates=np.array(rows, dtype=np.int64),
-        table=match_table([records[i] for i in gap_rows], candidates, context, keep),
+        table=match_table([records[i] for i in gap_rows], candidates, cycle_length, energy_range,
+                          keep),
     )

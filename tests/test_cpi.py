@@ -20,8 +20,6 @@ from meterfill import (
 from meterfill import cpi
 from meterfill.cpi import (
     DEFAULT_WEIGHTS,
-    SeasonContext,
-    WeeklyPattern,
     compile_complete_days,
     complete_from_power,
     copy_paste_and_scale,
@@ -117,25 +115,25 @@ def _days(totals, start=MONDAY.date()):
 
 def test_weekend_offsets_recover_the_closed_form():
     totals = [110.0 if d % 7 in (5, 6) else 100.0 for d in range(28)]
-    pattern = fit_weekly_pattern(*_days(totals))
+    offsets = fit_weekly_pattern(*_days(totals))
     for w in range(1, 6):
-        assert pattern.offsets[w - 1] == pytest.approx(-20 / 7, abs=1e-6)
+        assert offsets[w - 1] == pytest.approx(-20 / 7, abs=1e-6)
     for w in (6, 7):
-        assert pattern.offsets[w - 1] == pytest.approx(50 / 7, abs=1e-6)
-    assert pattern.slope == pytest.approx(0.0, abs=1e-6)
+        assert offsets[w - 1] == pytest.approx(50 / 7, abs=1e-6)
+    assert (offsets.dtype, offsets.shape) == (np.float64, (7,))
+    assert abs(offsets.sum()) < 1e-9
+    assert not offsets.flags.writeable
 
 
 def test_constant_totals_give_zero_offsets_and_slope():
-    pattern = fit_weekly_pattern(*_days([42.0] * 21))
-    assert max(abs(o) for o in pattern.offsets) < 1e-9
-    assert abs(pattern.slope) < 1e-9
-    assert pattern.intercept == pytest.approx(42.0)
+    offsets = fit_weekly_pattern(*_days([42.0] * 21))
+    assert np.abs(offsets).max() < 1e-9
 
 
 def test_pure_trend_recovers_the_slope_exactly():
-    pattern = fit_weekly_pattern(*_days([2.0 * i for i in range(28)]))
-    assert pattern.slope == pytest.approx(2.0, abs=1e-9)
-    assert max(abs(o) for o in pattern.offsets) < 1e-9
+    # The fit's trend column takes the slope, so none of it leaks into the offsets.
+    offsets = fit_weekly_pattern(*_days([2.0 * i for i in range(28)]))
+    assert np.abs(offsets).max() < 1e-9
 
 
 def test_fewer_than_fourteen_days_is_an_error():
@@ -149,11 +147,6 @@ def test_missing_weekday_class_is_named():
         fit_weekly_pattern(days, rows[days.weekday != 7])
 
 
-def test_offsets_must_sum_to_zero():
-    with pytest.raises(ValidationError, match="sum to zero"):
-        WeeklyPattern(offsets=(1.0,) * 7, intercept=0.0, slope=0.0)
-
-
 # ---------------------------------------------------------------------------
 # Daily energy estimation
 # ---------------------------------------------------------------------------
@@ -165,16 +158,16 @@ def _row(day):
 
 
 def _flat_pattern(**overrides):
-    offsets = [0.0] * 7
+    """Weekday offsets, Monday first, zero except the named days."""
+    offsets = np.zeros(7)
     for weekday, value in overrides.items():
-        index = ["mon", "tue", "wed", "thu", "fri", "sat", "sun"].index(weekday)
-        offsets[index] = value
-    return WeeklyPattern(offsets=tuple(offsets), intercept=0.0, slope=0.0)
+        offsets[["mon", "tue", "wed", "thu", "fri", "sat", "sun"].index(weekday)] = value
+    return offsets
 
 
-def _estimate(es, gaps, pattern):
+def _estimate(es, gaps, offsets):
     """``estimate_daily_energy`` of ``es``'s day table and the rows ``gaps`` of its gap table."""
-    return estimate_daily_energy(day_partition(es), gaps, _gap_day_range(es, gaps), pattern)
+    return estimate_daily_energy(day_partition(es), gaps, _gap_day_range(es, gaps), offsets)
 
 
 def test_two_full_days_receive_their_weekly_offsets():
@@ -184,8 +177,7 @@ def test_two_full_days_receive_their_weekly_offsets():
     es = with_missing(base, range(4 * 24 + 1, 6 * 24))
     gaps = detect_gaps(es)
     assert gaps.actual_energy.tolist() == pytest.approx([48.0])
-    pattern = _flat_pattern(fri=4.0, sat=-4.0)
-    totals = _estimate(es, gaps, pattern)
+    totals = _estimate(es, gaps, _flat_pattern(fri=4.0, sat=-4.0))
     assert totals[_row(date(2018, 1, 5))] == pytest.approx(28.0)
     assert totals[_row(date(2018, 1, 6))] == pytest.approx(20.0)
 
@@ -209,8 +201,8 @@ def test_single_day_gap_ignores_the_pattern():
     es = with_missing(base, range(2 * 24 + 3, 2 * 24 + 9))
     gaps = detect_gaps(es)
     known = 24.0 - 7.0  # 24 slots of 1 kW minus the 7 missing power values
-    for pattern in (_flat_pattern(), _flat_pattern(wed=5.0, sun=-5.0)):
-        totals = _estimate(es, gaps, pattern)
+    for offsets in (_flat_pattern(), _flat_pattern(wed=5.0, sun=-5.0)):
+        totals = _estimate(es, gaps, offsets)
         assert totals[_row(date(2018, 1, 3))] == pytest.approx(known + gaps.actual_energy[0])
 
 
@@ -229,8 +221,7 @@ def test_estimation_conserves_every_gap_exactly():
     es = with_missing(es, list(range(30, 80)) + list(range(200, 230)) + [400])
     es = interpolate_singles(es)
     gaps = detect_gaps(es)
-    pattern = _flat_pattern(mon=3.0, tue=-1.0, wed=-2.0)
-    totals = _estimate(es, gaps, pattern)
+    totals = _estimate(es, gaps, _flat_pattern(mon=3.0, tue=-1.0, wed=-2.0))
     allocated = (totals - day_partition(es).known_energy).sum()
     assert allocated == pytest.approx(gaps.actual_energy.sum(), rel=1e-12)
 
@@ -383,31 +374,28 @@ def test_weights_must_be_usable():
 
 
 def test_dissimilarity_of_identical_days_is_zero_energy_term():
-    ctx = SeasonContext(365, 0.0, 100.0)
     a = record(date(2018, 3, 5), total=50.0)
     b = record(date(2018, 3, 5), total=50.0, complete=True)
-    assert dissimilarity(a, b, DissimilarityWeights(5, 1, 10), ctx) == 0.0
+    assert dissimilarity(a, b, DissimilarityWeights(5, 1, 10), 365, 100.0) == 0.0
 
 
 def test_dissimilarity_composes_the_three_components():
-    ctx = SeasonContext(365, 0.0, 10.0)
     a = record(date(2018, 1, 1), total=2.0)            # Monday, doy 1
     b = record(date(2018, 4, 13), total=0.0, complete=True)  # Friday, doy 103
     expected = 5 * 0.2 + 1 * 0.5 + 10 * (102 / 182)
-    got = dissimilarity(a, b, DissimilarityWeights(5, 1, 10), ctx)
+    got = dissimilarity(a, b, DissimilarityWeights(5, 1, 10), 365, 10.0)
     assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_component_ranges_stay_normalized():
     rng = np.random.default_rng(23)
-    ctx = SeasonContext(365, 10.0, 60.0)
     weights = DissimilarityWeights(1.0, 1.0, 1.0)
     for _ in range(200):
         da = record(date(2018, 1, 1) + timedelta(days=int(rng.integers(365))),
                     total=float(rng.uniform(10, 60)))
         db = record(date(2018, 1, 1) + timedelta(days=int(rng.integers(365))),
                     total=float(rng.uniform(10, 60)), complete=True)
-        assert 0.0 <= dissimilarity(da, db, weights, ctx) <= 3.0
+        assert 0.0 <= dissimilarity(da, db, weights, 365, 50.0) <= 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -431,55 +419,53 @@ def test_second_friday_is_selected_at_dissimilarity_0_4():
     # Crafted so the winning day's dissimilarity is exactly 0.4 under
     # weights (20, 1, 5): 20 * (0.27/26) + 0 + 5 * (7/182) = 0.4.
     weights = DissimilarityWeights(20, 1, 5)
-    ctx = SeasonContext(365, 20.0, 46.0)
+    norm = 365, 26.0  # day totals ranging over 20 .. 46 kWh
     target = record(date(2018, 1, 5), total=24.27, estimated=True)
     candidates = _fig1_candidates()
-    best = candidates[best_donors([target], candidates, weights, ctx)[0]]
+    best = candidates[best_donors([target], candidates, weights, *norm)[0]]
     assert best.date == date(2018, 1, 12)  # the second Friday
-    assert dissimilarity(target, best, weights, ctx) == pytest.approx(0.4, abs=1e-9)
-    others = [dissimilarity(target, c, weights, ctx) for c in candidates if c is not best]
+    assert dissimilarity(target, best, weights, *norm) == pytest.approx(0.4, abs=1e-9)
+    others = [dissimilarity(target, c, weights, *norm) for c in candidates if c is not best]
     assert min(others) > 0.4
 
 
 def test_single_candidate_is_returned():
     target = record(date(2018, 1, 5), total=10.0)
     only = record(date(2018, 1, 8), total=99.0, complete=True)
-    ctx = SeasonContext(365, 0, 100)
-    assert [only][best_donors([target], [only], DissimilarityWeights(), ctx)[0]] is only
+    assert [only][best_donors([target], [only], DissimilarityWeights(), 365, 100.0)[0]] is only
 
 
 def test_ties_break_on_calendar_distance_then_earlier_date():
     weights = DissimilarityWeights(1, 0, 0)  # energy only; equal totals tie
-    ctx = SeasonContext(365, 0.0, 10.0)
+    norm = 365, 10.0
     target = record(date(2018, 6, 15), total=5.0)
     near = record(date(2018, 6, 12), total=5.0, complete=True)   # 3 days away
     far = record(date(2018, 6, 25), total=5.0, complete=True)    # 10 days away
-    assert [far, near][best_donors([target], [far, near], weights, ctx)[0]] is near
+    assert [far, near][best_donors([target], [far, near], weights, *norm)[0]] is near
     before = record(date(2018, 6, 12), total=5.0, complete=True)
     after = record(date(2018, 6, 18), total=5.0, complete=True)
-    assert [after, before][best_donors([target], [after, before], weights, ctx)[0]] is before
+    assert [after, before][best_donors([target], [after, before], weights, *norm)[0]] is before
 
 
 def test_empty_candidate_list_is_an_error():
     days = table(date(2018, 1, 5), [1.0], total=[1.0])
     with pytest.raises(ImputationError, match="no complete day available"):
-        match_table(days, np.array([0]), np.array([], dtype=np.int64),
-                    SeasonContext(365, 0, 2), np.array([0]))
+        match_table(days, np.array([0]), np.array([], dtype=np.int64), np.array([0]))
 
 
 def test_unanchored_day_matches_on_weekday_and_season_only():
-    ctx = SeasonContext(365, 0.0, 10.0)
     target = record(date(2018, 1, 5))  # no total available
     same_weekday_far_energy = record(date(2018, 1, 12), total=10.0, complete=True)
     close_energy_other_class = record(date(2018, 1, 6), total=0.0, complete=True)
     candidates = [close_energy_other_class, same_weekday_far_energy]
-    best = candidates[best_donors([target], candidates, DissimilarityWeights(50, 1, 1), ctx)[0]]
+    weights = DissimilarityWeights(50, 1, 1)
+    best = candidates[best_donors([target], candidates, weights, 365, 10.0)[0]]
     assert best is same_weekday_far_energy
 
 
 def test_scaling_all_weights_keeps_the_selection():
     rng = np.random.default_rng(31)
-    ctx = SeasonContext(365, 0.0, 50.0)
+    norm = 365, 50.0
     candidates = [
         record(MONDAY.date() + timedelta(days=int(d)), total=float(rng.uniform(0, 50)),
                complete=True)
@@ -491,10 +477,10 @@ def test_scaling_all_weights_keeps_the_selection():
             MONDAY.date() + timedelta(days=int(rng.integers(300, 360))),
             total=float(rng.uniform(0, 50)),
         )
-        chosen = candidates[best_donors([target], candidates, base, ctx)[0]]
+        chosen = candidates[best_donors([target], candidates, base, *norm)[0]]
         for c in (2.0, 0.5, 8.0, 3.0):
             scaled = DissimilarityWeights(5 * c, 1 * c, 10 * c)
-            best = candidates[best_donors([target], candidates, scaled, ctx)[0]]
+            best = candidates[best_donors([target], candidates, scaled, *norm)[0]]
             assert best.date == chosen.date
 
 
@@ -509,7 +495,7 @@ def test_matrix_match_agrees_with_the_scalar_oracle():
         if not raw.any():
             raw[int(rng.integers(3))] = 1.0
         weights = DissimilarityWeights(*raw)
-        ctx = SeasonContext(366, 5.0, 20.0)
+        norm = 366, 15.0
         picks = rng.choice(366, size=int(rng.integers(2, 40)), replace=False)
         candidates = [
             record(year[d], total=float(rng.choice([5.0, 12.5, 20.0])), complete=True)
@@ -522,30 +508,31 @@ def test_matrix_match_agrees_with_the_scalar_oracle():
         keep = rng.random((len(days), len(candidates))) < 0.7
         keep[np.arange(len(days)), rng.integers(len(candidates), size=len(days))] = True
 
-        chosen = best_donors(days, candidates, weights, ctx, keep)
+        chosen = best_donors(days, candidates, weights, *norm, keep)
         for day, row, j in zip(days, keep, chosen):
             kept = [c for c, k in zip(candidates, row) if k]
             expected = min(kept, key=lambda c: (
-                dissimilarity(day, c, weights, ctx), abs((c.date - day.date).days), c.date,
+                dissimilarity(day, c, weights, *norm), abs((c.date - day.date).days), c.date,
             ))
             assert candidates[j].date == expected.date, (trial, day.date)
         for day in days:  # one row, no keep mask: every candidate competes
             expected = min(candidates, key=lambda c: (
-                dissimilarity(day, c, weights, ctx), abs((c.date - day.date).days), c.date,
+                dissimilarity(day, c, weights, *norm), abs((c.date - day.date).days), c.date,
             ))
-            assert candidates[best_donors([day], candidates, weights, ctx)[0]] is expected
+            assert candidates[best_donors([day], candidates, weights, *norm)[0]] is expected
 
 
 def test_matrix_match_runs_the_distance_rules_under_test():
     # The truth tables above test these two functions; the match must use them.
-    days = table(date(2018, 1, 5), [1.0] * 6, total=[1.0, np.nan, 1.0, 1.0, 1.0, 1.0])
-    ctx = SeasonContext(365, 0, 2)
+    # Only the rows' and candidates' known totals set the range: 5 - 1.
+    days = table(date(2018, 1, 5), [1.0] * 6, total=[1.0, np.nan, 9.0, 3.0, 2.0, 5.0])
     with (
         mock.patch("meterfill.cpi.weekday_distance", wraps=weekday_distance) as weekday,
         mock.patch("meterfill.cpi.season_distance", wraps=season_distance) as season,
     ):
-        match = match_table(days, np.array([0, 1]), np.array([3, 4, 5]), ctx, np.array([0, 0]))
+        match = match_table(days, np.array([0, 1]), np.array([3, 4, 5]), np.array([0, 0]))
     assert (weekday.call_count, season.call_count) == (1, 1)
+    assert match.energy_range == 4.0
     assert np.array_equal(match.weekday, weekday_distance(
         np.array([[5], [6]]), np.array([1, 2, 3])[match.order]))
     assert np.array_equal(match.season, season_distance(
@@ -558,11 +545,10 @@ def test_matrix_match_needs_a_kept_candidate_on_every_row():
     days = DayTable(days.first, days.start, np.array([24, 48, 68]), *(
         getattr(days, name) for name in ("missing", "known_energy",
                                          "full_day", "total")))
-    ctx = SeasonContext(365, 0, 2)
-    match = match_table(days, np.array([0, 1]), np.array([2]), ctx, np.array([5, 19]))
+    match = match_table(days, np.array([0, 1]), np.array([2]), np.array([5, 19]))
     assert match.keep.tolist() == [[True], [True]]
     with pytest.raises(ImputationError, match="no complete day available"):
-        match_table(days, np.array([0, 1]), np.array([2]), ctx, np.array([5, 22]))
+        match_table(days, np.array([0, 1]), np.array([2]), np.array([5, 22]))
 
 
 def _tied_rows(table, triple):
@@ -590,7 +576,6 @@ def test_batched_match_agrees_with_the_lexsort_oracle_for_every_triple(monkeypat
     for trial in range(30):
         cycle = (365, 366)[trial % 2]
         first = date(2019 + trial % 2, 1, 1)  # 2020 is a leap year
-        ctx = SeasonContext(cycle, 4.0, 16.0)
         picks = rng.choice(cycle, size=int(rng.integers(1, 60)), replace=False)
         candidates = [
             record(first + timedelta(days=int(d)), total=float(rng.choice([4.0, 8.0, 12.0])),
@@ -605,14 +590,15 @@ def test_batched_match_agrees_with_the_lexsort_oracle_for_every_triple(monkeypat
         keep = rng.random((len(days), len(candidates))) < 0.6
         keep[np.arange(len(days)), rng.integers(len(candidates), size=len(days))] = True
 
-        table = plan_oracle.match_table(days, candidates, ctx, keep)
+        table = plan_oracle.match_table(days, candidates, cycle, 12.0, keep)
         batched = match_weights(table, triples)
         with monkeypatch.context() as patch:
             patch.setattr(cpi, "_BATCH_ENTRIES", 5 * len(days) * len(candidates))
             assert np.array_equal(match_weights(table, triples), batched)
         assert batched.shape == (len(triples), len(days))
         for triple, donors in zip(triples, batched):
-            expected = lexsort_donors(days, candidates, DissimilarityWeights(*triple), ctx, keep)
+            expected = lexsort_donors(days, candidates, DissimilarityWeights(*triple), cycle, 12.0,
+                                      keep)
             assert donors.tolist() == expected.tolist(), (trial, triple)
             ties += _tied_rows(table, triple)
     assert ties > 1000  # the tie-break decided many rows
@@ -621,11 +607,32 @@ def test_batched_match_agrees_with_the_lexsort_oracle_for_every_triple(monkeypat
 def test_match_table_orders_each_row_by_calendar_distance_then_date():
     days = table(date(2018, 6, 12), [5.0] * 14, total=[5.0] * 14)  # 2018-06-12 .. 06-25
     candidates = np.array([0, 2, 6, 13])  # the 12th, 14th, 18th and 25th
-    match = match_table(days, np.array([3]), candidates, SeasonContext(365, 0.0, 10.0),
-                        np.array([0]))
+    match = match_table(days, np.array([3]), candidates, np.array([0]))
     assert (12 + candidates[match.order[0]]).tolist() == [14, 12, 18, 25]
     assert match.keep.all()
     assert match.energy.tolist() == [[0.0] * 4]
+
+
+def test_equal_day_totals_leave_the_donors_to_weekday_and_season():
+    # Every day holds 7 kWh.  The energy range must stay positive so the
+    # energy term is 0, not 0 / 0: a NaN term would hand each row its
+    # nearest candidate whatever the weights.
+    days = table(MONDAY.date(), [7.0] * 21, total=[7.0] * 21)  # 2018-01-01 .. 01-21
+    rows = np.array([3, 12])  # Thursday the 4th and Saturday the 13th
+    candidates = np.setdiff1d(np.arange(21), rows)
+    match = match_table(days, rows, candidates, np.array([0, 0]))
+    assert 0.0 < match.energy_range < np.inf
+    donors = candidates[match_weights(match, [(5, 1, 10), (5, 1, 0), (5, 0, 10)])]
+    assert (1 + donors).tolist() == [[11, 6], [11, 6], [3, 12]]
+
+
+@pytest.mark.parametrize("first, cycle", [(date(2020, 2, 1), 366), (date(2020, 1, 31), 365)])
+def test_season_cycle_is_366_days_when_the_table_holds_29_february(first, cycle):
+    # 29 days from the 1st of February 2020 end on the 29th; from the 31st
+    # of January they end on the 28th.
+    days = table(first, [1.0] * 29, total=[1.0] * 29)
+    match = match_table(days, np.array([0]), np.array([1, 28]), np.array([0]))
+    assert match.season.tolist() == [[1 / (cycle // 2), 28 / (cycle // 2)]]
 
 
 def test_plan_match_uses_the_table_built_with_the_plan(year_series):
@@ -640,7 +647,8 @@ def test_plan_match_uses_the_table_built_with_the_plan(year_series):
     oracle = plan_oracle.plan_cpi(degraded)
     gap_days = [r for r in oracle.records if not r.is_complete]
     candidates = oracle.candidate_records
-    best = lexsort_donors(gap_days, candidates, DissimilarityWeights(), oracle.context)
+    best = lexsort_donors(gap_days, candidates, DissimilarityWeights(), oracle.cycle_length,
+                          oracle.energy_range)
     assert matches == {r.date: candidates[j].date for r, j in zip(gap_days, best)}
 
 
@@ -1100,7 +1108,7 @@ def _plan_inputs(draw):
 
 
 def _assert_same_plan(got, want):
-    """The day table, candidates, context, layout and match table agree bit for bit."""
+    """The day table, candidates, normalization, layout and match table agree bit for bit."""
     views = plan_oracle.views(got.days)
     assert views == list(want.days)
     assert repr(views) == repr(list(want.days))
@@ -1114,8 +1122,13 @@ def _assert_same_plan(got, want):
         c.date for c in want.candidate_records
     ]
 
-    assert got.context == want.context
-    assert type(got.context.energy_min) is float and type(got.context.energy_max) is float
+    # The oracle works out the cycle and the range itself, as plain numbers.
+    doy = got.days.day_of_year
+    season = season_distance(doy[got.layout.days][:, None],
+                             doy[got.candidates[got.table.order]], want.cycle_length)
+    assert got.table.season.tobytes() == season.tobytes()
+    assert got.table.energy_range == want.energy_range
+    assert type(got.table.energy_range) is float
 
     a, b = got.layout, want.layout
     assert a.gap_rows == b.gap_rows
@@ -1126,7 +1139,6 @@ def _assert_same_plan(got, want):
     for name in ("weekday", "season", "energy", "keep", "order"):
         a, b = getattr(got.table, name), getattr(want.table, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-    assert got.table.energy_range == want.table.energy_range
     triples = [(5, 1, 10), (1, 0, 0), (0, 1, 1), (2.5, 0.5, 7)]
     assert np.array_equal(match_weights(got.table, triples), match_weights(want.table, triples))
 
@@ -1156,7 +1168,7 @@ def test_plan_oracle_draws_cover_every_case():
         if isinstance(outcome, tuple):
             seen.add(outcome[1].split(" ")[0])
             return
-        seen.add(outcome.context.cycle_length)
+        seen.add(outcome.cycle_length)
         seen.add(es.resolution)
         spd = timedelta(days=1) // es.resolution
         seen.update("long" for g in outcome.layout.gaps.records if g.length > spd)
@@ -1197,7 +1209,7 @@ def test_plan_errors_match_the_oracle(stage):
 def test_estimates_add_the_gap_shares_in_gap_order():
     # Each of twenty days holds four gaps: the end of one across the last
     # midnight, two inside the day and the start of one across the next.
-    # The weekly pattern gives the shares of the crossing gaps bits that
+    # The weekday offsets give the shares of the crossing gaps bits that
     # other sums round differently, and almost all of a day's energy lies
     # in its gaps, so a day's total is the oracle's only if its shares are
     # added in the oracle's gap order.
@@ -1207,11 +1219,11 @@ def test_estimates_add_the_gap_shares_in_gap_order():
     gap_power = np.unique(np.clip([i + k for i in crowded for k in (-1, 0)], 0, None))
     power[gap_power] = rng.uniform(1.0, 3.0, size=gap_power.size)
     es = with_missing(energy(np.concatenate(([0.0], np.cumsum(power)))), crowded)
-    pattern = WeeklyPattern((0.3, -0.1, 0.25, -0.45, 0.0, 0.7, -0.7), 0.0, 0.0)
+    offsets = np.array([0.3, -0.1, 0.25, -0.45, 0.0, 0.7, -0.7])
     gaps = detect_gaps(es)
-    got = _estimate(es, gaps, pattern)
+    got = _estimate(es, gaps, offsets)
     want = plan_oracle.estimate_daily_energy(es, plan_oracle.day_partition(es), gaps.records,
-                                             pattern)
+                                             offsets)
     assert got.tobytes() == np.array(list(want.values())).tobytes()
 
 
@@ -1224,24 +1236,23 @@ def test_stage_errors_match_the_oracle():
     assert isinstance(want, tuple) and got == want
 
     days = table(date(2018, 1, 5), [1.0] * 3, total=[1.0] * 3)  # 24 slots a day
-    got = _outcome(match_table, days, np.array([0]), np.array([2]), SeasonContext(365, 0, 2),
-                   np.array([24]))
+    got = _outcome(match_table, days, np.array([0]), np.array([2]), np.array([24]))
     want = _outcome(plan_oracle.match_table, [record(date(2018, 1, 5), total=1.0)],
                     [record(date(2018, 1, 7), total=1.0, complete=True)],
-                    SeasonContext(365, 0, 2), np.array([[False]]))
+                    365, 2.0, np.array([[False]]))
     assert isinstance(want, tuple) and got == want
 
 
-def test_season_context_holds_plain_floats():
+def test_energy_range_is_the_oracles_plain_float():
     from meterfill import MissingnessSpec, insert_missing, synthetic_series
 
     for seed in range(3):
         truth = synthetic_series(seed, days=120)
         for share in (0.01, 0.1, 0.3):
             degraded, _ = insert_missing(truth, MissingnessSpec(share=share, seed=seed))
-            context = plan_cpi(degraded).context
-            assert type(context.energy_min) is float and type(context.energy_max) is float
-            assert context == plan_oracle.plan_cpi(degraded).context
+            energy_range = plan_cpi(degraded).table.energy_range
+            assert type(energy_range) is float
+            assert energy_range == plan_oracle.plan_cpi(degraded).energy_range
 
 
 # ---------------------------------------------------------------------------

@@ -415,12 +415,14 @@ def test_each_copy_paste_runtime_includes_the_shared_plan(small_suite):
     assert all(r.runtime_s >= 0.05 for r in report.rows)
 
 
-def test_method_failures_are_recorded_not_raised(small_suite):
-    report = evaluate(small_suite[:1], shares=[0.1], methods=["cpi", "nonsense"])
+def test_method_failures_are_recorded_not_raised():
+    # Ten days hold too few complete days for copy-paste; the baseline still runs.
+    report = evaluate(synthetic_suite(1, days=10, slots_per_day=24), shares=[0.1],
+                      methods=["cpi", "linear"])
     errors = [r for r in report.rows if r.error]
-    assert len(errors) == 1
-    assert errors[0].method == "nonsense"
-    assert not [a for a in report.aggregates if a.method == "nonsense"]
+    assert [r.method for r in errors] == ["cpi"]
+    assert "complete days" in errors[0].error
+    assert [a.method for a in report.aggregates] == ["linear"]
 
 
 def test_cpi_conserves_energy_in_the_harness(small_suite):
@@ -609,11 +611,12 @@ def test_bad_weight_grids_fail_before_any_series_is_degraded(grid, error, messag
         ({"seeds": (4, 4)}, MetricError, "seed 4 is listed more than once"),
         ({"methods": ("cpi", "linear", "cpi")}, MetricError,
          "method 'cpi' is listed more than once"),
+        ({"methods": ("cpi", "magic", "linear")}, MetricError, "unknown method 'magic'"),
         ({"max_gap_len": 1}, ValidationError, "max_gap_len must be at least 2"),
         ({"single_fraction": 1.5}, ValidationError, "single_fraction must be in"),
     ],
     ids=["nan", "zero", "one", "no-shares", "no-seeds", "no-methods", "repeated-share",
-         "repeated-seed", "repeated-method", "max-gap-len", "single-fraction"],
+         "repeated-seed", "repeated-method", "unknown-method", "max-gap-len", "single-fraction"],
 )
 def test_bad_degradation_settings_fail_before_any_series_is_degraded(settings, error, message):
     suite = synthetic_suite(1, base_seed=60, days=42)
