@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import calendar
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -255,21 +255,21 @@ class MatchTable:
     """The weight-independent part of matching days with gaps to donors.
 
     Row i is the day-table row ``rows[i]`` of ``match_table`` (in a plan,
-    ``layout.days[i]``), and candidate index j is ``candidates[j]``.  Every
-    matrix holds a row's candidates in tie order (smaller calendar distance
-    first, then the earlier date), and ``order[i, k]`` is the candidate
-    index of column k, so the first least-dissimilar column of a row is the
-    tie-break winner.  ``energy`` is the absolute day-total difference, 0
-    where a total is missing, which drops the energy term there;
-    ``match_weights`` divides it by ``energy_range``, the largest minus the
-    smallest known total of the rows and candidates.
+    ``layout.days[i]``).  Every matrix holds a row's candidates in tie order
+    (smaller calendar distance first, then the earlier date), and
+    ``donor[i, k]`` is the day-table row of column k, so the first
+    least-dissimilar column of a row is the tie-break winner.  ``energy``
+    is the absolute day-total difference, 0 where a total is missing, which
+    drops the energy term there; ``match_weights`` divides it by
+    ``energy_range``, the largest minus the smallest known total of the
+    rows and candidates.
     """
 
     weekday: np.ndarray         # weekday distances
     season: np.ndarray          # season distances
     energy: np.ndarray          # |day total - candidate total|
     keep: np.ndarray            # False where a candidate cannot donate to the row
-    order: np.ndarray           # candidate index of each column
+    donor: np.ndarray           # day-table row of each column
     energy_range: float         # the span of the known day totals
 
 
@@ -286,8 +286,9 @@ def match_table(
     to ``rows[i]`` only if it reaches within-day slot ``last_slot[i]``, the
     row's last missing slot.  The energy range spans the known totals of
     the rows and candidates; where all are equal it is taken as
-    ``(lo + 1) - lo``.  The season cycle is 366 days when a 29 February
-    lies between the table's first and last date, else 365.
+    ``(lo + 1) - lo``, and where none is known as 1.  The season cycle is
+    366 days when a 29 February lies between the table's first and last
+    date, else 365.
     """
     # Candidates are in date order: a stable sort by calendar distance puts
     # the earlier date first on a tie.
@@ -299,9 +300,9 @@ def match_table(
 
     totals = days.total[np.concatenate([rows, candidates])]
     totals = totals[~np.isnan(totals)]
-    lo, hi = float(totals.min()), float(totals.max())
+    lo, hi = (float(totals.min()), float(totals.max())) if totals.size else (0.0, 0.0)
     if not hi > lo:
-        hi = lo + 1.0  # all day totals equal; any range gives zero distances
+        hi = lo + 1.0  # day totals all equal or unknown; any range gives zero distances
     last = days.first + timedelta(days=len(days) - 1)
     leap_day = any(
         calendar.isleap(year) and days.first <= date(year, 2, 29) <= last
@@ -321,7 +322,7 @@ def match_table(
         season=season_distance(0, np.arange(367), 366 if leap_day else 365)[delta],
         energy=np.where(np.isnan(energy), 0.0, energy),
         keep=keep,
-        order=order,
+        donor=donor,
         energy_range=hi - lo,
     )
 
@@ -332,17 +333,19 @@ _BATCH_ENTRIES = 1 << 16
 
 
 def match_weights(table: MatchTable, triples) -> np.ndarray:
-    """Donor index of every row of ``table`` under each weight triple.
+    """Donor day-table row of every row of ``table`` under each weight triple.
 
     ``triples`` is a sequence of (energy, weekday, season) weights; the
-    result has shape (len(triples), rows).  The dissimilarity of a row and a
-    candidate is ``weekday * dw + season * ds + energy * |dE| / range``,
-    evaluated in that order, so every weighting sees exactly the values a
-    single-triple match would.  Exact ties go to the smallest calendar
+    result has shape (len(triples), rows), and each of its rows is the
+    ``donors`` of ``copy_paste_and_scale`` and ``run_plan``.  The
+    dissimilarity of a row and a candidate is
+    ``weekday * dw + season * ds + energy * |dE| / range``, evaluated in
+    that order, so every weighting sees exactly the values a single-triple
+    match would.  Exact ties go to the smallest calendar
     distance, then to the earlier date.
     """
     weights = np.asarray(triples, dtype=np.float64).reshape(-1, 3, 1, 1)
-    rows, cols = table.order.shape
+    rows, cols = table.donor.shape
     donors = np.empty((len(weights), rows), dtype=np.int64)
     excluded = ~table.keep
     step = max(1, _BATCH_ENTRIES // max(1, rows * cols))
@@ -354,7 +357,7 @@ def match_weights(table: MatchTable, triples) -> np.ndarray:
         energy /= table.energy_range
         value += energy
         value[:, excluded] = np.inf
-        donors[lo : lo + step] = table.order[np.arange(rows), value.argmin(axis=-1)]
+        donors[lo : lo + step] = table.donor[np.arange(rows), value.argmin(axis=-1)]
     return donors
 
 
@@ -493,20 +496,17 @@ def complete_from_power(
 class CpiPlan:
     """Weight-independent state shared by all matching runs on one series.
 
-    ``days`` is the series' day table with its ``total`` column filled in,
-    and ``candidates`` are its rows of complete full days: the donors of
-    the match table, in date order.  ``run_plan`` reads the match table,
-    which holds the season and energy normalization, to pick donors and
-    the paste layout to paste and scale them; neither is rebuilt per
-    weighting.
+    ``days`` is the series' day table with its ``total`` column filled in.
+    ``match_weights`` reads the match table, which holds the season and
+    energy normalization, to pick donors, and ``run_plan`` reads the paste
+    layout to paste and scale them; neither is rebuilt per weighting.
     """
 
     series: EnergySeries        # input with isolated singles already filled
     power: PowerSeries
     layout: PasteLayout         # the missing slots, their days, and every gap's days
     days: DayTable
-    candidates: np.ndarray      # the day-table rows of the copy candidates
-    table: MatchTable           # the days with gaps against the candidates
+    table: MatchTable           # the days with gaps against the copy candidates
 
 
 def plan_cpi(es: EnergySeries, min_complete_days: int = 14) -> CpiPlan:
@@ -548,24 +548,18 @@ def plan_cpi(es: EnergySeries, min_complete_days: int = 14) -> CpiPlan:
         power=power,
         layout=layout,
         days=days,
-        candidates=candidates,
         table=match_table(days, layout.days, candidates, last_slot),
     )
 
 
-def run_plan(
-    plan: CpiPlan,
-    weights: DissimilarityWeights = DEFAULT_WEIGHTS,
-    scale: bool = True,
-) -> ImputationResult:
-    """Impute the plan's series with the donors that ``weights`` pick.
+def run_plan(plan: CpiPlan, donors: np.ndarray, scale: bool = True) -> ImputationResult:
+    """Impute the plan's series from ``donors``, one day-table row per day with gaps.
 
-    Only donor-dependent work happens here: matching on the plan's table,
-    ``copy_paste_and_scale`` of the donors' day-table rows over the plan's
-    paste layout, and the energy rebuild of ``complete_from_power``.
+    ``donors`` is a row of ``match_weights(plan.table, ...)``.  Only
+    donor-dependent work happens here: ``copy_paste_and_scale`` over the
+    plan's paste layout, and the energy rebuild of ``complete_from_power``.
     """
-    best = match_weights(plan.table, [(weights.energy, weights.weekday, weights.season)])[0]
-    imputed, per_gap = copy_paste_and_scale(plan.power, plan.layout, plan.candidates[best], scale)
+    imputed, per_gap = copy_paste_and_scale(plan.power, plan.layout, donors, scale)
     return complete_from_power(plan.series, imputed, per_gap)
 
 
@@ -583,10 +577,12 @@ def impute_cpi(
     ``scale`` is false, in which case the miss shows in ``imputed_power``
     and as a jump at each gap's right anchor in the completed series).
     ``min_complete_days`` is the least number of complete days ``plan_cpi``
-    accepts.
+    accepts.  The donors are ``match_weights``' pick for ``weights`` on the
+    plan's match table, and ``run_plan`` pastes them.
     """
     filled = interpolate_singles(es)
     if not np.isnan(filled.values).any():
         power = energy_to_power(filled)
         return ImputationResult(power, filled, (), power)
-    return run_plan(plan_cpi(filled, min_complete_days), weights, scale=scale)
+    plan = plan_cpi(filled, min_complete_days)
+    return run_plan(plan, match_weights(plan.table, [astuple(weights)])[0], scale=scale)

@@ -4,13 +4,13 @@ The harness degrades complete ground-truth series, runs each imputation
 method, and scores pattern fidelity (MAPE over the missing power values)
 and energy conservation (WAPE over the per-gap energies), with wall-clock
 runtime measured around the imputation only.  ``cpi`` and ``cpi_noscale``
-run from one plan per degraded series; the runtime of each is that plan's
-time plus its own matching, pasting and scaling, so it is still what the
-method costs alone.  Both measures read the power each method imputed
-(for copy-paste: pasted, then scaled if scaling is on), never the power
-re-derived from the rebuilt energy, whose last gap slot absorbs any
-energy miss; so a method that does not conserve energy scores a nonzero
-WAPE.
+run from one plan and one match per degraded series; the runtime of each
+is that shared planning and matching time plus its own pasting and
+scaling, so it is still what the method costs alone.  Both measures read
+the power each method imputed (for copy-paste: pasted, then scaled if
+scaling is on), never the power re-derived from the rebuilt energy, whose
+last gap slot absorbs any energy miss; so a method that does not conserve
+energy scores a nonzero WAPE.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import concurrent.futures
 import csv
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -264,9 +264,9 @@ def _evaluate_cell(payload) -> list[ScoreRow]:
     except MeterfillError as exc:
         return [failed(m, exc) for m in methods]
 
-    # Both copy-paste methods run from one plan, and each is charged its
-    # time.  As in ``impute_cpi``, no plan is built when interpolating the
-    # isolated singles leaves no gap.
+    # Both copy-paste methods paste the donors of one plan and one match,
+    # and each is charged that time.  As in ``impute_cpi``, no plan is built
+    # when interpolating the isolated singles leaves no gap.
     plan_s, plan = 0.0, None
     if any(m in CPI_METHODS for m in methods):
         started = time.perf_counter()
@@ -274,6 +274,7 @@ def _evaluate_cell(payload) -> list[ScoreRow]:
             filled = interpolate_singles(degraded)
             if np.isnan(filled.values).any():
                 plan = plan_cpi(filled)
+                donors = match_weights(plan.table, [astuple(weights)])[0]
         except MeterfillError as exc:
             plan = exc
         plan_s = time.perf_counter() - started
@@ -289,7 +290,7 @@ def _evaluate_cell(payload) -> list[ScoreRow]:
                 if plan is None:
                     imputed = energy_to_power(filled)
                 else:
-                    imputed = run_plan(plan, weights, CPI_METHODS[method]).imputed_power
+                    imputed = run_plan(plan, donors, CPI_METHODS[method]).imputed_power
             else:
                 imputed = BASELINES[method](degraded_power)
             elapsed = time.perf_counter() - started + shared_s
@@ -317,7 +318,9 @@ def evaluate(
     The method name sets whether copy-paste scales (``CPI_METHODS``).
     Aggregates are trimmed means per (share, method); groups smaller than
     five fall back to the plain mean and are flagged in the warnings.
-    Cells run in ``parallelism`` worker processes, which must be at least 1.
+    ``parallelism`` must be at least 1.  Cells run in as many worker
+    processes, but in no more than there are cells, and in this process
+    when that is one.
     Every share's degradation settings are checked, and an empty or
     repeating share, seed or method list or an unknown method rejected,
     before any series is degraded.
@@ -344,8 +347,9 @@ def evaluate(
         for share in shares
         for seed in seeds
     ]
-    if parallelism > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
+    workers = min(parallelism, len(cells))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_evaluate_cell, cells))
     else:
         chunks = [_evaluate_cell(cell) for cell in cells]
@@ -469,9 +473,9 @@ def grid_search_weights(
     triple is matched in one batch on the plan's match table
     (``cpi.match_weights``).  Triples that pick the same donor for every
     day with gaps give the same imputation, so each distinct assignment is
-    imputed and scored once, and its MAPE is that of all its triples.  The
-    aggregate over the series is the trimmed mean (plain mean below five
-    series).  Ties are broken by the smaller weight sum, then
+    pasted from its donors and scored once, and its MAPE is that of all its
+    triples.  The aggregate over the series is the trimmed mean (plain mean
+    below five series).  Ties are broken by the smaller weight sum, then
     lexicographically.  Reversed or negative ranges, an empty grid and
     bad degradation settings are rejected before any series is degraded.  The
     calibration set must be disjoint from the evaluation set (caller's
@@ -490,12 +494,11 @@ def grid_search_weights(
         plan = plan_cpi(degraded)
         actual = energy_to_power(series)
         mask = np.flatnonzero(np.isnan(energy_to_power(degraded).values))
-        groups: dict[bytes, list[int]] = {}
+        groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
         for t, donors in enumerate(match_weights(plan.table, triples)):
-            groups.setdefault(donors.tobytes(), []).append(t)
-        for members in groups.values():
-            weights = DissimilarityWeights(*triples[members[0]])
-            mapes[members, index] = mape_p(actual, run_plan(plan, weights).imputed_power,
+            groups.setdefault(donors.tobytes(), (donors, []))[1].append(t)
+        for donors, members in groups.values():
+            mapes[members, index] = mape_p(actual, run_plan(plan, donors).imputed_power,
                                            mask).value
         del plan  # before the next series is planned: one plan in memory at a time
 

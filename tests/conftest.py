@@ -45,15 +45,19 @@ def with_missing(series, indices):
     )
 
 
-def matched_days(plan, weights):
-    """Each day with gaps of ``plan`` mapped to the donor day ``weights`` pick."""
+def plan_donors(plan, weights):
+    """The donor day-table rows ``weights`` pick for the days with gaps of ``plan``."""
     from meterfill.cpi import match_weights
 
-    best = match_weights(plan.table, [(weights.energy, weights.weekday, weights.season)])[0]
+    return match_weights(plan.table, [(weights.energy, weights.weekday, weights.season)])[0]
+
+
+def matched_days(plan, weights):
+    """Each day with gaps of ``plan`` mapped to the donor day ``weights`` pick."""
     first = plan.days.first
     return {
         first + timedelta(days=day): first + timedelta(days=donor)
-        for day, donor in zip(plan.layout.days.tolist(), plan.candidates[best].tolist())
+        for day, donor in zip(plan.layout.days.tolist(), plan_donors(plan, weights).tolist())
     }
 
 

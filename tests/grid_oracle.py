@@ -1,8 +1,9 @@
 """Per-triple reference for the weight grid search.
 
 ``meterfill.metrics.grid_search_weights`` matches every weight triple in one
-batch and scores each distinct donor assignment once.  This version runs a
-full ``run_plan`` and ``mape_p`` for every triple on every series, with all
+batch and scores each distinct donor assignment once.  This version matches
+each triple on its own (a one-triple ``match_weights`` call) and runs a full
+``run_plan`` and ``mape_p`` for every triple on every series, with all
 plans held at once; the tests require the two to agree exactly.  Gap
 insertion is looked up in ``meterfill.metrics`` at call time, so a test
 that patches it there degrades both the same way.
@@ -12,7 +13,7 @@ import numpy as np
 
 from meterfill import DissimilarityWeights, MetricError, MissingnessSpec, trimmed_mean
 from meterfill import metrics
-from meterfill.cpi import plan_cpi, run_plan
+from meterfill.cpi import match_weights, plan_cpi, run_plan
 from meterfill.series import energy_to_power
 
 
@@ -49,10 +50,11 @@ def grid_search_per_triple(
                 if w_energy + w_weekday + w_season == 0:
                     continue
                 weights = DissimilarityWeights(w_energy, w_weekday, w_season)
-                mapes = [
-                    metrics.mape_p(actual, run_plan(plan, weights).imputed_power, mask).value
-                    for plan, actual, mask in prepared
-                ]
+                mapes = []
+                for plan, actual, mask in prepared:
+                    donors = match_weights(plan.table, [(w_energy, w_weekday, w_season)])[0]
+                    imputed = run_plan(plan, donors).imputed_power
+                    mapes.append(metrics.mape_p(actual, imputed, mask).value)
                 score = aggregate(mapes)
                 scores.append((w_energy, w_weekday, w_season, score))
                 key = (score, w_energy + w_weekday + w_season, (w_energy, w_weekday, w_season))

@@ -202,7 +202,13 @@ def compile_complete_days(days, estimates) -> list[DayRecord]:
     return records
 
 
-def match_table(days, candidates, cycle_length, energy_range, keep=None) -> MatchTable:
+def match_table(days, candidates, cycle_length, energy_range, keep=None, rows=None) -> MatchTable:
+    """The package's match table, built from the records one by one.
+
+    ``rows`` are the candidates' day-table rows, which ``donor`` holds; by
+    default they are the candidates' positions, so that ``match_weights``
+    answers in candidate indices, as ``lexsort_donors`` does.
+    """
     if not candidates or (keep is not None and not keep.any(axis=1).all()):
         raise ImputationError("no complete day available")
 
@@ -222,7 +228,7 @@ def match_table(days, candidates, cycle_length, energy_range, keep=None) -> Matc
         season=season_distance(column("day_of_year"), row("day_of_year"), cycle_length),
         energy=np.where(np.isnan(energy), 0.0, energy),
         keep=np.full(order.shape, True) if keep is None else np.take_along_axis(keep, order, 1),
-        order=order,
+        donor=order if rows is None else np.asarray(rows, dtype=np.int64)[order],
         energy_range=energy_range,
     )
 
@@ -251,10 +257,12 @@ def season_normalization(records, candidates) -> tuple[int, float]:
 
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """What the earlier ``plan_cpi`` held; ``run_plan`` reads the last five.
+    """What the earlier ``plan_cpi`` held.
 
-    ``candidate_records`` are the records of the copy candidates, and
-    ``candidates`` their day-table rows, as the package's plan holds them.
+    ``run_plan`` reads ``series``, ``power`` and ``layout``, and
+    ``match_weights`` reads ``table``.  ``candidate_records`` are the
+    records of the copy candidates, and ``candidates`` their day-table
+    rows, which the table's ``donor`` holds.
     """
 
     days: tuple[DayView, ...]
@@ -316,5 +324,5 @@ def plan_cpi(es, min_complete_days=14) -> Plan:
         layout=layout,
         candidates=np.array(rows, dtype=np.int64),
         table=match_table([records[i] for i in gap_rows], candidates, cycle_length, energy_range,
-                          keep),
+                          keep, rows),
     )

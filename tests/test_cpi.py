@@ -46,6 +46,7 @@ from conftest import (
     assert_untouched,
     energy,
     matched_days,
+    plan_donors,
     with_missing,
 )
 from dissimilarity_oracle import combine_distances, dissimilarity, lexsort_donors
@@ -253,7 +254,7 @@ def test_fourteen_day_series_with_two_gap_days_has_twelve_candidates():
     days = compile_complete_days(days, _no_estimates(days))
     assert len(days) == 14
     plan = plan_cpi(es, min_complete_days=12)
-    assert plan.candidates.tolist() == [0, 1, 2, 3, 6, 7, 8, 9, 10, 11, 12, 13]
+    assert np.unique(plan.table.donor).tolist() == [0, 1, 2, 3, 6, 7, 8, 9, 10, 11, 12, 13]
     assert plan.layout.days.tolist() == [4, 5]
     assert np.flatnonzero(np.isnan(days.total)).tolist() == [4, 5]
 
@@ -534,9 +535,9 @@ def test_matrix_match_runs_the_distance_rules_under_test():
     assert (weekday.call_count, season.call_count) == (1, 1)
     assert match.energy_range == 4.0
     assert np.array_equal(match.weekday, weekday_distance(
-        np.array([[5], [6]]), np.array([1, 2, 3])[match.order]))
+        np.array([[5], [6]]), days.weekday[match.donor]))
     assert np.array_equal(match.season, season_distance(
-        np.array([[5], [6]]), np.array([8, 9, 10])[match.order], 365))
+        np.array([[5], [6]]), days.day_of_year[match.donor], 365))
 
 
 def test_matrix_match_needs_a_kept_candidate_on_every_row():
@@ -608,7 +609,7 @@ def test_match_table_orders_each_row_by_calendar_distance_then_date():
     days = table(date(2018, 6, 12), [5.0] * 14, total=[5.0] * 14)  # 2018-06-12 .. 06-25
     candidates = np.array([0, 2, 6, 13])  # the 12th, 14th, 18th and 25th
     match = match_table(days, np.array([3]), candidates, np.array([0]))
-    assert (12 + candidates[match.order[0]]).tolist() == [14, 12, 18, 25]
+    assert (12 + match.donor[0]).tolist() == [14, 12, 18, 25]
     assert match.keep.all()
     assert match.energy.tolist() == [[0.0] * 4]
 
@@ -622,8 +623,23 @@ def test_equal_day_totals_leave_the_donors_to_weekday_and_season():
     candidates = np.setdiff1d(np.arange(21), rows)
     match = match_table(days, rows, candidates, np.array([0, 0]))
     assert 0.0 < match.energy_range < np.inf
-    donors = candidates[match_weights(match, [(5, 1, 10), (5, 1, 0), (5, 0, 10)])]
+    donors = match_weights(match, [(5, 1, 10), (5, 1, 0), (5, 0, 10)])
     assert (1 + donors).tolist() == [[11, 6], [11, 6], [3, 12]]
+
+
+def test_unknown_day_totals_leave_the_donors_to_weekday_and_season():
+    # No row or candidate has a known total (every day touched by an
+    # unanchored boundary gap): every energy term is 0 and the range is 1.
+    days = table(date(2018, 1, 5), [1.0] * 3, total=[np.nan] * 3)
+    match = match_table(days, np.array([0]), np.array([2]), np.array([0]))
+    assert (match.energy_range, match.energy.tolist()) == (1.0, [[0.0]])
+    assert match.donor.tolist() == [[2]]
+
+    days = table(MONDAY.date(), [7.0] * 21, total=[np.nan] * 21)
+    rows = np.array([3, 12])
+    match = match_table(days, rows, np.setdiff1d(np.arange(21), rows), np.array([0, 0]))
+    donors = match_weights(match, [(5, 1, 10), (5, 1, 0), (5, 0, 10)])
+    assert (1 + donors).tolist() == [[11, 6], [11, 6], [3, 12]]  # as with equal totals
 
 
 @pytest.mark.parametrize("first, cycle", [(date(2020, 2, 1), 366), (date(2020, 1, 31), 365)])
@@ -638,9 +654,10 @@ def test_season_cycle_is_366_days_when_the_table_holds_29_february(first, cycle)
 def test_plan_match_uses_the_table_built_with_the_plan(year_series):
     degraded = with_missing(year_series, range(5000, 5400))
     plan = plan_cpi(degraded)
-    assert plan.table.order.shape == (plan.layout.days.size, plan.candidates.size)
+    candidates = np.flatnonzero((plan.days.missing == 0) & plan.days.full_day)
+    assert plan.table.donor.shape == (plan.layout.days.size, candidates.size)
     with mock.patch("meterfill.cpi.match_table", wraps=match_table) as build:
-        result = run_plan(plan, DissimilarityWeights())
+        result = run_plan(plan, plan_donors(plan, DissimilarityWeights()))
     assert build.call_count == 0
     matches = matched_days(plan, DissimilarityWeights())
     assert dict(pair for fill in result.per_gap for pair in fill.sources) == matches
@@ -1016,7 +1033,7 @@ def test_run_plan_pastes_as_the_oracle_does_from_the_plan_matches(slots, hour):
             want = paste_oracle.copy_paste_and_scale(
                 plan.power, plan.layout.gaps.records, matches, plan.series, scale
             )
-            _assert_same_outcome(run_plan(plan, weights, scale), want)
+            _assert_same_outcome(run_plan(plan, plan_donors(plan, weights), scale), want)
 
 
 def test_plan_layout_rows_are_the_match_table_rows(year_series):
@@ -1027,7 +1044,7 @@ def test_plan_layout_rows_are_the_match_table_rows(year_series):
     layout = plan.layout
     assert layout.days.dtype == np.int64
     assert np.array_equal(layout.days, np.flatnonzero(plan.days.missing))
-    assert plan.table.order.shape[0] == layout.days.size
+    assert plan.table.donor.shape[0] == layout.days.size
     for got, want in zip(layout.gaps, detect_gaps(plan.series), strict=True):
         assert got.tobytes() == want.tobytes()
     assert np.array_equal(layout.missing, np.flatnonzero(np.isnan(plan.power.values)))
@@ -1117,15 +1134,16 @@ def _assert_same_plan(got, want):
     assert got.days.total.tobytes() == totals.tobytes()
     assert got.days.weekday.tolist() == [r.weekday for r in records]
     assert got.days.day_of_year.tolist() == [r.day_of_year for r in records]
-    assert got.candidates.tobytes() == want.candidates.tobytes()
-    assert [records[i].date for i in got.candidates.tolist()] == [
+    candidates = np.flatnonzero((got.days.missing == 0) & got.days.full_day)
+    assert candidates.tobytes() == want.candidates.tobytes()
+    assert [records[i].date for i in candidates.tolist()] == [
         c.date for c in want.candidate_records
     ]
 
     # The oracle works out the cycle and the range itself, as plain numbers.
     doy = got.days.day_of_year
-    season = season_distance(doy[got.layout.days][:, None],
-                             doy[got.candidates[got.table.order]], want.cycle_length)
+    season = season_distance(doy[got.layout.days][:, None], doy[got.table.donor],
+                             want.cycle_length)
     assert got.table.season.tobytes() == season.tobytes()
     assert got.table.energy_range == want.energy_range
     assert type(got.table.energy_range) is float
@@ -1136,7 +1154,7 @@ def _assert_same_plan(got, want):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     assert [c.tobytes() for c in a.gaps] == [c.tobytes() for c in b.gaps]
 
-    for name in ("weekday", "season", "energy", "keep", "order"):
+    for name in ("weekday", "season", "energy", "keep", "donor"):
         a, b = getattr(got.table, name), getattr(want.table, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
     triples = [(5, 1, 10), (1, 0, 0), (0, 1, 1), (2.5, 0.5, 7)]
@@ -1153,8 +1171,8 @@ def test_plan_matches_the_per_day_oracle(es):
         return
     _assert_same_plan(got, want)
     for scale in (True, False):
-        _assert_same_outcome(_outcome(run_plan, got, DEFAULT_WEIGHTS, scale),
-                             _outcome(run_plan, want, DEFAULT_WEIGHTS, scale))
+        _assert_same_outcome(_outcome(run_plan, got, plan_donors(got, DEFAULT_WEIGHTS), scale),
+                             _outcome(run_plan, want, plan_donors(want, DEFAULT_WEIGHTS), scale))
 
 
 def test_plan_oracle_draws_cover_every_case():

@@ -32,7 +32,7 @@ from meterfill.metrics import _cell_seed, format_aggregates_csv, format_report_c
 from meterfill.series import Gap, GapArrays, detect_gaps
 
 import score_oracle
-from conftest import matched_days, power
+from conftest import power
 from grid_oracle import grid_search_per_triple
 
 
@@ -365,6 +365,61 @@ def test_every_row_is_the_same_at_any_parallelism(kwargs):
     assert serial.warnings == parallel.warnings
 
 
+def test_evaluate_asks_for_no_more_workers_than_cells(small_suite):
+    requested = []
+
+    class InProcessPool:
+        """Records the workers asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    def untimed(report):
+        return [repr(replace(r, runtime_s=0.0)) for r in report.rows]
+
+    kwargs = dict(shares=[0.05, 0.1], methods=["cpi", "linear"])
+    serial = evaluate(small_suite[:1], **kwargs, parallelism=1)
+    with mock.patch("concurrent.futures.ProcessPoolExecutor", InProcessPool):
+        pooled = evaluate(small_suite[:1], **kwargs, parallelism=64)
+        alone = evaluate(small_suite[:1], **dict(kwargs, shares=[0.1]), parallelism=64)
+    assert requested == [2]  # two cells; the one-cell grid ran in this process
+    assert untimed(pooled) == untimed(serial)
+    assert untimed(alone) == untimed(serial)[2:]
+
+
+def test_each_caller_matches_once(small_suite):
+    calls = []
+    match_weights = cpi.match_weights
+
+    def counted(table, triples):
+        calls.append(len(triples))
+        return match_weights(table, triples)
+
+    suite = small_suite[:2]
+    degraded, _ = insert_missing(suite[0][1], MissingnessSpec(share=0.1, seed=3))
+    with (
+        mock.patch.object(cpi, "match_weights", counted),
+        mock.patch.object(metrics, "match_weights", counted),
+    ):
+        impute_cpi(degraded)
+        assert calls == [1]
+        report = evaluate(suite, shares=[0.05, 0.1], methods=["cpi", "linear", "cpi_noscale"])
+        assert [r.error for r in report.rows] == [None] * 12
+        assert calls[1:] == [1] * 4  # one per cell
+        result = grid_search_weights(suite, (1, 3), (0, 2), (1, 3), share=0.1, seed=4)
+        assert len(result.scores) == 27
+        assert calls[5:] == [27, 27]  # one batch per series
+
+
 @pytest.mark.parametrize("parallelism", [0, -3])
 def test_parallelism_below_one_is_an_error(small_suite, parallelism):
     with pytest.raises(MetricError, match=f"parallelism must be at least 1, got {parallelism}"):
@@ -558,9 +613,9 @@ def test_grid_search_scores_each_distinct_assignment_once_per_series():
         log.append("plan")
         return plan_cpi(series)
 
-    def run(plan, weights):
-        log.append(tuple(sorted(matched_days(plan, weights).items())))
-        return cpi.run_plan(plan, weights)
+    def run(plan, donors):
+        log.append(tuple(donors.tolist()))
+        return cpi.run_plan(plan, donors)
 
     with mock.patch.object(metrics, "plan_cpi", plan), mock.patch.object(metrics, "run_plan", run):
         result = grid_search_weights(suite, (1, 3), (0, 2), (1, 3), share=0.1, seed=4)

@@ -27,7 +27,16 @@ from meterfill.series import Gap, day_partition, detect_gaps, fill_energy_from_p
 import csv_oracle
 import paste_oracle
 import plan_oracle
-from conftest import HOUR, MONDAY, QUARTER_HOUR, day_profile_series, energy, power, with_missing
+from conftest import (
+    HOUR,
+    MONDAY,
+    QUARTER_HOUR,
+    day_profile_series,
+    energy,
+    plan_donors,
+    power,
+    with_missing,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +148,7 @@ def test_every_producer_returns_read_only_values_of_its_own(monkeypatch):
     monkeypatch.setattr(series_module, "_as_values", watched)
     complete_power, degraded_power = energy_to_power(complete), energy_to_power(degraded)
     plan = cpi.plan_cpi(degraded)
-    result = cpi.run_plan(plan, cpi.DEFAULT_WEIGHTS)
+    result = cpi.run_plan(plan, plan_donors(plan, cpi.DEFAULT_WEIGHTS))
     outputs = [
         ("energy_to_power", degraded, degraded_power),
         ("power_to_energy", complete_power, power_to_energy(complete_power, 0.0)),
