@@ -15,7 +15,6 @@ energy scores a nonzero WAPE.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 import time
@@ -349,6 +348,8 @@ def evaluate(
     ]
     workers = min(parallelism, len(cells))
     if workers > 1:
+        import concurrent.futures  # here, so that single-process runs never load it
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_evaluate_cell, cells))
     else:

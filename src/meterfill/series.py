@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+from array import array
 from dataclasses import dataclass, fields
 from datetime import date, datetime, timedelta
 from enum import Enum
 from functools import cached_property
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -425,6 +427,11 @@ def fill_energy_from_power(es: EnergySeries, power_values: np.ndarray) -> Energy
 
 _HEADER = ("timestamp", "value")
 _NAN_TOKENS = {"nan"}
+# Both readers walk the text in blocks of about this many characters, each
+# cut at a line end, and format_series renders this many rows at a time, so
+# that no call holds one Python object per cell of the whole file.
+_PARSE_BLOCK_CHARS = 1 << 16
+_FORMAT_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -440,12 +447,14 @@ class ParseConfig:
             raise ValidationError(f"unknown series kind {self.kind!r}")
 
 
-def _timestamps(start: datetime, resolution: timedelta, n: int) -> list[str]:
-    """``(start + i * resolution).isoformat(sep=" ")`` for every i < n.
+def _timestamps(start: datetime, resolution: timedelta, n: int) -> Iterator[str]:
+    """``(start + i * resolution).isoformat(sep=" ")`` for every i < n, in order.
 
-    A naive start on the grid of a resolution that divides a day is built
-    as (date string) + (time-of-day string) over whole days.  Other series,
-    and those shorter than a day's slots, are built row by row; so is a
+    The strings are made as they are taken, so a caller that takes a block
+    at a time holds one block.  A naive start on the grid of a resolution
+    that divides a day is built as (date string) + (time-of-day string),
+    with the time-of-day strings made once.  Other series, and those
+    shorter than a day's slots, are built row by row; so is a
     timezone-aware start, whose offset suffix may change with the date.
     """
     try:
@@ -454,12 +463,23 @@ def _timestamps(start: datetime, resolution: timedelta, n: int) -> list[str]:
     except ImputationError:
         first = None
     if first is None or spd > n:
-        return [(start + i * resolution).isoformat(sep=" ") for i in range(n)]
+        return ((start + i * resolution).isoformat(sep=" ") for i in range(n))
     day0 = start.date()
-    days = (first + n - 1) // spd + 1
-    dates = [(day0 + timedelta(days=d)).isoformat() + " " for d in range(days)]
+    dates = ((day0 + timedelta(days=d)).isoformat() + " " for d in itertools.count())
     times = [(datetime.min + k * resolution).time().isoformat() for k in range(spd)]
-    return [d + t for d in dates for t in times][first : first + n]
+    return itertools.islice((d + t for d in dates for t in times), first, first + n)
+
+
+def _blocks(text: str, lo: int) -> Iterator[tuple[int, int]]:
+    """(start, end) of the blocks of ``text[lo:]``, each ending after a line end.
+
+    A block reaches to the first line end at least ``_PARSE_BLOCK_CHARS``
+    characters past its start, or to the end of the text.
+    """
+    while lo < len(text):
+        hi = text.find("\n", lo + _PARSE_BLOCK_CHARS - 1) + 1 or len(text)
+        yield lo, hi
+        lo = hi
 
 
 def _parse_written(text: str) -> tuple[datetime, timedelta, np.ndarray] | None:
@@ -470,9 +490,10 @@ def _parse_written(text: str) -> tuple[datetime, timedelta, np.ndarray] | None:
     first two rows, and values that ``float`` reads as finite or that are
     empty or ``nan``.  Anything else returns None, so that the row-wise
     reader accepts it or reports its error.  The header, the line ends, the
-    quotes and the first timestamp are checked before the text is split, so
-    other ISO-8601 forms (a ``T`` separator, a padded first cell, a BOM, CRLF, quoting)
-    are turned away before any per-row work.
+    quotes and the first, second and last timestamps are checked before any
+    block is split, so other ISO-8601 forms (a ``T`` separator, a padded
+    first cell, a BOM, CRLF, quoting) and a year with a shifted last row are
+    turned away before any per-row work.
     """
     header = ",".join(_HEADER) + "\n"
     if not text.startswith(header) or not text.endswith("\n") or '"' in text or "\r" in text:
@@ -485,32 +506,120 @@ def _parse_written(text: str) -> tuple[datetime, timedelta, np.ndarray] | None:
         return None
     if first != start.isoformat(sep=" "):
         return None
-    # Each line end becomes ",\n": one split gives every cell, and a cell
-    # that opens a row starts with "\n".  Two cells per row is one comma per
-    # row on average.  The timestamp cells join to the expected column
-    # joined by line ends only if each holds the line end before it, so
-    # then every row has exactly one comma.
-    body = text[len(header) : -1]
-    rows = body.count("\n") + 1
-    cells = body.replace("\n", ",\n").split(",")
-    if rows < 2 or len(cells) != 2 * rows:
+    rows = text.count("\n") - 1
+    if rows < 2:
         return None
-    stamps, fields = cells[0::2], cells[1::2]
+    second = text.find("\n", len(header)) + 1
+    second_stamp = text[second : text.find("\n", second)].split(",")[0]
+    last_stamp = text[text.rfind("\n", 0, -1) + 1 : -1].split(",")[0]
     try:
-        resolution = datetime.fromisoformat(stamps[1][1:]) - start
-        if (
-            resolution <= timedelta(0)
-            or stamps[-1] != "\n" + (start + (rows - 1) * resolution).isoformat(sep=" ")
-            or "".join(stamps) != "\n".join(_timestamps(start, resolution, rows))
-        ):
+        resolution = datetime.fromisoformat(second_stamp) - start
+        if last_stamp != (start + (rows - 1) * resolution).isoformat(sep=" "):
             return None
-        values = np.array([float(f) if f else math.nan for f in fields])
     except (ValueError, TypeError, OverflowError):
         return None
-    bad = np.flatnonzero(~np.isfinite(values))
-    if any(fields[i] and fields[i].lower() not in _NAN_TOKENS for i in bad):
+    if resolution <= timedelta(0):
         return None
+    values = np.empty(rows)
+    column = _timestamps(start, resolution, rows)
+    i0 = 0
+    for lo, hi in _blocks(text, len(header)):
+        # Each line end becomes ",\n": one split gives every cell, and a
+        # cell that opens a row starts with "\n".  Two cells per row is one
+        # comma per row on average.  The timestamp cells join to the
+        # expected column joined by line ends only if each holds the line
+        # end before it, so then every row of the block has exactly one comma.
+        block = text[lo : hi - 1]
+        k = block.count("\n") + 1
+        cells = block.replace("\n", ",\n").split(",")
+        if len(cells) != 2 * k:
+            return None
+        stamps, fields = cells[0::2], cells[1::2]
+        out = values[i0 : i0 + k]
+        try:
+            if "".join(stamps) != "\n".join(itertools.islice(column, k)):
+                return None
+            out[:] = [float(f) if f else math.nan for f in fields]
+        except (ValueError, TypeError, OverflowError):
+            return None
+        bad = np.flatnonzero(~np.isfinite(out))
+        if any(fields[i] and fields[i].lower() not in _NAN_TOKENS for i in bad):
+            return None
+        i0 += k
     return start, resolution, values
+
+
+def _parse_rows(text: str) -> tuple[datetime, timedelta, np.ndarray]:
+    """(start, resolution, values) of any series CSV, read by ``csv.reader``.
+
+    The rows stream from blocks of the text and none is kept.  A fault does
+    not end the scan, so a ``csv.Error`` anywhere is raised first; then the
+    header, the row count, the first bad row, the resolution and the first
+    irregular row are reported, in that order.
+    """
+    lines = (line for lo, hi in _blocks(text, 0) for line in io.StringIO(text[lo:hi]))
+    rows = (row for row in csv.reader(lines) if row and any(cell.strip() for cell in row))
+    header = next(rows, None)
+    if header is None:
+        raise ParseError("empty file: no header row")
+    bad_header = tuple(cell.strip().lstrip("﻿").lower() for cell in header) != _HEADER
+    values = array("d")
+    count, start, resolution = 0, None, None
+    row_fault = step_fault = spacing_fault = None
+    for count, row in enumerate(rows, start=1):
+        if bad_header or row_fault:
+            continue
+        if len(row) != 2:
+            row_fault = f"expected 2 columns at row {count}, got {len(row)}"
+            continue
+        ts_text, value_text = row[0].strip(), row[1].strip()
+        try:
+            ts = datetime.fromisoformat(ts_text)
+        except ValueError:
+            row_fault = f"invalid timestamp at row {count}: {ts_text!r}"
+            continue
+        if value_text == "" or value_text.lower() in _NAN_TOKENS:
+            value = math.nan
+        else:
+            try:
+                value = float(value_text)
+            except ValueError:
+                row_fault = f"non-numeric value at row {count}: {value_text!r}"
+                continue
+            if not math.isfinite(value):
+                row_fault = f"non-finite value at row {count}: {value_text!r}"
+                continue
+        values.append(value)
+        if count == 1:
+            start = ts
+            continue
+        if count == 2:
+            try:
+                resolution = ts - start
+            except TypeError:
+                step_fault = "mixed naive and timezone-aware timestamps at row 2"
+            else:
+                if resolution <= timedelta(0):
+                    step_fault = "non-increasing timestamps at row 2"
+        if step_fault or spacing_fault:
+            continue
+        try:
+            expected = start + (count - 1) * resolution
+        except OverflowError:
+            expected = "a timestamp after year 9999"
+        if ts != expected:
+            spacing_fault = f"irregular spacing at row {count}: expected {expected}, got {ts}"
+
+    if bad_header:
+        raise ParseError(f'expected header "timestamp,value", got {",".join(header)!r}')
+    if count == 0:
+        raise ParseError("empty file: no data rows")
+    if count == 1:
+        raise ParseError("need at least two rows to infer the resolution")
+    for fault in (row_fault, step_fault, spacing_fault):
+        if fault:
+            raise ParseError(fault)
+    return start, resolution, np.array(values)
 
 
 def parse_series(text: str, config: ParseConfig = ParseConfig()) -> Series:
@@ -520,62 +629,14 @@ def parse_series(text: str, config: ParseConfig = ParseConfig()) -> Series:
     inferred from the first two rows and enforced globally.  Missing values
     are encoded as an empty field or the literal ``NaN``.  Row numbers in
     error messages count data rows from 1 (header excluded).  Text in
-    exactly the form ``format_series`` writes is read a column at a time;
-    any other text goes through a row-wise ``csv`` reader, which gives the
-    same series or reports the first bad row.
+    exactly the form ``format_series`` writes is read a block of columns at
+    a time; any other text goes through a row-wise ``csv`` reader, which
+    gives the same series or reports the first bad row.
     """
-    written = _parse_written(text)
-    if written is not None:
-        return _build_series(*written, config)
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not rows:
-        raise ParseError("empty file: no header row")
-    header = tuple(cell.strip().lstrip("﻿").lower() for cell in rows[0])
-    if header != _HEADER:
-        raise ParseError(f'expected header "timestamp,value", got {",".join(rows[0])!r}')
-    data = rows[1:]
-    if not data:
-        raise ParseError("empty file: no data rows")
-    if len(data) < 2:
-        raise ParseError("need at least two rows to infer the resolution")
-
-    timestamps: list[datetime] = []
-    values = np.empty(len(data), dtype=np.float64)
-    for i, row in enumerate(data, start=1):
-        if len(row) != 2:
-            raise ParseError(f"expected 2 columns at row {i}, got {len(row)}")
-        ts_text, value_text = row[0].strip(), row[1].strip()
-        try:
-            timestamps.append(datetime.fromisoformat(ts_text))
-        except ValueError:
-            raise ParseError(f"invalid timestamp at row {i}: {ts_text!r}") from None
-        if value_text == "" or value_text.lower() in _NAN_TOKENS:
-            values[i - 1] = np.nan
-        else:
-            try:
-                values[i - 1] = float(value_text)
-            except ValueError:
-                raise ParseError(f"non-numeric value at row {i}: {value_text!r}") from None
-            if not math.isfinite(values[i - 1]):
-                raise ParseError(f"non-finite value at row {i}: {value_text!r}")
-
-    try:
-        resolution = timestamps[1] - timestamps[0]
-    except TypeError:
-        raise ParseError("mixed naive and timezone-aware timestamps at row 2") from None
-    if resolution <= timedelta(0):
-        raise ParseError("non-increasing timestamps at row 2")
-    for i, ts in enumerate(timestamps):
-        try:
-            expected = timestamps[0] + i * resolution
-        except OverflowError:
-            expected = "a timestamp after year 9999"
-        if ts != expected:
-            raise ParseError(
-                f"irregular spacing at row {i + 1}: expected {expected}, got {ts}"
-            )
-    return _build_series(timestamps[0], resolution, values, config)
+    parsed = _parse_written(text)
+    if parsed is None:
+        parsed = _parse_rows(text)
+    return _build_series(*parsed, config)
 
 
 def _build_series(
@@ -594,10 +655,25 @@ def _build_series(
 
 
 def format_series(series: Series) -> str:
-    """Render a series as a ``timestamp,value`` CSV re-ingestible by parse_series."""
-    stamps = _timestamps(series.start, series.resolution, series.n)
-    values = ["" if math.isnan(v) else repr(v) for v in series.values.tolist()]
-    return "timestamp,value\n" + "".join([f"{s},{v}\n" for s, v in zip(stamps, values)])
+    """Render a series as a ``timestamp,value`` CSV re-ingestible by parse_series.
+
+    Each block of rows is one ``%``-format: ``%r`` of every value, or, in a
+    block that holds a NaN, an empty field for each NaN.
+    """
+    blocks = ["timestamp,value\n"]
+    column = _timestamps(series.start, series.resolution, series.n)
+    for i0 in range(0, series.n, _FORMAT_BLOCK_ROWS):
+        block = series.values[i0 : i0 + _FORMAT_BLOCK_ROWS]
+        k, values = block.size, block.tolist()
+        if np.isnan(block).any():
+            row, values = "%s,%s\n", ["" if v != v else repr(v) for v in values]
+        else:
+            row = "%s,%r\n"
+        cells = [None] * (2 * k)
+        cells[0::2] = itertools.islice(column, k)
+        cells[1::2] = values
+        blocks.append(row * k % tuple(cells))
+    return "".join(blocks)
 
 
 def read_series(path, config: ParseConfig = ParseConfig()) -> Series:

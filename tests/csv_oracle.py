@@ -37,7 +37,7 @@ def parse_written(text):
         if (
             resolution <= timedelta(0)
             or stamps[-1] != (start + (len(rows) - 1) * resolution).isoformat(sep=" ")
-            or stamps != _timestamps(start, resolution, len(rows))
+            or stamps != list(_timestamps(start, resolution, len(rows)))
         ):
             return None
         values = np.array([float(f) if f else math.nan for f in fields])

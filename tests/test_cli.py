@@ -236,8 +236,8 @@ def test_no_scale_from_the_config_file_skips_scaling(tmp_path, series_csv):
 
 def test_importing_the_cli_loads_no_process_pool():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    code = ("import sys, meterfill.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    pool = {'multiprocessing', 'concurrent.futures', 'concurrent.futures.process', 'logging'}
+    code = f"import sys, meterfill.cli; print(sorted({pool!r} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -1,7 +1,10 @@
 """Tests for the core series model: parsing, conversion, gaps, day views."""
 
+import contextlib
 import math
+import tracemalloc
 from datetime import date, datetime, time, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from meterfill import (
     energy_to_power,
     parse_series,
     power_to_energy,
+    synthetic_series,
 )
 from meterfill import cpi, gapgen
 from meterfill import series as series_module
@@ -307,6 +311,11 @@ def _awkward_power(start, resolution):
     return power(values, start=start, resolution=resolution)
 
 
+def _small_blocks():
+    """The CSV layer's block sizes cut down to a few rows, so that most rows border a block."""
+    return mock.patch.multiple(series_module, _PARSE_BLOCK_CHARS=150, _FORMAT_BLOCK_ROWS=5)
+
+
 @pytest.mark.parametrize("start", _STARTS.values(), ids=_STARTS.keys())
 @pytest.mark.parametrize("resolution", _RESOLUTIONS.values(), ids=_RESOLUTIONS.keys())
 def test_format_matches_the_per_row_oracle_and_round_trips(start, resolution):
@@ -315,11 +324,13 @@ def test_format_matches_the_per_row_oracle_and_round_trips(start, resolution):
             f"{ps.timestamp(i).isoformat(sep=' ')},{'' if math.isnan(v) else repr(float(v))}\n"
             for i, v in enumerate(ps.values)
         )
-        text = format_series(ps)
-        assert text == oracle
-        again = parse_series(text, ParseConfig(kind="power"))
-        assert (again.start, again.resolution) == (ps.start, ps.resolution)
-        assert again.values.tobytes() == ps.values.tobytes()
+        for blocks in (contextlib.nullcontext(), _small_blocks()):
+            with blocks:
+                text = format_series(ps)
+                assert text == oracle
+                again = parse_series(text, ParseConfig(kind="power"))
+            assert (again.start, again.resolution) == (ps.start, ps.resolution)
+            assert again.values.tobytes() == ps.values.tobytes()
 
 
 def test_written_files_are_read_without_the_row_wise_reader(monkeypatch):
@@ -499,6 +510,69 @@ def _edited_written_text(draw):
 @given(_edited_written_text())
 def test_written_form_reads_as_the_row_splitting_oracle(text):
     _same_reading(text)
+    with _small_blocks():
+        _same_reading(text)
+
+
+def _year_with_one_fault(place, fault):
+    """A written year with a bad value or a shifted stamp at a block's edge: (text, error).
+
+    The edit keeps the length of the row, so the blocks are cut where they
+    are cut in the unedited text.
+    """
+    es = energy(np.arange(35040.0) / 7, resolution=QUARTER_HOUR)
+    text = format_series(es)
+    header = len("timestamp,value\n")
+    blocks = list(series_module._blocks(text, header))
+    first, second = blocks[:2]
+    row = {
+        "block-start": text.count("\n", header, first[1]) + 1,
+        "block-end": text.count("\n", header, second[1]),
+        "file-end": es.n,
+    }[place]
+    lines = text.split("\n")
+    stamp, value = lines[row].split(",")
+    if fault == "value":
+        lines[row] = f"{stamp},{value[:-1]}x"
+        error = f"non-numeric value at row {row}: {value[:-1] + 'x'!r}"
+    else:
+        lines[row] = f"{es.timestamp(row).isoformat(sep=' ')},{value}"
+        error = (f"irregular spacing at row {row}: expected {es.timestamp(row - 1)}, "
+                 f"got {es.timestamp(row)}")
+    edited = "\n".join(lines)
+    assert list(series_module._blocks(edited, header)) == blocks
+    return edited, error
+
+
+@pytest.mark.parametrize("fault", ["value", "stamp"])
+@pytest.mark.parametrize("place", ["block-start", "block-end", "file-end"])
+def test_a_fault_at_a_block_edge_is_found_and_named(place, fault):
+    text, error = _year_with_one_fault(place, fault)
+    assert _same_reading(text) is None
+    with pytest.raises(ParseError) as exc:
+        parse_series(text)
+    assert str(exc.value) == error
+
+
+def _traced_peak(call, *args):
+    """(``call(*args)``, the peak bytes it allocated by tracemalloc)."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_csv_layer_needs_a_few_times_its_text_in_memory():
+    # Beyond its text a call holds the values array and one block, and the
+    # writer its blocks and their join.  One Python string per cell of a
+    # year would take 7 times the text or more.
+    es = gapgen.insert_missing(synthetic_series(1), gapgen.MissingnessSpec(0.1, seed=3))[0]
+    text, peak = _traced_peak(format_series, es)
+    assert peak <= 3 * len(text)
+    assert _traced_peak(parse_series, text)[1] <= 3 * len(text)
+    other = text.replace(" ", "T").replace("\n", "\r\n")
+    assert _traced_peak(parse_series, other)[1] <= 8 * len(other)
 
 
 # ---------------------------------------------------------------------------
