@@ -17,7 +17,6 @@ import csv
 import io
 import itertools
 import math
-from array import array
 from dataclasses import dataclass, fields
 from datetime import date, datetime, timedelta
 from enum import Enum
@@ -427,9 +426,10 @@ def fill_energy_from_power(es: EnergySeries, power_values: np.ndarray) -> Energy
 
 _HEADER = ("timestamp", "value")
 _NAN_TOKENS = {"nan"}
-# Both readers walk the text in blocks of about this many characters, each
-# cut at a line end, and format_series renders this many rows at a time, so
-# that no call holds one Python object per cell of the whole file.
+# The written-form reader walks the text in blocks of about this many
+# characters, each cut at a line end, and format_series renders this many
+# rows at a time, so that neither holds one Python object per cell of the
+# whole file.
 _PARSE_BLOCK_CHARS = 1 << 16
 _FORMAT_BLOCK_ROWS = 2048
 
@@ -549,79 +549,6 @@ def _parse_written(text: str) -> tuple[datetime, timedelta, np.ndarray] | None:
     return start, resolution, values
 
 
-def _parse_rows(text: str) -> tuple[datetime, timedelta, np.ndarray]:
-    """(start, resolution, values) of any series CSV, read by ``csv.reader``.
-
-    The rows stream from blocks of the text and none is kept.  A fault does
-    not end the scan, so a ``csv.Error`` anywhere is raised first; then the
-    header, the row count, the first bad row, the resolution and the first
-    irregular row are reported, in that order.
-    """
-    lines = (line for lo, hi in _blocks(text, 0) for line in io.StringIO(text[lo:hi]))
-    rows = (row for row in csv.reader(lines) if row and any(cell.strip() for cell in row))
-    header = next(rows, None)
-    if header is None:
-        raise ParseError("empty file: no header row")
-    bad_header = tuple(cell.strip().lstrip("﻿").lower() for cell in header) != _HEADER
-    values = array("d")
-    count, start, resolution = 0, None, None
-    row_fault = step_fault = spacing_fault = None
-    for count, row in enumerate(rows, start=1):
-        if bad_header or row_fault:
-            continue
-        if len(row) != 2:
-            row_fault = f"expected 2 columns at row {count}, got {len(row)}"
-            continue
-        ts_text, value_text = row[0].strip(), row[1].strip()
-        try:
-            ts = datetime.fromisoformat(ts_text)
-        except ValueError:
-            row_fault = f"invalid timestamp at row {count}: {ts_text!r}"
-            continue
-        if value_text == "" or value_text.lower() in _NAN_TOKENS:
-            value = math.nan
-        else:
-            try:
-                value = float(value_text)
-            except ValueError:
-                row_fault = f"non-numeric value at row {count}: {value_text!r}"
-                continue
-            if not math.isfinite(value):
-                row_fault = f"non-finite value at row {count}: {value_text!r}"
-                continue
-        values.append(value)
-        if count == 1:
-            start = ts
-            continue
-        if count == 2:
-            try:
-                resolution = ts - start
-            except TypeError:
-                step_fault = "mixed naive and timezone-aware timestamps at row 2"
-            else:
-                if resolution <= timedelta(0):
-                    step_fault = "non-increasing timestamps at row 2"
-        if step_fault or spacing_fault:
-            continue
-        try:
-            expected = start + (count - 1) * resolution
-        except OverflowError:
-            expected = "a timestamp after year 9999"
-        if ts != expected:
-            spacing_fault = f"irregular spacing at row {count}: expected {expected}, got {ts}"
-
-    if bad_header:
-        raise ParseError(f'expected header "timestamp,value", got {",".join(header)!r}')
-    if count == 0:
-        raise ParseError("empty file: no data rows")
-    if count == 1:
-        raise ParseError("need at least two rows to infer the resolution")
-    for fault in (row_fault, step_fault, spacing_fault):
-        if fault:
-            raise ParseError(fault)
-    return start, resolution, np.array(values)
-
-
 def parse_series(text: str, config: ParseConfig = ParseConfig()) -> Series:
     """Parse a ``timestamp,value`` CSV into a series.
 
@@ -633,10 +560,58 @@ def parse_series(text: str, config: ParseConfig = ParseConfig()) -> Series:
     a time; any other text goes through a row-wise ``csv`` reader, which
     gives the same series or reports the first bad row.
     """
-    parsed = _parse_written(text)
-    if parsed is None:
-        parsed = _parse_rows(text)
-    return _build_series(*parsed, config)
+    written = _parse_written(text)
+    if written is not None:
+        return _build_series(*written, config)
+    reader = csv.reader(io.StringIO(text))
+    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    if not rows:
+        raise ParseError("empty file: no header row")
+    header = tuple(cell.strip().lstrip("﻿").lower() for cell in rows[0])
+    if header != _HEADER:
+        raise ParseError(f'expected header "timestamp,value", got {",".join(rows[0])!r}')
+    data = rows[1:]
+    if not data:
+        raise ParseError("empty file: no data rows")
+    if len(data) < 2:
+        raise ParseError("need at least two rows to infer the resolution")
+
+    timestamps: list[datetime] = []
+    values = np.empty(len(data), dtype=np.float64)
+    for i, row in enumerate(data, start=1):
+        if len(row) != 2:
+            raise ParseError(f"expected 2 columns at row {i}, got {len(row)}")
+        ts_text, value_text = row[0].strip(), row[1].strip()
+        try:
+            timestamps.append(datetime.fromisoformat(ts_text))
+        except ValueError:
+            raise ParseError(f"invalid timestamp at row {i}: {ts_text!r}") from None
+        if value_text == "" or value_text.lower() in _NAN_TOKENS:
+            values[i - 1] = np.nan
+        else:
+            try:
+                values[i - 1] = float(value_text)
+            except ValueError:
+                raise ParseError(f"non-numeric value at row {i}: {value_text!r}") from None
+            if not math.isfinite(values[i - 1]):
+                raise ParseError(f"non-finite value at row {i}: {value_text!r}")
+
+    try:
+        resolution = timestamps[1] - timestamps[0]
+    except TypeError:
+        raise ParseError("mixed naive and timezone-aware timestamps at row 2") from None
+    if resolution <= timedelta(0):
+        raise ParseError("non-increasing timestamps at row 2")
+    for i, ts in enumerate(timestamps):
+        try:
+            expected = timestamps[0] + i * resolution
+        except OverflowError:
+            expected = "a timestamp after year 9999"
+        if ts != expected:
+            raise ParseError(
+                f"irregular spacing at row {i + 1}: expected {expected}, got {ts}"
+            )
+    return _build_series(timestamps[0], resolution, values, config)
 
 
 def _build_series(
@@ -657,22 +632,16 @@ def _build_series(
 def format_series(series: Series) -> str:
     """Render a series as a ``timestamp,value`` CSV re-ingestible by parse_series.
 
-    Each block of rows is one ``%``-format: ``%r`` of every value, or, in a
-    block that holds a NaN, an empty field for each NaN.
+    Each block of rows is one ``%``-format, with an empty field for each NaN.
     """
     blocks = ["timestamp,value\n"]
     column = _timestamps(series.start, series.resolution, series.n)
     for i0 in range(0, series.n, _FORMAT_BLOCK_ROWS):
-        block = series.values[i0 : i0 + _FORMAT_BLOCK_ROWS]
-        k, values = block.size, block.tolist()
-        if np.isnan(block).any():
-            row, values = "%s,%s\n", ["" if v != v else repr(v) for v in values]
-        else:
-            row = "%s,%r\n"
-        cells = [None] * (2 * k)
-        cells[0::2] = itertools.islice(column, k)
-        cells[1::2] = values
-        blocks.append(row * k % tuple(cells))
+        block = series.values[i0 : i0 + _FORMAT_BLOCK_ROWS].tolist()
+        cells = [None] * (2 * len(block))
+        cells[0::2] = itertools.islice(column, len(block))
+        cells[1::2] = ["" if v != v else repr(v) for v in block]
+        blocks.append("%s,%s\n" * len(block) % tuple(cells))
     return "".join(blocks)
 
 
