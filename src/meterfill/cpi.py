@@ -22,6 +22,7 @@ from .series import (
     EnergySeries,
     Gap,
     GapArrays,
+    MeterKind,
     PowerSeries,
     Series,
     day_partition,
@@ -82,7 +83,9 @@ class ImputationResult:
     ``completed_energy``, so the two completed series agree exactly; it
     equals ``imputed_power`` except in the last slot of each gap anchored
     on both sides, which meets the metered right anchor and so carries the
-    gap's energy miss (rounding level when the imputed power conserves it).
+    gap's energy miss (rounding level when the imputed power conserves it;
+    where ``complete_from_power`` caps readings at the anchor, the slot
+    before the capped ones carries it instead).
     """
 
     completed_power: PowerSeries
@@ -467,7 +470,7 @@ def copy_paste_and_scale(
         fills.append(GapFill(gap, sources, factor))
 
     completed.setflags(write=False)
-    return PowerSeries(start=ps.start, resolution=ps.resolution, values=completed), tuple(fills)
+    return replace(ps, values=completed), tuple(fills)
 
 
 def complete_from_power(
@@ -484,12 +487,44 @@ def complete_from_power(
     cumulated from its left anchor and the right anchor is kept, so the
     gap's last completed power slot absorbs whatever the imputed power
     misses of the metered energy: a rounding-level residual after scaling,
-    a visible jump for a method that does not conserve energy.  The
-    imputed power is kept as given for audits and scores.
+    a visible jump for a method that does not conserve energy.  On a
+    consumption meter the rebuilt readings of a scaled or uniform fill are
+    capped at the gap's right anchor, so that residual never makes the
+    completed power negative.  The imputed power is kept as given for
+    audits and scores.
     """
     completed_energy = fill_energy_from_power(energy, imputed.values)
+    if energy.meter_kind is MeterKind.CONSUMPTION:
+        completed_energy = _cap_at_right_anchors(completed_energy, per_gap)
     completed_power = energy_to_power(completed_energy)
     return ImputationResult(completed_power, completed_energy, per_gap, imputed)
+
+
+def _cap_at_right_anchors(es: EnergySeries, per_gap: tuple[GapFill, ...]) -> EnergySeries:
+    """``es`` with each conserving gap's rebuilt readings capped at its right anchor.
+
+    A scaled or uniform fill conserves its gap's metered energy only to
+    rounding, so the last reading cumulated from the left anchor can land
+    an ulp above the right one, and a consumption meter's completed power
+    would then dip below zero there.  Capping keeps non-decreasing readings
+    non-decreasing.  Unscaled fills and baselines keep their jump.
+    """
+    gaps = [
+        fill.gap
+        for fill in per_gap
+        if fill.anchored
+        and (fill.fallback == "uniform" or (fill.scale is not None and fill.fallback is None))
+    ]
+    last = np.array([gap.last_missing for gap in gaps], dtype=np.int64)
+    over = np.flatnonzero(es.values[last] > np.array([gap.anchor_after for gap in gaps]))
+    if over.size == 0:
+        return es
+    values = np.array(es.values)
+    for k in over.tolist():
+        run = values[gaps[k].first_missing + 1 : gaps[k].last_missing + 1]
+        np.minimum(run, gaps[k].anchor_after, out=run)
+    values.setflags(write=False)
+    return replace(es, values=values)
 
 
 @dataclass(frozen=True)

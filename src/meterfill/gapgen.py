@@ -16,7 +16,7 @@ apart.  Gaps are placed first, in drawn order, then the singles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -191,11 +191,4 @@ def insert_missing(es: EnergySeries, spec: MissingnessSpec) -> tuple[EnergySerie
     degraded = np.array(es.values)
     degraded[indices] = np.nan
     degraded.setflags(write=False)
-    out = EnergySeries(
-        start=es.start,
-        resolution=es.resolution,
-        values=degraded,
-        meter_kind=es.meter_kind,
-        monotone_tol=es.monotone_tol,
-    )
-    return out, MissingMask(indices=indices, singles=singles)
+    return replace(es, values=degraded), MissingMask(indices=indices, singles=singles)

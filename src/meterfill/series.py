@@ -17,11 +17,11 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import date, datetime, timedelta
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
@@ -63,8 +63,33 @@ def _as_values(values) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class EnergySeries:
-    """Equally spaced cumulative meter readings, NaN = missing.
+class Series:
+    """Equally spaced float values, NaN = missing: what both kinds share.
+
+    Series compare and hash by identity.  A series derived from another
+    keeps its other fields through ``dataclasses.replace``.
+    """
+
+    start: datetime
+    resolution: timedelta
+    values: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _as_values(self.values))
+        if self.resolution <= timedelta(0):
+            raise ValidationError("resolution must be positive")
+
+    @property
+    def n(self) -> int:
+        return int(self.values.size)
+
+    def timestamp(self, index: int) -> datetime:
+        return self.start + index * self.resolution
+
+
+@dataclass(frozen=True, eq=False)
+class EnergySeries(Series):
+    """Equally spaced cumulative meter readings (kWh), NaN = missing.
 
     Consumption series are validated to be monotone non-decreasing across
     present readings, up to ``monotone_tol`` (kWh), which must not be
@@ -72,16 +97,11 @@ class EnergySeries:
     the monotonicity check.
     """
 
-    start: datetime
-    resolution: timedelta
-    values: np.ndarray
     meter_kind: MeterKind = MeterKind.CONSUMPTION
     monotone_tol: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_values(self.values))
-        if self.resolution <= timedelta(0):
-            raise ValidationError("resolution must be positive")
+        super().__post_init__()
         if not self.monotone_tol >= 0.0:
             raise ValidationError(
                 f"monotone_tol must be non-negative, got {float(self.monotone_tol)}"
@@ -99,36 +119,10 @@ class EnergySeries:
                     f"({self.values[i]:g} -> {self.values[j]:g})"
                 )
 
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-    def timestamp(self, index: int) -> datetime:
-        return self.start + index * self.resolution
-
 
 @dataclass(frozen=True, eq=False)
-class PowerSeries:
+class PowerSeries(Series):
     """Equally spaced average-power values (kW), NaN = missing."""
-
-    start: datetime
-    resolution: timedelta
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_values(self.values))
-        if self.resolution <= timedelta(0):
-            raise ValidationError("resolution must be positive")
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-    def timestamp(self, index: int) -> datetime:
-        return self.start + index * self.resolution
-
-
-Series = Union[EnergySeries, PowerSeries]
 
 
 @dataclass(frozen=True)
@@ -252,7 +246,7 @@ def energy_to_power(es: EnergySeries) -> PowerSeries:
     values = np.diff(es.values)
     values /= resolution_hours(es.resolution)
     values.setflags(write=False)
-    return PowerSeries(start=es.start, resolution=es.resolution, values=values)
+    return PowerSeries(es.start, es.resolution, values)
 
 
 def power_to_energy(
@@ -274,13 +268,7 @@ def power_to_energy(
     np.cumsum(ps.values * dt, out=energies[1:])
     energies[1:] += base_energy
     energies.setflags(write=False)
-    return EnergySeries(
-        start=ps.start,
-        resolution=ps.resolution,
-        values=energies,
-        meter_kind=meter_kind,
-        monotone_tol=monotone_tol,
-    )
+    return EnergySeries(ps.start, ps.resolution, energies, meter_kind, monotone_tol)
 
 
 def _missing_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -411,13 +399,7 @@ def fill_energy_from_power(es: EnergySeries, power_values: np.ndarray) -> Energy
         else:
             run[:] = es.values[stop] - np.cumsum(power_values[lo:stop][::-1] * dt)[::-1]
     filled.setflags(write=False)
-    return EnergySeries(
-        start=es.start,
-        resolution=es.resolution,
-        values=filled,
-        meter_kind=es.meter_kind,
-        monotone_tol=float("inf"),
-    )
+    return replace(es, values=filled, monotone_tol=float("inf"))
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +545,14 @@ def parse_series(text: str, config: ParseConfig = ParseConfig()) -> Series:
     written = _parse_written(text)
     if written is not None:
         return _build_series(*written, config)
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    rows = []
+    try:
+        for row in csv.reader(io.StringIO(text)):
+            if row and any(cell.strip() for cell in row):
+                rows.append(row)
+    except csv.Error as exc:
+        where = f"row {len(rows)}" if rows else "the header"
+        raise ParseError(f"unreadable CSV at {where}: {exc}") from None
     if not rows:
         raise ParseError("empty file: no header row")
     header = tuple(cell.strip().lstrip("﻿").lower() for cell in rows[0])
@@ -619,14 +607,8 @@ def _build_series(
 ) -> Series:
     values.setflags(write=False)
     if config.kind == "power":
-        return PowerSeries(start=start, resolution=resolution, values=values)
-    return EnergySeries(
-        start=start,
-        resolution=resolution,
-        values=values,
-        meter_kind=config.meter_kind,
-        monotone_tol=config.monotone_tol,
-    )
+        return PowerSeries(start, resolution, values)
+    return EnergySeries(start, resolution, values, config.meter_kind, config.monotone_tol)
 
 
 def format_series(series: Series) -> str:

@@ -12,7 +12,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .series import EnergySeries, MeterKind, resolution_hours
+from .series import EnergySeries, resolution_hours
 
 DEFAULT_START = datetime(2018, 1, 1)  # a Monday, non-leap year
 
@@ -73,12 +73,7 @@ def synthetic_series(
     energy = np.empty(n)
     energy[0] = rng.uniform(0.0, 1000.0)
     energy[1:] = energy[0] + np.cumsum(power) * resolution_hours(resolution)
-    return EnergySeries(
-        start=start,
-        resolution=resolution,
-        values=energy,
-        meter_kind=MeterKind.CONSUMPTION,
-    )
+    return EnergySeries(start, resolution, energy)
 
 
 def synthetic_suite(count: int, base_seed: int = 0, **kwargs) -> list[tuple[str, EnergySeries]]:

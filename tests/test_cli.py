@@ -7,13 +7,21 @@ import json
 import os
 import subprocess
 import sys
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meterfill import ParseConfig, parse_series, read_series, synthetic_series, write_series
+from meterfill import (
+    EnergySeries,
+    ParseConfig,
+    parse_series,
+    read_series,
+    synthetic_series,
+    write_series,
+)
 from meterfill.series import format_series
 from meterfill import cli
 from meterfill.cli import main
@@ -101,6 +109,39 @@ def test_impute_cpi_writes_energy_power_and_audit(tmp_path, series_csv):
                 record["actual_energy"], rel=1e-9
             )
             assert record["sources"]
+
+
+def test_imputing_the_output_of_a_meter_with_zero_power_nights_changes_nothing(tmp_path):
+    """The completed files read back as a meter, and imputing them again is the identity.
+
+    The series draws exactly 0 kW at night and in random slots.  Its scaled
+    gap at power indices 477-654 ends on a donor slot of 0 kW, where the
+    reading cumulated from the left anchor lands an ulp above the right one
+    unless it is capped there.
+    """
+    rng = np.random.default_rng(40)
+    spd = 96
+    m = 60 * spd
+    tod = np.arange(m) % spd
+    p = rng.uniform(0.1, 3.0, size=m) * (1 + np.sin(tod / spd * 2 * np.pi))
+    p[(tod < 24) | (tod > 88)] = 0.0
+    p[rng.random(m) < 0.1] = 0.0
+    e = np.concatenate(([50.0], 50.0 + np.cumsum(p * 0.25)))
+    miss = np.zeros(m + 1, bool)
+    for _ in range(rng.integers(1, 8)):
+        length = int(rng.integers(2, 3 * spd))
+        first = int(rng.integers(1, m - length))
+        miss[first : first + length] = True
+    meter = EnergySeries(datetime(2021, 3, 1), timedelta(minutes=15), np.where(miss, np.nan, e))
+    write_series(tmp_path / "z.csv", meter)
+    assert run_cli("impute", tmp_path / "z.csv", tmp_path / "z_out.csv") == 0
+    power = read_series(tmp_path / "z_out.power.csv", ParseConfig(kind="power"))
+    assert power.values.min() == 0.0
+    assert run_cli("impute", tmp_path / "z_out.csv", tmp_path / "again.csv") == 0
+    for name in ("{}.csv", "{}.power.csv"):
+        again, first = (tmp_path / name.format(stem) for stem in ("again", "z_out"))
+        assert again.read_bytes() == first.read_bytes()
+    assert (tmp_path / "again.gaps.jsonl").read_bytes() == b""
 
 
 def test_impute_baseline_writes_consistent_csvs_and_audits_its_miss(tmp_path, series_csv):
@@ -475,7 +516,7 @@ def _bad_csv(draw):
     garbage = draw(_GARBAGE)
     fault = draw(st.sampled_from([
         "header", "stamp", "value", "drop", "columns", "inf", "decrease", "no-values",
-        "one-row", "empty", "bytes",
+        "one-row", "empty", "bytes", "long",
     ]))
     if fault == "header":
         header, named = garbage + ",value", "expected header"
@@ -485,7 +526,9 @@ def _bad_csv(draw):
         rows[k], named = f"{stamp},{garbage}", f"non-numeric value at row {k + 1}"
     elif fault == "drop":
         del rows[k]
-        named = f"irregular spacing at row {k + 1}"
+        # Without the second row the first two imply twice the resolution,
+        # so the third row is the first off the grid.
+        named = f"irregular spacing at row {max(k + 1, 3)}"
     elif fault == "columns":
         rows[k], named = rows[k] + ",1", f"expected 2 columns at row {k + 1}"
     elif fault == "inf":
@@ -500,6 +543,8 @@ def _bad_csv(draw):
         rows, named = rows[:1], "at least two rows"
     elif fault == "empty":
         header, rows, named = "", [], "empty file"
+    elif fault == "long":  # a cell past the csv module's field size limit
+        rows[k], named = f"{stamp},{'1' * 200_000}", f"unreadable CSV at row {k + 1}"
     data = "".join(line + "\n" for line in [header, *rows]).encode()
     if fault == "bytes":
         data, named = data.replace(b"\n", b"\n\xff", 1), "not UTF-8"

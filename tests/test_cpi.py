@@ -1,5 +1,6 @@
 """Tests for the copy-paste imputation pipeline."""
 
+from dataclasses import replace
 from datetime import date, datetime, time, timedelta
 from unittest import mock
 
@@ -1067,7 +1068,7 @@ _PLAN_SPANS = {timedelta(minutes=5): 90, QUARTER_HOUR: 400, HOUR: 731}
 
 
 @st.composite
-def _plan_inputs(draw):
+def _plan_inputs(draw, zeros=False):
     """A series of 14 days to 2 years with gaps, as ``plan_cpi`` takes it.
 
     Resolutions of 5 min, 15 min and 1 h; starts at 00:00, 07:00 and 13:00
@@ -1077,7 +1078,10 @@ def _plan_inputs(draw):
     several days, crowd three to six into one day or recur every week.  A
     generation meter's power changes sign from day to day.  Some draws
     leave too few complete days or no complete day of some weekday, so the
-    errors are compared too.
+    errors are compared too.  With ``zeros``, every series is a new
+    consumption meter, read from 0 kWh, that draws exactly 0 kW at night
+    and on about one day in ten (a vacancy), so many gaps end on a donor
+    slot of 0 kW.
     """
     resolution = draw(st.sampled_from(list(_PLAN_SPANS)))
     spd = timedelta(days=1) // resolution
@@ -1091,13 +1095,18 @@ def _plan_inputs(draw):
     # A quarter of the series span two weeks; the rest, any length up to the cap.
     days = draw(st.sampled_from([0, 0, 0, 14])) or int(rng.integers(28, _PLAN_SPANS[resolution]))
     n = days * spd - offset + draw(st.one_of(st.just(0), st.integers(0, spd - 1)))
-    kind = draw(st.sampled_from(list(MeterKind)))
+    kind = MeterKind.CONSUMPTION if zeros else draw(st.sampled_from(list(MeterKind)))
 
     slot = offset + np.arange(n - 1)
     low = 0.5 if kind is MeterKind.CONSUMPTION else -1.0
     level = rng.uniform(low, 2.0, size=days + 1)[slot // spd]
     shape = 1.0 + np.sin(2 * np.pi * (slot % spd) / spd) + 0.1 * rng.random(n - 1)
-    values = 100.0 + np.concatenate(([0.0], np.cumsum(level * shape * (resolution / HOUR))))
+    power = level * shape
+    if zeros:
+        night = (slot % spd < spd // 4) | (slot % spd >= spd - spd // 8)
+        power[night | (rng.random(days + 1)[slot // spd] < 0.1)] = 0.0
+    base = 0.0 if zeros else 100.0
+    values = base + np.concatenate(([0.0], np.cumsum(power * (resolution / HOUR))))
 
     missing = np.zeros(n, dtype=bool)
     kinds = st.sampled_from(["head", "tail", "long", "long", "short", "short", "crowd", "crowd",
@@ -1452,3 +1461,49 @@ def test_impute_cpi_fills_every_gap_from_complete_donors(es):
     if es.meter_kind is MeterKind.CONSUMPTION:  # every drawn consumption day is >= 0
         assert (scaled.imputed_power.values >= 0).all()
         assert (scaled.completed_power.values >= 0).all()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_plan_inputs(zeros=True))
+def test_scaled_fills_on_zero_power_runs_complete_a_valid_meter(es):
+    """Nights and vacancies of exactly 0 kW: the completed series is a valid meter.
+
+    A scaled gap conserves its energy only to rounding, so where its last
+    slot is pasted from a donor slot of 0 kW the reading cumulated from the
+    left anchor could land above the right anchor.  The completed power
+    stays non-negative, and the completed energy reads back as a
+    consumption meter with no tolerance, as the CLI reads its own output.
+    """
+    if isinstance(_outcome(plan_cpi, es), tuple):
+        return
+    triples = (DEFAULT_WEIGHTS, DissimilarityWeights(1, 0, 0), DissimilarityWeights(0, 1, 1))
+    for weights in triples:
+        result = impute_cpi(es, weights)
+        assert (result.imputed_power.values >= 0).all()
+        assert (result.completed_power.values >= 0).all()
+        EnergySeries(es.start, es.resolution, result.completed_energy.values, monotone_tol=0.0)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_plan_inputs())
+def test_scaling_the_readings_by_a_power_of_two_commutes_with_imputation(es):
+    """``impute_cpi`` of the readings times 2**k is its result times 2**k, bit for bit.
+
+    The product is exact in floating point, and every rule of the pipeline
+    (the energy-range normalization, the weekly fit, the estimates' clamp,
+    the fallbacks) is invariant under it, so the donors, the scale factors,
+    the imputed power and the completed series all carry over exactly.
+    """
+    want = _outcome(impute_cpi, es)
+    for k in range(-3, 6):
+        factor = 2.0**k
+        got = _outcome(impute_cpi, replace(es, values=es.values * factor))
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        for name in ("imputed_power", "completed_power", "completed_energy"):
+            expect = getattr(want, name).values * factor
+            assert getattr(got, name).values.tobytes() == expect.tobytes(), (k, name)
+        assert [(f.sources, f.scale, f.fallback) for f in got.per_gap] == [
+            (f.sources, f.scale, f.fallback) for f in want.per_gap
+        ], k

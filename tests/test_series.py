@@ -174,6 +174,33 @@ def test_every_producer_returns_read_only_values_of_its_own(monkeypatch):
         assert not series.values.flags.writeable and series.values.base is None
 
 
+def test_derived_series_keep_the_fields_of_their_source():
+    day = 1.0 + 0.5 * np.sin(np.arange(24) / 24 * 2 * np.pi)
+    readings = np.concatenate(([0.0], np.cumsum(np.tile(day, 28) * (1 + np.arange(28 * 24) % 5))))
+    start = datetime(2021, 3, 1, 7)
+    meter = EnergySeries(start, HOUR, readings, MeterKind.GENERATION, monotone_tol=0.5)
+    degraded, _ = gapgen.insert_missing(meter, gapgen.MissingnessSpec(0.02, seed=1))
+    assert np.isnan(degraded.values).any()
+    fields = ("start", "resolution", "meter_kind", "monotone_tol")
+    assert [getattr(degraded, f) for f in fields] == [start, HOUR, MeterKind.GENERATION, 0.5]
+
+    plan = cpi.plan_cpi(degraded)
+    imputed, _ = cpi.copy_paste_and_scale(
+        plan.power, plan.layout, plan_donors(plan, cpi.DEFAULT_WEIGHTS)
+    )
+    assert (type(imputed), imputed.start, imputed.resolution) == (PowerSeries, start, HOUR)
+    rebuilt = fill_energy_from_power(degraded, imputed.values)
+    assert [getattr(rebuilt, f) for f in fields] == [
+        start, HOUR, MeterKind.GENERATION, float("inf")
+    ]
+
+    # Series compare and hash by identity, not by their arrays.
+    for series in (degraded, imputed):
+        twin = type(series)(series.start, series.resolution, series.values)
+        assert isinstance(series, series_module.Series)
+        assert series == series and series != twin and len({series, twin}) == 2
+
+
 # ---------------------------------------------------------------------------
 # parse_series
 # ---------------------------------------------------------------------------
