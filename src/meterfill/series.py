@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 from datetime import date, datetime, timedelta
 from enum import Enum
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -611,23 +611,29 @@ def _build_series(
     return EnergySeries(start, resolution, values, config.meter_kind, config.monotone_tol)
 
 
-def format_series(series: Series) -> str:
+def format_series(series: Series, file: TextIO | None = None) -> str | None:
     """Render a series as a ``timestamp,value`` CSV re-ingestible by parse_series.
 
     Each block of rows is one ``%``-format, with an empty field for each NaN.
+    Without ``file`` the blocks are joined and returned.  Given an open text
+    file, each block is written to it as soon as it is made and None is
+    returned, so that only one block of the text is held at a time.
     """
-    blocks = ["timestamp,value\n"]
+    blocks = []
+    write = blocks.append if file is None else file.write
+    write("timestamp,value\n")
     column = _timestamps(series.start, series.resolution, series.n)
     for i0 in range(0, series.n, _FORMAT_BLOCK_ROWS):
         block = series.values[i0 : i0 + _FORMAT_BLOCK_ROWS].tolist()
         cells = [None] * (2 * len(block))
         cells[0::2] = itertools.islice(column, len(block))
         cells[1::2] = ["" if v != v else repr(v) for v in block]
-        blocks.append("%s,%s\n" * len(block) % tuple(cells))
-    return "".join(blocks)
+        write("%s,%s\n" * len(block) % tuple(cells))
+    return "".join(blocks) if file is None else None
 
 
 def read_series(path, config: ParseConfig = ParseConfig()) -> Series:
+    """``parse_series`` of a UTF-8 file, read with universal newlines (CRLF becomes ``\\n``)."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             text = f.read()
@@ -640,5 +646,6 @@ def read_series(path, config: ParseConfig = ParseConfig()) -> Series:
 
 
 def write_series(path, series: Series) -> None:
+    """Write ``format_series``' text to ``path`` (UTF-8) one block at a time."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write(format_series(series))
+        format_series(series, f)

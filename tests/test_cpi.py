@@ -1,5 +1,6 @@
 """Tests for the copy-paste imputation pipeline."""
 
+import zlib
 from dataclasses import replace
 from datetime import date, datetime, time, timedelta
 from unittest import mock
@@ -1075,28 +1076,65 @@ def _plan_inputs(draw, zeros=False):
     on days that put Feb 29, a leap year's Dec 31 without its Feb 29, or
     neither in the series.  Many series end at a midnight, so the last day
     is a full donor one power slot short.  Gaps may touch either end, span
-    several days, crowd three to six into one day or recur every week.  A
-    generation meter's power changes sign from day to day.  Some draws
-    leave too few complete days or no complete day of some weekday, so the
-    errors are compared too.  With ``zeros``, every series is a new
-    consumption meter, read from 0 kWh, that draws exactly 0 kW at night
-    and on about one day in ten (a vacancy), so many gaps end on a donor
-    slot of 0 kW.
+    several days, crowd three to six into one day or recur weekly over a
+    run of weeks.  A generation meter's power changes sign from day to
+    day.  Most draws can be planned; some leave too few complete days or no
+    complete day of some weekday, so the errors are compared too.  With
+    ``zeros``, every series is a new consumption meter, read from 0 kWh,
+    that draws exactly 0 kW at night and on about one day in ten (a
+    vacancy), so many gaps end on a donor slot of 0 kW.
+
+    The readings come from a generator seeded with every choice of the
+    draw.  Hypothesis makes new draws by editing earlier ones, so a seed
+    drawn on its own would recur across draws that differ only in their gaps.
     """
-    resolution = draw(st.sampled_from(list(_PLAN_SPANS)))
+    choices = []
+
+    def pick(strategy):
+        choices.append(draw(strategy))
+        return choices[-1]
+
+    resolution = pick(st.sampled_from(list(_PLAN_SPANS)))
     spd = timedelta(days=1) // resolution
-    day0 = draw(st.sampled_from([
+    day0 = pick(st.sampled_from([
         date(2018, 1, 1), date(2020, 2, 20), date(2019, 12, 30), date(2020, 3, 1),
         date(2019, 3, 4),
     ]))
-    start = datetime.combine(day0, time(draw(st.sampled_from([0, 7, 13]))))
+    start = datetime.combine(day0, time(pick(st.sampled_from([0, 7, 13]))))
     offset = (start - datetime.combine(day0, time())) // resolution
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    # A quarter of the series span two weeks; the rest, any length up to the cap.
-    days = draw(st.sampled_from([0, 0, 0, 14])) or int(rng.integers(28, _PLAN_SPANS[resolution]))
-    n = days * spd - offset + draw(st.one_of(st.just(0), st.integers(0, spd - 1)))
-    kind = MeterKind.CONSUMPTION if zeros else draw(st.sampled_from(list(MeterKind)))
+    # One series in eight spans two weeks, too few for 14 complete days once
+    # a gap lands; the rest, any length from four weeks up to the cap.
+    short = pick(st.integers(0, 7)) == 0
+    days = 14 if short else pick(st.integers(28, _PLAN_SPANS[resolution] - 1))
+    n = days * spd - offset + pick(st.one_of(st.just(0), st.integers(0, spd - 1)))
+    kind = MeterKind.CONSUMPTION if zeros else pick(st.sampled_from(list(MeterKind)))
 
+    missing = np.zeros(n, dtype=bool)
+    kinds = st.sampled_from(["head", "tail", "long", "long", "short", "short", "crowd", "crowd",
+                             "weekly"])
+    for where in pick(st.lists(kinds, min_size=1, max_size=6)):
+        if where == "crowd":  # three to six gaps inside one day
+            first = pick(st.integers(0, n - spd))
+            count = pick(st.integers(3, 6))
+            step = spd // count
+            for k in range(count):
+                missing[first + k * step + 1 : first + (k + 1) * step - 1] = True
+            continue
+        if where == "weekly":  # the same hour of one weekday in one to three weeks, or all
+            weeks = range(pick(st.integers(0, 7 * spd)), n - 3, 7 * spd)
+            for week in weeks[: pick(st.integers(0, 3)) or None]:
+                missing[week + 1 : week + 3] = True
+            continue
+        longest = {"long": 3 * spd, "short": spd // 2}.get(where, spd)
+        length = pick(st.integers(spd + 1 if where == "long" else 2, longest))
+        first = {"head": 0, "tail": n - length}.get(where)
+        if first is None:
+            first = pick(st.integers(0, n - length))
+        missing[first : first + length] = True
+    missing[n // 2] = False  # an energy series needs a present reading
+
+    pick(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng([zlib.crc32(repr(choice).encode()) for choice in choices])
     slot = offset + np.arange(n - 1)
     low = 0.5 if kind is MeterKind.CONSUMPTION else -1.0
     level = rng.uniform(low, 2.0, size=days + 1)[slot // spd]
@@ -1107,29 +1145,6 @@ def _plan_inputs(draw, zeros=False):
         power[night | (rng.random(days + 1)[slot // spd] < 0.1)] = 0.0
     base = 0.0 if zeros else 100.0
     values = base + np.concatenate(([0.0], np.cumsum(power * (resolution / HOUR))))
-
-    missing = np.zeros(n, dtype=bool)
-    kinds = st.sampled_from(["head", "tail", "long", "long", "short", "short", "crowd", "crowd",
-                             "weekly"])
-    for where in draw(st.lists(kinds, min_size=1, max_size=6)):
-        if where == "crowd":  # three to six gaps inside one day
-            first = draw(st.integers(0, n - spd))
-            count = draw(st.integers(3, 6))
-            step = spd // count
-            for k in range(count):
-                missing[first + k * step + 1 : first + (k + 1) * step - 1] = True
-            continue
-        if where == "weekly":  # the same hour of one weekday in every week
-            for week in range(draw(st.integers(0, 7 * spd)), n - 3, 7 * spd):
-                missing[week + 1 : week + 3] = True
-            continue
-        longest = {"long": 3 * spd, "short": spd // 2}.get(where, spd)
-        length = draw(st.integers(spd + 1 if where == "long" else 2, longest))
-        first = {"head": 0, "tail": n - length}.get(where)
-        if first is None:
-            first = draw(st.integers(0, n - length))
-        missing[first : first + length] = True
-    missing[n // 2] = False  # an energy series needs a present reading
     return EnergySeries(start, resolution, np.where(missing, np.nan, values), meter_kind=kind)
 
 

@@ -21,7 +21,9 @@ from meterfill import (
     energy_to_power,
     parse_series,
     power_to_energy,
+    read_series,
     synthetic_series,
+    write_series,
 )
 from meterfill import cpi, gapgen
 from meterfill import series as series_module
@@ -345,7 +347,7 @@ def _small_blocks():
 
 @pytest.mark.parametrize("start", _STARTS.values(), ids=_STARTS.keys())
 @pytest.mark.parametrize("resolution", _RESOLUTIONS.values(), ids=_RESOLUTIONS.keys())
-def test_format_matches_the_per_row_oracle_and_round_trips(start, resolution):
+def test_format_matches_the_per_row_oracle_and_round_trips(start, resolution, tmp_path):
     for ps in (_awkward_power(start, resolution), power([1.5, np.nan, 2.0], start, resolution)):
         oracle = "timestamp,value\n" + "".join(
             f"{ps.timestamp(i).isoformat(sep=' ')},{'' if math.isnan(v) else repr(float(v))}\n"
@@ -355,22 +357,39 @@ def test_format_matches_the_per_row_oracle_and_round_trips(start, resolution):
             with blocks:
                 text = format_series(ps)
                 assert text == oracle
+                write_series(tmp_path / "written.csv", ps)
+                assert (tmp_path / "written.csv").read_bytes() == text.encode()
                 again = parse_series(text, ParseConfig(kind="power"))
             assert (again.start, again.resolution) == (ps.start, ps.resolution)
             assert again.values.tobytes() == ps.values.tobytes()
 
 
+def _no_row_wise(*args, **kwargs):
+    raise AssertionError("the row-wise reader ran on a written file")
+
+
 def test_written_files_are_read_without_the_row_wise_reader(monkeypatch):
     es = energy(np.arange(35040.0) / 7, resolution=QUARTER_HOUR)
     text = format_series(with_missing(es, [0, 5, 6, 35039]))
-
-    def no_row_wise(*args, **kwargs):
-        raise AssertionError("the row-wise reader ran on a written file")
-
-    monkeypatch.setattr(series_module.csv, "reader", no_row_wise)
+    monkeypatch.setattr(series_module.csv, "reader", _no_row_wise)
     again = parse_series(text)
     assert np.isnan(again.values[[0, 5, 6, 35039]]).all()
     assert again.values[7] == 1.0
+
+
+def test_a_crlf_file_is_read_column_wise_as_its_text_is_row_wise(tmp_path, monkeypatch):
+    # read_series opens files with universal newlines, so a CRLF copy of a
+    # written file reaches the parser in the written form; the same text
+    # with its "\r"s goes to parse_series' row-wise reader.
+    es = with_missing(energy(np.arange(3000.0) / 7, resolution=QUARTER_HOUR), [0, 5, 6, 2999])
+    crlf = format_series(es).replace("\n", "\r\n")
+    (tmp_path / "crlf.csv").write_bytes(crlf.encode())
+    row_wise = parse_series(crlf)
+    monkeypatch.setattr(series_module.csv, "reader", _no_row_wise)
+    from_file = read_series(tmp_path / "crlf.csv")
+    for series in (row_wise, from_file):
+        assert (series.start, series.resolution) == (es.start, es.resolution)
+        assert series.values.tobytes() == es.values.tobytes()
 
 
 def test_one_shifted_timestamp_in_a_written_year_is_irregular():
@@ -590,14 +609,16 @@ def _traced_peak(call, *args):
         tracemalloc.stop()
 
 
-def test_the_csv_layer_needs_a_few_times_its_text_in_memory():
+def test_the_csv_layer_needs_a_few_times_its_text_in_memory(tmp_path):
     # Beyond its text a written-form read holds the values array and one
-    # block, and the writer its blocks and their join.  One Python string
-    # per cell of a year would take 7 times the text or more.
+    # block, and the string form its blocks and their join.  One Python
+    # string per cell of a year would take 7 times the text or more.  The
+    # file writer holds one block and its encoding, not the text.
     es = gapgen.insert_missing(synthetic_series(1), gapgen.MissingnessSpec(0.1, seed=3))[0]
     text, peak = _traced_peak(format_series, es)
     assert peak <= 3 * len(text)
     assert _traced_peak(parse_series, text)[1] <= 3 * len(text)
+    assert _traced_peak(write_series, tmp_path / "year.csv", es)[1] <= len(text)
 
 
 # ---------------------------------------------------------------------------
