@@ -13,6 +13,7 @@ import calendar
 import math
 from dataclasses import astuple, dataclass, replace
 from datetime import date, timedelta
+from functools import cached_property
 
 import numpy as np
 
@@ -75,31 +76,32 @@ class GapFill:
 
 @dataclass(frozen=True)
 class ImputationResult:
-    """The completed series, the power as imputed, and the per-gap audit.
+    """The completed energy, the power as imputed, and the per-gap audit.
 
     ``imputed_power`` is the power the method produced: the pasted donor
     values, scaled when scaling is on, or a baseline's fill.  Audits and
     scores read it.  ``completed_power`` is the derivative of
-    ``completed_energy``, so the two completed series agree exactly; it
-    equals ``imputed_power`` except in the last slot of each gap anchored
-    on both sides, which meets the metered right anchor and so carries the
-    gap's energy miss (rounding level when the imputed power conserves it;
-    where ``complete_from_power`` caps readings at the anchor, the slot
-    before the capped ones carries it instead).
+    ``completed_energy``, derived on first read and then kept, so the two
+    completed series agree exactly; it equals ``imputed_power`` except in
+    the last slot of each gap anchored on both sides, which meets the
+    metered right anchor and so carries the gap's energy miss (rounding
+    level when the imputed power conserves it; where ``complete_from_power``
+    caps readings at the anchor, the slot before the capped ones carries it).
     """
 
-    completed_power: PowerSeries
     completed_energy: EnergySeries
     per_gap: tuple[GapFill, ...]
     imputed_power: PowerSeries
 
     def __post_init__(self):
-        if np.isnan(self.completed_power.values).any():
-            raise ValidationError("completed power series still contains missing values")
         if np.isnan(self.completed_energy.values).any():
             raise ValidationError("completed energy series still contains missing values")
         if np.isnan(self.imputed_power.values).any():
             raise ValidationError("imputed power series still contains missing values")
+
+    @cached_property
+    def completed_power(self) -> PowerSeries:
+        return energy_to_power(self.completed_energy)
 
 
 def interpolate_singles(es: EnergySeries) -> EnergySeries:
@@ -480,10 +482,10 @@ def complete_from_power(
 ) -> ImputationResult:
     """Build the completed series from the power a method imputed.
 
-    The energy is rebuilt first and the power re-derived from it, so the two
-    completed series are exactly consistent and a second pass over the
-    output reproduces it bit-for-bit.  Present power values are unchanged
-    (the same differences of the same readings).  Each anchored gap is
+    Only the energy is rebuilt; the result derives the completed power from
+    it when first read, so the two are exactly consistent and a second pass
+    over the output reproduces it bit-for-bit.  Present power values are
+    unchanged (the same differences of the same readings).  Each anchored gap is
     cumulated from its left anchor and the right anchor is kept, so the
     gap's last completed power slot absorbs whatever the imputed power
     misses of the metered energy: a rounding-level residual after scaling,
@@ -496,8 +498,7 @@ def complete_from_power(
     completed_energy = fill_energy_from_power(energy, imputed.values)
     if energy.meter_kind is MeterKind.CONSUMPTION:
         completed_energy = _cap_at_right_anchors(completed_energy, per_gap)
-    completed_power = energy_to_power(completed_energy)
-    return ImputationResult(completed_power, completed_energy, per_gap, imputed)
+    return ImputationResult(completed_energy, per_gap, imputed)
 
 
 def _cap_at_right_anchors(es: EnergySeries, per_gap: tuple[GapFill, ...]) -> EnergySeries:
@@ -617,7 +618,6 @@ def impute_cpi(
     """
     filled = interpolate_singles(es)
     if not np.isnan(filled.values).any():
-        power = energy_to_power(filled)
-        return ImputationResult(power, filled, (), power)
+        return ImputationResult(filled, (), energy_to_power(filled))
     plan = plan_cpi(filled, min_complete_days)
     return run_plan(plan, match_weights(plan.table, [astuple(weights)])[0], scale=scale)

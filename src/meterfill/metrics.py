@@ -10,7 +10,9 @@ scaling, so it is still what the method costs alone.  Both measures read
 the power each method imputed (for copy-paste: pasted, then scaled if
 scaling is on), never the power re-derived from the rebuilt energy, whose
 last gap slot absorbs any energy miss; so a method that does not conserve
-energy scores a nonzero WAPE.
+energy scores a nonzero WAPE.  ``evaluate`` and ``grid_search_weights``
+build each cell with one ``_degrade`` and aggregate over cells with one
+``_aggregate``; the two report CSVs are written by one ``_format_csv``.
 """
 
 from __future__ import annotations
@@ -241,6 +243,19 @@ def _cell_seed(seed: int, series_index: int, share: float) -> int:
     return int(mixed.generate_state(1)[0])
 
 
+def _degrade(series: EnergySeries, spec: MissingnessSpec) -> tuple:
+    """``series`` degraded by ``spec``, its power, the degraded power and its missing indices."""
+    degraded, _ = insert_missing(series, spec)
+    actual = energy_to_power(series)
+    degraded_power = energy_to_power(degraded)
+    return degraded, actual, degraded_power, np.flatnonzero(np.isnan(degraded_power.values))
+
+
+def _aggregate(values: Sequence[float]) -> float:
+    """The trimmed mean of ``values``, or their plain mean below five values."""
+    return trimmed_mean(values) if len(values) >= 5 else float(np.mean(values))
+
+
 def _evaluate_cell(payload) -> list[ScoreRow]:
     (sid, series, share, seed, series_index, methods, weights, max_gap_len,
      single_fraction) = payload
@@ -255,10 +270,7 @@ def _evaluate_cell(payload) -> list[ScoreRow]:
         return ScoreRow(sid, share, seed, method, float("nan"), float("nan"), 0.0, 0, str(exc))
 
     try:
-        degraded, _ = insert_missing(series, spec)
-        actual = energy_to_power(series)
-        degraded_power = energy_to_power(degraded)
-        mask = np.flatnonzero(np.isnan(degraded_power.values))
+        degraded, actual, degraded_power, mask = _degrade(series, spec)
         spans = gap_spans(detect_gaps(degraded))
     except MeterfillError as exc:
         return [failed(m, exc) for m in methods]
@@ -315,8 +327,9 @@ def evaluate(
 
     Method failures are recorded per cell instead of aborting the run.
     The method name sets whether copy-paste scales (``CPI_METHODS``).
-    Aggregates are trimmed means per (share, method); groups smaller than
-    five fall back to the plain mean and are flagged in the warnings.
+    Aggregates are ``_aggregate``'s trimmed means per (share, method);
+    groups smaller than five fall back to the plain mean and are flagged in
+    the warnings.
     ``parallelism`` must be at least 1.  Cells run in as many worker
     processes, but in no more than there are cells, and in this process
     when that is one.
@@ -329,7 +342,7 @@ def evaluate(
     if parallelism < 1:
         raise MetricError(f"parallelism must be at least 1, got {parallelism}")
     for name, values in (("share", shares), ("seed", seeds), ("method", methods)):
-        if not values:
+        if len(values) == 0:
             raise MetricError(f"evaluation needs at least one {name}")
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
@@ -370,19 +383,16 @@ def evaluate(
             ]
             if not group:
                 continue
-            mapes = [r.mape_p for r in group]
-            wapes = [r.wape_e for r in group]
-            if len(group) >= 5:
-                agg_mape, agg_wape = trimmed_mean(mapes), trimmed_mean(wapes)
-            else:
-                agg_mape, agg_wape = float(np.mean(mapes)), float(np.mean(wapes))
+            if len(group) < 5:
                 warnings.append(
                     f"share={share} {method}: only {len(group)} scores, "
                     "trimmed mean skipped (plain mean reported)"
                 )
             aggregates.append(
                 AggregateRow(
-                    share, method, agg_mape, agg_wape,
+                    share, method,
+                    _aggregate([r.mape_p for r in group]),
+                    _aggregate([r.wape_e for r in group]),
                     float(np.mean([r.runtime_s for r in group])),
                 )
             )
@@ -395,28 +405,21 @@ REPORT_COLUMNS = (
 AGGREGATE_COLUMNS = ("share", "method", "mape_p_trimmed", "wape_e_trimmed", "runtime_s_mean")
 
 
-def format_report_csv(report: EvaluationReport) -> str:
+def _format_csv(columns: tuple[str, ...], records) -> str:
+    """A header of ``columns``, then each record's fields of those names, floats by repr."""
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(REPORT_COLUMNS)
-    for r in report.rows:
-        writer.writerow(
-            [r.series_id, repr(r.share), r.seed, r.method,
-             repr(r.mape_p), repr(r.wape_e), repr(r.runtime_s), r.skipped_terms]
-        )
+    writer.writerow(columns)
+    writer.writerows([getattr(record, name) for name in columns] for record in records)
     return out.getvalue()
+
+
+def format_report_csv(report: EvaluationReport) -> str:
+    return _format_csv(REPORT_COLUMNS, report.rows)
 
 
 def format_aggregates_csv(report: EvaluationReport) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(AGGREGATE_COLUMNS)
-    for a in report.aggregates:
-        writer.writerow(
-            [repr(a.share), a.method,
-             repr(a.mape_p_trimmed), repr(a.wape_e_trimmed), repr(a.runtime_s_mean)]
-        )
-    return out.getvalue()
+    return _format_csv(AGGREGATE_COLUMNS, report.aggregates)
 
 
 # ---------------------------------------------------------------------------
@@ -470,17 +473,17 @@ def grid_search_weights(
     """Exhaustive integer grid search minimizing the aggregate MAPE.
 
     The series are handled one at a time, so only one plan is held in
-    memory.  Each series is degraded and planned once, and every weight
-    triple is matched in one batch on the plan's match table
-    (``cpi.match_weights``).  Triples that pick the same donor for every
-    day with gaps give the same imputation, so each distinct assignment is
-    pasted from its donors and scored once, and its MAPE is that of all its
-    triples.  The aggregate over the series is the trimmed mean (plain mean
-    below five series).  Ties are broken by the smaller weight sum, then
-    lexicographically.  Reversed or negative ranges, an empty grid and
-    bad degradation settings are rejected before any series is degraded.  The
-    calibration set must be disjoint from the evaluation set (caller's
-    responsibility).
+    memory.  Each series is degraded as an ``evaluate`` cell is
+    (``_degrade``) and planned once, and every weight triple is matched in
+    one batch on the plan's match table (``cpi.match_weights``).  Triples
+    that pick the same donor for every day with gaps give the same
+    imputation, so each distinct assignment is pasted from its donors and
+    scored once, and its MAPE is that of all its triples.  The aggregate
+    over the series is ``_aggregate``'s, as in ``evaluate``.  Ties are
+    broken by the smaller weight sum, then lexicographically.  Reversed or
+    negative ranges, an empty grid and bad degradation settings are
+    rejected before any series is degraded.  The calibration set must be
+    disjoint from the evaluation set (caller's responsibility).
     """
     if not calibration:
         raise MetricError("grid search needs a non-empty calibration set")
@@ -491,10 +494,8 @@ def grid_search_weights(
         spec = MissingnessSpec(
             share=share, max_gap_len=max_gap_len, seed=_cell_seed(seed, index, share)
         )
-        degraded, _ = insert_missing(series, spec)
+        degraded, actual, _, mask = _degrade(series, spec)
         plan = plan_cpi(degraded)
-        actual = energy_to_power(series)
-        mask = np.flatnonzero(np.isnan(energy_to_power(degraded).values))
         groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
         for t, donors in enumerate(match_weights(plan.table, triples)):
             groups.setdefault(donors.tobytes(), (donors, []))[1].append(t)
@@ -503,9 +504,6 @@ def grid_search_weights(
                                            mask).value
         del plan  # before the next series is planned: one plan in memory at a time
 
-    def aggregate(values: list[float]) -> float:
-        return trimmed_mean(values) if len(values) >= 5 else float(np.mean(values))
-
-    scores = [(*triple, aggregate(row)) for triple, row in zip(triples, mapes.tolist())]
+    scores = [(*triple, _aggregate(row)) for triple, row in zip(triples, mapes.tolist())]
     best = min(scores, key=lambda s: (s[3], s[0] + s[1] + s[2], s[:3]))
     return GridSearchResult(best=DissimilarityWeights(*best[:3]), scores=scores)

@@ -20,7 +20,7 @@ from meterfill import (
     PowerSeries,
     ValidationError,
 )
-from meterfill.series import day_slot, detect_gaps, energy_to_power, resolution_hours, slots_per_day
+from meterfill.series import day_slot, detect_gaps, resolution_hours, slots_per_day
 
 
 def copy_paste_and_scale(ps, gaps, matches, energy, scale=True):
@@ -77,9 +77,7 @@ def copy_paste_and_scale(ps, gaps, matches, energy, scale=True):
 
 
 def complete_from_power(energy, imputed, per_gap):
-    completed_energy = fill_energy_from_power(energy, imputed.values)
-    completed_power = energy_to_power(completed_energy)
-    return ImputationResult(completed_power, completed_energy, per_gap, imputed)
+    return ImputationResult(fill_energy_from_power(energy, imputed.values), per_gap, imputed)
 
 
 def fill_energy_from_power(es, power_values):

@@ -111,6 +111,38 @@ def test_impute_cpi_writes_energy_power_and_audit(tmp_path, series_csv):
             assert record["sources"]
 
 
+@pytest.mark.parametrize("method", ["cpi", "cpi_noscale", "linear"])
+def test_impute_writes_the_completed_power_derived_once(monkeypatch, tmp_path, series_csv, method):
+    """The power file is the result's ``completed_power``, read once and then kept.
+
+    It is the power of the completed energy by bytes, for both copy-paste
+    methods and for a baseline's fill, which the CLI completes itself.
+    """
+    degraded = tmp_path / "degraded.csv"
+    run_cli("insert-gaps", "--share", "10", "--seed", "2", series_csv, degraded)
+    results, written = [], {}
+
+    def kept(make):
+        def call(*args, **kwargs):
+            results.append(make(*args, **kwargs))
+            return results[-1]
+
+        return call
+
+    monkeypatch.setattr(cli, "impute_cpi", kept(cli.impute_cpi))
+    monkeypatch.setattr(cli, "complete_from_power", kept(cli.complete_from_power))
+    monkeypatch.setattr(cli, "write_series", lambda path, s: written.setdefault(Path(path).name, s))
+    assert run_cli("impute", "--method", method, degraded, tmp_path / "out.csv") == 0
+    (result,) = results
+    assert written["out.csv"] is result.completed_energy
+    assert written["out.power.csv"] is result.completed_power
+    want = cli.energy_to_power(result.completed_energy)
+    assert result.completed_power.values.tobytes() == want.values.tobytes()
+    assert (result.completed_power.start, result.completed_power.resolution) == (
+        want.start, want.resolution,
+    )
+
+
 def test_imputing_the_output_of_a_meter_with_zero_power_nights_changes_nothing(tmp_path):
     """The completed files read back as a meter, and imputing them again is the identity.
 
@@ -412,6 +444,17 @@ def test_os_error_without_a_filename_names_its_cause(
     "args, config, env, named",
     [
         ("impute --weights a,b,c {csv} {out}", "", None, "--weights: 'a,b,c'"),
+        ("impute --weights 1,2 {csv} {out}", "", None, "--weights: '1,2'"),
+        ("impute --config {conf} {csv} {out}", "weights = 1,2,3,4", None,
+         "config key weights: '1,2,3,4'"),
+        ("impute --weights 1,2,-3 {csv} {out}", "", None,
+         "dissimilarity weights must be non-negative"),
+        ("evaluate --methods magic {csv}", "", None, "--methods: 'magic'"),
+        ("evaluate --methods cpi,magic {csv}", "", None, "--methods: 'cpi,magic'"),
+        ("evaluate --config {conf} {csv}", "methods = magic", None,
+         "config key methods: 'magic'"),
+        ("tune-weights --we 5 {csv}", "", None, "--we: '5'"),
+        ("tune-weights --config {conf} {csv}", "ws = 1:2:3", None, "config key ws: '1:2:3'"),
         ("evaluate --shares x {csv}", "", None, "--shares: 'x'"),
         ("evaluate --seeds x {csv}", "", None, "--seeds: 'x'"),
         ("tune-weights --we a:b {csv}", "", None, "--we: 'a:b'"),
@@ -451,7 +494,9 @@ def test_os_error_without_a_filename_names_its_cause(
         ("convert --to power --config {conf} {csv} {out}", "monotone_tol = -0.5", None,
          "monotone_tol must be non-negative, got -0.5"),
     ],
-    ids=["weights", "shares", "seeds", "we", "config-int", "config-meter-kind",
+    ids=["weights", "weights-two", "config-weights-four", "weights-negative", "methods",
+         "methods-one-unknown", "config-methods", "we-no-colon", "config-ws-two-colons",
+         "shares", "seeds", "we", "config-int", "config-meter-kind",
          "config-method", "config-no-scale", "parallelism-env", "parallelism-zero",
          "parallelism-negative", "parallelism-env-zero", "timestamp-past-9999",
          "share", "parallelism", "max-gap-len", "method", "meter-kind", "to",

@@ -1,5 +1,6 @@
 """Tests for the copy-paste imputation pipeline."""
 
+import calendar
 import zlib
 from dataclasses import replace
 from datetime import date, datetime, time, timedelta
@@ -1522,3 +1523,52 @@ def test_scaling_the_readings_by_a_power_of_two_commutes_with_imputation(es):
         assert [(f.sources, f.scale, f.fallback) for f in got.per_gap] == [
             (f.sources, f.scale, f.fallback) for f in want.per_gap
         ], k
+
+
+def _holds_a_leap_day_or_later(es):
+    """Whether the series reaches a 29 February or a later day of its leap year."""
+    first, last = es.start.date(), es.timestamp(es.n - 1).date()
+    return any(
+        calendar.isleap(year) and first <= date(year, 12, 31) and date(year, 2, 29) <= last
+        for year in range(first.year, last.year + 1)
+    )
+
+
+def _day_offsets(result, first):
+    """Each gap's (day, donor) pairs as day offsets from ``first``, with its scale and fallback."""
+    return [
+        ([((day - first).days, (donor - first).days) for day, donor in f.sources],
+         f.scale, f.fallback)
+        for f in result.per_gap
+    ]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_plan_inputs())
+def test_a_364_day_shift_keeps_the_donors_and_the_imputed_power(es):
+    """``impute_cpi`` of the series moved 52 weeks either way is its result, moved.
+
+    The shift keeps every weekday, and it moves every day of the year one
+    day back or on around a 365-day cycle, so every cyclic season distance
+    is kept too.  That holds only where the cycle is 365 days throughout:
+    a day table counts its days by calendar ordinal, so in one that holds a
+    leap year's days after 28 February but not its 29 February those days
+    sit one day off (README, "Notes on behaviour").  Draws whose original
+    or shifted span reaches a 29 February or a later day of a leap year are
+    skipped; the rest must keep the match table's season distances, the
+    donors as day offsets, bit for bit the same imputed power, and the same
+    scales, fallbacks or error.
+    """
+    want = _outcome(impute_cpi, es)
+    for days in (-364, 364):
+        shifted = replace(es, start=es.start + timedelta(days=days))
+        if _holds_a_leap_day_or_later(es) or _holds_a_leap_day_or_later(shifted):
+            continue
+        got = _outcome(impute_cpi, shifted)
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        seasons = (plan_cpi(series).table.season for series in (shifted, es))
+        assert next(seasons).tobytes() == next(seasons).tobytes(), days
+        assert got.imputed_power.values.tobytes() == want.imputed_power.values.tobytes(), days
+        assert _day_offsets(got, shifted.start.date()) == _day_offsets(want, es.start.date())

@@ -1,7 +1,7 @@
 """Tests for error measures, aggregation and the evaluation harness."""
 
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timedelta
 from unittest import mock
 
@@ -420,6 +420,26 @@ def test_each_caller_matches_once(small_suite):
         assert calls[5:] == [27, 27]  # one batch per series
 
 
+def test_run_plan_derives_no_completed_power(small_suite):
+    calls = []
+    energy_to_power = cpi.energy_to_power
+
+    def counted(es):
+        calls.append(es.n)
+        return energy_to_power(es)
+
+    degraded, _ = insert_missing(small_suite[0][1], MissingnessSpec(share=0.1, seed=3))
+    plan = plan_cpi(degraded)
+    donors = cpi.match_weights(plan.table, [(5, 1, 10)])[0]
+    with mock.patch.object(cpi, "energy_to_power", counted):
+        result = cpi.run_plan(plan, donors)
+        assert calls == []  # the harness and the tuner score the imputed power only
+        first = result.completed_power
+        assert result.completed_power is first
+    assert calls == [degraded.n]
+    assert [f.name for f in fields(result)] == ["completed_energy", "per_gap", "imputed_power"]
+
+
 @pytest.mark.parametrize("parallelism", [0, -3])
 def test_parallelism_below_one_is_an_error(small_suite, parallelism):
     with pytest.raises(MetricError, match=f"parallelism must be at least 1, got {parallelism}"):
@@ -503,6 +523,40 @@ def test_report_csv_shapes(small_suite):
     agg = format_aggregates_csv(report).strip().splitlines()
     assert agg[0] == "share,method,mape_p_trimmed,wape_e_trimmed,runtime_s_mean"
     assert len(agg) == 1 + len(report.aggregates)
+
+
+def test_evaluate_takes_numpy_lists(small_suite):
+    kwargs = dict(shares=[0.05, 0.1], methods=["linear", "histavg"], seeds=[0, 2])
+    lists = evaluate(small_suite[:2], **kwargs)
+    arrays = evaluate(small_suite[:2], **{k: np.array(v) for k, v in kwargs.items()})
+    assert [replace(r, runtime_s=0.0) for r in arrays.rows] == [
+        replace(r, runtime_s=0.0) for r in lists.rows
+    ]
+    assert [replace(a, runtime_s_mean=0.0) for a in arrays.aggregates] == [
+        replace(a, runtime_s_mean=0.0) for a in lists.aggregates
+    ]
+    for name in ("share", "seed", "method"):
+        empty = {**kwargs, f"{name}s": np.array([], dtype=np.asarray(kwargs[f"{name}s"]).dtype)}
+        with pytest.raises(MetricError, match=f"evaluation needs at least one {name}"):
+            evaluate(small_suite[:1], **empty)
+    with pytest.raises(MetricError, match="is listed more than once"):
+        evaluate(small_suite[:1], shares=np.array([0.1, 0.05, 0.1]), methods=["linear"])
+
+
+def test_report_csvs_write_numpy_floats_as_python_floats(small_suite):
+    def text(shares):
+        report = evaluate(small_suite[:1], shares=shares, methods=["linear"])
+        report = replace(
+            report,
+            rows=[replace(r, runtime_s=0.5) for r in report.rows],
+            aggregates=[replace(a, runtime_s_mean=0.5) for a in report.aggregates],
+        )
+        return format_report_csv(report), format_aggregates_csv(report)
+
+    report, aggregates = text([np.float64(0.1)])
+    assert (report, aggregates) == text([0.1])
+    assert report.splitlines()[1].split(",")[1] == "0.1"
+    assert aggregates.splitlines()[1].split(",")[0] == "0.1"
 
 
 # ---------------------------------------------------------------------------
