@@ -260,22 +260,25 @@ class MatchTable:
     """The weight-independent part of matching days with gaps to donors.
 
     Row i is the day-table row ``rows[i]`` of ``match_table`` (in a plan,
-    ``layout.days[i]``).  Every matrix holds a row's candidates in tie order
-    (smaller calendar distance first, then the earlier date), and
-    ``donor[i, k]`` is the day-table row of column k, so the first
-    least-dissimilar column of a row is the tie-break winner.  ``energy``
-    is the absolute day-total difference, 0 where a total is missing, which
-    drops the energy term there; ``match_weights`` divides it by
-    ``energy_range``, the largest minus the smallest known total of the
-    rows and candidates.
+    ``layout.days[i]``), and ``candidates`` are the copy candidates' rows in
+    date order.  A candidate can donate to row i only if it reaches
+    within-day slot ``last_slot[i]``.  The table keeps no (rows x
+    candidates) matrix: ``match_weights`` builds the distances a block of
+    rows at a time from the day-table columns below and the two distance
+    look-ups, and divides the energy term by ``energy_range``, the largest
+    minus the smallest known total of the rows and candidates.
     """
 
-    weekday: np.ndarray         # weekday distances
-    season: np.ndarray          # season distances
-    energy: np.ndarray          # |day total - candidate total|
-    keep: np.ndarray            # False where a candidate cannot donate to the row
-    donor: np.ndarray           # day-table row of each column
-    energy_range: float         # the span of the known day totals
+    rows: np.ndarray                # day-table rows with gaps
+    candidates: np.ndarray          # day-table rows of the copy candidates
+    last_slot: np.ndarray           # each row's last missing within-day slot
+    weekday: np.ndarray             # ISO weekday of every day-table row
+    day_of_year: np.ndarray         # day of year of every day-table row
+    total: np.ndarray               # day total of every day-table row, NaN if unknown
+    slots: np.ndarray               # power slots of every day-table row
+    weekday_distances: np.ndarray   # weekday distance of ISO weekdays (i, j) at 7 * i + j - 8
+    season_distances: np.ndarray    # season distance by day-of-year difference, 0 .. 366
+    energy_range: float             # the span of the known day totals
 
 
 def match_table(
@@ -284,23 +287,19 @@ def match_table(
     candidates: np.ndarray,
     last_slot: np.ndarray,
 ) -> MatchTable:
-    """Distance components of every (row, candidate) pair of ``days``, in tie order.
+    """What matching ``rows`` against ``candidates`` of ``days`` needs, whatever the weights.
 
     ``rows`` and ``candidates`` are day-table rows in date order, and the
     day totals are the table's ``total`` column.  A candidate can donate
     to ``rows[i]`` only if it reaches within-day slot ``last_slot[i]``, the
-    row's last missing slot.  The energy range spans the known totals of
-    the rows and candidates; where all are equal it is taken as
-    ``(lo + 1) - lo``, and where none is known as 1.  The season cycle is
-    366 days when a 29 February lies between the table's first and last
-    date, else 365.
+    row's last missing slot; a row that no candidate reaches raises.  The
+    energy range spans the known totals of the rows and candidates; where
+    all are equal it is taken as ``(lo + 1) - lo``, and where none is known
+    as 1.  The season cycle is 366 days when a 29 February lies between
+    the table's first and last date, else 365.
     """
-    # Candidates are in date order: a stable sort by calendar distance puts
-    # the earlier date first on a tie.
-    order = np.argsort(np.abs(candidates - rows[:, None]), axis=-1, kind="stable")
-    donor = candidates[order]
-    keep = days.slots[donor] > last_slot[:, None]
-    if not candidates.size or not keep.any(axis=1).all():
+    slots = days.slots
+    if not candidates.size or (slots[candidates].max() <= last_slot).any():
         raise ImputationError("no complete day available")
 
     totals = days.total[np.concatenate([rows, candidates])]
@@ -314,27 +313,85 @@ def match_table(
         for year in range(days.first.year, last.year + 1)
     )
 
-    # Both distances take few values: look them up by weekday pair (entry
-    # 7 * (w_i - 1) + w_j - 1 of the 7 x 7 table) and by day-of-year difference.
+    # Both distances take few values: look them up by weekday pair and by
+    # day-of-year difference.
     week = np.arange(1, 8)
-    weekday = days.weekday
-    pair = (7 * weekday[rows] - 8)[:, None] + weekday[donor]
-    day_of_year = days.day_of_year
-    delta = np.abs(day_of_year[rows][:, None] - day_of_year[donor])
-    energy = np.abs(days.total[donor] - days.total[rows][:, None])
     return MatchTable(
-        weekday=weekday_distance(week[:, None], week).ravel()[pair],
-        season=season_distance(0, np.arange(367), 366 if leap_day else 365)[delta],
-        energy=np.where(np.isnan(energy), 0.0, energy),
-        keep=keep,
-        donor=donor,
+        rows=rows,
+        candidates=candidates,
+        last_slot=last_slot,
+        weekday=days.weekday,
+        day_of_year=days.day_of_year,
+        total=days.total,
+        slots=slots,
+        weekday_distances=weekday_distance(week[:, None], week).ravel(),
+        season_distances=season_distance(0, np.arange(367), 366 if leap_day else 365),
         energy_range=hi - lo,
     )
 
 
-# Matrix entries evaluated at once: each temporary of a batch of weight
-# triples stays within 512 kB, however large the grid.
-_BATCH_ENTRIES = 1 << 16
+@dataclass(frozen=True, eq=False)
+class _MatchBlock:
+    """The distance components of a block of rows against every candidate.
+
+    Every matrix holds a row's candidates in tie order (smaller calendar
+    distance first, then the earlier date), and ``donor[i, k]`` is the
+    day-table row of column k, so the first least-dissimilar column of a
+    row is the tie-break winner.  ``energy`` is the absolute day-total
+    difference, 0 where a total is missing, which drops the energy term.
+    """
+
+    weekday: np.ndarray         # weekday distances
+    season: np.ndarray          # season distances
+    energy: np.ndarray          # |day total - candidate total|
+    keep: np.ndarray            # False where a candidate cannot donate to the row
+    donor: np.ndarray           # day-table row of each column
+
+
+def _match_block(table: MatchTable, lo: int = 0, hi: int | None = None) -> _MatchBlock:
+    """The matrices of ``table``'s rows ``lo:hi`` (all rows by default), in tie order."""
+    rows = table.rows[lo:hi]
+    # Candidates are in date order: a stable sort by calendar distance puts
+    # the earlier date first on a tie.
+    candidates = table.candidates
+    donor = candidates[np.argsort(np.abs(candidates - rows[:, None]), axis=-1, kind="stable")]
+    weekday, day_of_year, total = table.weekday, table.day_of_year, table.total
+    pair = (7 * weekday[rows] - 8)[:, None] + weekday[donor]
+    delta = np.abs(day_of_year[rows][:, None] - day_of_year[donor])
+    energy = np.abs(total[donor] - total[rows][:, None])
+    return _MatchBlock(
+        weekday=table.weekday_distances[pair],
+        season=table.season_distances[delta],
+        energy=np.where(np.isnan(energy), 0.0, energy),
+        keep=table.slots[donor] > table.last_slot[lo:hi, None],
+        donor=donor,
+    )
+
+
+# Bounds on the matrix entries held at once: each matrix of a block of rows
+# stays within 64 kB, and each temporary of a batch of weight triples within
+# 256 kB, however long the series or large the grid.
+_BLOCK_ENTRIES = 1 << 13
+_BATCH_ENTRIES = 1 << 15
+
+
+def _pick_donors(block: _MatchBlock, energy_range: float, triples) -> np.ndarray:
+    """Donor day-table row of every row of ``block`` under each weight triple."""
+    weights = np.asarray(triples, dtype=np.float64).reshape(-1, 3, 1, 1)
+    rows, cols = block.donor.shape
+    donors = np.empty((len(weights), rows), dtype=np.int64)
+    excluded = ~block.keep
+    step = max(1, _BATCH_ENTRIES // max(1, rows * cols))
+    for lo in range(0, len(weights), step):
+        w_energy, w_weekday, w_season = weights[lo : lo + step].swapaxes(0, 1)
+        value = w_weekday * block.weekday
+        value += w_season * block.season
+        energy = w_energy * block.energy
+        energy /= energy_range
+        value += energy
+        value[:, excluded] = np.inf
+        donors[lo : lo + step] = block.donor[np.arange(rows), value.argmin(axis=-1)]
+    return donors
 
 
 def match_weights(table: MatchTable, triples) -> np.ndarray:
@@ -347,22 +404,17 @@ def match_weights(table: MatchTable, triples) -> np.ndarray:
     ``weekday * dw + season * ds + energy * |dE| / range``, evaluated in
     that order, so every weighting sees exactly the values a single-triple
     match would.  Exact ties go to the smallest calendar
-    distance, then to the earlier date.
+    distance, then to the earlier date.  The distance matrices are built
+    for a block of rows at a time, and every triple is scored on a block
+    before the next is built, so no (rows x candidates) matrix is held.
     """
     weights = np.asarray(triples, dtype=np.float64).reshape(-1, 3, 1, 1)
-    rows, cols = table.donor.shape
+    rows = table.rows.size
     donors = np.empty((len(weights), rows), dtype=np.int64)
-    excluded = ~table.keep
-    step = max(1, _BATCH_ENTRIES // max(1, rows * cols))
-    for lo in range(0, len(weights), step):
-        w_energy, w_weekday, w_season = weights[lo : lo + step].swapaxes(0, 1)
-        value = w_weekday * table.weekday
-        value += w_season * table.season
-        energy = w_energy * table.energy
-        energy /= table.energy_range
-        value += energy
-        value[:, excluded] = np.inf
-        donors[lo : lo + step] = table.donor[np.arange(rows), value.argmin(axis=-1)]
+    step = max(1, _BLOCK_ENTRIES // max(1, table.candidates.size))
+    for lo in range(0, rows, step):
+        block = _match_block(table, lo, lo + step)
+        donors[:, lo : lo + step] = _pick_donors(block, table.energy_range, weights)
     return donors
 
 
@@ -535,7 +587,9 @@ class CpiPlan:
     ``days`` is the series' day table with its ``total`` column filled in.
     ``match_weights`` reads the match table, which holds the season and
     energy normalization, to pick donors, and ``run_plan`` reads the paste
-    layout to paste and scale them; neither is rebuilt per weighting.
+    layout to paste and scale them; neither is rebuilt per weighting.  The
+    plan holds nothing that grows as (days with gaps x candidates): the
+    distance matrices are built block by block inside each match.
     """
 
     series: EnergySeries        # input with isolated singles already filled
@@ -550,15 +604,16 @@ def plan_cpi(es: EnergySeries, min_complete_days: int = 14) -> CpiPlan:
 
     One day table carries the plan from the partition to the match table:
     the weekly fit reads its complete full days, the gap-day estimates and
-    the day totals become its ``total`` column, and the match table is
-    built by indexing its columns.  The series needs at least
-    ``min_complete_days`` complete full days.
+    the day totals become its ``total`` column, and the match table keeps
+    its columns, the rows with gaps and the candidates.  The series is
+    differentiated once, and the partition reads that power.  The series
+    needs at least ``min_complete_days`` complete full days.
     """
     filled = interpolate_singles(es)
     gaps = detect_gaps(filled)
     power = energy_to_power(filled)
     layout = paste_layout(power, gaps)
-    days = day_partition(filled)
+    days = day_partition(filled, power)
 
     candidates = np.flatnonzero((days.missing == 0) & days.full_day)
     if candidates.size < min_complete_days:

@@ -346,7 +346,9 @@ def evaluate(
             raise MetricError(f"evaluation needs at least one {name}")
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
-            raise MetricError(f"{name} {repeated[0]!r} is listed more than once")
+            entry = repeated[0]  # a numpy entry is named as its Python scalar
+            entry = entry.item() if isinstance(entry, np.generic) else entry
+            raise MetricError(f"{name} {entry!r} is listed more than once")
     for method in methods:
         if method not in ALL_METHODS:
             raise MetricError(f"unknown method {method!r}")

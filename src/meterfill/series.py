@@ -324,14 +324,18 @@ def detect_gaps(es: EnergySeries) -> GapArrays:
     return GapArrays(first, last, before, after, after - before, has_before & has_after)
 
 
-def day_partition(series: Series) -> DayTable:
+def day_partition(series: Series, power: PowerSeries | None = None) -> DayTable:
     """Split a series into the day table of its power domain.
 
     The series start must fall on the resolution grid of its calendar day.
     Day d covers power indices ``d * spd - off0`` up to
     ``(d + 1) * spd - off0`` (the ``day_slot`` rule), clipped to the series.
+    An energy series is differentiated first, unless the caller passes its
+    ``energy_to_power`` as ``power``.
     """
-    ps = energy_to_power(series) if isinstance(series, EnergySeries) else series
+    ps = power
+    if ps is None:
+        ps = energy_to_power(series) if isinstance(series, EnergySeries) else series
     spd = slots_per_day(ps.resolution)
     off0 = grid_offset(ps.start, ps.resolution)
     m = ps.n

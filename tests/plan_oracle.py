@@ -5,8 +5,10 @@ the day partition, the weekly fit, the gap-day estimates, the day totals and
 the match table all read and write its columns.  These are the earlier
 bodies: the partition returns a ``DayView`` per day, the estimates are a
 ``date -> total`` dict, every day becomes a ``DayRecord``, and the match
-table reads the records' attributes one by one.  The tests require the two
-to give bit-identical plans, results and errors.
+table reads the records' attributes one by one into dense matrices over
+every (day with gaps, candidate) pair, as the package's match table once
+held them; the package builds them a block of rows at a time.  The tests
+require the two to give bit-identical plans, matrices, results and errors.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ import numpy as np
 from meterfill import DissimilarityWeights, EnergySeries, ImputationError, ValidationError
 from meterfill.cpi import (
     WEEKDAY_NAMES,
-    MatchTable,
     PasteLayout,
+    _MatchBlock,
+    _pick_donors,
     interpolate_singles,
-    match_weights,
     paste_layout,
     season_distance,
     weekday_distance,
@@ -202,12 +204,13 @@ def compile_complete_days(days, estimates) -> list[DayRecord]:
     return records
 
 
-def match_table(days, candidates, cycle_length, energy_range, keep=None, rows=None) -> MatchTable:
-    """The package's match table, built from the records one by one.
+def match_table(days, candidates, cycle_length, keep=None, rows=None) -> _MatchBlock:
+    """The package's matrices over every row at once, built from the records one by one.
 
     ``rows`` are the candidates' day-table rows, which ``donor`` holds; by
-    default they are the candidates' positions, so that ``match_weights``
-    answers in candidate indices, as ``lexsort_donors`` does.
+    default they are the candidates' positions, so that ``_pick_donors``
+    answers in candidate indices, as ``lexsort_donors`` does.  ``keep`` may
+    be any mask, also one that no row's last missing slot gives.
     """
     if not candidates or (keep is not None and not keep.any(axis=1).all()):
         raise ImputationError("no complete day available")
@@ -223,21 +226,20 @@ def match_table(days, candidates, cycle_length, energy_range, keep=None, rows=No
         return np.array([getattr(c, attr) for c in candidates], dtype=np.float64)[order]
 
     energy = np.abs(row("total_energy") - column("total_energy"))
-    return MatchTable(
+    return _MatchBlock(
         weekday=weekday_distance(column("weekday"), row("weekday")),
         season=season_distance(column("day_of_year"), row("day_of_year"), cycle_length),
         energy=np.where(np.isnan(energy), 0.0, energy),
         keep=np.full(order.shape, True) if keep is None else np.take_along_axis(keep, order, 1),
         donor=order if rows is None else np.asarray(rows, dtype=np.int64)[order],
-        energy_range=energy_range,
     )
 
 
 def best_donors(days, candidates, weights: DissimilarityWeights, cycle_length, energy_range,
                 keep=None) -> np.ndarray:
     """Index of each day's least dissimilar candidate, as ``match_weights`` picks it."""
-    table = match_table(days, candidates, cycle_length, energy_range, keep)
-    return match_weights(table, [(weights.energy, weights.weekday, weights.season)])[0]
+    block = match_table(days, candidates, cycle_length, keep)
+    return _pick_donors(block, energy_range, [(weights.energy, weights.weekday, weights.season)])[0]
 
 
 def season_normalization(records, candidates) -> tuple[int, float]:
@@ -260,9 +262,9 @@ class Plan:
     """What the earlier ``plan_cpi`` held.
 
     ``run_plan`` reads ``series``, ``power`` and ``layout``, and
-    ``match_weights`` reads ``table``.  ``candidate_records`` are the
-    records of the copy candidates, and ``candidates`` their day-table
-    rows, which the table's ``donor`` holds.
+    ``plan_donors`` reads ``block`` and ``energy_range``.
+    ``candidate_records`` are the records of the copy candidates, and
+    ``candidates`` their day-table rows, which the block's ``donor`` holds.
     """
 
     days: tuple[DayView, ...]
@@ -274,7 +276,7 @@ class Plan:
     power: object
     layout: PasteLayout
     candidates: np.ndarray
-    table: MatchTable
+    block: _MatchBlock
 
 
 def plan_cpi(es, min_complete_days=14) -> Plan:
@@ -323,6 +325,11 @@ def plan_cpi(es, min_complete_days=14) -> Plan:
         power=power,
         layout=layout,
         candidates=np.array(rows, dtype=np.int64),
-        table=match_table([records[i] for i in gap_rows], candidates, cycle_length, energy_range,
-                          keep, rows),
+        block=match_table([records[i] for i in gap_rows], candidates, cycle_length, keep, rows),
     )
+
+
+def plan_donors(plan: Plan, weights: DissimilarityWeights) -> np.ndarray:
+    """The donor day-table rows ``weights`` pick for the days with gaps of ``plan``."""
+    triple = [(weights.energy, weights.weekday, weights.season)]
+    return _pick_donors(plan.block, plan.energy_range, triple)[0]

@@ -2,7 +2,7 @@
 
 import calendar
 import zlib
-from dataclasses import replace
+from dataclasses import astuple, replace
 from datetime import date, datetime, time, timedelta
 from unittest import mock
 
@@ -23,6 +23,7 @@ from meterfill import (
 from meterfill import cpi
 from meterfill.cpi import (
     DEFAULT_WEIGHTS,
+    _match_block,
     compile_complete_days,
     complete_from_power,
     copy_paste_and_scale,
@@ -257,7 +258,8 @@ def test_fourteen_day_series_with_two_gap_days_has_twelve_candidates():
     days = compile_complete_days(days, _no_estimates(days))
     assert len(days) == 14
     plan = plan_cpi(es, min_complete_days=12)
-    assert np.unique(plan.table.donor).tolist() == [0, 1, 2, 3, 6, 7, 8, 9, 10, 11, 12, 13]
+    donors = np.unique(_match_block(plan.table).donor)
+    assert donors.tolist() == [0, 1, 2, 3, 6, 7, 8, 9, 10, 11, 12, 13]
     assert plan.layout.days.tolist() == [4, 5]
     assert np.flatnonzero(np.isnan(days.total)).tolist() == [4, 5]
 
@@ -300,12 +302,23 @@ def _columns(days):
 
 def test_plan_partitions_the_series_once():
     # Boundary and interior gaps: the partition feeds the weekly fit, the
-    # estimates, the day totals and the match.
+    # estimates, the day totals and the match, and reads the power the
+    # plan derived for its paste layout.
     base = energy(np.arange(21 * 24 + 1, dtype=float))
     es = with_missing(base, [0, 1, *range(4 * 24 + 1, 6 * 24), 20 * 24])
-    with mock.patch("meterfill.cpi.day_partition", wraps=day_partition) as spy:
+    calls = []
+
+    def counted(series):
+        calls.append(series)
+        return energy_to_power(series)
+
+    with (
+        mock.patch("meterfill.cpi.energy_to_power", counted),
+        mock.patch("meterfill.series.energy_to_power", counted),
+        mock.patch("meterfill.cpi.day_partition", wraps=day_partition) as spy,
+    ):
         plan = plan_cpi(es)
-    assert spy.call_count == 1
+    assert (spy.call_count, len(calls)) == (1, 1)
     assert _columns(plan.days) == _columns(day_partition(plan.series))
 
 
@@ -535,12 +548,13 @@ def test_matrix_match_runs_the_distance_rules_under_test():
         mock.patch("meterfill.cpi.season_distance", wraps=season_distance) as season,
     ):
         match = match_table(days, np.array([0, 1]), np.array([3, 4, 5]), np.array([0, 0]))
+        block = _match_block(match)
     assert (weekday.call_count, season.call_count) == (1, 1)
     assert match.energy_range == 4.0
-    assert np.array_equal(match.weekday, weekday_distance(
-        np.array([[5], [6]]), days.weekday[match.donor]))
-    assert np.array_equal(match.season, season_distance(
-        np.array([[5], [6]]), days.day_of_year[match.donor], 365))
+    assert np.array_equal(block.weekday, weekday_distance(
+        np.array([[5], [6]]), days.weekday[block.donor]))
+    assert np.array_equal(block.season, season_distance(
+        np.array([[5], [6]]), days.day_of_year[block.donor], 365))
 
 
 def test_matrix_match_needs_a_kept_candidate_on_every_row():
@@ -550,17 +564,17 @@ def test_matrix_match_needs_a_kept_candidate_on_every_row():
         getattr(days, name) for name in ("missing", "known_energy",
                                          "full_day", "total")))
     match = match_table(days, np.array([0, 1]), np.array([2]), np.array([5, 19]))
-    assert match.keep.tolist() == [[True], [True]]
+    assert _match_block(match).keep.tolist() == [[True], [True]]
     with pytest.raises(ImputationError, match="no complete day available"):
         match_table(days, np.array([0, 1]), np.array([2]), np.array([5, 22]))
 
 
-def _tied_rows(table, triple):
-    """Rows of ``table`` whose least dissimilarity is reached more than once."""
+def _tied_rows(block, energy_range, triple):
+    """Rows of ``block`` whose least dissimilarity is reached more than once."""
     w_energy, w_weekday, w_season = triple
-    value = w_weekday * table.weekday + w_season * table.season
-    value = value + w_energy * table.energy / table.energy_range
-    value[~table.keep] = np.inf
+    value = w_weekday * block.weekday + w_season * block.season
+    value = value + w_energy * block.energy / energy_range
+    value[~block.keep] = np.inf
     return int(((value == value.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
 
 
@@ -568,7 +582,9 @@ def test_batched_match_agrees_with_the_lexsort_oracle_for_every_triple(monkeypat
     # Integer weights over a few discrete totals make exact ties on many
     # rows; zero weights, missing totals (days touched by an unanchored
     # boundary gap), per-row keep masks and both cycle lengths cover the
-    # other branches.  Each triple must pick the oracle's donor, in one
+    # other branches.  The keep masks are random, which no row's last
+    # missing slot can give, so the triple picker scores the oracle's dense
+    # block directly.  Each triple must pick the oracle's donor, in one
     # batch and in batches of five triples (the last one shorter).
     rng = np.random.default_rng(53)
     triples = [
@@ -594,27 +610,27 @@ def test_batched_match_agrees_with_the_lexsort_oracle_for_every_triple(monkeypat
         keep = rng.random((len(days), len(candidates))) < 0.6
         keep[np.arange(len(days)), rng.integers(len(candidates), size=len(days))] = True
 
-        table = plan_oracle.match_table(days, candidates, cycle, 12.0, keep)
-        batched = match_weights(table, triples)
+        block = plan_oracle.match_table(days, candidates, cycle, keep)
+        batched = cpi._pick_donors(block, 12.0, triples)
         with monkeypatch.context() as patch:
             patch.setattr(cpi, "_BATCH_ENTRIES", 5 * len(days) * len(candidates))
-            assert np.array_equal(match_weights(table, triples), batched)
+            assert np.array_equal(cpi._pick_donors(block, 12.0, triples), batched)
         assert batched.shape == (len(triples), len(days))
         for triple, donors in zip(triples, batched):
             expected = lexsort_donors(days, candidates, DissimilarityWeights(*triple), cycle, 12.0,
                                       keep)
             assert donors.tolist() == expected.tolist(), (trial, triple)
-            ties += _tied_rows(table, triple)
+            ties += _tied_rows(block, 12.0, triple)
     assert ties > 1000  # the tie-break decided many rows
 
 
 def test_match_table_orders_each_row_by_calendar_distance_then_date():
     days = table(date(2018, 6, 12), [5.0] * 14, total=[5.0] * 14)  # 2018-06-12 .. 06-25
     candidates = np.array([0, 2, 6, 13])  # the 12th, 14th, 18th and 25th
-    match = match_table(days, np.array([3]), candidates, np.array([0]))
-    assert (12 + match.donor[0]).tolist() == [14, 12, 18, 25]
-    assert match.keep.all()
-    assert match.energy.tolist() == [[0.0] * 4]
+    block = _match_block(match_table(days, np.array([3]), candidates, np.array([0])))
+    assert (12 + block.donor[0]).tolist() == [14, 12, 18, 25]
+    assert block.keep.all()
+    assert block.energy.tolist() == [[0.0] * 4]
 
 
 def test_equal_day_totals_leave_the_donors_to_weekday_and_season():
@@ -635,8 +651,9 @@ def test_unknown_day_totals_leave_the_donors_to_weekday_and_season():
     # unanchored boundary gap): every energy term is 0 and the range is 1.
     days = table(date(2018, 1, 5), [1.0] * 3, total=[np.nan] * 3)
     match = match_table(days, np.array([0]), np.array([2]), np.array([0]))
-    assert (match.energy_range, match.energy.tolist()) == (1.0, [[0.0]])
-    assert match.donor.tolist() == [[2]]
+    block = _match_block(match)
+    assert (match.energy_range, block.energy.tolist()) == (1.0, [[0.0]])
+    assert block.donor.tolist() == [[2]]
 
     days = table(MONDAY.date(), [7.0] * 21, total=[np.nan] * 21)
     rows = np.array([3, 12])
@@ -651,14 +668,14 @@ def test_season_cycle_is_366_days_when_the_table_holds_29_february(first, cycle)
     # of January they end on the 28th.
     days = table(first, [1.0] * 29, total=[1.0] * 29)
     match = match_table(days, np.array([0]), np.array([1, 28]), np.array([0]))
-    assert match.season.tolist() == [[1 / (cycle // 2), 28 / (cycle // 2)]]
+    assert _match_block(match).season.tolist() == [[1 / (cycle // 2), 28 / (cycle // 2)]]
 
 
 def test_plan_match_uses_the_table_built_with_the_plan(year_series):
     degraded = with_missing(year_series, range(5000, 5400))
     plan = plan_cpi(degraded)
     candidates = np.flatnonzero((plan.days.missing == 0) & plan.days.full_day)
-    assert plan.table.donor.shape == (plan.layout.days.size, candidates.size)
+    assert _match_block(plan.table).donor.shape == (plan.layout.days.size, candidates.size)
     with mock.patch("meterfill.cpi.match_table", wraps=match_table) as build:
         result = run_plan(plan, plan_donors(plan, DissimilarityWeights()))
     assert build.call_count == 0
@@ -1047,7 +1064,7 @@ def test_plan_layout_rows_are_the_match_table_rows(year_series):
     layout = plan.layout
     assert layout.days.dtype == np.int64
     assert np.array_equal(layout.days, np.flatnonzero(plan.days.missing))
-    assert plan.table.donor.shape[0] == layout.days.size
+    assert _match_block(plan.table).donor.shape[0] == layout.days.size
     for got, want in zip(layout.gaps, detect_gaps(plan.series), strict=True):
         assert got.tobytes() == want.tobytes()
     assert np.array_equal(layout.missing, np.flatnonzero(np.isnan(plan.power.values)))
@@ -1150,7 +1167,11 @@ def _plan_inputs(draw, zeros=False):
 
 
 def _assert_same_plan(got, want):
-    """The day table, candidates, normalization, layout and match table agree bit for bit."""
+    """The day table, candidates, normalization, layout and match matrices agree bit for bit.
+
+    The package's matrices are its block helper's over all rows; the
+    oracle builds them densely.
+    """
     views = plan_oracle.views(got.days)
     assert views == list(want.days)
     assert repr(views) == repr(list(want.days))
@@ -1166,10 +1187,11 @@ def _assert_same_plan(got, want):
     ]
 
     # The oracle works out the cycle and the range itself, as plain numbers.
+    block = _match_block(got.table)
     doy = got.days.day_of_year
-    season = season_distance(doy[got.layout.days][:, None], doy[got.table.donor],
+    season = season_distance(doy[got.layout.days][:, None], doy[block.donor],
                              want.cycle_length)
-    assert got.table.season.tobytes() == season.tobytes()
+    assert block.season.tobytes() == season.tobytes()
     assert got.table.energy_range == want.energy_range
     assert type(got.table.energy_range) is float
 
@@ -1180,10 +1202,11 @@ def _assert_same_plan(got, want):
     assert [c.tobytes() for c in a.gaps] == [c.tobytes() for c in b.gaps]
 
     for name in ("weekday", "season", "energy", "keep", "donor"):
-        a, b = getattr(got.table, name), getattr(want.table, name)
+        a, b = getattr(block, name), getattr(want.block, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
     triples = [(5, 1, 10), (1, 0, 0), (0, 1, 1), (2.5, 0.5, 7)]
-    assert np.array_equal(match_weights(got.table, triples), match_weights(want.table, triples))
+    assert np.array_equal(match_weights(got.table, triples),
+                          cpi._pick_donors(want.block, want.energy_range, triples))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -1196,8 +1219,10 @@ def test_plan_matches_the_per_day_oracle(es):
         return
     _assert_same_plan(got, want)
     for scale in (True, False):
-        _assert_same_outcome(_outcome(run_plan, got, plan_donors(got, DEFAULT_WEIGHTS), scale),
-                             _outcome(run_plan, want, plan_donors(want, DEFAULT_WEIGHTS), scale))
+        _assert_same_outcome(
+            _outcome(run_plan, got, plan_donors(got, DEFAULT_WEIGHTS), scale),
+            _outcome(run_plan, want, plan_oracle.plan_donors(want, DEFAULT_WEIGHTS), scale),
+        )
 
 
 def test_plan_oracle_draws_cover_every_case():
@@ -1219,7 +1244,7 @@ def test_plan_oracle_draws_cover_every_case():
         touched = [row for lo, hi in outcome.layout.gap_rows for row in range(lo, hi)]
         if touched and max(map(touched.count, touched)) >= 3:
             seen.add("crowded")
-        if not outcome.table.keep.all():
+        if not outcome.block.keep.all():
             seen.add("short donor")
         if (np.diff(es.values[np.isfinite(es.values)]) < 0).any():
             seen.add("sign change")
@@ -1282,7 +1307,7 @@ def test_stage_errors_match_the_oracle():
     got = _outcome(match_table, days, np.array([0]), np.array([2]), np.array([24]))
     want = _outcome(plan_oracle.match_table, [record(date(2018, 1, 5), total=1.0)],
                     [record(date(2018, 1, 7), total=1.0, complete=True)],
-                    365, 2.0, np.array([[False]]))
+                    365, np.array([[False]]))
     assert isinstance(want, tuple) and got == want
 
 
@@ -1296,6 +1321,47 @@ def test_energy_range_is_the_oracles_plain_float():
             energy_range = plan_cpi(degraded).table.energy_range
             assert type(energy_range) is float
             assert energy_range == plan_oracle.plan_cpi(degraded).energy_range
+
+
+_MIXED_TRIPLES = [(5, 1, 10), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2.5, 0.5, 7), (20, 10, 1)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_plan_inputs())
+def test_the_donors_do_not_depend_on_the_block_size(es):
+    """One row per block, a prime number of entries, and one block give the same donors."""
+    plan = _outcome(plan_cpi, es)
+    if isinstance(plan, tuple):
+        return
+    picks = []
+    for entries in (1, 1009, 1 << 40):
+        with mock.patch.object(cpi, "_BLOCK_ENTRIES", entries):
+            picks.append([match_weights(plan.table, triples).tobytes()
+                          for triples in ([astuple(DEFAULT_WEIGHTS)], _MIXED_TRIPLES)])
+    assert picks[0] == picks[1] == picks[2]
+
+
+def test_planning_and_matching_four_years_hold_no_full_table():
+    # At 30 % share a four-year quarter-hourly series has about 670 days
+    # with gaps against about 790 candidates: one (rows x candidates)
+    # matrix of float64 alone is 4.2 MB, nearly four times the readings.
+    import tracemalloc
+
+    from meterfill import MissingnessSpec, insert_missing, synthetic_series
+
+    degraded, _ = insert_missing(synthetic_series(5, days=1461),
+                                 MissingnessSpec(share=0.3, seed=3))
+    tracemalloc.start()
+    try:
+        plan = plan_cpi(degraded)
+        match_weights(plan.table, [astuple(DEFAULT_WEIGHTS)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.table.rows.size * plan.table.candidates.size * 8 > 3 * degraded.values.nbytes
+    assert peak < 8 * degraded.values.nbytes
+    fields = vars(plan.table).values()
+    assert not [v.shape for v in fields if isinstance(v, np.ndarray) and v.ndim > 1]
 
 
 # ---------------------------------------------------------------------------
@@ -1568,7 +1634,7 @@ def test_a_364_day_shift_keeps_the_donors_and_the_imputed_power(es):
         if isinstance(want, tuple):
             assert got == want
             continue
-        seasons = (plan_cpi(series).table.season for series in (shifted, es))
+        seasons = (_match_block(plan_cpi(series).table).season for series in (shifted, es))
         assert next(seasons).tobytes() == next(seasons).tobytes(), days
         assert got.imputed_power.values.tobytes() == want.imputed_power.values.tobytes(), days
         assert _day_offsets(got, shifted.start.date()) == _day_offsets(want, es.start.date())

@@ -1,5 +1,6 @@
 """Tests for error measures, aggregation and the evaluation harness."""
 
+import re
 import time
 from dataclasses import fields, replace
 from datetime import datetime, timedelta
@@ -539,8 +540,14 @@ def test_evaluate_takes_numpy_lists(small_suite):
         empty = {**kwargs, f"{name}s": np.array([], dtype=np.asarray(kwargs[f"{name}s"]).dtype)}
         with pytest.raises(MetricError, match=f"evaluation needs at least one {name}"):
             evaluate(small_suite[:1], **empty)
-    with pytest.raises(MetricError, match="is listed more than once"):
-        evaluate(small_suite[:1], shares=np.array([0.1, 0.05, 0.1]), methods=["linear"])
+    # A repeated entry is named as the Python scalar a list would give.
+    for repeated, text in (
+        (dict(shares=np.array([0.1, 0.05, 0.1])), "share 0.1"),
+        (dict(seeds=np.array([1, 1])), "seed 1"),
+        (dict(methods=np.array(["cpi", "linear", "cpi"])), "method 'cpi'"),
+    ):
+        with pytest.raises(MetricError, match=f"^{re.escape(text)} is listed more than once$"):
+            evaluate(small_suite[:1], **{**kwargs, **repeated})
 
 
 def test_report_csvs_write_numpy_floats_as_python_floats(small_suite):
