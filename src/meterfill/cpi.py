@@ -229,14 +229,14 @@ def estimate_daily_energy(
     return days.known_energy + extra
 
 
-def compile_complete_days(days: DayTable, estimates: np.ndarray) -> DayTable:
-    """The day table with its ``total`` column filled in for matching.
+def compile_complete_days(days: DayTable, estimates: np.ndarray) -> np.ndarray:
+    """Each row's day total for matching, one entry per row of ``days``.
 
     Complete days carry their actual totals; days with gaps take theirs
     from ``estimates``, which is NaN where a day has none (one touched by
     an unanchored boundary gap).
     """
-    return replace(days, total=np.where(days.missing == 0, days.known_energy, estimates))
+    return np.where(days.missing == 0, days.known_energy, estimates)
 
 
 def weekday_distance(weekday_i: np.ndarray, weekday_j: np.ndarray) -> np.ndarray:
@@ -259,23 +259,21 @@ def season_distance(doy_i: np.ndarray, doy_j: np.ndarray, cycle_length: int) -> 
 class MatchTable:
     """The weight-independent part of matching days with gaps to donors.
 
-    Row i is the day-table row ``rows[i]`` of ``match_table`` (in a plan,
+    Row i is the row ``rows[i]`` of the day table ``days`` (in a plan,
     ``layout.days[i]``), and ``candidates`` are the copy candidates' rows in
     date order.  A candidate can donate to row i only if it reaches
     within-day slot ``last_slot[i]``.  The table keeps no (rows x
     candidates) matrix: ``match_weights`` builds the distances a block of
-    rows at a time from the day-table columns below and the two distance
-    look-ups, and divides the energy term by ``energy_range``, the largest
-    minus the smallest known total of the rows and candidates.
+    rows at a time from the day table's columns, the day totals and the two
+    distance look-ups, and divides the energy term by ``energy_range``, the
+    largest minus the smallest known total of the rows and candidates.
     """
 
+    days: DayTable                  # the series' day table
+    total: np.ndarray               # day total of every day-table row, NaN if unknown
     rows: np.ndarray                # day-table rows with gaps
     candidates: np.ndarray          # day-table rows of the copy candidates
     last_slot: np.ndarray           # each row's last missing within-day slot
-    weekday: np.ndarray             # ISO weekday of every day-table row
-    day_of_year: np.ndarray         # day of year of every day-table row
-    total: np.ndarray               # day total of every day-table row, NaN if unknown
-    slots: np.ndarray               # power slots of every day-table row
     weekday_distances: np.ndarray   # weekday distance of ISO weekdays (i, j) at 7 * i + j - 8
     season_distances: np.ndarray    # season distance by day-of-year difference, 0 .. 366
     energy_range: float             # the span of the known day totals
@@ -283,6 +281,7 @@ class MatchTable:
 
 def match_table(
     days: DayTable,
+    total: np.ndarray,
     rows: np.ndarray,
     candidates: np.ndarray,
     last_slot: np.ndarray,
@@ -290,19 +289,19 @@ def match_table(
     """What matching ``rows`` against ``candidates`` of ``days`` needs, whatever the weights.
 
     ``rows`` and ``candidates`` are day-table rows in date order, and the
-    day totals are the table's ``total`` column.  A candidate can donate
-    to ``rows[i]`` only if it reaches within-day slot ``last_slot[i]``, the
-    row's last missing slot; a row that no candidate reaches raises.  The
-    energy range spans the known totals of the rows and candidates; where
-    all are equal it is taken as ``(lo + 1) - lo``, and where none is known
-    as 1.  The season cycle is 366 days when a 29 February lies between
-    the table's first and last date, else 365.
+    table keeps ``days`` and its day totals ``total`` (NaN where unknown)
+    as given, copying no column.  A candidate can donate to ``rows[i]``
+    only if it reaches within-day slot ``last_slot[i]``, the row's last
+    missing slot; a row that no candidate reaches raises.  The energy range
+    spans the known totals of the rows and candidates; where all are equal
+    it is taken as ``(lo + 1) - lo``, and where none is known as 1.  The
+    season cycle is 366 days when a 29 February lies between the table's
+    first and last date, else 365.
     """
-    slots = days.slots
-    if not candidates.size or (slots[candidates].max() <= last_slot).any():
+    if not candidates.size or (days.slots[candidates].max() <= last_slot).any():
         raise ImputationError("no complete day available")
 
-    totals = days.total[np.concatenate([rows, candidates])]
+    totals = total[np.concatenate([rows, candidates])]
     totals = totals[~np.isnan(totals)]
     lo, hi = (float(totals.min()), float(totals.max())) if totals.size else (0.0, 0.0)
     if not hi > lo:
@@ -317,13 +316,11 @@ def match_table(
     # day-of-year difference.
     week = np.arange(1, 8)
     return MatchTable(
+        days=days,
+        total=total,
         rows=rows,
         candidates=candidates,
         last_slot=last_slot,
-        weekday=days.weekday,
-        day_of_year=days.day_of_year,
-        total=days.total,
-        slots=slots,
         weekday_distances=weekday_distance(week[:, None], week).ravel(),
         season_distances=season_distance(0, np.arange(367), 366 if leap_day else 365),
         energy_range=hi - lo,
@@ -355,15 +352,15 @@ def _match_block(table: MatchTable, lo: int = 0, hi: int | None = None) -> _Matc
     # the earlier date first on a tie.
     candidates = table.candidates
     donor = candidates[np.argsort(np.abs(candidates - rows[:, None]), axis=-1, kind="stable")]
-    weekday, day_of_year, total = table.weekday, table.day_of_year, table.total
-    pair = (7 * weekday[rows] - 8)[:, None] + weekday[donor]
-    delta = np.abs(day_of_year[rows][:, None] - day_of_year[donor])
+    days, total = table.days, table.total
+    pair = (7 * days.weekday[rows] - 8)[:, None] + days.weekday[donor]
+    delta = np.abs(days.day_of_year[rows][:, None] - days.day_of_year[donor])
     energy = np.abs(total[donor] - total[rows][:, None])
     return _MatchBlock(
         weekday=table.weekday_distances[pair],
         season=table.season_distances[delta],
         energy=np.where(np.isnan(energy), 0.0, energy),
-        keep=table.slots[donor] > table.last_slot[lo:hi, None],
+        keep=days.slots[donor] > table.last_slot[lo:hi, None],
         donor=donor,
     )
 
@@ -427,8 +424,9 @@ class PasteLayout:
     each gap, shape (2, gaps).  ``days`` are the day-table rows that have
     missing power values, in date order: the rows of a plan's match table.
     ``missing`` holds every missing power index and ``row`` the position
-    of its day in ``days``.  Gap k touches ``days[lo:hi]`` for
-    ``(lo, hi) = gap_rows[k]``.
+    of its day in ``days``, and ``last_slot[i]`` is the within-day slot of
+    the last missing index of ``days[i]``.  Gap k touches ``days[lo:hi]``
+    for ``(lo, hi) = gap_rows[k]``.
     """
 
     gaps: GapArrays
@@ -436,13 +434,14 @@ class PasteLayout:
     days: np.ndarray                        # the day-table rows with missing power
     missing: np.ndarray                     # missing power indices
     row: np.ndarray                         # the position in `days` of each missing index
+    last_slot: np.ndarray                   # the last missing within-day slot of each of `days`
     gap_rows: tuple[tuple[int, int], ...]   # the positions in `days` each gap touches
 
 
 def paste_layout(ps: PowerSeries, gaps: GapArrays) -> PasteLayout:
     """The donor-independent part of pasting into ``ps`` and scaling its gap table ``gaps``."""
     missing = np.flatnonzero(np.isnan(ps.values))
-    day, _ = day_slot(ps, missing)
+    day, slot = day_slot(ps, missing)
     days, row = np.unique(day, return_inverse=True)
     gap_days = _gap_day_range(ps, gaps)
     lo = np.searchsorted(days, gap_days[0])
@@ -453,6 +452,7 @@ def paste_layout(ps: PowerSeries, gaps: GapArrays) -> PasteLayout:
         days=days,
         missing=missing,
         row=row,
+        last_slot=slot[np.searchsorted(day, days, side="right") - 1],
         gap_rows=tuple(zip(lo.tolist(), hi.tolist())),
     )
 
@@ -584,7 +584,7 @@ def _cap_at_right_anchors(es: EnergySeries, per_gap: tuple[GapFill, ...]) -> Ene
 class CpiPlan:
     """Weight-independent state shared by all matching runs on one series.
 
-    ``days`` is the series' day table with its ``total`` column filled in.
+    ``table`` holds the series' day table and day totals; no other field does.
     ``match_weights`` reads the match table, which holds the season and
     energy normalization, to pick donors, and ``run_plan`` reads the paste
     layout to paste and scale them; neither is rebuilt per weighting.  The
@@ -595,7 +595,6 @@ class CpiPlan:
     series: EnergySeries        # input with isolated singles already filled
     power: PowerSeries
     layout: PasteLayout         # the missing slots, their days, and every gap's days
-    days: DayTable
     table: MatchTable           # the days with gaps against the copy candidates
 
 
@@ -603,11 +602,11 @@ def plan_cpi(es: EnergySeries, min_complete_days: int = 14) -> CpiPlan:
     """Run the weight-independent pipeline stages once for a series.
 
     One day table carries the plan from the partition to the match table:
-    the weekly fit reads its complete full days, the gap-day estimates and
-    the day totals become its ``total`` column, and the match table keeps
-    its columns, the rows with gaps and the candidates.  The series is
-    differentiated once, and the partition reads that power.  The series
-    needs at least ``min_complete_days`` complete full days.
+    the weekly fit reads its complete full days, the estimates become the
+    day totals beside it, and the match table holds both.  The series is
+    differentiated once, the partition reads that power, and the paste
+    layout alone maps the missing indices to their days.  The series needs
+    at least ``min_complete_days`` complete full days.
     """
     filled = interpolate_singles(es)
     gaps = detect_gaps(filled)
@@ -630,16 +629,12 @@ def plan_cpi(es: EnergySeries, min_complete_days: int = 14) -> CpiPlan:
     # are matched on weekday and season alone.
     for first, last in layout.gap_days[:, ~anchored].T.tolist():
         estimates[first : last + 1] = np.nan
-    days = compile_complete_days(days, estimates)
-
-    day, slot = day_slot(power, layout.missing)
-    last_slot = slot[np.searchsorted(day, layout.days, side="right") - 1]
+    total = compile_complete_days(days, estimates)
     return CpiPlan(
         series=filled,
         power=power,
         layout=layout,
-        days=days,
-        table=match_table(days, layout.days, candidates, last_slot),
+        table=match_table(days, total, layout.days, candidates, layout.last_slot),
     )
 
 

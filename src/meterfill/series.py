@@ -157,9 +157,9 @@ class DayTable:
     the day's power indices, ``missing`` counts absent power values,
     ``known_energy`` is resolution-hours times the sum of the present ones
     (kWh), and ``full_day`` is set where the series spans every reading of
-    the day.
-    ``total`` is the day's energy for matching, filled in by the planner
-    (NaN where a day has none), and None before that.
+    the day.  The planner's day totals live beside the table
+    (``compile_complete_days``); the slot, weekday and day-of-year columns
+    are computed once per table, on first use.
     """
 
     first: date
@@ -168,12 +168,11 @@ class DayTable:
     missing: np.ndarray
     known_energy: np.ndarray
     full_day: np.ndarray
-    total: np.ndarray | None = None
 
     def __len__(self) -> int:
         return int(self.start.size)
 
-    @property
+    @cached_property
     def slots(self) -> np.ndarray:
         return self.stop - self.start
 
@@ -182,12 +181,12 @@ class DayTable:
         """``date.toordinal()`` of each day."""
         return self.first.toordinal() + np.arange(len(self))
 
-    @property
+    @cached_property
     def weekday(self) -> np.ndarray:
         """ISO weekday of each day, 1 = Monday .. 7 = Sunday."""
         return (self.first.isoweekday() - 1 + np.arange(len(self))) % 7 + 1
 
-    @property
+    @cached_property
     def day_of_year(self) -> np.ndarray:
         """Day of year of each day, 1 .. 366."""
         ordinal = self.ordinal
@@ -201,12 +200,13 @@ def resolution_hours(resolution: timedelta) -> float:
 
 
 def grid_offset(start: datetime, resolution: timedelta) -> int:
-    """Resolution steps between the start's midnight and the start itself.
+    """Resolution steps between the start's local midnight and the start itself.
 
+    A zone-aware start is measured from its own midnight, in its own zone.
     Day-based operations need the series start to sit on the resolution grid
     of its own day; a misaligned start raises.
     """
-    offset = start - datetime.combine(start.date(), datetime.min.time())
+    offset = start - start.replace(hour=0, minute=0, second=0, microsecond=0)
     if offset % resolution != timedelta(0):
         raise ImputationError(
             "series start is not aligned to the resolution grid within its day"

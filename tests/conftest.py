@@ -54,7 +54,7 @@ def plan_donors(plan, weights):
 
 def matched_days(plan, weights):
     """Each day with gaps of ``plan`` mapped to the donor day ``weights`` pick."""
-    first = plan.days.first
+    first = plan.table.days.first
     return {
         first + timedelta(days=day): first + timedelta(days=donor)
         for day, donor in zip(plan.layout.days.tolist(), plan_donors(plan, weights).tolist())

@@ -251,6 +251,47 @@ def test_evaluate_reruns_identically_except_runtime(tmp_path, series_csv):
     assert outs[0] == outs[1]
 
 
+def _zoned_copy(path, out):
+    """``path`` with every timestamp given a +01:00 offset, as a zone-aware writer emits it."""
+    header, *rows = path.read_text().splitlines(keepends=True)
+    out.parent.mkdir(exist_ok=True)
+    out.write_text(header + "".join(row.replace(",", "+01:00,", 1) for row in rows))
+
+
+@pytest.mark.parametrize("method", ["cpi", "cpi_noscale", "linear", "histavg", "seasonal"])
+def test_impute_of_zone_aware_input_matches_the_naive_run(tmp_path, series_csv, method):
+    # Days split at the start's own local midnight, so a fixed offset on
+    # every timestamp changes nothing but the written timestamps.
+    degraded = tmp_path / "degraded.csv"
+    run_cli("insert-gaps", "--share", "10", "--seed", "2", series_csv, degraded)
+    _zoned_copy(degraded, tmp_path / "zoned.csv")
+    for name in ("degraded", "zoned"):
+        assert run_cli("impute", "--method", method, tmp_path / f"{name}.csv",
+                       tmp_path / f"{name}-out.csv") == 0
+    for suffix in ("out.csv", "out.power.csv"):
+        naive, aware = ((tmp_path / f"{name}-{suffix}").read_text().splitlines()
+                        for name in ("degraded", "zoned"))
+        assert [row.split(",")[1] for row in aware] == [row.split(",")[1] for row in naive]
+        assert all(row.split(",")[0].endswith("+01:00") for row in aware[1:])
+    audits = [(tmp_path / f"{name}-out.gaps.jsonl").read_text() for name in ("degraded", "zoned")]
+    assert audits[0] == audits[1] != ""
+
+
+def test_evaluate_of_zone_aware_input_matches_the_naive_rows(tmp_path, series_csv):
+    _zoned_copy(series_csv, tmp_path / "zoned" / series_csv.name)
+    reports = []
+    for tag, path in (("naive", series_csv), ("zoned", tmp_path / "zoned" / series_csv.name)):
+        report = tmp_path / f"report-{tag}.csv"
+        assert run_cli(
+            "evaluate", "--shares", "1,30", "--methods", "all", "--report-out", report,
+            "--aggregate-out", tmp_path / f"agg-{tag}.csv", path,
+        ) == 0
+        rows = [line.split(",") for line in report.read_text().strip().splitlines()[1:]]
+        reports.append([row[:6] + row[7:] for row in rows])  # drop runtime_s
+    assert reports[0] == reports[1]
+    assert len(reports[0]) == 8 and "nan" not in {row[4] for row in reports[0]}
+
+
 def test_evaluate_accepts_method_as_an_alias(tmp_path, series_csv):
     report = tmp_path / "report.csv"
     rc = run_cli(

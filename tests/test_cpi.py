@@ -2,8 +2,8 @@
 
 import calendar
 import zlib
-from dataclasses import astuple, replace
-from datetime import date, datetime, time, timedelta
+from dataclasses import astuple, fields, replace
+from datetime import date, datetime, time, timedelta, timezone
 from unittest import mock
 
 import numpy as np
@@ -23,6 +23,8 @@ from meterfill import (
 from meterfill import cpi
 from meterfill.cpi import (
     DEFAULT_WEIGHTS,
+    CpiPlan,
+    MatchTable,
     _match_block,
     compile_complete_days,
     complete_from_power,
@@ -103,14 +105,13 @@ def test_interpolated_single_splits_the_energy_between_both_power_values():
 # ---------------------------------------------------------------------------
 
 
-def table(first, known, total=None, slots=24):
+def table(first, known, slots=24):
     """A day table of whole days from ``first``, each of ``slots`` slots."""
     n = len(known)
     bounds = np.arange(n + 1) * slots
     zero = np.zeros(n, dtype=np.int64)
-    total = None if total is None else np.array(total, dtype=np.float64)
-    return DayTable(first, bounds[:-1], bounds[1:], zero,
-                    np.array(known, dtype=np.float64), zero == 0, total)
+    return DayTable(first, bounds[:-1], bounds[1:], zero, np.array(known, dtype=np.float64),
+                    zero == 0)
 
 
 def _days(totals, start=MONDAY.date()):
@@ -255,23 +256,23 @@ def test_fourteen_day_series_with_two_gap_days_has_twelve_candidates():
     base = energy(np.arange(14 * 24 + 1, dtype=float))
     es = with_missing(base, range(4 * 24 + 1, 6 * 24))
     days = day_partition(es)
-    days = compile_complete_days(days, _no_estimates(days))
-    assert len(days) == 14
+    total = compile_complete_days(days, _no_estimates(days))
+    assert len(days) == len(total) == 14
     plan = plan_cpi(es, min_complete_days=12)
     donors = np.unique(_match_block(plan.table).donor)
     assert donors.tolist() == [0, 1, 2, 3, 6, 7, 8, 9, 10, 11, 12, 13]
     assert plan.layout.days.tolist() == [4, 5]
-    assert np.flatnonzero(np.isnan(days.total)).tolist() == [4, 5]
+    assert np.flatnonzero(np.isnan(total)).tolist() == [4, 5]
 
 
 def test_complete_year_gives_365_complete_records():
     from meterfill import synthetic_series
 
     days = day_partition(synthetic_series(3, days=365))
-    days = compile_complete_days(days, _no_estimates(days))
+    total = compile_complete_days(days, _no_estimates(days))
     assert len(days) == 365
     assert (days.missing == 0).all()
-    assert np.array_equal(days.total, days.known_energy)
+    assert np.array_equal(total, days.known_energy)
 
 
 def test_day_of_year_bounds():
@@ -289,10 +290,10 @@ def test_estimated_days_carry_the_estimate():
     days = day_partition(es)
     estimates = _no_estimates(days)
     estimates[[_row(date(2018, 1, 5)), 0]] = 28.0
-    days = compile_complete_days(days, estimates)
-    assert days.total[_row(date(2018, 1, 5))] == 28.0
-    assert np.isnan(days.total[_row(date(2018, 1, 6))])
-    assert days.total[0] == days.known_energy[0] == 24.0  # complete: its own total
+    total = compile_complete_days(days, estimates)
+    assert total[_row(date(2018, 1, 5))] == 28.0
+    assert np.isnan(total[_row(date(2018, 1, 6))])
+    assert total[0] == days.known_energy[0] == 24.0  # complete: its own total
 
 
 def _columns(days):
@@ -319,7 +320,39 @@ def test_plan_partitions_the_series_once():
     ):
         plan = plan_cpi(es)
     assert (spy.call_count, len(calls)) == (1, 1)
-    assert _columns(plan.days) == _columns(day_partition(plan.series))
+    assert _columns(plan.table.days) == _columns(day_partition(plan.series))
+
+
+def test_the_plan_holds_one_day_table_and_maps_the_missing_slots_once():
+    # The day table keeps only what the partition knows, the match table
+    # holds it beside the day totals, and no other plan field holds it.
+    assert [f.name for f in fields(DayTable)] == [
+        "first", "start", "stop", "missing", "known_energy", "full_day"]
+    assert not {"weekday", "day_of_year", "slots"} & {f.name for f in fields(MatchTable)}
+    assert "days" not in {f.name for f in fields(CpiPlan)}
+
+    base = energy(np.arange(21 * 24 + 1, dtype=float))
+    es = with_missing(base, [0, 1, *range(4 * 24 + 1, 6 * 24), *range(16 * 24 + 5, 16 * 24 + 9)])
+    tables = []
+
+    def partition(*args):
+        tables.append(day_partition(*args))
+        return tables[-1]
+
+    with (
+        mock.patch("meterfill.cpi.day_partition", partition),
+        mock.patch("meterfill.cpi.day_slot", wraps=cpi.day_slot) as mapped,
+    ):
+        plan = plan_cpi(es)
+    days = plan.table.days
+    assert len(tables) == 1 and days is tables[0]
+    assert days.weekday is days.weekday and days.slots is days.slots  # computed once
+    assert plan.table.total.shape == (len(days),)
+    missing = [call for call in mapped.call_args_list
+               if np.array_equal(np.asarray(call.args[1]), plan.layout.missing)]
+    assert len(missing) == 1
+    assert plan.layout.days.tolist() == [0, 4, 5, 16]
+    assert plan.layout.last_slot.tolist() == [1, 23, 23, 8]  # each day's last missing hour
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +498,10 @@ def test_ties_break_on_calendar_distance_then_earlier_date():
 
 
 def test_empty_candidate_list_is_an_error():
-    days = table(date(2018, 1, 5), [1.0], total=[1.0])
+    days = table(date(2018, 1, 5), [1.0])
     with pytest.raises(ImputationError, match="no complete day available"):
-        match_table(days, np.array([0]), np.array([], dtype=np.int64), np.array([0]))
+        match_table(days, np.array([1.0]), np.array([0]), np.array([], dtype=np.int64),
+                    np.array([0]))
 
 
 def test_unanchored_day_matches_on_weekday_and_season_only():
@@ -542,12 +576,13 @@ def test_matrix_match_agrees_with_the_scalar_oracle():
 def test_matrix_match_runs_the_distance_rules_under_test():
     # The truth tables above test these two functions; the match must use them.
     # Only the rows' and candidates' known totals set the range: 5 - 1.
-    days = table(date(2018, 1, 5), [1.0] * 6, total=[1.0, np.nan, 9.0, 3.0, 2.0, 5.0])
+    days = table(date(2018, 1, 5), [1.0] * 6)
+    total = np.array([1.0, np.nan, 9.0, 3.0, 2.0, 5.0])
     with (
         mock.patch("meterfill.cpi.weekday_distance", wraps=weekday_distance) as weekday,
         mock.patch("meterfill.cpi.season_distance", wraps=season_distance) as season,
     ):
-        match = match_table(days, np.array([0, 1]), np.array([3, 4, 5]), np.array([0, 0]))
+        match = match_table(days, total, np.array([0, 1]), np.array([3, 4, 5]), np.array([0, 0]))
         block = _match_block(match)
     assert (weekday.call_count, season.call_count) == (1, 1)
     assert match.energy_range == 4.0
@@ -559,14 +594,14 @@ def test_matrix_match_runs_the_distance_rules_under_test():
 
 def test_matrix_match_needs_a_kept_candidate_on_every_row():
     # The last day has 20 slots: it cannot fill the second row's slot 22.
-    days = table(date(2018, 1, 5), [1.0] * 3, total=[1.0] * 3)
+    days = table(date(2018, 1, 5), [1.0] * 3)
     days = DayTable(days.first, days.start, np.array([24, 48, 68]), *(
-        getattr(days, name) for name in ("missing", "known_energy",
-                                         "full_day", "total")))
-    match = match_table(days, np.array([0, 1]), np.array([2]), np.array([5, 19]))
+        getattr(days, name) for name in ("missing", "known_energy", "full_day")))
+    total = np.ones(3)
+    match = match_table(days, total, np.array([0, 1]), np.array([2]), np.array([5, 19]))
     assert _match_block(match).keep.tolist() == [[True], [True]]
     with pytest.raises(ImputationError, match="no complete day available"):
-        match_table(days, np.array([0, 1]), np.array([2]), np.array([5, 22]))
+        match_table(days, total, np.array([0, 1]), np.array([2]), np.array([5, 22]))
 
 
 def _tied_rows(block, energy_range, triple):
@@ -625,9 +660,10 @@ def test_batched_match_agrees_with_the_lexsort_oracle_for_every_triple(monkeypat
 
 
 def test_match_table_orders_each_row_by_calendar_distance_then_date():
-    days = table(date(2018, 6, 12), [5.0] * 14, total=[5.0] * 14)  # 2018-06-12 .. 06-25
+    days = table(date(2018, 6, 12), [5.0] * 14)  # 2018-06-12 .. 06-25
     candidates = np.array([0, 2, 6, 13])  # the 12th, 14th, 18th and 25th
-    block = _match_block(match_table(days, np.array([3]), candidates, np.array([0])))
+    block = _match_block(match_table(days, np.full(14, 5.0), np.array([3]), candidates,
+                                     np.array([0])))
     assert (12 + block.donor[0]).tolist() == [14, 12, 18, 25]
     assert block.keep.all()
     assert block.energy.tolist() == [[0.0] * 4]
@@ -637,10 +673,10 @@ def test_equal_day_totals_leave_the_donors_to_weekday_and_season():
     # Every day holds 7 kWh.  The energy range must stay positive so the
     # energy term is 0, not 0 / 0: a NaN term would hand each row its
     # nearest candidate whatever the weights.
-    days = table(MONDAY.date(), [7.0] * 21, total=[7.0] * 21)  # 2018-01-01 .. 01-21
+    days = table(MONDAY.date(), [7.0] * 21)  # 2018-01-01 .. 01-21
     rows = np.array([3, 12])  # Thursday the 4th and Saturday the 13th
     candidates = np.setdiff1d(np.arange(21), rows)
-    match = match_table(days, rows, candidates, np.array([0, 0]))
+    match = match_table(days, np.full(21, 7.0), rows, candidates, np.array([0, 0]))
     assert 0.0 < match.energy_range < np.inf
     donors = match_weights(match, [(5, 1, 10), (5, 1, 0), (5, 0, 10)])
     assert (1 + donors).tolist() == [[11, 6], [11, 6], [3, 12]]
@@ -649,15 +685,16 @@ def test_equal_day_totals_leave_the_donors_to_weekday_and_season():
 def test_unknown_day_totals_leave_the_donors_to_weekday_and_season():
     # No row or candidate has a known total (every day touched by an
     # unanchored boundary gap): every energy term is 0 and the range is 1.
-    days = table(date(2018, 1, 5), [1.0] * 3, total=[np.nan] * 3)
-    match = match_table(days, np.array([0]), np.array([2]), np.array([0]))
+    days = table(date(2018, 1, 5), [1.0] * 3)
+    match = match_table(days, np.full(3, np.nan), np.array([0]), np.array([2]), np.array([0]))
     block = _match_block(match)
     assert (match.energy_range, block.energy.tolist()) == (1.0, [[0.0]])
     assert block.donor.tolist() == [[2]]
 
-    days = table(MONDAY.date(), [7.0] * 21, total=[np.nan] * 21)
+    days = table(MONDAY.date(), [7.0] * 21)
     rows = np.array([3, 12])
-    match = match_table(days, rows, np.setdiff1d(np.arange(21), rows), np.array([0, 0]))
+    match = match_table(days, np.full(21, np.nan), rows, np.setdiff1d(np.arange(21), rows),
+                        np.array([0, 0]))
     donors = match_weights(match, [(5, 1, 10), (5, 1, 0), (5, 0, 10)])
     assert (1 + donors).tolist() == [[11, 6], [11, 6], [3, 12]]  # as with equal totals
 
@@ -666,15 +703,16 @@ def test_unknown_day_totals_leave_the_donors_to_weekday_and_season():
 def test_season_cycle_is_366_days_when_the_table_holds_29_february(first, cycle):
     # 29 days from the 1st of February 2020 end on the 29th; from the 31st
     # of January they end on the 28th.
-    days = table(first, [1.0] * 29, total=[1.0] * 29)
-    match = match_table(days, np.array([0]), np.array([1, 28]), np.array([0]))
+    days = table(first, [1.0] * 29)
+    match = match_table(days, np.ones(29), np.array([0]), np.array([1, 28]), np.array([0]))
     assert _match_block(match).season.tolist() == [[1 / (cycle // 2), 28 / (cycle // 2)]]
 
 
 def test_plan_match_uses_the_table_built_with_the_plan(year_series):
     degraded = with_missing(year_series, range(5000, 5400))
     plan = plan_cpi(degraded)
-    candidates = np.flatnonzero((plan.days.missing == 0) & plan.days.full_day)
+    days = plan.table.days
+    candidates = np.flatnonzero((days.missing == 0) & days.full_day)
     assert _match_block(plan.table).donor.shape == (plan.layout.days.size, candidates.size)
     with mock.patch("meterfill.cpi.match_table", wraps=match_table) as build:
         result = run_plan(plan, plan_donors(plan, DissimilarityWeights()))
@@ -1063,7 +1101,7 @@ def test_plan_layout_rows_are_the_match_table_rows(year_series):
     plan = plan_cpi(degraded)
     layout = plan.layout
     assert layout.days.dtype == np.int64
-    assert np.array_equal(layout.days, np.flatnonzero(plan.days.missing))
+    assert np.array_equal(layout.days, np.flatnonzero(plan.table.days.missing))
     assert _match_block(plan.table).donor.shape[0] == layout.days.size
     for got, want in zip(layout.gaps, detect_gaps(plan.series), strict=True):
         assert got.tobytes() == want.tobytes()
@@ -1072,9 +1110,10 @@ def test_plan_layout_rows_are_the_match_table_rows(year_series):
     for (first, last), gap_days, (lo, hi) in zip(ends, layout.gap_days.T.tolist(),
                                                  layout.gap_rows, strict=True):
         first, last = (plan.power.timestamp(i).date() for i in (first, last))
-        days = [plan.days.first + timedelta(days=d) for d in layout.days[[lo, hi - 1]].tolist()]
+        day0 = plan.table.days.first
+        days = [day0 + timedelta(days=d) for d in layout.days[[lo, hi - 1]].tolist()]
         assert days == [first, last]
-        assert [plan.days.first + timedelta(days=d) for d in gap_days] == [first, last]
+        assert [day0 + timedelta(days=d) for d in gap_days] == [first, last]
 
 
 # ---------------------------------------------------------------------------
@@ -1172,15 +1211,16 @@ def _assert_same_plan(got, want):
     The package's matrices are its block helper's over all rows; the
     oracle builds them densely.
     """
-    views = plan_oracle.views(got.days)
+    days = got.table.days
+    views = plan_oracle.views(days)
     assert views == list(want.days)
     assert repr(views) == repr(list(want.days))
     records = want.records
     totals = np.array([np.nan if r.total_energy is None else r.total_energy for r in records])
-    assert got.days.total.tobytes() == totals.tobytes()
-    assert got.days.weekday.tolist() == [r.weekday for r in records]
-    assert got.days.day_of_year.tolist() == [r.day_of_year for r in records]
-    candidates = np.flatnonzero((got.days.missing == 0) & got.days.full_day)
+    assert got.table.total.tobytes() == totals.tobytes()
+    assert days.weekday.tolist() == [r.weekday for r in records]
+    assert days.day_of_year.tolist() == [r.day_of_year for r in records]
+    candidates = np.flatnonzero((days.missing == 0) & days.full_day)
     assert candidates.tobytes() == want.candidates.tobytes()
     assert [records[i].date for i in candidates.tolist()] == [
         c.date for c in want.candidate_records
@@ -1188,7 +1228,7 @@ def _assert_same_plan(got, want):
 
     # The oracle works out the cycle and the range itself, as plain numbers.
     block = _match_block(got.table)
-    doy = got.days.day_of_year
+    doy = days.day_of_year
     season = season_distance(doy[got.layout.days][:, None], doy[block.donor],
                              want.cycle_length)
     assert block.season.tobytes() == season.tobytes()
@@ -1303,8 +1343,8 @@ def test_stage_errors_match_the_oracle():
                     gaps.records, _flat_pattern())
     assert isinstance(want, tuple) and got == want
 
-    days = table(date(2018, 1, 5), [1.0] * 3, total=[1.0] * 3)  # 24 slots a day
-    got = _outcome(match_table, days, np.array([0]), np.array([2]), np.array([24]))
+    days = table(date(2018, 1, 5), [1.0] * 3)  # 24 slots a day
+    got = _outcome(match_table, days, np.ones(3), np.array([0]), np.array([2]), np.array([24]))
     want = _outcome(plan_oracle.match_table, [record(date(2018, 1, 5), total=1.0)],
                     [record(date(2018, 1, 7), total=1.0, complete=True)],
                     365, np.array([[False]]))
@@ -1589,6 +1629,29 @@ def test_scaling_the_readings_by_a_power_of_two_commutes_with_imputation(es):
         assert [(f.sources, f.scale, f.fallback) for f in got.per_gap] == [
             (f.sources, f.scale, f.fallback) for f in want.per_gap
         ], k
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_plan_inputs(), st.integers(-14 * 60, 14 * 60))
+def test_a_fixed_utc_offset_on_the_start_keeps_the_donors_and_the_imputation(es, minutes):
+    """``impute_cpi`` of the series with a zone-aware start is its naive result.
+
+    Days split at the start's own local midnight, so a fixed UTC offset
+    between -14 h and +14 h leaves every day-table row where it was: the
+    donors, the imputed power, the completed energy and the audit must be
+    the same bit for bit, and an error must be the same error.
+    """
+    aware = replace(es, start=es.start.replace(tzinfo=timezone(timedelta(minutes=minutes))))
+    want, got = (_outcome(impute_cpi, series) for series in (es, aware))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    donors = (match_weights(plan_cpi(series).table, _MIXED_TRIPLES) for series in (aware, es))
+    assert next(donors).tobytes() == next(donors).tobytes()
+    for name in ("imputed_power", "completed_energy"):
+        assert getattr(got, name).values.tobytes() == getattr(want, name).values.tobytes(), name
+    assert got.completed_energy.start == aware.start
+    assert repr(got.per_gap) == repr(want.per_gap)
 
 
 def _holds_a_leap_day_or_later(es):

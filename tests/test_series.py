@@ -3,6 +3,7 @@
 import contextlib
 import math
 import tracemalloc
+from dataclasses import fields
 from datetime import date, datetime, time, timedelta, timezone
 from unittest import mock
 
@@ -923,7 +924,8 @@ def test_day_partition_matches_the_per_day_loop(series):
     got = plan_oracle.views(table)
     assert got == want
     assert repr(got) == repr(want)  # bit-identical floats
-    assert table.total is None
+    assert [f.name for f in fields(table)] == [
+        "first", "start", "stop", "missing", "known_energy", "full_day"]
     dates = [view.date for view in want]
     assert [date.fromordinal(o) for o in table.ordinal.tolist()] == dates
     assert table.weekday.tolist() == [d.isoweekday() for d in dates]
