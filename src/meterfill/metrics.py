@@ -13,6 +13,9 @@ last gap slot absorbs any energy miss; so a method that does not conserve
 energy scores a nonzero WAPE.  ``evaluate`` and ``grid_search_weights``
 build each cell with one ``_degrade`` and aggregate over cells with one
 ``_aggregate``; the two report CSVs are written by one ``_format_csv``.
+The tuner does not paste each distinct donor assignment: it pastes a few
+covering donor rows per series and gathers every assignment's imputed
+power from them (``_covering_scores``), with the same scores bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 from .baselines import BASELINES
 from .cpi import (
     DEFAULT_WEIGHTS,
+    CpiPlan,
     DissimilarityWeights,
     interpolate_singles,
     match_weights,
@@ -463,6 +467,66 @@ def _weight_grid(
     return triples
 
 
+def _covering_scores(
+    plan: CpiPlan, actual: PowerSeries, mask: np.ndarray, assignments: np.ndarray
+) -> np.ndarray:
+    """The MAPE over ``mask`` of each row of ``assignments``, from a few covering pastes.
+
+    Each row of ``assignments`` is a ``donors`` row of a batch match on
+    ``plan``'s table, and ``mask`` is a sorted index array that holds
+    every power index the plan pastes into.  Each score is
+    ``mape_p(actual, run_plan(plan, row).imputed_power, mask).value`` bit
+    for bit, with the same errors.
+    A day group is a maximal run of gaps that share a day row; its pasted
+    and scaled values depend only on the donors of its own days, since each
+    slot copies from its own day's donor and each gap's factor or fallback
+    reads only its own span.  The rows give group g C_g distinct donor
+    tuples, and covering paste k gives every group its tuple
+    ``min(k, C_g - 1)``, so ``max C_g`` pastes (one where no day has gaps)
+    hold every distinct gap choice.  Each row's imputed power over the mask
+    is then gathered slot by slot from the paste that holds its group's
+    choice; the interpolated singles outside every gap are the same in all
+    pastes.  ``mape_p`` scores the gathered power against the gathered
+    truth, the same arrays in the same order as the full series give.
+    """
+    layout = plan.layout
+    gap_rows = np.array(layout.gap_rows, dtype=np.int64).reshape(-1, 2)
+    opens = np.ones(len(gap_rows), dtype=bool)  # where a gap shares no day with the one before
+    opens[1:] = gap_rows[1:, 0] >= gap_rows[:-1, 1]
+    starts = gap_rows[opens, 0]
+    groups = list(zip(starts.tolist(), [*starts[1:].tolist(), layout.days.size]))
+    day_group = np.searchsorted(starts, np.arange(layout.days.size), side="right") - 1
+
+    # Each mask slot's group; the interpolated singles take the extra last
+    # column of ``choice``, which is 0 for every row.
+    slot_group = np.full(mask.size, starts.size)
+    slot_group[np.searchsorted(mask, layout.missing)] = day_group[layout.row]
+    # Choice c of group g is the c-th distinct donor tuple of its days, in
+    # row order; ``holders[g][c]`` is the first row that makes it.
+    choice = np.zeros((len(assignments), starts.size + 1), dtype=np.int64)
+    holders = []
+    for g, (lo, hi) in enumerate(groups):
+        numbers: dict[bytes, int] = {}
+        choice[:, g] = [numbers.setdefault(days.tobytes(), len(numbers))
+                        for days in assignments[:, lo:hi]]
+        holders.append(np.unique(choice[:, g], return_index=True)[1])
+
+    pastes = np.empty((max(map(len, holders), default=1), mask.size))
+    for k, row in enumerate(pastes):
+        donors = np.empty(layout.days.size, dtype=np.int64)
+        for (lo, hi), rows in zip(groups, holders):
+            donors[lo:hi] = assignments[rows[min(k, len(rows) - 1)], lo:hi]
+        row[:] = run_plan(plan, donors).imputed_power.values[mask]
+
+    index = np.arange(mask.size)
+    truth = PowerSeries(actual.start, actual.resolution, actual.values[mask])
+    return np.array([
+        mape_p(truth, PowerSeries(actual.start, actual.resolution,
+                                  pastes[choice[a, slot_group], index]), index).value
+        for a in range(len(assignments))
+    ])
+
+
 def grid_search_weights(
     calibration: Sequence[tuple[str, EnergySeries]],
     energy_range: tuple[int, int] = (1, 20),
@@ -479,8 +543,10 @@ def grid_search_weights(
     (``_degrade``) and planned once, and every weight triple is matched in
     one batch on the plan's match table (``cpi.match_weights``).  Triples
     that pick the same donor for every day with gaps give the same
-    imputation, so each distinct assignment is pasted from its donors and
-    scored once, and its MAPE is that of all its triples.  The aggregate
+    imputation, and its MAPE is that of all its triples.  The distinct
+    assignments are scored by ``_covering_scores``, which pastes each
+    distinct donor choice of a day group once through ``run_plan``: a
+    handful of pastes per series, not one per assignment.  The aggregate
     over the series is ``_aggregate``'s, as in ``evaluate``.  Ties are
     broken by the smaller weight sum, then lexicographically.  Reversed or
     negative ranges, an empty grid and bad degradation settings are
@@ -498,12 +564,12 @@ def grid_search_weights(
         )
         degraded, actual, _, mask = _degrade(series, spec)
         plan = plan_cpi(degraded)
-        groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
-        for t, donors in enumerate(match_weights(plan.table, triples)):
-            groups.setdefault(donors.tobytes(), (donors, []))[1].append(t)
-        for donors, members in groups.values():
-            mapes[members, index] = mape_p(actual, run_plan(plan, donors).imputed_power,
-                                           mask).value
+        donors = match_weights(plan.table, triples)
+        numbers: dict[bytes, int] = {}
+        which = np.array([numbers.setdefault(row.tobytes(), len(numbers)) for row in donors])
+        assignments = donors[np.unique(which, return_index=True)[1]]
+        del donors  # only the distinct assignments are kept while pasting
+        mapes[:, index] = _covering_scores(plan, actual, mask, assignments)[which]
         del plan  # before the next series is planned: one plan in memory at a time
 
     scores = [(*triple, _aggregate(row)) for triple, row in zip(triples, mapes.tolist())]

@@ -538,13 +538,14 @@ def _parse_written(text: str) -> tuple[datetime, timedelta, np.ndarray] | None:
 def parse_series(text: str, config: ParseConfig = ParseConfig()) -> Series:
     """Parse a ``timestamp,value`` CSV into a series.
 
-    Timestamps must be ISO-8601 and equally spaced; the resolution is
-    inferred from the first two rows and enforced globally.  Missing values
-    are encoded as an empty field or the literal ``NaN``.  Row numbers in
-    error messages count data rows from 1 (header excluded).  Text in
-    exactly the form ``format_series`` writes is read a block of columns at
-    a time; any other text goes through a row-wise ``csv`` reader, which
-    gives the same series or reports the first bad row.
+    Timestamps must be ISO-8601 and equally spaced, and carry one UTC
+    offset or none; the resolution is inferred from the first two rows and
+    enforced globally.  Missing values are encoded as an empty field or the
+    literal ``NaN``.  Row numbers in error messages count data rows from 1
+    (header excluded).  Text in exactly the form ``format_series`` writes
+    is read a block of columns at a time; any other text goes through a
+    row-wise ``csv`` reader, which gives the same series or reports the
+    first bad row.
     """
     written = _parse_written(text)
     if written is not None:
@@ -594,6 +595,7 @@ def parse_series(text: str, config: ParseConfig = ParseConfig()) -> Series:
         raise ParseError("mixed naive and timezone-aware timestamps at row 2") from None
     if resolution <= timedelta(0):
         raise ParseError("non-increasing timestamps at row 2")
+    offset = timestamps[0].utcoffset()
     for i, ts in enumerate(timestamps):
         try:
             expected = timestamps[0] + i * resolution
@@ -602,6 +604,11 @@ def parse_series(text: str, config: ParseConfig = ParseConfig()) -> Series:
         if ts != expected:
             raise ParseError(
                 f"irregular spacing at row {i + 1}: expected {expected}, got {ts}"
+            )
+        if ts.utcoffset() != offset:
+            raise ParseError(
+                f"UTC offset changes at row {i + 1}: {ts.tzname()} after "
+                f"{timestamps[0].tzname()} at row 1; a file must keep one offset"
             )
     return _build_series(timestamps[0], resolution, values, config)
 

@@ -7,7 +7,7 @@ import json
 import os
 import subprocess
 import sys
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -444,6 +444,28 @@ def test_mixed_naive_and_aware_timestamps_are_a_clean_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "row 2" in err
+
+
+def test_a_utc_offset_that_changes_part_way_is_one_error_line(tmp_path, series_csv, capsys):
+    # A daylight-saving switch: +01:00, then the same instants at +02:00
+    # from data row 500 on.
+    header, *rows = series_csv.read_text().splitlines(keepends=True)
+    zones = [timezone(timedelta(hours=h)) for h in (1, 2)]
+    switched = tmp_path / "switched.csv"
+    switched.write_text(header + "".join(
+        datetime.fromisoformat(row.split(",")[0]).replace(tzinfo=zones[0])
+        .astimezone(zones[i >= 500]).isoformat(sep=" ") + "," + row.split(",", 1)[1]
+        for i, row in enumerate(rows, start=1)
+    ))
+    rc = run_cli("impute", "--method", "cpi", switched, tmp_path / "out.csv")
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: UTC offset changes at row 500: UTC+02:00 after UTC+01:00 at row 1; "
+        "a file must keep one offset\n"
+    )
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_non_utf8_input_is_a_clean_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for the copy-paste imputation pipeline."""
 
 import calendar
+import re
 import zlib
 from dataclasses import astuple, fields, replace
 from datetime import date, datetime, time, timedelta, timezone
@@ -16,11 +17,16 @@ from meterfill import (
     ImputationError,
     MeterfillError,
     MeterKind,
+    ParseConfig,
+    ParseError,
+    PowerSeries,
     ValidationError,
     energy_to_power,
     impute_cpi,
+    mape_p,
+    parse_series,
 )
-from meterfill import cpi
+from meterfill import cpi, metrics
 from meterfill.cpi import (
     DEFAULT_WEIGHTS,
     CpiPlan,
@@ -41,7 +47,7 @@ from meterfill.cpi import (
     weekday_distance,
     _gap_day_range,
 )
-from meterfill.series import DayTable, day_partition, detect_gaps
+from meterfill.series import DayTable, day_partition, detect_gaps, format_series
 
 import paste_oracle
 import plan_oracle
@@ -1381,6 +1387,69 @@ def test_the_donors_do_not_depend_on_the_block_size(es):
     assert picks[0] == picks[1] == picks[2]
 
 
+_COVERING_TRIPLES = [*_MIXED_TRIPLES, (1, 1, 1), (3, 0, 2), (0, 2, 5), (10, 1, 0)]
+
+
+def test_the_covering_scores_are_each_assignments_own_mape():
+    """The tuner's covering scorer gives each distinct assignment its own MAPE, bit for bit.
+
+    ``metrics._covering_scores`` pastes a few covering donor vectors and
+    gathers each assignment's imputed power over the mask from them.  Over
+    ``_plan_inputs`` draws, with and without zero-power runs, and with one
+    more isolated missing reading that the plan interpolates, each distinct
+    assignment of a ten-triple batch match must score ``mape_p`` of its own
+    ``run_plan``, or raise the same error.  The truth is the first
+    assignment's imputed power one day on, and all zero in about one draw
+    in eight.  The draws must reach days that three or more gaps touch,
+    boundary gaps, uniform fallbacks and interpolated readings.
+    """
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(_plan_inputs(), _plan_inputs(zeros=True)), st.integers(0, 2**32 - 1),
+           st.integers(0, 7))
+    def check(es, single, blank):
+        values, i = np.array(es.values), single % es.n
+        if 0 < i < es.n - 1 and not np.isnan(values[i - 1 : i + 2]).any():
+            values[i] = np.nan
+            seen.add("interpolated reading")
+        es = replace(es, values=values)
+        plan = _outcome(plan_cpi, es)
+        if isinstance(plan, tuple):
+            return
+        assignments = np.unique(match_weights(plan.table, _COVERING_TRIPLES), axis=0)
+        results = [run_plan(plan, donors) for donors in assignments]
+        spd = timedelta(days=1) // es.resolution
+        truth = np.roll(results[0].imputed_power.values, spd) * (blank != 0)
+        actual = PowerSeries(es.start, es.resolution, truth)
+        mask = np.flatnonzero(np.isnan(energy_to_power(es).values))
+        want = [_outcome(lambda r: mape_p(actual, r.imputed_power, mask).value, r)
+                for r in results]
+        got = _outcome(metrics._covering_scores, plan, actual, mask, assignments)
+        errors = [w for w in want if isinstance(w, tuple)]
+        if errors:
+            assert len(errors) == len(want)
+            assert got == errors[0]
+        else:
+            assert got.tobytes() == np.array(want).tobytes()
+
+        touches = np.zeros(plan.layout.days.size, dtype=np.int64)
+        for lo, hi in plan.layout.gap_rows:
+            touches[lo:hi] += 1
+        if touches.max(initial=0) >= 3:
+            seen.add("crowded day")
+        if not plan.layout.gaps.anchored.all():
+            seen.add("boundary gap")
+        if any(f.fallback == "uniform" for r in results for f in r.per_gap):
+            seen.add("uniform fallback")
+        if errors:
+            seen.add("error")
+
+    check()
+    assert seen == {"interpolated reading", "crowded day", "boundary gap", "uniform fallback",
+                    "error"}
+
+
 def test_planning_and_matching_four_years_hold_no_full_table():
     # At 30 % share a four-year quarter-hourly series has about 670 days
     # with gaps against about 790 candidates: one (rows x candidates)
@@ -1652,6 +1721,38 @@ def test_a_fixed_utc_offset_on_the_start_keeps_the_donors_and_the_imputation(es,
         assert getattr(got, name).values.tobytes() == getattr(want, name).values.tobytes(), name
     assert got.completed_energy.start == aware.start
     assert repr(got.per_gap) == repr(want.per_gap)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(_plan_inputs(), st.integers(-14, 13), st.integers(-5, 5), st.integers(0, 2**32 - 1))
+def test_a_utc_offset_that_changes_part_way_is_a_parse_error(es, hours, shift, cut):
+    """A file at one UTC offset that gives a random suffix of its rows in another is refused.
+
+    The text of the series at a fixed offset is rewritten from a drawn row
+    on: the same instants, written ``shift`` whole hours away.  The parser
+    must name that row, the new offset and the first one.  A shift of zero
+    leaves the text as written, and it reads back as the series.
+    """
+    first = timezone(timedelta(hours=hours))
+    aware = replace(es, start=es.start.replace(tzinfo=first))
+    header, *rows = format_series(aware).splitlines(keepends=True)
+    row = 2 + cut % (len(rows) - 1)  # the first rewritten data row, counted from 1
+    later = timezone(timedelta(hours=hours + shift))
+    text = header + "".join(rows[: row - 1]) + "".join(
+        aware.timestamp(i).astimezone(later).isoformat(sep=" ") + "," + line.split(",", 1)[1]
+        for i, line in enumerate(rows[row - 1 :], start=row - 1)
+    )
+    config = ParseConfig(meter_kind=es.meter_kind)
+    if shift == 0:
+        parsed = parse_series(text, config)
+        assert parsed.start.utcoffset() == first.utcoffset(None)
+        assert parsed.start == aware.start
+        assert parsed.values.tobytes() == aware.values.tobytes()
+        return
+    message = (f"UTC offset changes at row {row}: {later.tzname(None)} after "
+               f"{first.tzname(None)} at row 1; a file must keep one offset")
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_series(text, config)
 
 
 def _holds_a_leap_day_or_later(es):

@@ -666,26 +666,108 @@ def test_grid_search_equals_the_per_triple_oracle(monkeypatch, suite, grid, opti
         assert not plan.layout.gaps.anchored[[0, -1]].any()
 
 
-def test_grid_search_scores_each_distinct_assignment_once_per_series():
-    suite = synthetic_suite(2, base_seed=95, days=42, slots_per_day=24)
+def _recorded_grid_search(suite, grid, **options):
+    """``grid_search_weights``' result, and what it planned, matched, pasted and scored.
+
+    Each entry of the log is (plan, batch donors, pasted donor rows, the
+    number of ``mape_p`` calls), in series order.
+    """
     log = []
 
     def plan(series):
-        log.append("plan")
-        return plan_cpi(series)
+        log.append([cpi.plan_cpi(series), None, [], 0])
+        return log[-1][0]
+
+    def match(table, triples):
+        assert log[-1][1] is None  # one batch per series
+        log[-1][1] = cpi.match_weights(table, triples)
+        return log[-1][1]
 
     def run(plan, donors):
-        log.append(tuple(donors.tolist()))
+        assert plan is log[-1][0]  # each series is pasted before the next is planned
+        log[-1][2].append(tuple(donors.tolist()))
         return cpi.run_plan(plan, donors)
 
-    with mock.patch.object(metrics, "plan_cpi", plan), mock.patch.object(metrics, "run_plan", run):
-        result = grid_search_weights(suite, (1, 3), (0, 2), (1, 3), share=0.1, seed=4)
+    def score(*args):
+        log[-1][3] += 1
+        return mape_p(*args)
+
+    with (
+        mock.patch.object(metrics, "plan_cpi", plan),
+        mock.patch.object(metrics, "match_weights", match),
+        mock.patch.object(metrics, "run_plan", run),
+        mock.patch.object(metrics, "mape_p", score),
+    ):
+        result = grid_search_weights(suite, *grid, **options)
+    return result, log
+
+
+def _day_groups(layout):
+    """Each day group's [lo, hi) positions in ``layout.days``: gaps that share a day join."""
+    groups = []
+    for lo, hi in layout.gap_rows:
+        if groups and lo < groups[-1][1]:
+            groups[-1][1] = max(groups[-1][1], hi)
+        else:
+            groups.append([lo, hi])
+    return groups
+
+
+def test_grid_search_scores_each_distinct_assignment_once_per_series():
+    suite = synthetic_suite(2, base_seed=95, days=42, slots_per_day=24)
+    result, log = _recorded_grid_search(suite, ((1, 3), (0, 2), (1, 3)), share=0.1, seed=4)
     assert len(result.scores) == 27
-    first, second = (log[1:log.index("plan", 1)], log[log.index("plan", 1) + 1:])
-    assert log[0] == "plan" and "plan" not in second  # each series is scored before the next
-    for runs in (first, second):
-        assert 1 < len(runs) < 27
-        assert len(set(runs)) == len(runs)  # no assignment is imputed twice
+    assert len(log) == 2
+    for plan, donors, pasted, scored in log:
+        distinct = {row.tobytes() for row in donors}
+        assert scored == len(distinct)
+        assert 1 < len(pasted) < len(distinct)  # fewer pastes than assignments
+        assert len(set(pasted)) == len(pasted)  # no covering vector is pasted twice
+
+
+@pytest.mark.parametrize(
+    "suite, grid, options, boundary",
+    [
+        (synthetic_suite(2, base_seed=95, days=42, slots_per_day=24),
+         ((1, 3), (0, 2), (1, 3)), {"share": 0.1, "seed": 4}, False),
+        (synthetic_suite(2, base_seed=96, days=90, slots_per_day=48),
+         ((1, 6), (0, 3), (1, 6)), {"share": 0.3, "seed": 2}, False),
+        (synthetic_suite(2, base_seed=90, days=70, slots_per_day=24),
+         ((1, 3), (0, 2), (1, 3)), {"share": 0.15, "seed": 3, "max_gap_len": 30}, True),
+    ],
+    ids=["42-days", "90-days-30-percent", "boundary-gaps"],
+)
+def test_the_tuner_pastes_the_largest_group_count_and_every_gap_choice(
+    monkeypatch, suite, grid, options, boundary
+):
+    """One covering paste per distinct choice of the group with the most, and no other.
+
+    A day group is a maximal run of gaps that share a day; its choices are
+    the distinct donor tuples that the batch match gives its days.
+    """
+    if boundary:
+        monkeypatch.setattr(metrics, "insert_missing", _with_boundary_gaps)
+    _, log = _recorded_grid_search(suite, grid, **options)
+    for plan, donors, pasted, _ in log:
+        groups = _day_groups(plan.layout)
+        choices = [{tuple(row[lo:hi]) for row in donors.tolist()} for lo, hi in groups]
+        assert len(pasted) == max(map(len, choices))
+        for (lo, hi), made in zip(groups, choices):
+            assert {row[lo:hi] for row in pasted} == made
+    assert max(len(_day_groups(plan.layout)) for plan, *_ in log) > 2
+
+
+def test_a_plan_without_days_with_gaps_still_scores():
+    """A degraded series whose only removal is one isolated reading is pasted once."""
+    suite = synthetic_suite(2, days=30, slots_per_day=24)
+    grid = ((1, 2), (0, 1), (1, 1))
+    options = {"share": 1.2 / suite[0][1].n, "seed": 1}
+    result, log = _recorded_grid_search(suite, grid, **options)
+    assert [plan.layout.days.size for plan, *_ in log] == [0, 0]
+    assert [pasted for *_, pasted, _ in log] == [[()], [()]]
+    best, scores = grid_search_per_triple(suite, *grid, **options)
+    assert result.scores == scores
+    assert result.best == best
 
 
 @pytest.mark.parametrize(
