@@ -12,10 +12,16 @@ costs time in the number of runs, not in the series length.  A gap at s
 splits its run into ``[lo, s-1]`` and ``[s+L, hi]``; a single at p splits it
 into ``[lo, p-2]`` and ``[p+2, hi]``, so two singles are never two readings
 apart.  Gaps are placed first, in drawn order, then the singles.
+
+Gaps keep the runs as numpy columns and scan every run's fit for each
+draw, since each gap length changes every fit.  Singles all fit a run in
+``hi - lo - 1`` ways, so they walk a blocked list of Python ints instead:
+about sqrt(runs) steps and no numpy call per draw beyond the draw itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -93,49 +99,79 @@ def _draw_gap_lengths(rng: np.random.Generator, budget: int, max_len: int) -> li
 
 
 def _place(rng: np.random.Generator, n: int, lengths: list[int], n_singles: int) -> np.ndarray:
-    # Free runs [lo, hi] in order, one row each (the rule is in the module docstring).
-    runs = np.zeros((1 + len(lengths), 2), dtype=np.int64)
-    runs[0, 1], count = n - 1, 1
+    # Free runs as columns: ``lo`` and ``width`` (= hi - lo), in position order.
+    # ``ends`` holds the running fit count of the first ``count`` runs and a
+    # sentinel above any draw past them, so it is searched whole.
+    capacity = 1 + len(lengths)
+    lo = np.zeros(capacity, dtype=np.int64)
+    width = np.zeros(capacity, dtype=np.int64)
+    fits = np.empty(capacity, dtype=np.int64)
+    ends = np.full(capacity, np.iinfo(np.int64).max)
+    width[0], count = n - 1, 1
     removed = np.zeros(n, dtype=bool)
     for length in lengths:
-        fits = np.maximum(runs[:count, 1] - runs[:count, 0] - length, 0)
-        ends = np.cumsum(fits)
-        if ends[-1] == 0:
+        np.subtract(width[:count], length, out=fits[:count])
+        np.maximum(fits[:count], 0, out=fits[:count])
+        fits[:count].cumsum(out=ends[:count])
+        total = ends.item(count - 1)
+        if total == 0:
             raise InfeasibleSpecError("no room left for a gap")
-        k = int(rng.integers(int(ends[-1])))
-        run = int(np.searchsorted(ends, k, side="right"))
-        start = int(runs[run, 0]) + 1 + k - int(ends[run] - fits[run])
+        k = int(rng.integers(total))
+        run = int(ends.searchsorted(k, "right"))
+        run_lo, run_width = lo.item(run), width.item(run)
+        start = run_lo + 1 + k - ends.item(run) + fits.item(run)
         removed[start : start + length] = True
-        runs[run + 2 : count + 1] = runs[run + 1 : count]
-        runs[run + 1] = (start + length, runs[run, 1])
-        runs[run, 1] = start - 1
+        lo[run + 2 : count + 1] = lo[run + 1 : count]
+        width[run + 2 : count + 1] = width[run + 1 : count]
+        lo[run + 1] = start + length
+        width[run + 1] = run_lo + run_width - start - length
+        width[run] = start - 1 - run_lo
         count += 1
 
-    # Singles draw over a running prefix sum of the runs' fits: ``ends[r]``
-    # counts the fits before run r, and the slots past the last run hold a
-    # sentinel above any draw.  A split replaces one fit by two and shifts
-    # every later sum by the difference, in one slice.
-    lo, hi = runs[:count, 0].tolist(), runs[:count, 1].tolist()
-    ends = np.full(count + n_singles + 1, np.iinfo(np.int64).max)
-    ends[0] = 0
-    np.cumsum(np.maximum(runs[:count, 1] - runs[:count, 0] - 1, 0), out=ends[1 : count + 1])
+    # Singles walk a blocked list: each block holds its runs' ``lo`` and fit
+    # (``max(width - 1, 0)``) as Python lists, with the fit sum beside it.  A
+    # draw walks the block sums, then one block's fits; a split rewrites one
+    # run, inserts one, and a block past ``2 * size`` runs splits in two.
+    size = max(16, math.isqrt(count + n_singles))
+    run_lo = lo[:count].tolist()
+    run_fit = np.maximum(width[:count] - 1, 0).tolist()
+    blocks = [
+        (run_lo[i : i + size], run_fit[i : i + size]) for i in range(0, count, size)
+    ]
+    sums = [sum(fit) for _, fit in blocks]
+    total = sum(sums)
+    singles = []
     for _ in range(n_singles):
-        total = int(ends[count])
         if total == 0:
             raise InfeasibleSpecError("no room left for a single missing value")
         k = int(rng.integers(total))
-        run = int(ends.searchsorted(k, side="right")) - 1
-        before = int(ends[run])
-        single = lo[run] + 1 + k - before
-        removed[single] = True
-        hi.insert(run, single - 2)
-        lo.insert(run + 1, single + 2)
-        left = before + max(hi[run] - lo[run] - 1, 0)
-        after = left + max(hi[run + 1] - lo[run + 1] - 1, 0)
-        ends[run + 3 : count + 2] = ends[run + 2 : count + 1] + (after - ends[run + 1])
-        ends[run + 1] = left
-        ends[run + 2] = after
-        count += 1
+        for b, block_sum in enumerate(sums):
+            if k < block_sum:
+                break
+            k -= block_sum
+        block_lo, block_fit = blocks[b]
+        for j, fit in enumerate(block_fit):
+            if k < fit:
+                break
+            k -= fit
+        # The run [lo, lo + fit + 1] loses its reading at lo + 1 + k and both
+        # neighbours of it: [lo, single - 2] keeps k - 2 fits, the rest
+        # [single + 2, hi] keeps fit - k - 3.
+        single = block_lo[j] + 1 + k
+        singles.append(single)
+        left = k - 2 if k > 2 else 0
+        right = fit - k - 3 if fit > k + 3 else 0
+        block_fit[j] = left
+        block_fit.insert(j + 1, right)
+        block_lo.insert(j + 1, single + 2)
+        sums[b] += left + right - fit
+        total += left + right - fit
+        if len(block_fit) > 2 * size:
+            blocks.insert(b + 1, (block_lo[size:], block_fit[size:]))
+            del block_lo[size:], block_fit[size:]
+            sums.insert(b + 1, sum(blocks[b + 1][1]))
+            sums[b] -= sums[b + 1]
+    removed[singles] = True
     return removed
 
 

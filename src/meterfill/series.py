@@ -597,6 +597,8 @@ def parse_series(text: str, config: ParseConfig = ParseConfig()) -> Series:
         raise ParseError("non-increasing timestamps at row 2")
     offset = timestamps[0].utcoffset()
     for i, ts in enumerate(timestamps):
+        if (ts.utcoffset() is None) != (offset is None):
+            raise ParseError(f"mixed naive and timezone-aware timestamps at row {i + 1}")
         try:
             expected = timestamps[0] + i * resolution
         except OverflowError:

@@ -221,6 +221,25 @@ def test_impute_cpi_rejects_power_input(tmp_path, series_csv, capsys):
     assert "energy input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["seasonal", "cpi_noscale", "linear", "histavg"])
+def test_an_energy_file_that_misses_its_anchors_reads_back_without_the_monotone_check(
+    tmp_path, series_csv, capsys, method
+):
+    """A method that does not conserve each gap's energy writes readings that
+    fall at a right anchor: read back as a consumption meter the file is
+    refused, and with ``--monotone-tol inf`` it gives the power it was written with."""
+    degraded, out = tmp_path / "degraded.csv", tmp_path / "out.csv"
+    assert run_cli("insert-gaps", "--share", "30", "--seed", "1", series_csv, degraded) == 0
+    assert run_cli("impute", "--method", method, degraded, out) == 0
+    capsys.readouterr()
+    assert run_cli("convert", "--to", "power", out, tmp_path / "strict.csv") == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: consumption readings decrease from index ")
+    back = tmp_path / "back.csv"
+    assert run_cli("convert", "--to", "power", "--monotone-tol", "inf", out, back) == 0
+    assert back.read_bytes() == (tmp_path / "out.power.csv").read_bytes()
+
+
 def test_evaluate_writes_both_reports(tmp_path, series_csv):
     report = tmp_path / "report.csv"
     agg = tmp_path / "agg.csv"

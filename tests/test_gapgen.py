@@ -184,12 +184,12 @@ def test_placement_leaves_the_generator_where_the_oracle_does():
     assert new.bit_generator.state == old.bit_generator.state
 
 
-def place_outcome(place, seed, n, share, single_fraction):
+def place_outcome(place, seed, n, share, single_fraction, max_len=3 * 96):
     """The mask or error text of one placement, and where it leaves the generator."""
     rng = np.random.default_rng(seed)
     total = round(share * n)
     n_singles = round(single_fraction * total)
-    lengths = gapgen._draw_gap_lengths(rng, total - n_singles, 3 * 96)
+    lengths = gapgen._draw_gap_lengths(rng, total - n_singles, max_len)
     try:
         outcome = np.flatnonzero(place(rng, n, lengths, n_singles)).tolist()
     except InfeasibleSpecError as exc:
@@ -204,3 +204,18 @@ def test_singles_heavy_year_matches_the_oracle(share, single_fraction):
     # way, so the error text and the draws up to it are compared as well.
     expected = place_outcome(placement_oracle.place, 31, 35040, share, single_fraction)
     assert place_outcome(gapgen._place, 31, 35040, share, single_fraction) == expected
+
+
+@pytest.mark.parametrize(
+    ("n", "share", "max_len", "single_fraction"),
+    [
+        (1461 * 96, 0.3, 3 * 96, 0.05),  # four years: 2,104 singles split 6 blocks many times
+        # 1,669 gaps of two readings, so the singles start on 40 blocks.  (A
+        # full year has 5,000 such gaps and costs the oracle 2.5 s.)
+        (122 * 96, 0.3, 2, 0.05),
+    ],
+    ids=["four-years", "short-gaps"],
+)
+def test_large_placements_match_the_oracle(n, share, max_len, single_fraction):
+    expected = place_outcome(placement_oracle.place, 5, n, share, single_fraction, max_len)
+    assert place_outcome(gapgen._place, 5, n, share, single_fraction, max_len) == expected

@@ -302,10 +302,20 @@ def test_format_series_round_trips():
     assert np.array_equal(again.values, es.values, equal_nan=True)
 
 
-def test_parse_rejects_mixed_naive_and_aware_timestamps():
-    text = _csv(["2018-01-01 00:00:00+01:00,0", "2018-01-01 00:15:00,1"])
-    with pytest.raises(ParseError, match="row 2"):
-        parse_series(text)
+@pytest.mark.parametrize("row", [2, 3, 4])
+@pytest.mark.parametrize("first_aware", [False, True], ids=["naive-file", "aware-file"])
+def test_a_mixed_timestamp_is_named_at_its_row(row, first_aware):
+    # One row alone differs from row 1 in carrying an offset; the error names
+    # the mix at that row, not an irregular spacing.
+    stamps = [datetime(2018, 3, 25, 1) + i * QUARTER_HOUR for i in range(4)]
+    rows = []
+    for i, stamp in enumerate(stamps, start=1):
+        aware = first_aware != (i == row)
+        text = stamp.isoformat(sep=" ") + ("+01:00" if aware else "")
+        rows.append(f"{text},{i}")
+    message = f"mixed naive and timezone-aware timestamps at row {row}$"
+    with pytest.raises(ParseError, match=message):
+        parse_series(_csv(rows))
 
 
 # ---------------------------------------------------------------------------
