@@ -25,7 +25,7 @@ from .series import (
     GapArrays,
     MeterKind,
     PowerSeries,
-    Series,
+    _missing_runs,
     day_partition,
     day_slot,
     detect_gaps,
@@ -107,19 +107,15 @@ class ImputationResult:
 def interpolate_singles(es: EnergySeries) -> EnergySeries:
     """Fill isolated missing readings with the mean of their neighbours.
 
-    Runs of two or more missing readings are left untouched; the filled
-    readings count as present in all later pipeline steps.
+    These are the missing runs of length one with a present reading on
+    both sides; runs at the series ends and runs of two or more are left
+    untouched.  The filled readings count as present in all later steps.
     """
-    miss = np.isnan(es.values)
-    if not miss.any():
-        return es
-    single = miss.copy()
-    single[0] = single[-1] = False
-    single[1:-1] &= ~miss[:-2] & ~miss[2:]
-    if not single.any():
+    starts, stops = _missing_runs(es.values)
+    idx = starts[(stops - starts == 1) & (starts > 0) & (stops < es.n)]
+    if not idx.size:
         return es
     values = np.array(es.values)
-    idx = np.flatnonzero(single)
     values[idx] = 0.5 * (values[idx - 1] + values[idx + 1])
     values.setflags(write=False)
     return replace(es, values=values)
@@ -161,11 +157,6 @@ def fit_weekly_pattern(
     return offsets
 
 
-def _gap_day_range(series: Series, gaps: GapArrays) -> np.ndarray:
-    """Day offsets of each gap's first and last missing value, shape (2, gaps)."""
-    return day_slot(series, np.stack([gaps.first_missing, gaps.last_missing]))[0]
-
-
 def estimate_daily_energy(
     days: DayTable,
     gaps: GapArrays,
@@ -183,8 +174,8 @@ def estimate_daily_energy(
     rest rescaled to restore the total.
     The shares are added into the days in gap order.  Unanchored gaps are
     rejected.  ``days`` is the series' ``day_partition``, ``gaps`` rows of
-    its ``detect_gaps`` table, and ``gap_days`` their first and last
-    day-table rows, shape (2, gaps), as a ``PasteLayout`` holds them.
+    its ``detect_gaps`` table, and ``gap_days`` the day-table rows of their
+    first and last missing power values, shape (2, gaps).
     """
     if not gaps.anchored.all():
         raise ImputationError(
@@ -419,41 +410,41 @@ def match_weights(table: MatchTable, triples) -> np.ndarray:
 class PasteLayout:
     """Where a paste writes and what each gap spans, whatever the donors.
 
-    ``gaps`` is the series' ``detect_gaps`` table and ``gap_days`` the
-    first and last day-table row (day offset from the start's date) of
-    each gap, shape (2, gaps).  ``days`` are the day-table rows that have
-    missing power values, in date order: the rows of a plan's match table.
+    ``gaps`` is the series' ``detect_gaps`` table.  ``days`` are the
+    day-table rows (day offsets from the start's date) that have missing
+    power values, in date order: the rows of a plan's match table.
     ``missing`` holds every missing power index and ``row`` the position
     of its day in ``days``, and ``last_slot[i]`` is the within-day slot of
     the last missing index of ``days[i]``.  Gap k touches ``days[lo:hi]``
-    for ``(lo, hi) = gap_rows[k]``.
+    for ``(lo, hi) = gap_rows[k]``, so its first and last day-table rows
+    are ``days[lo]`` and ``days[hi - 1]``.
     """
 
     gaps: GapArrays
-    gap_days: np.ndarray                    # each gap's first and last day row
-    days: np.ndarray                        # the day-table rows with missing power
-    missing: np.ndarray                     # missing power indices
-    row: np.ndarray                         # the position in `days` of each missing index
-    last_slot: np.ndarray                   # the last missing within-day slot of each of `days`
-    gap_rows: tuple[tuple[int, int], ...]   # the positions in `days` each gap touches
+    days: np.ndarray            # the day-table rows with missing power
+    missing: np.ndarray         # missing power indices
+    row: np.ndarray             # the position in `days` of each missing index
+    last_slot: np.ndarray       # the last missing within-day slot of each of `days`
+    gap_rows: np.ndarray        # int64 (gaps, 2): the positions in `days` each gap touches
 
 
 def paste_layout(ps: PowerSeries, gaps: GapArrays) -> PasteLayout:
-    """The donor-independent part of pasting into ``ps`` and scaling its gap table ``gaps``."""
+    """The donor-independent part of pasting into ``ps`` and scaling its gap table ``gaps``.
+
+    Missing indices are mapped to their days once, and each gap's day
+    positions are those of its first and last missing index.
+    """
     missing = np.flatnonzero(np.isnan(ps.values))
     day, slot = day_slot(ps, missing)
     days, row = np.unique(day, return_inverse=True)
-    gap_days = _gap_day_range(ps, gaps)
-    lo = np.searchsorted(days, gap_days[0])
-    hi = np.searchsorted(days, gap_days[1], side="right")
+    ends = np.searchsorted(missing, np.stack([gaps.first_missing, gaps.last_missing], 1))
     return PasteLayout(
         gaps=gaps,
-        gap_days=gap_days,
         days=days,
         missing=missing,
         row=row,
         last_slot=slot[np.searchsorted(day, days, side="right") - 1],
-        gap_rows=tuple(zip(lo.tolist(), hi.tolist())),
+        gap_rows=row[ends] + [0, 1],
     )
 
 
@@ -504,7 +495,7 @@ def copy_paste_and_scale(
 
     dt = resolution_hours(ps.resolution)
     fills = []
-    for gap, (lo, hi) in zip(layout.gaps.records, layout.gap_rows):
+    for gap, (lo, hi) in zip(layout.gaps.records, layout.gap_rows.tolist()):
         span = slice(gap.first_missing, gap.last_missing + 1)
         sources = tuple(pairs[lo:hi])
         if not gap.anchored:
@@ -624,10 +615,11 @@ def plan_cpi(es: EnergySeries, min_complete_days: int = 14) -> CpiPlan:
 
     anchored = gaps.anchored
     anchored_gaps = GapArrays(*(column[anchored] for column in gaps))
-    estimates = estimate_daily_energy(days, anchored_gaps, layout.gap_days[:, anchored], offsets)
+    gap_days = layout.days[layout.gap_rows - [0, 1]].T
+    estimates = estimate_daily_energy(days, anchored_gaps, gap_days[:, anchored], offsets)
     # Days touched by an unanchored boundary gap get no energy estimate and
     # are matched on weekday and season alone.
-    for first, last in layout.gap_days[:, ~anchored].T.tolist():
+    for first, last in gap_days[:, ~anchored].T.tolist():
         estimates[first : last + 1] = np.nan
     total = compile_complete_days(days, estimates)
     return CpiPlan(

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfeasibleSpecError, ValidationError
-from .series import EnergySeries, slots_per_day
+from .series import EnergySeries, _missing_runs, slots_per_day
 
 DEFAULT_MAX_GAP_DAYS = 3
 PLACEMENT_ATTEMPTS = 20
@@ -182,8 +182,9 @@ def insert_missing(es: EnergySeries, spec: MissingnessSpec) -> tuple[EnergySerie
     ``round(single_fraction * count)`` are isolated singles; the remainder is
     consumed by multi-value gaps with lengths uniform in [2, max_gap_len]
     (the last gap truncated to fit).  The first and last readings are never
-    removed and no two removal runs touch, so all gaps are anchored.
-    Deterministic for a fixed seed.
+    removed and no two removal runs touch, so all gaps are anchored.  The
+    mask's ``singles`` are the missing runs of length one in the degraded
+    values.  Deterministic for a fixed seed.
     """
     if np.isnan(es.values).any():
         raise ValidationError("artificial removal needs a complete input series")
@@ -219,12 +220,9 @@ def insert_missing(es: EnergySeries, spec: MissingnessSpec) -> tuple[EnergySerie
         )
 
     indices = np.flatnonzero(removed)
-    run_break = np.diff(indices) > 1
-    run_id = np.concatenate(([0], np.cumsum(run_break)))
-    run_sizes = np.bincount(run_id)
-    singles = indices[run_sizes[run_id] == 1]
-
     degraded = np.array(es.values)
     degraded[indices] = np.nan
     degraded.setflags(write=False)
+    starts, stops = _missing_runs(degraded)
+    singles = starts[stops - starts == 1]
     return replace(es, values=degraded), MissingMask(indices=indices, singles=singles)

@@ -490,10 +490,10 @@ def _covering_scores(
     truth, the same arrays in the same order as the full series give.
     """
     layout = plan.layout
-    gap_rows = np.array(layout.gap_rows, dtype=np.int64).reshape(-1, 2)
-    opens = np.ones(len(gap_rows), dtype=bool)  # where a gap shares no day with the one before
-    opens[1:] = gap_rows[1:, 0] >= gap_rows[:-1, 1]
-    starts = gap_rows[opens, 0]
+    first, stop = layout.gap_rows.T
+    opens = np.ones(first.size, dtype=bool)  # where a gap shares no day with the one before
+    opens[1:] = first[1:] >= stop[:-1]
+    starts = first[opens]
     groups = list(zip(starts.tolist(), [*starts[1:].tolist(), layout.days.size]))
     day_group = np.searchsorted(starts, np.arange(layout.days.size), side="right") - 1
 

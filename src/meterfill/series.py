@@ -273,7 +273,9 @@ def power_to_energy(
 
 def _missing_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Starts and exclusive stops of the maximal runs of NaN in ``values``."""
-    edges = np.flatnonzero(np.diff(np.isnan(values), prepend=False, append=False))
+    miss = np.zeros(values.size + 2, dtype=bool)  # a present value beyond each end
+    np.isnan(values, out=miss[1:-1])
+    edges = np.flatnonzero(miss[1:] != miss[:-1])
     return edges[0::2], edges[1::2]
 
 

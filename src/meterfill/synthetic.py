@@ -2,8 +2,9 @@
 
 Each profile combines a two-peak daily shape (weekends differ from
 workdays), a yearly sinusoidal modulation, a slowly drifting day-level
-factor, and multiplicative noise.  Profiles are strictly positive, so the
-accumulated energy series is strictly increasing.
+factor, and multiplicative noise.  The clock time, the weekday and the day
+of year follow the calendar of the start, whatever its hour.  Profiles are
+strictly positive, so the accumulated energy series is strictly increasing.
 """
 
 from __future__ import annotations
@@ -30,10 +31,12 @@ def synthetic_series(
     m = n - 1  # power values between consecutive readings
     resolution = timedelta(seconds=86400 // spd)
 
-    tod = (np.arange(m) % spd) / spd
-    day = np.arange(m) // spd
-    weekday = day % 7  # 0 = Monday with the default start
-    doy = day % 365
+    first = (start - start.replace(hour=0, minute=0, second=0, microsecond=0)) // resolution
+    day, tod = np.divmod(first + np.arange(m), spd)  # days since the start's date, and slot
+    tod = tod / spd  # drops the int slots, so no extra (m,) array stays alive
+    weekday = (start.weekday() + day) % 7  # 0 = Monday
+    doy = (start.timetuple().tm_yday - 1 + day) % 365
+    touched = (first + n - 1) // spd + 1  # the days the readings reach
 
     scale = rng.uniform(4.0, 40.0)
     base = rng.uniform(0.15, 0.35)
@@ -59,10 +62,10 @@ def synthetic_series(
     yearly = 1.0 + yearly_amp * np.cos(2 * np.pi * (doy - yearly_phase) / 365.0)
 
     # Persistent day-to-day drift so similar-energy days carry similar shapes.
-    steps = rng.normal(0.0, 0.12, size=days)
-    drift = np.empty(days)
+    steps = rng.normal(0.0, 0.12, size=touched)
+    drift = np.empty(touched)
     drift[0] = steps[0]
-    for d in range(1, days):
+    for d in range(1, touched):
         drift[d] = 0.75 * drift[d - 1] + steps[d]
     day_factor = np.exp(drift - drift.var() / 2.0)
 

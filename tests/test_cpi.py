@@ -31,6 +31,7 @@ from meterfill.cpi import (
     DEFAULT_WEIGHTS,
     CpiPlan,
     MatchTable,
+    PasteLayout,
     _match_block,
     compile_complete_days,
     complete_from_power,
@@ -45,9 +46,8 @@ from meterfill.cpi import (
     run_plan,
     season_distance,
     weekday_distance,
-    _gap_day_range,
 )
-from meterfill.series import DayTable, day_partition, detect_gaps, format_series
+from meterfill.series import DayTable, day_partition, day_slot, detect_gaps, format_series
 
 import paste_oracle
 import plan_oracle
@@ -97,6 +97,23 @@ def test_boundary_missing_readings_are_not_singles():
     es = energy([np.nan, 1.0, 2.0, np.nan])
     out = interpolate_singles(es)
     assert np.isnan(out.values[0]) and np.isnan(out.values[3])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=24).filter(lambda m: not all(m)))
+def test_exactly_the_interior_isolated_readings_are_filled(missing):
+    # Random masks hold runs at both ends, runs of one and two readings, and
+    # runs one present reading apart; a per-index loop picks the singles.
+    n = len(missing)
+    values = np.where(missing, np.nan, np.cumsum(np.linspace(0.3, 1.7, n)))
+    out = interpolate_singles(energy(values)).values
+    singles = [i for i in range(1, n - 1)
+               if missing[i] and not missing[i - 1] and not missing[i + 1]]
+    assert np.flatnonzero(np.isnan(values) != np.isnan(out)).tolist() == singles
+    for i in singles:
+        assert out[i] == 0.5 * (values[i - 1] + values[i + 1])
+    others = np.setdiff1d(np.arange(n), singles)
+    assert out[others].tobytes() == values[others].tobytes()
 
 
 def test_interpolated_single_splits_the_energy_between_both_power_values():
@@ -179,7 +196,8 @@ def _flat_pattern(**overrides):
 
 def _estimate(es, gaps, offsets):
     """``estimate_daily_energy`` of ``es``'s day table and the rows ``gaps`` of its gap table."""
-    return estimate_daily_energy(day_partition(es), gaps, _gap_day_range(es, gaps), offsets)
+    gap_days = day_slot(es, np.stack([gaps.first_missing, gaps.last_missing]))[0]
+    return estimate_daily_energy(day_partition(es), gaps, gap_days, offsets)
 
 
 def test_two_full_days_receive_their_weekly_offsets():
@@ -331,11 +349,13 @@ def test_plan_partitions_the_series_once():
 
 def test_the_plan_holds_one_day_table_and_maps_the_missing_slots_once():
     # The day table keeps only what the partition knows, the match table
-    # holds it beside the day totals, and no other plan field holds it.
+    # holds it beside the day totals, and no other plan field holds it.  The
+    # layout holds each gap's days once, as positions in its day rows.
     assert [f.name for f in fields(DayTable)] == [
         "first", "start", "stop", "missing", "known_energy", "full_day"]
     assert not {"weekday", "day_of_year", "slots"} & {f.name for f in fields(MatchTable)}
     assert "days" not in {f.name for f in fields(CpiPlan)}
+    assert "gap_days" not in {f.name for f in fields(PasteLayout)}
 
     base = energy(np.arange(21 * 24 + 1, dtype=float))
     es = with_missing(base, [0, 1, *range(4 * 24 + 1, 6 * 24), *range(16 * 24 + 5, 16 * 24 + 9)])
@@ -356,8 +376,11 @@ def test_the_plan_holds_one_day_table_and_maps_the_missing_slots_once():
     assert plan.table.total.shape == (len(days),)
     missing = [call for call in mapped.call_args_list
                if np.array_equal(np.asarray(call.args[1]), plan.layout.missing)]
-    assert len(missing) == 1
+    assert len(missing) == 1 and mapped.call_count == 1
     assert plan.layout.days.tolist() == [0, 4, 5, 16]
+    gap_rows = plan.layout.gap_rows
+    assert (gap_rows.dtype, gap_rows.shape) == (np.int64, (3, 2))
+    assert gap_rows.tolist() == [[0, 1], [1, 3], [3, 4]]
     assert plan.layout.last_slot.tolist() == [1, 23, 23, 8]  # each day's last missing hour
 
 
@@ -1113,13 +1136,11 @@ def test_plan_layout_rows_are_the_match_table_rows(year_series):
         assert got.tobytes() == want.tobytes()
     assert np.array_equal(layout.missing, np.flatnonzero(np.isnan(plan.power.values)))
     ends = zip(layout.gaps.first_missing.tolist(), layout.gaps.last_missing.tolist())
-    for (first, last), gap_days, (lo, hi) in zip(ends, layout.gap_days.T.tolist(),
-                                                 layout.gap_rows, strict=True):
+    for (first, last), (lo, hi) in zip(ends, layout.gap_rows.tolist(), strict=True):
         first, last = (plan.power.timestamp(i).date() for i in (first, last))
         day0 = plan.table.days.first
         days = [day0 + timedelta(days=d) for d in layout.days[[lo, hi - 1]].tolist()]
         assert days == [first, last]
-        assert [day0 + timedelta(days=d) for d in gap_days] == [first, last]
 
 
 # ---------------------------------------------------------------------------
@@ -1242,8 +1263,7 @@ def _assert_same_plan(got, want):
     assert type(got.table.energy_range) is float
 
     a, b = got.layout, want.layout
-    assert a.gap_rows == b.gap_rows
-    for name in ("days", "missing", "row", "gap_days"):
+    for name in ("days", "missing", "row", "gap_rows"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     assert [c.tobytes() for c in a.gaps] == [c.tobytes() for c in b.gaps]
 

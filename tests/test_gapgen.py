@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from meterfill import (
     InfeasibleSpecError,
@@ -105,6 +105,30 @@ def test_singles_are_isolated():
     missing = np.isnan(degraded.values)
     for i in mask.singles.tolist():
         assert not missing[i - 1] and not missing[i + 1]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(3, 200),
+    share=st.floats(0.005, 0.6),
+    max_gap_len=st.sampled_from([None, 2, 3, 5]),
+    single_fraction=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=100, share=0.01, max_gap_len=None, single_fraction=0.05, seed=2)  # a budget of one
+def test_singles_are_the_removals_without_a_removed_neighbour(
+    n, share, max_gap_len, single_fraction, seed
+):
+    try:
+        degraded, mask = insert_missing(
+            complete_series(n), MissingnessSpec(share, max_gap_len, single_fraction, seed)
+        )
+    except (InfeasibleSpecError, ValidationError):
+        return
+    removed = set(mask.indices.tolist())
+    assert np.flatnonzero(np.isnan(degraded.values)).tolist() == sorted(removed)
+    singles = [i for i in sorted(removed) if i - 1 not in removed and i + 1 not in removed]
+    assert mask.singles.tolist() == singles
 
 
 def test_share_of_one_value_requires_enough_length():
