@@ -417,7 +417,8 @@ class PasteLayout:
     of its day in ``days``, and ``last_slot[i]`` is the within-day slot of
     the last missing index of ``days[i]``.  Gap k touches ``days[lo:hi]``
     for ``(lo, hi) = gap_rows[k]``, so its first and last day-table rows
-    are ``days[lo]`` and ``days[hi - 1]``.
+    are ``days[lo]`` and ``days[hi - 1]``, and its missing indices are
+    ``missing[a:b]`` for ``(a, b) = gap_slots[k]``.
     """
 
     gaps: GapArrays
@@ -426,13 +427,15 @@ class PasteLayout:
     row: np.ndarray             # the position in `days` of each missing index
     last_slot: np.ndarray       # the last missing within-day slot of each of `days`
     gap_rows: np.ndarray        # int64 (gaps, 2): the positions in `days` each gap touches
+    gap_slots: np.ndarray       # int64 (gaps, 2): the positions in `missing` each gap covers
 
 
 def paste_layout(ps: PowerSeries, gaps: GapArrays) -> PasteLayout:
     """The donor-independent part of pasting into ``ps`` and scaling its gap table ``gaps``.
 
     Missing indices are mapped to their days once, and each gap's day
-    positions are those of its first and last missing index.
+    positions are those of its first and last missing index.  The gaps
+    cover the missing indices in order, so each gap's are one run of them.
     """
     missing = np.flatnonzero(np.isnan(ps.values))
     day, slot = day_slot(ps, missing)
@@ -445,7 +448,70 @@ def paste_layout(ps: PowerSeries, gaps: GapArrays) -> PasteLayout:
         row=row,
         last_slot=slot[np.searchsorted(day, days, side="right") - 1],
         gap_rows=row[ends] + [0, 1],
+        gap_slots=ends + [0, 1],
     )
+
+
+def _gather(
+    ps: PowerSeries,
+    layout: PasteLayout,
+    donors: np.ndarray,
+    start: int = 0,
+    stop: int | None = None,
+) -> np.ndarray:
+    """The donor values of the missing power slots ``layout.missing[start:stop]``.
+
+    ``donors[i]`` is the day-table row of the donor of ``layout.days[i]``.
+    Each slot copies the same within-day slot of its day's donor, a
+    whole-day shift of its index, all in one fancy index.  The earliest day
+    of the run with a slot that its donor does not cover, or covers with a
+    missing value, raises.
+    """
+    # A row outside the series' days covers none of its day's slots.  The
+    # rows are clipped to [-1, n] before the index arithmetic, which could
+    # overflow on them; both bounds lie outside the days too.
+    rows = np.maximum(donors.astype(np.int64), -1)
+    shift = np.minimum(rows, ps.n, out=rows) - layout.days
+    row = layout.row[start:stop]
+    src = layout.missing[start:stop] + shift[row] * slots_per_day(ps.resolution)
+    inside = (src >= 0) & (src < ps.n)
+    values = ps.values.take(src, mode="clip")
+    bad = ~inside | np.isnan(values)
+    if bad.any():
+        k = row[bad.argmax()]  # the earliest day with a slot it cannot fill
+        ordinal = ps.start.date().toordinal()
+        day = date.fromordinal(ordinal + int(layout.days[k]))
+        donor = ordinal + int(donors[k])  # named by its row where no date holds it
+        donor = date.fromordinal(donor) if 1 <= donor <= _MAX_ORDINAL else f"at row {donors[k]}"
+        if not inside[row == k].all():
+            raise ImputationError(f"matched day {donor} does not cover all slots needed by {day}")
+        raise ImputationError(f"matched day {donor} is not complete")
+    return values
+
+
+def _scale_gap(
+    values: np.ndarray, gap: Gap, dt: float, scale: bool = True
+) -> tuple[float | None, str | None]:
+    """Scale one gap's pasted power ``values`` in place; return its ``GapFill`` scale, fallback.
+
+    An anchored gap is multiplied by the ratio of its metered energy to its
+    pasted energy; if the pasted energy is zero or of opposite sign, the
+    gap falls back to a uniform fill.  Unanchored gaps, and every gap when
+    ``scale`` is off, keep the pasted values.  ``dt`` is the resolution in
+    hours.
+    """
+    if not gap.anchored:
+        return None, None
+    if not scale:
+        return 1.0, "unscaled"
+    actual = gap.actual_energy
+    pasted = float(values.sum() * dt)
+    if (pasted == 0.0 and actual != 0.0) or pasted * actual < 0.0:
+        values[:] = actual / (gap.length * dt)
+        return None, "uniform"
+    factor = actual / pasted if pasted != 0.0 else 1.0
+    values *= factor
+    return factor, None
 
 
 def copy_paste_and_scale(
@@ -458,9 +524,10 @@ def copy_paste_and_scale(
 
     ``donors[i]`` is the day-table row of the donor of ``layout.days[i]``.
     Every missing power value is copied from the same within-day slot of
-    its day's donor, a whole-day shift of its index.  Each anchored gap is
-    then multiplied by the ratio of its metered energy to its pasted energy;
-    if the pasted energy is zero or of opposite sign, the gap falls back to a
+    its day's donor, a whole-day shift of its index (``_gather``).  Each
+    gap is then scaled on its own (``_scale_gap``): an anchored gap is
+    multiplied by the ratio of its metered energy to its pasted energy; if
+    the pasted energy is zero or of opposite sign, the gap falls back to a
     uniform fill.  Unanchored gaps are pasted without scaling and flagged.
     Returns the pasted (and scaled) power, a result's ``imputed_power``, and
     the per-gap audit; ``complete_from_power`` builds the completed series
@@ -472,50 +539,21 @@ def copy_paste_and_scale(
             f"expected one integer donor row for each of {layout.days.size} days "
             f"with gaps, got shape {donors.shape} of {donors.dtype}"
         )
-    # A row outside the series' days covers none of its day's slots.  It is
-    # set aside before the index arithmetic, which could overflow on it.
-    in_range = (donors >= 0) & (donors <= int(day_slot(ps, ps.n - 1)[0]))
-    rows = np.where(in_range, donors.astype(np.int64), layout.days)
-    src = layout.missing + (rows - layout.days)[layout.row] * slots_per_day(ps.resolution)
-    inside = in_range[layout.row] & (src >= 0) & (src < ps.n)
-    donor_values = ps.values[np.where(inside, src, 0)]
-    bad = ~inside | np.isnan(donor_values)
+    values = _gather(ps, layout, donors)
     ordinal = ps.start.date().toordinal()
-    if bad.any():
-        k = layout.row[bad.argmax()]  # the earliest day with a slot it cannot fill
-        day = date.fromordinal(ordinal + int(layout.days[k]))
-        donor = ordinal + int(donors[k])  # named by its row where no date holds it
-        donor = date.fromordinal(donor) if 1 <= donor <= _MAX_ORDINAL else f"at row {donors[k]}"
-        if not inside[layout.row == k].all():
-            raise ImputationError(f"matched day {donor} does not cover all slots needed by {day}")
-        raise ImputationError(f"matched day {donor} is not complete")
-    pairs = list(zip(*(map(date.fromordinal, (ordinal + r).tolist()) for r in (layout.days, rows))))
-    completed = np.array(ps.values)
-    completed[layout.missing] = donor_values
+    pairs = list(zip(*(map(date.fromordinal, (ordinal + r).tolist())
+                       for r in (layout.days, donors.astype(np.int64)))))
 
     dt = resolution_hours(ps.resolution)
-    fills = []
-    for gap, (lo, hi) in zip(layout.gaps.records, layout.gap_rows.tolist()):
-        span = slice(gap.first_missing, gap.last_missing + 1)
-        sources = tuple(pairs[lo:hi])
-        if not gap.anchored:
-            fills.append(GapFill(gap, sources, None))
-            continue
-        if not scale:
-            fills.append(GapFill(gap, sources, 1.0, fallback="unscaled"))
-            continue
-        actual = gap.actual_energy
-        pasted = float(completed[span].sum() * dt)
-        if (pasted == 0.0 and actual != 0.0) or pasted * actual < 0.0:
-            completed[span] = actual / (gap.length * dt)
-            fills.append(GapFill(gap, sources, None, fallback="uniform"))
-            continue
-        factor = actual / pasted if pasted != 0.0 else 1.0
-        completed[span] *= factor
-        fills.append(GapFill(gap, sources, factor))
-
+    spans = zip(layout.gaps.records, layout.gap_rows.tolist(), layout.gap_slots.tolist())
+    fills = tuple(
+        GapFill(gap, tuple(pairs[lo:hi]), *_scale_gap(values[a:b], gap, dt, scale))
+        for gap, (lo, hi), (a, b) in spans
+    )
+    completed = np.array(ps.values)
+    completed[layout.missing] = values
     completed.setflags(write=False)
-    return replace(ps, values=completed), tuple(fills)
+    return replace(ps, values=completed), fills
 
 
 def complete_from_power(

@@ -13,9 +13,11 @@ last gap slot absorbs any energy miss; so a method that does not conserve
 energy scores a nonzero WAPE.  ``evaluate`` and ``grid_search_weights``
 build each cell with one ``_degrade`` and aggregate over cells with one
 ``_aggregate``; the two report CSVs are written by one ``_format_csv``.
-The tuner does not paste each distinct donor assignment: it pastes a few
-covering donor rows per series and gathers every assignment's imputed
-power from them (``_covering_scores``), with the same scores bit for bit.
+The tuner does not paste each distinct donor assignment: per series it
+runs ``run_plan`` once, on the first assignment, pastes each other donor
+choice of a day group alone through the copy-paste core, and gathers
+every assignment's imputed power from those (``_covering_scores``), with
+the same scores bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .cpi import (
     DEFAULT_WEIGHTS,
     CpiPlan,
     DissimilarityWeights,
+    _gather,
+    _scale_gap,
     interpolate_singles,
     match_weights,
     plan_cpi,
@@ -470,7 +474,7 @@ def _weight_grid(
 def _covering_scores(
     plan: CpiPlan, actual: PowerSeries, mask: np.ndarray, assignments: np.ndarray
 ) -> np.ndarray:
-    """The MAPE over ``mask`` of each row of ``assignments``, from a few covering pastes.
+    """The MAPE over ``mask`` of each row of ``assignments``, from one paste and its pieces.
 
     Each row of ``assignments`` is a ``donors`` row of a batch match on
     ``plan``'s table, and ``mask`` is a sorted index array that holds
@@ -481,13 +485,16 @@ def _covering_scores(
     and scaled values depend only on the donors of its own days, since each
     slot copies from its own day's donor and each gap's factor or fallback
     reads only its own span.  The rows give group g C_g distinct donor
-    tuples, and covering paste k gives every group its tuple
-    ``min(k, C_g - 1)``, so ``max C_g`` pastes (one where no day has gaps)
-    hold every distinct gap choice.  Each row's imputed power over the mask
-    is then gathered slot by slot from the paste that holds its group's
-    choice; the interpolated singles outside every gap are the same in all
-    pastes.  ``mape_p`` scores the gathered power against the gathered
-    truth, the same arrays in the same order as the full series give.
+    tuples, its choices, and row c of a (max C_g x mask) matrix holds
+    choice c of each group that has one.  Every row starts as the
+    ``run_plan`` of the first assignment, which makes choice 0 of every
+    group and fills the interpolated singles outside every gap.  Each other
+    choice is pasted alone through the copy-paste core, ``_gather`` over
+    the group's missing slots and ``_scale_gap`` on each of its gaps, and
+    written into its row.  Each assignment's imputed power over the mask is
+    then gathered slot by slot from the row of its group's choice, and
+    ``mape_p`` scores it against the gathered truth, the same arrays in the
+    same order as the full series give.
     """
     layout = plan.layout
     first, stop = layout.gap_rows.T
@@ -499,8 +506,9 @@ def _covering_scores(
 
     # Each mask slot's group; the interpolated singles take the extra last
     # column of ``choice``, which is 0 for every row.
+    slots = np.searchsorted(mask, layout.missing)  # each missing slot's place in the mask
     slot_group = np.full(mask.size, starts.size)
-    slot_group[np.searchsorted(mask, layout.missing)] = day_group[layout.row]
+    slot_group[slots] = day_group[layout.row]
     # Choice c of group g is the c-th distinct donor tuple of its days, in
     # row order; ``holders[g][c]`` is the first row that makes it.
     choice = np.zeros((len(assignments), starts.size + 1), dtype=np.int64)
@@ -511,12 +519,20 @@ def _covering_scores(
                         for days in assignments[:, lo:hi]]
         holders.append(np.unique(choice[:, g], return_index=True)[1])
 
+    # Group g's gaps are ``i:j`` and its missing slots ``layout.missing[a:b]``;
+    # choice c >= 1 is pasted from the first row that makes it into row c.
     pastes = np.empty((max(map(len, holders), default=1), mask.size))
-    for k, row in enumerate(pastes):
-        donors = np.empty(layout.days.size, dtype=np.int64)
-        for (lo, hi), rows in zip(groups, holders):
-            donors[lo:hi] = assignments[rows[min(k, len(rows) - 1)], lo:hi]
-        row[:] = run_plan(plan, donors).imputed_power.values[mask]
+    pastes[:] = run_plan(plan, assignments[0]).imputed_power.values[mask]
+    records, dt = layout.gaps.records, resolution_hours(plan.power.resolution)
+    spans = layout.gap_slots.tolist()
+    bounds = [*np.flatnonzero(opens).tolist(), len(spans)]
+    for (i, j), rows in zip(zip(bounds, bounds[1:]), holders):
+        a, b = spans[i][0], spans[j - 1][1]
+        for c, row in enumerate(rows[1:].tolist(), 1):
+            piece = _gather(plan.power, layout, assignments[row], a, b)
+            for gap, (lo, hi) in zip(records[i:j], spans[i:j]):
+                _scale_gap(piece[lo - a : hi - a], gap, dt)
+            pastes[c, slots[a:b]] = piece
 
     index = np.arange(mask.size)
     truth = PowerSeries(actual.start, actual.resolution, actual.values[mask])
@@ -544,9 +560,10 @@ def grid_search_weights(
     one batch on the plan's match table (``cpi.match_weights``).  Triples
     that pick the same donor for every day with gaps give the same
     imputation, and its MAPE is that of all its triples.  The distinct
-    assignments are scored by ``_covering_scores``, which pastes each
-    distinct donor choice of a day group once through ``run_plan``: a
-    handful of pastes per series, not one per assignment.  The aggregate
+    assignments are scored by ``_covering_scores``, which runs ``run_plan``
+    once, on the first of them, and pastes each other distinct donor choice
+    of a day group once through the copy-paste core: one completion per
+    series, not one per assignment.  The aggregate
     over the series is ``_aggregate``'s, as in ``evaluate``.  Ties are
     broken by the smaller weight sum, then lexicographically.  Reversed or
     negative ranges, an empty grid and bad degradation settings are

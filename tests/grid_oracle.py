@@ -1,8 +1,9 @@
 """Per-triple reference for the weight grid search.
 
 ``meterfill.metrics.grid_search_weights`` matches every weight triple in one
-batch, pastes a few covering donor rows per series and gathers each
-distinct donor assignment's imputed power from them.  This version matches
+batch, runs one full paste per series and pastes each other donor choice of
+a day group alone, and gathers each distinct donor assignment's imputed
+power from those.  This version matches
 each triple on its own (a one-triple ``match_weights`` call) and runs a full
 ``run_plan`` and ``mape_p`` for every triple on every series, with all
 plans held at once; the tests require the two to agree exactly.  Gap

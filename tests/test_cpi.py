@@ -47,7 +47,14 @@ from meterfill.cpi import (
     season_distance,
     weekday_distance,
 )
-from meterfill.series import DayTable, day_partition, day_slot, detect_gaps, format_series
+from meterfill.series import (
+    DayTable,
+    day_partition,
+    day_slot,
+    detect_gaps,
+    format_series,
+    resolution_hours,
+)
 
 import paste_oracle
 import plan_oracle
@@ -350,7 +357,8 @@ def test_plan_partitions_the_series_once():
 def test_the_plan_holds_one_day_table_and_maps_the_missing_slots_once():
     # The day table keeps only what the partition knows, the match table
     # holds it beside the day totals, and no other plan field holds it.  The
-    # layout holds each gap's days once, as positions in its day rows.
+    # layout holds each gap's days once, as positions in its day rows, and
+    # each gap's missing slots as positions in its missing indices.
     assert [f.name for f in fields(DayTable)] == [
         "first", "start", "stop", "missing", "known_energy", "full_day"]
     assert not {"weekday", "day_of_year", "slots"} & {f.name for f in fields(MatchTable)}
@@ -381,6 +389,9 @@ def test_the_plan_holds_one_day_table_and_maps_the_missing_slots_once():
     gap_rows = plan.layout.gap_rows
     assert (gap_rows.dtype, gap_rows.shape) == (np.int64, (3, 2))
     assert gap_rows.tolist() == [[0, 1], [1, 3], [3, 4]]
+    gap_slots = plan.layout.gap_slots  # power 0-1, 96-143 and 388-392
+    assert (gap_slots.dtype, gap_slots.shape) == (np.int64, (3, 2))
+    assert gap_slots.tolist() == [[0, 2], [2, 50], [50, 55]]
     assert plan.layout.last_slot.tolist() == [1, 23, 23, 8]  # each day's last missing hour
 
 
@@ -1135,7 +1146,9 @@ def test_plan_layout_rows_are_the_match_table_rows(year_series):
     for got, want in zip(layout.gaps, detect_gaps(plan.series), strict=True):
         assert got.tobytes() == want.tobytes()
     assert np.array_equal(layout.missing, np.flatnonzero(np.isnan(plan.power.values)))
-    ends = zip(layout.gaps.first_missing.tolist(), layout.gaps.last_missing.tolist())
+    ends = list(zip(layout.gaps.first_missing.tolist(), layout.gaps.last_missing.tolist()))
+    for (first, last), (a, b) in zip(ends, layout.gap_slots.tolist(), strict=True):
+        assert layout.missing[a:b].tolist() == list(range(first, last + 1))
     for (first, last), (lo, hi) in zip(ends, layout.gap_rows.tolist(), strict=True):
         first, last = (plan.power.timestamp(i).date() for i in (first, last))
         day0 = plan.table.days.first
@@ -1464,10 +1477,60 @@ def test_the_covering_scores_are_each_assignments_own_mape():
             seen.add("uniform fallback")
         if errors:
             seen.add("error")
+        groups = []  # each day group's [lo, hi) day positions and its number of gaps
+        for lo, hi in plan.layout.gap_rows.tolist():
+            if groups and lo < groups[-1][1]:
+                groups[-1][1:] = max(groups[-1][1], hi), groups[-1][2] + 1
+            else:
+                groups.append([lo, hi, 1])
+        if any(n >= 2 and len({row[lo:hi].tobytes() for row in assignments}) > 1
+               for lo, hi, n in groups):
+            seen.add("a day group of two or more gaps pasted with a non-base choice")
 
     check()
     assert seen == {"interpolated reading", "crowded day", "boundary gap", "uniform fallback",
-                    "error"}
+                    "error", "a day group of two or more gaps pasted with a non-base choice"}
+
+
+def test_each_gap_gathered_and_scaled_alone_is_the_oracles_slice():
+    """The paste core, run on one gap at a time, gives the oracle's values and audit.
+
+    Over ``_plan_inputs`` draws, with and without zero-power runs, each
+    gap's donor values are gathered alone (``cpi._gather`` over the gap's
+    own run of ``layout.missing``) and scaled alone (``cpi._scale_gap``),
+    for two weightings and with scaling on and off.  The values must equal
+    the oracle's imputed power over the gap byte for byte, and the factor
+    and fallback those of its ``GapFill``.  The draws must reach boundary
+    gaps, uniform fallbacks, scaled gaps and the unscaled path.
+    """
+    seen = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(_plan_inputs(), _plan_inputs(zeros=True)))
+    def check(es):
+        plan = _outcome(plan_cpi, es)
+        if isinstance(plan, tuple):
+            return
+        layout, dt = plan.layout, resolution_hours(plan.power.resolution)
+        first = plan.table.days.first
+        for donors in match_weights(plan.table, [(5, 1, 10), (1, 0, 3)]):
+            matches = {first + timedelta(days=day): first + timedelta(days=donor)
+                       for day, donor in zip(layout.days.tolist(), donors.tolist())}
+            for scale in (True, False):
+                want = paste_oracle.copy_paste_and_scale(
+                    plan.power, layout.gaps.records, matches, plan.series, scale)
+                spans = zip(layout.gaps.records, layout.gap_slots.tolist(), want.per_gap,
+                            strict=True)
+                for gap, (a, b), fill in spans:
+                    values = cpi._gather(plan.power, layout, donors, a, b)
+                    factor, fallback = cpi._scale_gap(values, gap, dt, scale)
+                    span = want.imputed_power.values[gap.first_missing : gap.last_missing + 1]
+                    assert values.tobytes() == span.tobytes()
+                    assert repr((factor, fallback)) == repr((fill.scale, fill.fallback))
+                    seen.add("boundary gap" if not gap.anchored else fallback or "scaled")
+
+    check()
+    assert seen == {"boundary gap", "uniform", "unscaled", "scaled"}
 
 
 def test_planning_and_matching_four_years_hold_no_full_table():

@@ -666,16 +666,20 @@ def test_grid_search_equals_the_per_triple_oracle(monkeypatch, suite, grid, opti
         assert not plan.layout.gaps.anchored[[0, -1]].any()
 
 
-def _recorded_grid_search(suite, grid, **options):
+def _recorded_grid_search(suite, grid, pieces=None, **options):
     """``grid_search_weights``' result, and what it planned, matched, pasted and scored.
 
     Each entry of the log is (plan, batch donors, pasted donor rows, the
-    number of ``mape_p`` calls), in series order.
+    number of ``mape_p`` calls), in series order.  Given a list,
+    ``pieces`` gets one list per series of the scorer's own pastes: the
+    donor row, the run of ``layout.missing`` gathered, and the gaps then
+    scaled, as ``(first_missing, last_missing)`` pairs.
     """
-    log = []
+    log, pieces = [], [] if pieces is None else pieces
 
     def plan(series):
         log.append([cpi.plan_cpi(series), None, [], 0])
+        pieces.append([])
         return log[-1][0]
 
     def match(table, triples):
@@ -688,6 +692,15 @@ def _recorded_grid_search(suite, grid, **options):
         log[-1][2].append(tuple(donors.tolist()))
         return cpi.run_plan(plan, donors)
 
+    def gather(ps, layout, donors, start, stop):
+        assert layout is log[-1][0].layout
+        pieces[-1].append((tuple(donors.tolist()), start, stop, []))
+        return cpi._gather(ps, layout, donors, start, stop)
+
+    def scale_gap(values, gap, dt):
+        pieces[-1][-1][3].append((gap.first_missing, gap.last_missing))
+        return cpi._scale_gap(values, gap, dt)
+
     def score(*args):
         log[-1][3] += 1
         return mape_p(*args)
@@ -697,6 +710,8 @@ def _recorded_grid_search(suite, grid, **options):
         mock.patch.object(metrics, "match_weights", match),
         mock.patch.object(metrics, "run_plan", run),
         mock.patch.object(metrics, "mape_p", score),
+        mock.patch.object(metrics, "_gather", gather),
+        mock.patch.object(metrics, "_scale_gap", scale_gap),
     ):
         result = grid_search_weights(suite, *grid, **options)
     return result, log
@@ -714,15 +729,19 @@ def _day_groups(layout):
 
 
 def test_grid_search_scores_each_distinct_assignment_once_per_series():
+    """One full paste per series, of the first assignment; the rest are pieces, none twice."""
     suite = synthetic_suite(2, base_seed=95, days=42, slots_per_day=24)
-    result, log = _recorded_grid_search(suite, ((1, 3), (0, 2), (1, 3)), share=0.1, seed=4)
+    pieces = []
+    result, log = _recorded_grid_search(suite, ((1, 3), (0, 2), (1, 3)), pieces, share=0.1,
+                                        seed=4)
     assert len(result.scores) == 27
-    assert len(log) == 2
-    for plan, donors, pasted, scored in log:
+    assert len(log) == len(pieces) == 2
+    for (plan, donors, pasted, scored), made in zip(log, pieces):
         distinct = {row.tobytes() for row in donors}
         assert scored == len(distinct)
-        assert 1 < len(pasted) < len(distinct)  # fewer pastes than assignments
-        assert len(set(pasted)) == len(pasted)  # no covering vector is pasted twice
+        assert pasted == [tuple(donors[0].tolist())]  # the first distinct assignment
+        assert 0 < len(made)
+        assert len({(row, start) for row, start, *_ in made}) == len(made)
 
 
 @pytest.mark.parametrize(
@@ -740,21 +759,44 @@ def test_grid_search_scores_each_distinct_assignment_once_per_series():
 def test_the_tuner_pastes_the_largest_group_count_and_every_gap_choice(
     monkeypatch, suite, grid, options, boundary
 ):
-    """One covering paste per distinct choice of the group with the most, and no other.
+    """One base paste, then each other gap choice of each day group pasted once, alone.
 
     A day group is a maximal run of gaps that share a day; its choices are
-    the distinct donor tuples that the batch match gives its days.
+    the distinct donor tuples that the batch match gives its days.  The
+    first assignment's ``run_plan`` holds choice 0 of every group.  Each
+    other choice is gathered over exactly its group's missing slots, from a
+    batch row that makes it, and each of the group's gaps is then scaled
+    once, in order.  The pieces and the base together make every choice, so
+    the largest group has as many as the scorer's matrix has rows.
     """
     if boundary:
         monkeypatch.setattr(metrics, "insert_missing", _with_boundary_gaps)
-    _, log = _recorded_grid_search(suite, grid, **options)
-    for plan, donors, pasted, _ in log:
-        groups = _day_groups(plan.layout)
+    pieces = []
+    _, log = _recorded_grid_search(suite, grid, pieces, **options)
+    for (plan, donors, pasted, _), made in zip(log, pieces, strict=True):
+        layout = plan.layout
+        groups = _day_groups(layout)
         choices = [{tuple(row[lo:hi]) for row in donors.tolist()} for lo, hi in groups]
-        assert len(pasted) == max(map(len, choices))
-        for (lo, hi), made in zip(groups, choices):
-            assert {row[lo:hi] for row in pasted} == made
+        base = donors[0].tolist()
+        assert pasted == [tuple(base)]  # one run_plan per series
+        rows = {tuple(row) for row in donors.tolist()}
+        spans = list(zip(layout.gaps.first_missing.tolist(), layout.gaps.last_missing.tolist()))
+        gap_rows = layout.gap_rows.tolist()
+        covered = [{tuple(base[lo:hi])} for lo, hi in groups]
+        for row, start, stop, scaled in made:
+            assert row in rows
+            g = groups.index([layout.row[start], layout.row[stop - 1] + 1])
+            lo, hi = groups[g]
+            own = np.flatnonzero((layout.row >= lo) & (layout.row < hi))
+            assert (start, stop) == (own[0], own[-1] + 1)
+            assert scaled == [s for s, (first, _) in zip(spans, gap_rows) if lo <= first < hi]
+            choice = row[lo:hi]
+            assert choice not in covered[g]  # neither the base choice nor pasted twice
+            covered[g].add(choice)
+        assert covered == choices
+        assert len(made) == sum(len(c) - 1 for c in choices)
     assert max(len(_day_groups(plan.layout)) for plan, *_ in log) > 2
+    assert max(len(scaled) for made in pieces for *_, scaled in made) >= 2
 
 
 def test_a_plan_without_days_with_gaps_still_scores():
