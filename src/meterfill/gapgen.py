@@ -73,8 +73,9 @@ class MissingMask:
 def _draw_gap_lengths(rng: np.random.Generator, budget: int, max_len: int) -> list[int]:
     """Uniform lengths in [2, max_len] consuming the budget, tail truncated.
 
-    The tail is nudged so a remainder of one reading never occurs; with
-    max_len == 2 an odd budget is unservable.
+    The tail is nudged so a remainder of one reading never occurs: a gap
+    shrinks by one, or one of length 2 grows to 3.  ``insert_missing``
+    refuses the budgets that this cannot serve within ``max_len``.
     """
     lengths = []
     remaining = budget
@@ -82,15 +83,7 @@ def _draw_gap_lengths(rng: np.random.Generator, budget: int, max_len: int) -> li
         length = int(rng.integers(2, max_len + 1))
         length = min(length, remaining)
         if remaining - length == 1:
-            if length > 2:
-                length -= 1
-            elif length + 1 <= min(max_len, remaining):
-                length += 1
-            else:
-                raise InfeasibleSpecError(
-                    "cannot tile an odd removal budget with gaps of length 2; "
-                    "use a larger max_gap_len or a different share"
-                )
+            length += 1 if length == 2 else -1
         lengths.append(length)
         remaining -= length
     if remaining == 1:
@@ -202,6 +195,13 @@ def insert_missing(es: EnergySeries, spec: MissingnessSpec) -> tuple[EnergySerie
         raise InfeasibleSpecError(
             f"cannot remove {total} of {n} readings while preserving the "
             "boundary anchors; use a smaller share"
+        )
+    # Gaps of two readings alone cannot use up an odd budget (a budget of
+    # one becomes one extra isolated removal), so every draw would fail.
+    if max_len == 2 and gap_budget % 2 and gap_budget > 1:
+        raise InfeasibleSpecError(
+            f"cannot tile an odd gap budget of {gap_budget} readings with gaps of "
+            "length 2 (max_gap_len 2); use a larger max_gap_len or a different share"
         )
 
     rng = np.random.default_rng(spec.seed)

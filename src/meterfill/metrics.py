@@ -15,9 +15,9 @@ build each cell with one ``_degrade`` and aggregate over cells with one
 ``_aggregate``; the two report CSVs are written by one ``_format_csv``.
 The tuner does not paste each distinct donor assignment: per series it
 runs ``run_plan`` once, on the first assignment, pastes each other donor
-choice of a day group alone through the copy-paste core, and gathers
-every assignment's imputed power from those (``_covering_scores``), with
-the same scores bit for bit.
+choice of each gap alone through the copy-paste core, and gathers every
+assignment's imputed power from those (``_covering_scores``), with the
+same scores bit for bit.
 """
 
 from __future__ import annotations
@@ -481,64 +481,52 @@ def _covering_scores(
     every power index the plan pastes into.  Each score is
     ``mape_p(actual, run_plan(plan, row).imputed_power, mask).value`` bit
     for bit, with the same errors.
-    A day group is a maximal run of gaps that share a day row; its pasted
-    and scaled values depend only on the donors of its own days, since each
-    slot copies from its own day's donor and each gap's factor or fallback
-    reads only its own span.  The rows give group g C_g distinct donor
-    tuples, its choices, and row c of a (max C_g x mask) matrix holds
-    choice c of each group that has one.  Every row starts as the
-    ``run_plan`` of the first assignment, which makes choice 0 of every
-    group and fills the interpolated singles outside every gap.  Each other
-    choice is pasted alone through the copy-paste core, ``_gather`` over
-    the group's missing slots and ``_scale_gap`` on each of its gaps, and
+    A gap's pasted and scaled values depend only on the donors of its own
+    days, since each slot copies from its own day's donor and each gap's
+    factor or fallback reads only its own span.  The rows give gap k C_k
+    distinct donor tuples over its days, its choices, and row c of a
+    (max C_k x mask) matrix holds choice c of each gap that has one.  Every
+    row starts as the ``run_plan`` of the first assignment, which makes
+    choice 0 of every gap and fills the interpolated singles outside every
+    gap.  Each other choice is pasted alone through the copy-paste core,
+    ``_gather`` over the gap's missing slots and ``_scale_gap``, and
     written into its row.  Each assignment's imputed power over the mask is
-    then gathered slot by slot from the row of its group's choice, and
+    then gathered slot by slot from the row of its gap's choice, and
     ``mape_p`` scores it against the gathered truth, the same arrays in the
     same order as the full series give.
     """
     layout = plan.layout
-    first, stop = layout.gap_rows.T
-    opens = np.ones(first.size, dtype=bool)  # where a gap shares no day with the one before
-    opens[1:] = first[1:] >= stop[:-1]
-    starts = first[opens]
-    groups = list(zip(starts.tolist(), [*starts[1:].tolist(), layout.days.size]))
-    day_group = np.searchsorted(starts, np.arange(layout.days.size), side="right") - 1
-
-    # Each mask slot's group; the interpolated singles take the extra last
+    spans = layout.gap_slots.tolist()
+    # Each mask slot's gap; the interpolated singles take the extra last
     # column of ``choice``, which is 0 for every row.
     slots = np.searchsorted(mask, layout.missing)  # each missing slot's place in the mask
-    slot_group = np.full(mask.size, starts.size)
-    slot_group[slots] = day_group[layout.row]
-    # Choice c of group g is the c-th distinct donor tuple of its days, in
-    # row order; ``holders[g][c]`` is the first row that makes it.
-    choice = np.zeros((len(assignments), starts.size + 1), dtype=np.int64)
+    slot_gap = np.full(mask.size, len(spans))
+    slot_gap[slots] = np.repeat(np.arange(len(spans)), np.diff(layout.gap_slots).ravel())
+    # Choice c of gap k is the c-th distinct donor tuple of its days, in
+    # row order; ``holders[k][c]`` is the first row that makes it.
+    choice = np.zeros((len(assignments), len(spans) + 1), dtype=np.int64)
     holders = []
-    for g, (lo, hi) in enumerate(groups):
+    for k, (lo, hi) in enumerate(layout.gap_rows.tolist()):
         numbers: dict[bytes, int] = {}
-        choice[:, g] = [numbers.setdefault(days.tobytes(), len(numbers))
+        choice[:, k] = [numbers.setdefault(days.tobytes(), len(numbers))
                         for days in assignments[:, lo:hi]]
-        holders.append(np.unique(choice[:, g], return_index=True)[1])
+        holders.append(np.unique(choice[:, k], return_index=True)[1])
 
-    # Group g's gaps are ``i:j`` and its missing slots ``layout.missing[a:b]``;
-    # choice c >= 1 is pasted from the first row that makes it into row c.
+    # Choice c >= 1 of gap k is pasted from the first row that makes it into row c.
     pastes = np.empty((max(map(len, holders), default=1), mask.size))
     pastes[:] = run_plan(plan, assignments[0]).imputed_power.values[mask]
-    records, dt = layout.gaps.records, resolution_hours(plan.power.resolution)
-    spans = layout.gap_slots.tolist()
-    bounds = [*np.flatnonzero(opens).tolist(), len(spans)]
-    for (i, j), rows in zip(zip(bounds, bounds[1:]), holders):
-        a, b = spans[i][0], spans[j - 1][1]
+    dt = resolution_hours(plan.power.resolution)
+    for gap, (a, b), rows in zip(layout.gaps.records, spans, holders):
         for c, row in enumerate(rows[1:].tolist(), 1):
             piece = _gather(plan.power, layout, assignments[row], a, b)
-            for gap, (lo, hi) in zip(records[i:j], spans[i:j]):
-                _scale_gap(piece[lo - a : hi - a], gap, dt)
+            _scale_gap(piece, gap, dt)
             pastes[c, slots[a:b]] = piece
 
     index = np.arange(mask.size)
     truth = PowerSeries(actual.start, actual.resolution, actual.values[mask])
     return np.array([
         mape_p(truth, PowerSeries(actual.start, actual.resolution,
-                                  pastes[choice[a, slot_group], index]), index).value
+                                  pastes[choice[a, slot_gap], index]), index).value
         for a in range(len(assignments))
     ])
 
@@ -562,7 +550,7 @@ def grid_search_weights(
     imputation, and its MAPE is that of all its triples.  The distinct
     assignments are scored by ``_covering_scores``, which runs ``run_plan``
     once, on the first of them, and pastes each other distinct donor choice
-    of a day group once through the copy-paste core: one completion per
+    of each gap once through the copy-paste core: one completion per
     series, not one per assignment.  The aggregate
     over the series is ``_aggregate``'s, as in ``evaluate``.  Ties are
     broken by the smaller weight sum, then lexicographically.  Reversed or

@@ -2,8 +2,8 @@
 
 ``meterfill.metrics.grid_search_weights`` matches every weight triple in one
 batch, runs one full paste per series and pastes each other donor choice of
-a day group alone, and gathers each distinct donor assignment's imputed
-power from those.  This version matches
+each gap alone, and gathers each distinct donor assignment's imputed power
+from those.  This version matches
 each triple on its own (a one-triple ``match_weights`` call) and runs a full
 ``run_plan`` and ``mape_p`` for every triple on every series, with all
 plans held at once; the tests require the two to agree exactly.  Gap
@@ -27,8 +27,13 @@ def grid_search_per_triple(
     share=0.1,
     seed=0,
     max_gap_len=None,
+    imputed=None,
 ):
-    """(best weights, scores) of the exhaustive grid, one imputation per triple."""
+    """(best weights, scores) of the exhaustive grid, one imputation per triple.
+
+    Given a list, ``imputed`` gets each (triple, series) imputation's
+    (truth, imputed power) over the series' mask, in grid order.
+    """
     prepared = []
     for index, (sid, series) in enumerate(calibration):
         spec = MissingnessSpec(
@@ -55,8 +60,10 @@ def grid_search_per_triple(
                 mapes = []
                 for plan, actual, mask in prepared:
                     donors = match_weights(plan.table, [(w_energy, w_weekday, w_season)])[0]
-                    imputed = run_plan(plan, donors).imputed_power
-                    mapes.append(metrics.mape_p(actual, imputed, mask).value)
+                    power = run_plan(plan, donors).imputed_power
+                    mapes.append(metrics.mape_p(actual, power, mask).value)
+                    if imputed is not None:
+                        imputed.append((actual.values[mask], power.values[mask]))
                 score = aggregate(mapes)
                 scores.append((w_energy, w_weekday, w_season, score))
                 key = (score, w_energy + w_weekday + w_season, (w_energy, w_weekday, w_season))

@@ -143,6 +143,27 @@ def test_infeasible_spec_is_reported():
         insert_missing(es, MissingnessSpec(share=0.95, seed=0))
 
 
+def test_an_odd_budget_of_two_reading_gaps_fails_before_any_draw():
+    # A year at 10 %: 3,504 removals, 175 of them singles, leave an odd
+    # gap budget of 3,329 that gaps of exactly two readings cannot tile.
+    es = complete_series(35040)
+    spec = MissingnessSpec(share=0.1, max_gap_len=2, seed=0)
+    with (
+        mock.patch.object(gapgen, "_draw_gap_lengths") as draw,
+        mock.patch.object(gapgen, "_place") as place,
+        pytest.raises(InfeasibleSpecError) as caught,
+    ):
+        insert_missing(es, spec)
+    assert not draw.called and not place.called
+    assert str(caught.value) == (
+        "cannot tile an odd gap budget of 3329 readings with gaps of length 2 "
+        "(max_gap_len 2); use a larger max_gap_len or a different share"
+    )
+    # One reading more and the budget is even: the same spec is placed.
+    _, mask = insert_missing(complete_series(35050), spec)
+    assert run_lengths(mask.indices).max() == 2
+
+
 def test_degraded_input_is_rejected():
     es = complete_series(100)
     degraded, _ = insert_missing(es, MissingnessSpec(share=0.1, seed=0))

@@ -635,35 +635,55 @@ def _with_boundary_gaps(series, spec):
 
 
 @pytest.mark.parametrize(
-    "suite, grid, options, boundary",
+    "suite, grid, options, boundary, wide",
     [
         (synthetic_suite(3, base_seed=70, days=60, slots_per_day=24),
-         ((1, 4), (0, 2), (1, 4)), {"share": 0.1, "seed": 2}, False),
+         ((1, 4), (0, 2), (1, 4)), {"share": 0.1, "seed": 2}, False, False),
         # Six series: the aggregate is a trimmed mean.  Mid-day starts leave
         # partial boundary days; zero bounds put zero weights in the grid.
         (synthetic_suite(6, base_seed=80, days=42, slots_per_day=48,
                          start=datetime(2019, 12, 20, 13)),
-         ((0, 2), (0, 2), (0, 3)), {"share": 0.2, "seed": 7}, False),
+         ((0, 2), (0, 2), (0, 3)), {"share": 0.2, "seed": 7}, False, False),
         # Leap year, short gaps, and unanchored gaps at both ends of every
         # series, whose days are matched without an energy total.
         (synthetic_suite(5, base_seed=90, days=70, slots_per_day=24,
                          start=datetime(2020, 2, 1)),
-         ((1, 3), (0, 2), (1, 3)), {"share": 0.15, "seed": 3, "max_gap_len": 30}, True),
+         ((1, 3), (0, 2), (1, 3)), {"share": 0.15, "seed": 3, "max_gap_len": 30}, True, False),
+        # One quarter-hourly year: thousands of scored slots per assignment.
+        ([("year", synthetic_series(3))], ((1, 2), (0, 1), (1, 2)), {"share": 0.1}, False, True),
     ],
-    ids=["three-series", "six-series-mid-day", "boundary-gaps"],
+    ids=["three-series", "six-series-mid-day", "boundary-gaps", "one-year"],
 )
-def test_grid_search_equals_the_per_triple_oracle(monkeypatch, suite, grid, options, boundary):
+def test_grid_search_equals_the_per_triple_oracle(
+    monkeypatch, suite, grid, options, boundary, wide
+):
+    """The tuner's scores and pick are the per-triple oracle's, bit for bit.
+
+    On the ``wide`` input, the error terms of the oracle's own imputations,
+    gathered over the kept slots as one (triple x kept) matrix, have a 2-D
+    ``mean(axis=1)`` that differs from some row's own ``np.mean``, so a
+    scorer that reduced them that way would fail here.  (The gather is
+    column-major; a row-major copy of the same terms reduces row by row.)
+    """
     if boundary:
         monkeypatch.setattr(metrics, "insert_missing", _with_boundary_gaps)
     (we, ww, ws) = grid
     result = grid_search_weights(suite, we, ww, ws, **options)
-    best, scores = grid_search_per_triple(suite, we, ww, ws, **options)
+    imputed = []
+    best, scores = grid_search_per_triple(suite, we, ww, ws, **options, imputed=imputed)
     assert result.scores == scores
     assert result.best == best
     assert [type(v) for v in result.scores[0]] == [int, int, int, float]
     if boundary:
         plan = plan_cpi(_with_boundary_gaps(suite[0][1], MissingnessSpec(0.15, 30))[0])
         assert not plan.layout.gaps.anchored[[0, -1]].any()
+    if wide:
+        truth = imputed[0][0]
+        keep = np.abs(truth) >= metrics.ZERO_ACTUAL_THRESHOLD
+        guesses = np.array([guess for _, guess in imputed])[:, keep]
+        terms = np.abs(guesses - truth[keep]) / np.abs(truth[keep])
+        assert terms.shape == (8, 3703)
+        assert (terms.mean(axis=1) != [np.mean(row) for row in terms]).any()
 
 
 def _recorded_grid_search(suite, grid, pieces=None, **options):
@@ -717,17 +737,6 @@ def _recorded_grid_search(suite, grid, pieces=None, **options):
     return result, log
 
 
-def _day_groups(layout):
-    """Each day group's [lo, hi) positions in ``layout.days``: gaps that share a day join."""
-    groups = []
-    for lo, hi in layout.gap_rows:
-        if groups and lo < groups[-1][1]:
-            groups[-1][1] = max(groups[-1][1], hi)
-        else:
-            groups.append([lo, hi])
-    return groups
-
-
 def test_grid_search_scores_each_distinct_assignment_once_per_series():
     """One full paste per series, of the first assignment; the rest are pieces, none twice."""
     suite = synthetic_suite(2, base_seed=95, days=42, slots_per_day=24)
@@ -745,58 +754,60 @@ def test_grid_search_scores_each_distinct_assignment_once_per_series():
 
 
 @pytest.mark.parametrize(
-    "suite, grid, options, boundary",
+    "suite, grid, options, boundary, crowded",
     [
         (synthetic_suite(2, base_seed=95, days=42, slots_per_day=24),
-         ((1, 3), (0, 2), (1, 3)), {"share": 0.1, "seed": 4}, False),
+         ((1, 3), (0, 2), (1, 3)), {"share": 0.1, "seed": 4}, False, False),
         (synthetic_suite(2, base_seed=96, days=90, slots_per_day=48),
-         ((1, 6), (0, 3), (1, 6)), {"share": 0.3, "seed": 2}, False),
+         ((1, 6), (0, 3), (1, 6)), {"share": 0.3, "seed": 2}, False, True),
         (synthetic_suite(2, base_seed=90, days=70, slots_per_day=24),
-         ((1, 3), (0, 2), (1, 3)), {"share": 0.15, "seed": 3, "max_gap_len": 30}, True),
+         ((1, 3), (0, 2), (1, 3)), {"share": 0.15, "seed": 3, "max_gap_len": 30}, True, True),
     ],
     ids=["42-days", "90-days-30-percent", "boundary-gaps"],
 )
-def test_the_tuner_pastes_the_largest_group_count_and_every_gap_choice(
-    monkeypatch, suite, grid, options, boundary
+def test_the_tuner_pastes_each_other_gap_choice_once_alone(
+    monkeypatch, suite, grid, options, boundary, crowded
 ):
-    """One base paste, then each other gap choice of each day group pasted once, alone.
+    """One base paste, then each other donor choice of each gap pasted once, alone.
 
-    A day group is a maximal run of gaps that share a day; its choices are
-    the distinct donor tuples that the batch match gives its days.  The
-    first assignment's ``run_plan`` holds choice 0 of every group.  Each
-    other choice is gathered over exactly its group's missing slots, from a
-    batch row that makes it, and each of the group's gaps is then scaled
-    once, in order.  The pieces and the base together make every choice, so
-    the largest group has as many as the scorer's matrix has rows.
+    A gap's choices are the distinct donor tuples that the batch match
+    gives its days.  The first assignment's ``run_plan`` holds choice 0 of
+    every gap.  Each other choice is gathered over exactly its gap's run of
+    missing slots, from a batch row that makes it, and that gap alone is
+    then scaled, once.  The pieces and the base together make every choice
+    of every gap.  Where ``crowded``, some day that two gaps share is
+    pasted for each of them from a donor other than the base's.
     """
     if boundary:
         monkeypatch.setattr(metrics, "insert_missing", _with_boundary_gaps)
-    pieces = []
+    pieces, shared = [], 0
     _, log = _recorded_grid_search(suite, grid, pieces, **options)
     for (plan, donors, pasted, _), made in zip(log, pieces, strict=True):
         layout = plan.layout
-        groups = _day_groups(layout)
-        choices = [{tuple(row[lo:hi]) for row in donors.tolist()} for lo, hi in groups]
+        gap_rows = layout.gap_rows.tolist()
+        gap_of = {tuple(run): k for k, run in enumerate(layout.gap_slots.tolist())}
+        spans = list(zip(layout.gaps.first_missing.tolist(), layout.gaps.last_missing.tolist()))
+        choices = [{tuple(row[lo:hi]) for row in donors.tolist()} for lo, hi in gap_rows]
         base = donors[0].tolist()
         assert pasted == [tuple(base)]  # one run_plan per series
         rows = {tuple(row) for row in donors.tolist()}
-        spans = list(zip(layout.gaps.first_missing.tolist(), layout.gaps.last_missing.tolist()))
-        gap_rows = layout.gap_rows.tolist()
-        covered = [{tuple(base[lo:hi])} for lo, hi in groups]
+        covered = [{tuple(base[lo:hi])} for lo, hi in gap_rows]
+        moved = [set() for _ in gap_rows]  # the days each gap pastes from a non-base donor
         for row, start, stop, scaled in made:
             assert row in rows
-            g = groups.index([layout.row[start], layout.row[stop - 1] + 1])
-            lo, hi = groups[g]
-            own = np.flatnonzero((layout.row >= lo) & (layout.row < hi))
-            assert (start, stop) == (own[0], own[-1] + 1)
-            assert scaled == [s for s, (first, _) in zip(spans, gap_rows) if lo <= first < hi]
+            k = gap_of[(start, stop)]  # exactly one gap's run
+            assert scaled == [spans[k]]  # that gap alone, scaled once
+            lo, hi = gap_rows[k]
             choice = row[lo:hi]
-            assert choice not in covered[g]  # neither the base choice nor pasted twice
-            covered[g].add(choice)
+            assert choice not in covered[k]  # neither the base choice nor pasted twice
+            covered[k].add(choice)
+            moved[k].update(d for d in range(lo, hi) if row[d] != base[d])
         assert covered == choices
         assert len(made) == sum(len(c) - 1 for c in choices)
-    assert max(len(_day_groups(plan.layout)) for plan, *_ in log) > 2
-    assert max(len(scaled) for made in pieces for *_, scaled in made) >= 2
+        touched = [d for days in moved for d in days]
+        shared += len(touched) - len(set(touched))
+    if crowded:
+        assert shared  # a day two gaps share, pasted off the base for both
 
 
 def test_a_plan_without_days_with_gaps_still_scores():
