@@ -15,12 +15,12 @@ no present value between their neighbours are dropped before the fit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ImputationError, ValidationError
-from .series import PowerSeries, grid_offset, slots_per_day
+from .series import PowerSeries, _with_values, grid_offset, slots_per_day
 
 TREND_KNOT_DAYS = 28
 
@@ -39,10 +39,7 @@ def impute_linear(ps: PowerSeries) -> PowerSeries:
     if not missing.any():
         return ps
     at, idx = np.flatnonzero(~missing), np.flatnonzero(missing)
-    filled = np.array(ps.values)
-    filled[idx] = np.interp(idx, at, ps.values[at])
-    filled.setflags(write=False)
-    return replace(ps, values=filled)
+    return _with_values(ps, idx, np.interp(idx, at, ps.values[at]))
 
 
 def impute_hist_avg(ps: PowerSeries) -> PowerSeries:
@@ -68,10 +65,7 @@ def impute_hist_avg(ps: PowerSeries) -> PowerSeries:
     if empty.any():
         bad = int(missing_slot[empty.argmax()])
         raise ImputationError(f"no present value at weekly slot {bad}")
-    filled = np.array(ps.values)
-    filled[missing_idx] = sums[missing_slot] / missing_count
-    filled.setflags(write=False)
-    return replace(ps, values=filled)
+    return _with_values(ps, missing_idx, sums[missing_slot] / missing_count)
 
 
 @dataclass(frozen=True)
@@ -200,10 +194,7 @@ def impute_seasonal_model(ps: PowerSeries) -> PowerSeries:
     model = fit_seasonal_model(ps)
     idx = np.flatnonzero(missing)
     slot, weekday0 = calendar_columns(ps, idx)
-    filled = np.array(ps.values)
-    filled[idx] = model.predict(idx.astype(float), slot, weekday0)
-    filled.setflags(write=False)
-    return replace(ps, values=filled)
+    return _with_values(ps, idx, model.predict(idx.astype(float), slot, weekday0))
 
 
 # Name -> power fill of every baseline, for the harness and the CLI.  Each

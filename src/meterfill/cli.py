@@ -110,7 +110,8 @@ SETTINGS = {
     "share": Setting(_parse_share, 0.1, "values >= 1 are percentages"),
     "shares": Setting(_parse_share_list, (0.01, 0.02, 0.05, 0.1, 0.2, 0.3),
                       "comma list; values >= 1 are percentages"),
-    "methods": Setting(_parse_methods, metrics.BENCHMARK_METHODS, 'comma list or "all"',
+    "methods": Setting(_parse_methods, metrics.BENCHMARK_METHODS,
+                       'comma list, or "all" for cpi and the baselines',
                        aliases=("--method",)),
     "seed": Setting(int, 0),
     "seeds": Setting(_parse_int_list, (0,), "comma list of evaluation seeds"),

@@ -26,6 +26,7 @@ from .series import (
     MeterKind,
     PowerSeries,
     _missing_runs,
+    _with_values,
     day_partition,
     day_slot,
     detect_gaps,
@@ -115,10 +116,7 @@ def interpolate_singles(es: EnergySeries) -> EnergySeries:
     idx = starts[(stops - starts == 1) & (starts > 0) & (stops < es.n)]
     if not idx.size:
         return es
-    values = np.array(es.values)
-    values[idx] = 0.5 * (values[idx - 1] + values[idx + 1])
-    values.setflags(write=False)
-    return replace(es, values=values)
+    return _with_values(es, idx, 0.5 * (es.values[idx - 1] + es.values[idx + 1]))
 
 
 def fit_weekly_pattern(
@@ -550,10 +548,7 @@ def copy_paste_and_scale(
         GapFill(gap, tuple(pairs[lo:hi]), *_scale_gap(values[a:b], gap, dt, scale))
         for gap, (lo, hi), (a, b) in spans
     )
-    completed = np.array(ps.values)
-    completed[layout.missing] = values
-    completed.setflags(write=False)
-    return replace(ps, values=completed), fills
+    return _with_values(ps, layout.missing, values), fills
 
 
 def complete_from_power(

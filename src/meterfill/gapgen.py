@@ -22,12 +22,12 @@ about sqrt(runs) steps and no numpy call per draw beyond the draw itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleSpecError, ValidationError
-from .series import EnergySeries, _missing_runs, slots_per_day
+from .series import EnergySeries, _missing_runs, _with_values, slots_per_day
 
 DEFAULT_MAX_GAP_DAYS = 3
 PLACEMENT_ATTEMPTS = 20
@@ -220,9 +220,7 @@ def insert_missing(es: EnergySeries, spec: MissingnessSpec) -> tuple[EnergySerie
         )
 
     indices = np.flatnonzero(removed)
-    degraded = np.array(es.values)
-    degraded[indices] = np.nan
-    degraded.setflags(write=False)
-    starts, stops = _missing_runs(degraded)
+    degraded = _with_values(es, indices, np.nan)
+    starts, stops = _missing_runs(degraded.values)
     singles = starts[stops - starts == 1]
-    return replace(es, values=degraded), MissingMask(indices=indices, singles=singles)
+    return degraded, MissingMask(indices=indices, singles=singles)

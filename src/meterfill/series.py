@@ -41,9 +41,10 @@ def _as_values(values) -> np.ndarray:
 
     A float64 array that owns its memory and is already read-only is
     adopted as it is; the package's producers freeze each array they build
-    before wrapping it.  Anything else (a writeable array, a view, a list,
-    another dtype) is copied, so that a later write to the argument never
-    reaches the series.
+    before wrapping it, and ``_with_values`` builds every series that
+    differs from another at some indices.  Anything else (a writeable
+    array, a view, a list, another dtype) is copied, so that a later write
+    to the argument never reaches the series.
     """
     if (
         type(values) is np.ndarray
@@ -60,6 +61,14 @@ def _as_values(values) -> np.ndarray:
         raise ValidationError("series values must be finite or NaN")
     arr.setflags(write=False)
     return arr
+
+
+def _with_values(series: Series, index, values) -> Series:
+    """``series`` with ``values`` written at ``index``; every other field is kept."""
+    out = np.array(series.values)
+    out[index] = values
+    out.setflags(write=False)
+    return replace(series, values=out)
 
 
 @dataclass(frozen=True, eq=False)

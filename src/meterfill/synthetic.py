@@ -76,6 +76,7 @@ def synthetic_series(
     energy = np.empty(n)
     energy[0] = rng.uniform(0.0, 1000.0)
     energy[1:] = energy[0] + np.cumsum(power) * resolution_hours(resolution)
+    energy.setflags(write=False)
     return EnergySeries(start, resolution, energy)
 
 

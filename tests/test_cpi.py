@@ -1335,6 +1335,34 @@ def test_plan_oracle_draws_cover_every_case():
     }
 
 
+def test_the_plan_compiles_day_totals_equal_to_its_estimates():
+    """Within ``plan_cpi``, ``compile_complete_days`` hands back its estimates byte for byte.
+
+    ``estimate_daily_energy`` already gives each complete day its known
+    energy (plus 0.0), so the compile step adds nothing to a plan.  The
+    draws include gaps at either end, whose days keep a NaN estimate.
+    """
+    calls = []
+
+    def watched(days, estimates):
+        given_estimates = estimates.copy()
+        total = compile_complete_days(days, estimates)
+        calls.append((given_estimates, total))
+        return total
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(_plan_inputs(), _plan_inputs(zeros=True)))
+    def collect(es):
+        _outcome(plan_cpi, es)
+
+    with mock.patch.object(cpi, "compile_complete_days", watched):
+        collect()
+    assert len(calls) > 30
+    assert any(np.isnan(estimates).any() for estimates, _ in calls)  # boundary gaps
+    for estimates, total in calls:
+        assert total.tobytes() == estimates.tobytes()
+
+
 @pytest.mark.parametrize("stage", ["too-few", "weekday", "misaligned", "resolution"])
 def test_plan_errors_match_the_oracle(stage):
     es = _weekly_profile_series(weeks=4, noise_seed=4)

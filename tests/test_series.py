@@ -167,6 +167,7 @@ def test_every_producer_returns_read_only_values_of_its_own(monkeypatch):
         ("insert_missing", complete,
          gapgen.insert_missing(complete, gapgen.MissingnessSpec(0.05, seed=1))[0]),
         *((name, degraded_power, fill(degraded_power)) for name, fill in BASELINES.items()),
+        ("synthetic_series", complete, synthetic_series(3, days=3, slots_per_day=24)),
     ]
     parsed = [parse_series(text), parse_series(text.replace("\n", "\r\n"))]
     assert copied == []
