@@ -13,7 +13,7 @@ import calendar
 import math
 from dataclasses import astuple, dataclass, replace
 from datetime import date, timedelta
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -689,10 +689,15 @@ def impute_cpi(
     and as a jump at each gap's right anchor in the completed series).
     ``min_complete_days`` is the least number of complete days ``plan_cpi``
     accepts.  The donors are ``match_weights``' pick for ``weights`` on the
-    plan's match table, and ``run_plan`` pastes them.
+    plan's match table, and ``run_plan`` pastes them (``_imputer``).
     """
+    return _imputer(es, weights, min_complete_days)(scale)
+
+
+def _imputer(es: EnergySeries, weights: DissimilarityWeights, min_complete_days: int = 14):
+    """``impute_cpi`` planned and matched once, as a function that pastes for either ``scale``."""
     filled = interpolate_singles(es)
     if not np.isnan(filled.values).any():
-        return ImputationResult(filled, (), energy_to_power(filled))
+        return lambda scale: ImputationResult(filled, (), energy_to_power(filled))
     plan = plan_cpi(filled, min_complete_days)
-    return run_plan(plan, match_weights(plan.table, [astuple(weights)])[0], scale=scale)
+    return partial(run_plan, plan, match_weights(plan.table, [astuple(weights)])[0])

@@ -40,6 +40,7 @@ class MissingnessSpec:
     ``share`` is the fraction of readings to remove, ``single_fraction`` the
     fraction of removals that must be isolated singles.  ``max_gap_len`` is
     in readings; None means three days' worth at the series resolution.
+    ``seed`` seeds the draws and must be non-negative.
     """
 
     share: float
@@ -56,6 +57,8 @@ class MissingnessSpec:
             raise ValidationError(
                 f"single_fraction must be in [0, 1], got {self.single_fraction}"
             )
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -36,8 +36,8 @@ from .cpi import (
     CpiPlan,
     DissimilarityWeights,
     _gather,
+    _imputer,
     _scale_gap,
-    interpolate_singles,
     match_weights,
     plan_cpi,
     run_plan,
@@ -283,19 +283,14 @@ def _evaluate_cell(payload) -> list[ScoreRow]:
     except MeterfillError as exc:
         return [failed(m, exc) for m in methods]
 
-    # Both copy-paste methods paste the donors of one plan and one match,
-    # and each is charged that time.  As in ``impute_cpi``, no plan is built
-    # when interpolating the isolated singles leaves no gap.
-    plan_s, plan = 0.0, None
+    # Both copy-paste methods paste from one plan and match (``_imputer``), each charged its time.
+    plan_s, paste = 0.0, None
     if any(m in CPI_METHODS for m in methods):
         started = time.perf_counter()
         try:
-            filled = interpolate_singles(degraded)
-            if np.isnan(filled.values).any():
-                plan = plan_cpi(filled)
-                donors = match_weights(plan.table, [astuple(weights)])[0]
+            paste = _imputer(degraded, weights)
         except MeterfillError as exc:
-            plan = exc
+            paste = exc
         plan_s = time.perf_counter() - started
 
     rows = []
@@ -303,13 +298,10 @@ def _evaluate_cell(payload) -> list[ScoreRow]:
         started, shared_s = time.perf_counter(), 0.0
         try:
             if method in CPI_METHODS:
-                if isinstance(plan, MeterfillError):
-                    raise plan
+                if isinstance(paste, MeterfillError):
+                    raise paste
                 shared_s = plan_s
-                if plan is None:
-                    imputed = energy_to_power(filled)
-                else:
-                    imputed = run_plan(plan, donors, CPI_METHODS[method]).imputed_power
+                imputed = paste(CPI_METHODS[method]).imputed_power
             else:
                 imputed = BASELINES[method](degraded_power)
             elapsed = time.perf_counter() - started + shared_s
@@ -341,9 +333,9 @@ def evaluate(
     ``parallelism`` must be at least 1.  Cells run in as many worker
     processes, but in no more than there are cells, and in this process
     when that is one.
-    Every share's degradation settings are checked, and an empty or
-    repeating share, seed or method list or an unknown method rejected,
-    before any series is degraded.
+    Every share's and seed's degradation settings are checked, and an
+    empty or repeating share, seed or method list or an unknown method
+    rejected, before any series is degraded.
     """
     if not series_set:
         raise MetricError("evaluation needs at least one series")
@@ -361,7 +353,8 @@ def evaluate(
         if method not in ALL_METHODS:
             raise MetricError(f"unknown method {method!r}")
     for share in shares:
-        MissingnessSpec(share, max_gap_len, single_fraction)
+        for seed in seeds:
+            MissingnessSpec(share, max_gap_len, single_fraction, seed)
     cells = [
         (sid, series, share, seed, i, tuple(methods), weights, max_gap_len,
          single_fraction)
@@ -554,13 +547,14 @@ def grid_search_weights(
     series, not one per assignment.  The aggregate
     over the series is ``_aggregate``'s, as in ``evaluate``.  Ties are
     broken by the smaller weight sum, then lexicographically.  Reversed or
-    negative ranges, an empty grid and bad degradation settings are
-    rejected before any series is degraded.  The calibration set must be
-    disjoint from the evaluation set (caller's responsibility).
+    negative ranges, an empty grid and bad degradation settings (a
+    negative seed among them) are rejected before any series is degraded.
+    The calibration set must be disjoint from the evaluation set (caller's
+    responsibility).
     """
     if not calibration:
         raise MetricError("grid search needs a non-empty calibration set")
-    MissingnessSpec(share, max_gap_len)
+    MissingnessSpec(share, max_gap_len, seed=seed)
     triples = _weight_grid(energy_range, weekday_range, season_range)
     mapes = np.empty((len(triples), len(calibration)))
     for index, (sid, series) in enumerate(calibration):

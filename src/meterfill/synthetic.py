@@ -13,6 +13,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
+from .errors import ValidationError
 from .series import EnergySeries, resolution_hours
 
 DEFAULT_START = datetime(2018, 1, 1)  # a Monday, non-leap year
@@ -25,6 +26,8 @@ def synthetic_series(
     start: datetime = DEFAULT_START,
 ) -> EnergySeries:
     """Generate a complete one-meter energy series (``days * slots_per_day`` readings)."""
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     spd = slots_per_day
     n = days * spd
@@ -82,6 +85,8 @@ def synthetic_series(
 
 def synthetic_suite(count: int, base_seed: int = 0, **kwargs) -> list[tuple[str, EnergySeries]]:
     """A reproducible family of differently shaped synthetic series."""
+    if count < 0:
+        raise ValidationError(f"series count must be non-negative, got {count}")
     return [
         (f"synth-{base_seed + i:03d}", synthetic_series(base_seed + i, **kwargs))
         for i in range(count)

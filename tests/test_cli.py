@@ -575,6 +575,13 @@ def test_os_error_without_a_filename_names_its_cause(
          "monotone_tol must be non-negative, got nan"),
         ("convert --to power --config {conf} {csv} {out}", "monotone_tol = -0.5", None,
          "monotone_tol must be non-negative, got -0.5"),
+        ("insert-gaps --share 10 --seed -1 {csv} {out}", "", None,
+         "seed must be non-negative, got -1"),
+        ("evaluate --seeds -1 {csv}", "", None, "seed must be non-negative, got -1"),
+        ("tune-weights --seed -1 {csv}", "", None, "seed must be non-negative, got -1"),
+        ("evaluate --synthetic 1 --synthetic-seed -1 {csv}", "", None,
+         "seed must be non-negative, got -1"),
+        ("evaluate --synthetic -2 {csv}", "", None, "series count must be non-negative, got -2"),
     ],
     ids=["weights", "weights-two", "config-weights-four", "weights-negative", "methods",
          "methods-one-unknown", "config-methods", "we-no-colon", "config-ws-two-colons",
@@ -585,7 +592,8 @@ def test_os_error_without_a_filename_names_its_cause(
          "missing-to", "missing-share", "shares-nan", "shares-above-one", "tune-share-nan",
          "shares-empty", "seeds-empty", "methods-empty", "shares-repeated",
          "monotone-tol-negative", "monotone-tol-nan",
-         "config-monotone-tol"],
+         "config-monotone-tol", "seed-negative", "seeds-negative", "tune-seed-negative",
+         "synthetic-seed-negative", "synthetic-negative"],
 )
 def test_malformed_values_give_one_error_line(tmp_path, series_csv, args, config, env, named):
     paths = {"csv": series_csv, "out": tmp_path / "out.csv", "conf": tmp_path / "run.conf",

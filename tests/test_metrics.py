@@ -29,7 +29,15 @@ from meterfill import (
 )
 from meterfill import cpi, metrics
 from meterfill.cpi import plan_cpi
-from meterfill.metrics import _cell_seed, format_aggregates_csv, format_report_csv
+from meterfill.metrics import (
+    CPI_METHODS,
+    _cell_seed,
+    _degrade,
+    format_aggregates_csv,
+    format_report_csv,
+    gap_spans,
+    score_method,
+)
 from meterfill.series import Gap, GapArrays, detect_gaps
 
 import score_oracle
@@ -453,7 +461,7 @@ def test_parallelism_below_one_is_an_error(small_suite, parallelism):
     ids=["copy-paste", "baselines"],
 )
 def test_one_cell_plans_once_and_only_for_copy_paste(small_suite, methods, plans):
-    with mock.patch("meterfill.metrics.plan_cpi", wraps=plan_cpi) as planned:
+    with mock.patch("meterfill.cpi.plan_cpi", wraps=plan_cpi) as planned:
         report = evaluate(small_suite[:1], shares=[0.1], methods=methods)
     assert planned.call_count == plans
     assert [r.error for r in report.rows] == [None] * len(methods)
@@ -464,7 +472,7 @@ def test_a_failed_plan_fails_both_copy_paste_rows_with_its_error():
     degraded, _ = insert_missing(series, MissingnessSpec(share=0.3, seed=_cell_seed(0, 0, 0.3)))
     with pytest.raises(ImputationError, match="needs at least 14 complete days") as planning:
         impute_cpi(degraded)
-    with mock.patch("meterfill.metrics.plan_cpi", wraps=plan_cpi) as planned:
+    with mock.patch("meterfill.cpi.plan_cpi", wraps=plan_cpi) as planned:
         report = evaluate([("short", series)], shares=[0.3],
                           methods=["cpi", "linear", "cpi_noscale"])
     assert planned.call_count == 1
@@ -473,11 +481,31 @@ def test_a_failed_plan_fails_both_copy_paste_rows_with_its_error():
 
 def test_a_cell_of_isolated_singles_is_scored_without_a_plan():
     # Ten days are too few to plan, but interpolation alone fills singles.
-    with mock.patch("meterfill.metrics.plan_cpi", wraps=plan_cpi) as planned:
+    with mock.patch("meterfill.cpi.plan_cpi", wraps=plan_cpi) as planned:
         report = evaluate([("short", synthetic_series(9, days=10))], shares=[0.02],
                           methods=["cpi", "cpi_noscale"], single_fraction=1.0)
     assert planned.call_count == 0
     assert [(r.error, r.wape_e) for r in report.rows] == [(None, 0.0), (None, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "days, share, single_fraction",
+    [(365, 0.1, 0.05), (365, 0.3, 0.05), (10, 0.02, 1.0)],
+    ids=["one-year-10", "one-year-30", "singles-only"],
+)
+def test_a_cells_copy_paste_rows_score_impute_cpis_own_imputation(days, share, single_fraction):
+    series, weights = synthetic_series(9, days=days), DissimilarityWeights(3, 2, 7)
+    report = evaluate([("s", series)], shares=[share], methods=["cpi", "cpi_noscale"],
+                      seeds=[5], weights=weights, single_fraction=single_fraction)
+    spec = MissingnessSpec(share, None, single_fraction, _cell_seed(5, 0, share))
+    degraded, actual, _, mask = _degrade(series, spec)
+    spans = gap_spans(detect_gaps(degraded))
+    for row in report.rows:
+        result = impute_cpi(degraded, weights, scale=CPI_METHODS[row.method])
+        assert bool(result.per_gap) == (days > 10)  # the singles-only cell pastes nothing
+        mape, wape = score_method(actual, mask, spans, result.imputed_power)
+        assert (row.error, row.mape_p, row.wape_e, row.skipped_terms) == (
+            None, mape.value, wape, mape.skipped)
 
 
 def test_each_copy_paste_runtime_includes_the_shared_plan(small_suite):
@@ -485,7 +513,7 @@ def test_each_copy_paste_runtime_includes_the_shared_plan(small_suite):
         time.sleep(0.05)
         return plan_cpi(*args)
 
-    with mock.patch("meterfill.metrics.plan_cpi", slow_plan):
+    with mock.patch("meterfill.cpi.plan_cpi", slow_plan):
         report = evaluate(small_suite[:1], shares=[0.1], methods=["cpi", "cpi_noscale"])
     assert [r.error for r in report.rows] == [None, None]
     assert all(r.runtime_s >= 0.05 for r in report.rows)
@@ -865,9 +893,11 @@ def test_bad_weight_grids_fail_before_any_series_is_degraded(grid, error, messag
         ({"methods": ("cpi", "magic", "linear")}, MetricError, "unknown method 'magic'"),
         ({"max_gap_len": 1}, ValidationError, "max_gap_len must be at least 2"),
         ({"single_fraction": 1.5}, ValidationError, "single_fraction must be in"),
+        ({"seeds": (0, -1)}, ValidationError, "seed must be non-negative, got -1"),
     ],
     ids=["nan", "zero", "one", "no-shares", "no-seeds", "no-methods", "repeated-share",
-         "repeated-seed", "repeated-method", "unknown-method", "max-gap-len", "single-fraction"],
+         "repeated-seed", "repeated-method", "unknown-method", "max-gap-len", "single-fraction",
+         "negative-seed"],
 )
 def test_bad_degradation_settings_fail_before_any_series_is_degraded(settings, error, message):
     suite = synthetic_suite(1, base_seed=60, days=42)
@@ -882,8 +912,9 @@ def test_bad_degradation_settings_fail_before_any_series_is_degraded(settings, e
 @pytest.mark.parametrize(
     "settings, message",
     [({"share": float("nan")}, "got nan"), ({"share": 0.0}, "got 0.0"),
-     ({"share": 1.0}, "got 1.0"), ({"max_gap_len": 1}, "max_gap_len must be at least 2")],
-    ids=["nan", "zero", "one", "max-gap-len"],
+     ({"share": 1.0}, "got 1.0"), ({"max_gap_len": 1}, "max_gap_len must be at least 2"),
+     ({"seed": -1}, "seed must be non-negative, got -1")],
+    ids=["nan", "zero", "one", "max-gap-len", "negative-seed"],
 )
 def test_bad_tuning_settings_fail_before_any_series_is_degraded(settings, message):
     suite = synthetic_suite(1, base_seed=60, days=42)
