@@ -30,6 +30,7 @@ from .series import (
     EnergySeries,
     MeterKind,
     ParseConfig,
+    _read_text,
     detect_gaps,
     energy_to_power,
     power_to_energy,
@@ -145,7 +146,7 @@ def _parsed(name: str, text: str, parse):
 
 def _load_config_file(path: str) -> dict[str, str]:
     settings = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path, ValidationError).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

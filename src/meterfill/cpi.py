@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import calendar
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from datetime import date, timedelta
 from functools import cached_property, partial
 
@@ -86,7 +86,7 @@ class ImputationResult:
     completed series agree exactly; it equals ``imputed_power`` except in
     the last slot of each gap anchored on both sides, which meets the
     metered right anchor and so carries the gap's energy miss (rounding
-    level when the imputed power conserves it; where ``complete_from_power``
+    level when the imputed power conserves it; where the energy rebuild
     caps readings at the anchor, the slot before the capped ones carries it).
     """
 
@@ -565,43 +565,22 @@ def complete_from_power(
     cumulated from its left anchor and the right anchor is kept, so the
     gap's last completed power slot absorbs whatever the imputed power
     misses of the metered energy: a rounding-level residual after scaling,
-    a visible jump for a method that does not conserve energy.  On a
-    consumption meter the rebuilt readings of a scaled or uniform fill are
-    capped at the gap's right anchor, so that residual never makes the
-    completed power negative.  The imputed power is kept as given for
-    audits and scores.
+    a visible jump for a method that does not conserve energy.  A scaled or
+    uniform fill conserves its gap's energy only to rounding, so on a
+    consumption meter ``fill_energy_from_power`` caps its rebuilt readings
+    at the gap's right anchor, and that residual never makes the completed
+    power negative; unscaled fills and baselines keep their jump.  The
+    imputed power is kept as given for audits and scores.
     """
-    completed_energy = fill_energy_from_power(energy, imputed.values)
+    capped = ()
     if energy.meter_kind is MeterKind.CONSUMPTION:
-        completed_energy = _cap_at_right_anchors(completed_energy, per_gap)
-    return ImputationResult(completed_energy, per_gap, imputed)
-
-
-def _cap_at_right_anchors(es: EnergySeries, per_gap: tuple[GapFill, ...]) -> EnergySeries:
-    """``es`` with each conserving gap's rebuilt readings capped at its right anchor.
-
-    A scaled or uniform fill conserves its gap's metered energy only to
-    rounding, so the last reading cumulated from the left anchor can land
-    an ulp above the right one, and a consumption meter's completed power
-    would then dip below zero there.  Capping keeps non-decreasing readings
-    non-decreasing.  Unscaled fills and baselines keep their jump.
-    """
-    gaps = [
-        fill.gap
-        for fill in per_gap
-        if fill.anchored
-        and (fill.fallback == "uniform" or (fill.scale is not None and fill.fallback is None))
-    ]
-    last = np.array([gap.last_missing for gap in gaps], dtype=np.int64)
-    over = np.flatnonzero(es.values[last] > np.array([gap.anchor_after for gap in gaps]))
-    if over.size == 0:
-        return es
-    values = np.array(es.values)
-    for k in over.tolist():
-        run = values[gaps[k].first_missing + 1 : gaps[k].last_missing + 1]
-        np.minimum(run, gaps[k].anchor_after, out=run)
-    values.setflags(write=False)
-    return replace(es, values=values)
+        capped = np.array([
+            fill.gap.first_missing + 1  # the gap's first missing reading
+            for fill in per_gap
+            if fill.anchored
+            and (fill.fallback == "uniform" or (fill.scale is not None and fill.fallback is None))
+        ], dtype=np.int64)
+    return ImputationResult(fill_energy_from_power(energy, imputed.values, capped), per_gap, imputed)
 
 
 @dataclass(frozen=True)

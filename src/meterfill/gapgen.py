@@ -39,7 +39,8 @@ class MissingnessSpec:
 
     ``share`` is the fraction of readings to remove, ``single_fraction`` the
     fraction of removals that must be isolated singles.  ``max_gap_len`` is
-    in readings; None means three days' worth at the series resolution.
+    in readings, at least 2 and below 2**63 (numpy draws the lengths in
+    int64); None means three days' worth at the series resolution.
     ``seed`` seeds the draws and must be non-negative.
     """
 
@@ -53,6 +54,8 @@ class MissingnessSpec:
             raise ValidationError(f"share must be in (0, 1), got {self.share}")
         if self.max_gap_len is not None and self.max_gap_len < 2:
             raise ValidationError(f"max_gap_len must be at least 2, got {self.max_gap_len}")
+        if self.max_gap_len is not None and self.max_gap_len >= 2**63:
+            raise ValidationError(f"max_gap_len must be below 2**63, got {self.max_gap_len}")
         if not 0.0 <= self.single_fraction <= 1.0:
             raise ValidationError(
                 f"single_fraction must be in [0, 1], got {self.single_fraction}"

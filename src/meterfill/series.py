@@ -384,7 +384,9 @@ def day_partition(series: Series, power: PowerSeries | None = None) -> DayTable:
     )
 
 
-def fill_energy_from_power(es: EnergySeries, power_values: np.ndarray) -> EnergySeries:
+def fill_energy_from_power(
+    es: EnergySeries, power_values: np.ndarray, capped: np.ndarray | tuple = ()
+) -> EnergySeries:
     """Rebuild a complete energy series from imputed power values.
 
     Originally present readings are kept bit-for-bit; each missing run is
@@ -392,9 +394,11 @@ def fill_energy_from_power(es: EnergySeries, power_values: np.ndarray) -> Energy
     run at the series start).  For a run anchored on both sides the gap's
     last power value is not used: the right anchor stays as metered, so the
     power re-derived from the result carries in that slot whatever the
-    imputed power misses of the metered gap energy.  The result skips
-    monotonicity re-validation: imputed power from non-conserving methods
-    may dip below a prior reading.
+    imputed power misses of the metered gap energy.  ``capped`` lists the
+    first missing reading of runs anchored on both sides whose rebuilt
+    readings are capped at the right anchor when the last of them lands
+    above it.  The result skips monotonicity re-validation: imputed power
+    from non-conserving methods may dip below a prior reading.
     """
     power_values = np.asarray(power_values, dtype=np.float64)
     if power_values.shape != (es.n - 1,):
@@ -405,12 +409,15 @@ def fill_energy_from_power(es: EnergySeries, power_values: np.ndarray) -> Energy
         raise ImputationError("power values must be complete to rebuild energy")
     dt = resolution_hours(es.resolution)
     filled = np.array(es.values)
+    capped = set(np.asarray(capped, dtype=np.int64).tolist())
     for lo, stop in zip(*(edge.tolist() for edge in _missing_runs(es.values))):
         run = filled[lo:stop]
         if lo > 0:  # base + cumsum(power) * dt, computed in place
             power_values[lo - 1 : stop - 1].cumsum(out=run)
             run *= dt
             run += es.values[lo - 1]
+            if lo in capped and run[-1] > es.values[stop]:
+                np.minimum(run, es.values[stop], out=run)
         else:
             run[:] = es.values[stop] - np.cumsum(power_values[lo:stop][::-1] * dt)[::-1]
     filled.setflags(write=False)
@@ -656,17 +663,21 @@ def format_series(series: Series, file: TextIO | None = None) -> str | None:
     return "".join(blocks) if file is None else None
 
 
-def read_series(path, config: ParseConfig = ParseConfig()) -> Series:
-    """``parse_series`` of a UTF-8 file, read with universal newlines (CRLF becomes ``\\n``)."""
+def _read_text(path, error: type[Exception] = ParseError) -> str:
+    """The text of a UTF-8 file; a byte that is not UTF-8 raises ``error`` naming its offset."""
     with open(path, "r", encoding="utf-8") as f:
         try:
-            text = f.read()
+            return f.read()
         except UnicodeDecodeError as exc:
-            raise ParseError(
+            raise error(
                 f"{path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} "
                 f"at offset {exc.start}"
             ) from None
-    return parse_series(text, config)
+
+
+def read_series(path, config: ParseConfig = ParseConfig()) -> Series:
+    """``parse_series`` of a UTF-8 file, read with universal newlines (CRLF becomes ``\\n``)."""
+    return parse_series(_read_text(path), config)
 
 
 def write_series(path, series: Series) -> None:

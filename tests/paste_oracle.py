@@ -2,10 +2,12 @@
 
 The package lays a series out once (``meterfill.cpi.paste_layout``, held by
 each plan) and reuses it for every donor assignment; its energy rebuild
-finds the runs of missing readings with numpy.  These are the earlier
-bodies: each call finds the missing slots, their days and every gap's days
-again, and the rebuild walks the ``Gap`` records of ``detect_gaps``.  The
-tests require the two to give bit-identical results and the same errors.
+finds the runs of missing readings with numpy and caps the conserving ones
+as it cumulates them.  These are the earlier bodies: each call finds the
+missing slots, their days and every gap's days again, the rebuild walks the
+``Gap`` records of ``detect_gaps``, and the cap walks the audit records
+after it.  The tests require the two to give bit-identical results and the
+same errors.
 """
 
 from datetime import timedelta
@@ -17,6 +19,7 @@ from meterfill import (
     GapFill,
     ImputationError,
     ImputationResult,
+    MeterKind,
     PowerSeries,
     ValidationError,
 )
@@ -77,7 +80,34 @@ def copy_paste_and_scale(ps, gaps, matches, energy, scale=True):
 
 
 def complete_from_power(energy, imputed, per_gap):
-    return ImputationResult(fill_energy_from_power(energy, imputed.values), per_gap, imputed)
+    completed = fill_energy_from_power(energy, imputed.values)
+    if energy.meter_kind is MeterKind.CONSUMPTION:
+        completed = cap_at_right_anchors(completed, per_gap)
+    return ImputationResult(completed, per_gap, imputed)
+
+
+def cap_at_right_anchors(es, per_gap):
+    """``es`` with each conserving gap's rebuilt readings capped at its right anchor.
+
+    A scaled or uniform fill conserves its gap's energy only to rounding;
+    where its last rebuilt reading lands above the right anchor, every
+    reading of the gap is capped there.  Unscaled fills and fills without
+    a scale (baselines, boundary gaps) keep their readings.
+    """
+    values = np.array(es.values)
+    for fill in per_gap:
+        gap = fill.gap
+        conserving = fill.fallback == "uniform" or (fill.scale is not None and fill.fallback is None)
+        if gap.anchored and conserving and values[gap.last_missing] > gap.anchor_after:
+            run = slice(gap.first_missing + 1, gap.last_missing + 1)
+            values[run] = np.minimum(values[run], gap.anchor_after)
+    return EnergySeries(
+        start=es.start,
+        resolution=es.resolution,
+        values=values,
+        meter_kind=es.meter_kind,
+        monotone_tol=float("inf"),
+    )
 
 
 def fill_energy_from_power(es, power_values):

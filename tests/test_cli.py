@@ -582,6 +582,10 @@ def test_os_error_without_a_filename_names_its_cause(
         ("evaluate --synthetic 1 --synthetic-seed -1 {csv}", "", None,
          "seed must be non-negative, got -1"),
         ("evaluate --synthetic -2 {csv}", "", None, "series count must be non-negative, got -2"),
+        ("insert-gaps --share 10 --max-gap-len 99999999999999999999 {csv} {out}", "", None,
+         "max_gap_len must be below 2**63, got 99999999999999999999"),
+        ("evaluate --max-gap-len 9223372036854775808 {csv}", "", None,
+         "max_gap_len must be below 2**63, got 9223372036854775808"),
     ],
     ids=["weights", "weights-two", "config-weights-four", "weights-negative", "methods",
          "methods-one-unknown", "config-methods", "we-no-colon", "config-ws-two-colons",
@@ -593,7 +597,8 @@ def test_os_error_without_a_filename_names_its_cause(
          "shares-empty", "seeds-empty", "methods-empty", "shares-repeated",
          "monotone-tol-negative", "monotone-tol-nan",
          "config-monotone-tol", "seed-negative", "seeds-negative", "tune-seed-negative",
-         "synthetic-seed-negative", "synthetic-negative"],
+         "synthetic-seed-negative", "synthetic-negative", "max-gap-len-huge",
+         "evaluate-max-gap-len-huge"],
 )
 def test_malformed_values_give_one_error_line(tmp_path, series_csv, args, config, env, named):
     paths = {"csv": series_csv, "out": tmp_path / "out.csv", "conf": tmp_path / "run.conf",
@@ -691,13 +696,16 @@ def _bad_setting(draw):
     """A command with one bad flag value or config entry: (argv, config, named)."""
     command, key = draw(st.sampled_from(_PARSED))
     garbage = draw(_GARBAGE)
-    where = draw(st.sampled_from(["flag", "config", "unknown key", "list"]))
+    where = draw(st.sampled_from(["flag", "config", "unknown key", "list", "bytes"]))
     required = [f for f in _REQUIRED.get(command, []) if not f.startswith(cli._flag(key) + "=")]
     argv = [command, *required]
     if where == "flag":
         return [*argv, f"{cli._flag(key)}={garbage}"], "", repr(garbage)
     if where == "config":
         return argv, f"{key} = {garbage}", repr(garbage)
+    if where == "bytes":  # the surrogate is written as the byte 0xff
+        entry = f"{key} = {garbage}"
+        return argv, entry + "\udcff", f"not UTF-8 text: byte 0xff at offset {len(entry)}"
     if where == "unknown key":
         return argv, f"{garbage} = 1", f"unknown config key {garbage!r}"
     flag, named = draw(st.sampled_from(_BAD_LISTS))
@@ -719,7 +727,7 @@ def test_bad_input_is_one_error_line_and_exit_1(tmp_path_factory, case):
         csv.write_bytes(content)
     else:
         write_series(csv, synthetic_series(1, days=2, slots_per_day=24))
-        conf.write_text(content + "\n")
+        conf.write_text(content + "\n", errors="surrogateescape")
         argv = [*argv, f"--config={conf}"]
     err, cwd = io.StringIO(), os.getcwd()
     os.chdir(tmp)  # where a command that wrongly succeeds writes its default outputs

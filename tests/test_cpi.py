@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from meterfill import (
     DissimilarityWeights,
     EnergySeries,
+    GapFill,
     ImputationError,
     MeterfillError,
     MeterKind,
@@ -1088,6 +1089,90 @@ def test_paste_oracle_draws_cover_every_case():
         "uniform", "unscaled", None, "leading", "trailing", "long", "scaled",
         "no", "matched complete", "matched",
     }
+
+
+# The (scale, fallback) of each kind of fill: scaled (by 0.8, or by 1.0
+# where pasted and metered energy are both zero), uniform, unscaled, and
+# without a scale (a baseline's fill, or any boundary gap).
+_FILL_LABELS = [(0.8, None), (1.0, None), (None, "uniform"), (1.0, "unscaled"), (None, None)]
+
+
+@st.composite
+def _cap_inputs(draw):
+    """Readings with gaps, the power imputed into them, and a labelled fill per gap.
+
+    Each right anchor is set against the reading that the rebuild
+    cumulates up to it from the left anchor: far or one ulp below it (so
+    the rebuild lands above the anchor), equal to it, or one ulp or far
+    above it, so the readings skip the monotonicity check.  Any gap,
+    boundary gaps too, takes any label.  A consumption meter's power is
+    non-negative with runs of 0 kW; a generation meter's takes either sign.
+    """
+    resolution = draw(st.sampled_from([timedelta(minutes=5), QUARTER_HOUR, HOUR]))
+    dt = resolution / HOUR
+    kind = draw(st.sampled_from(list(MeterKind)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(3, 100))
+    power = rng.choice([0.0, 0.5, 3.0], size=n - 1) * rng.random(n - 1)
+    if kind is MeterKind.GENERATION:
+        power -= rng.random(n - 1)
+    missing = np.zeros(n, dtype=bool)
+    for first in rng.integers(0, n, size=rng.integers(1, 13)).tolist():
+        missing[first : first + rng.integers(1, 6)] = True
+    if missing.all():
+        missing[n // 2] = False
+
+    values = np.full(n, np.nan)
+    prev = None  # the last present reading so far
+    for i in np.flatnonzero(~missing).tolist():
+        if prev is None or prev == i - 1:
+            values[i] = 100.0 if prev is None else values[prev] + power[prev] * dt
+        else:
+            rebuilt = values[prev] + np.cumsum(power[prev : i - 1])[-1] * dt
+            values[i] = rng.choice([
+                rebuilt - rng.uniform(0.01, 1.0), np.nextafter(rebuilt, -np.inf), rebuilt,
+                np.nextafter(rebuilt, np.inf), rebuilt + rng.uniform(0.01, 1.0),
+            ])
+        prev = i
+    es = EnergySeries(start=datetime(2020, 2, 28, 22), resolution=resolution, values=values,
+                      meter_kind=kind, monotone_tol=float("inf"))
+    labels = rng.integers(len(_FILL_LABELS), size=n)
+    per_gap = tuple(
+        GapFill(gap, (), *_FILL_LABELS[k]) for gap, k in zip(detect_gaps(es).records, labels)
+    )
+    return es, PowerSeries(es.start, resolution, power), per_gap
+
+
+def test_the_energy_rebuild_caps_gaps_as_the_oracle_does():
+    """``complete_from_power`` equals the oracle's rebuild and separate cap bit for bit.
+
+    The draws must reach, on both meter kinds and for every label, an
+    anchored gap whose rebuilt last reading lands one ulp and far above
+    its right anchor, and a leading and a trailing gap.
+    """
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_cap_inputs())
+    def compare(inputs):
+        es, imputed, per_gap = inputs
+        want = paste_oracle.complete_from_power(es, imputed, per_gap)
+        _assert_same_outcome(complete_from_power(es, imputed, per_gap), want)
+        rebuilt = paste_oracle.fill_energy_from_power(es, imputed.values).values
+        for fill in per_gap:
+            gap, label = fill.gap, (fill.scale, fill.fallback)
+            if not gap.anchored:
+                seen.add(("leading" if gap.anchor_before is None else "trailing", label))
+            elif rebuilt[gap.last_missing] == np.nextafter(gap.anchor_after, np.inf):
+                seen.add((es.meter_kind, label, "ulp"))
+            elif rebuilt[gap.last_missing] > gap.anchor_after:
+                seen.add((es.meter_kind, label, "far"))
+
+    compare()
+    want = {(kind, label, over) for kind in MeterKind for label in _FILL_LABELS
+            for over in ("ulp", "far")}
+    want |= {(end, label) for end in ("leading", "trailing") for label in _FILL_LABELS}
+    assert seen >= want, want - seen
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -180,6 +180,10 @@ def test_spec_validation():
         MissingnessSpec(share=0.1, max_gap_len=1)
     with pytest.raises(ValidationError):
         MissingnessSpec(share=0.1, single_fraction=1.5)
+    with pytest.raises(ValidationError, match="below 2"):
+        MissingnessSpec(share=0.1, max_gap_len=2**63)
+    # The largest length numpy can draw in int64 still draws a mask.
+    insert_missing(complete_series(200), MissingnessSpec(share=0.1, max_gap_len=2**63 - 1))
 
 
 # ---------------------------------------------------------------------------
