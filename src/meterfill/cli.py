@@ -145,8 +145,10 @@ def _parsed(name: str, text: str, parse):
 
 
 def _load_config_file(path: str) -> dict[str, str]:
+    """The ``key = value`` settings of a UTF-8 config file, less one leading byte-order mark."""
     settings = {}
-    for lineno, raw in enumerate(_read_text(path, ValidationError).splitlines(), 1):
+    text = _read_text(path, ValidationError).removeprefix("\ufeff")
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -450,66 +450,101 @@ def paste_layout(ps: PowerSeries, gaps: GapArrays) -> PasteLayout:
     )
 
 
+def _piece_slots(layout: PasteLayout, gap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in ``layout.missing`` of pieces of gaps, and each position's piece.
+
+    Piece j is gap ``gap[j]``'s run of missing slots; the runs are laid
+    out piece after piece.
+    """
+    runs = layout.gap_slots[gap]
+    length = runs[:, 1] - runs[:, 0]
+    offset = np.cumsum(length) - length
+    piece = np.repeat(np.arange(len(runs)), length)
+    return np.repeat(runs[:, 0] - offset, length) + np.arange(piece.size), piece
+
+
 def _gather(
     ps: PowerSeries,
     layout: PasteLayout,
     donors: np.ndarray,
-    start: int = 0,
-    stop: int | None = None,
+    gap: np.ndarray | None = None,
+    row: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The donor values of the missing power slots ``layout.missing[start:stop]``.
+    """The donor values of pieces of the missing power slots, piece after piece.
 
-    ``donors[i]`` is the day-table row of the donor of ``layout.days[i]``.
-    Each slot copies the same within-day slot of its day's donor, a
-    whole-day shift of its index, all in one fancy index.  The earliest day
-    of the run with a slot that its donor does not cover, or covers with a
-    missing value, raises.
+    ``donors[r, i]`` is the day-table row of the donor of ``layout.days[i]``
+    in donor row r.  Piece j is gap ``gap[j]``'s run of ``layout.missing``
+    (its ``gap_slots``) pasted from ``donors[row[j]]``; by default there
+    is one piece, every missing slot pasted from ``donors[0]``.  Each slot
+    copies the same within-day slot of its day's donor, a whole-day shift
+    of its index, and all pieces are gathered in one fancy index.  The
+    first piece with a slot that its donor does not cover, or covers with a
+    missing value, raises, naming its earliest such day.
     """
+    spd = slots_per_day(ps.resolution)
     # A row outside the series' days covers none of its day's slots.  The
     # rows are clipped to [-1, n] before the index arithmetic, which could
     # overflow on them; both bounds lie outside the days too.
-    rows = np.maximum(donors.astype(np.int64), -1)
-    shift = np.minimum(rows, ps.n, out=rows) - layout.days
-    row = layout.row[start:stop]
-    src = layout.missing[start:stop] + shift[row] * slots_per_day(ps.resolution)
+    if gap is None:  # one piece: the shifts are taken per day, then spread to the slots
+        day, row = layout.row, (0,)
+        piece = np.zeros(day.size, dtype=np.int64)
+        donor = np.maximum(donors[0].astype(np.int64), -1)
+        shift = (np.minimum(donor, ps.n, out=donor) - layout.days)[day]
+        src = layout.missing + shift * spd
+    else:
+        position, piece = _piece_slots(layout, gap)
+        day = layout.row[position]
+        donor = np.maximum(donors[row[piece], day].astype(np.int64), -1)
+        shift = np.minimum(donor, ps.n, out=donor) - layout.days[day]
+        src = layout.missing[position] + shift * spd
     inside = (src >= 0) & (src < ps.n)
     values = ps.values.take(src, mode="clip")
     bad = ~inside | np.isnan(values)
     if bad.any():
-        k = row[bad.argmax()]  # the earliest day with a slot it cannot fill
+        first = bad.argmax()  # in the first piece with a slot it cannot fill, its earliest day
+        k, j = day[first], piece[first]
         ordinal = ps.start.date().toordinal()
-        day = date.fromordinal(ordinal + int(layout.days[k]))
-        donor = ordinal + int(donors[k])  # named by its row where no date holds it
-        donor = date.fromordinal(donor) if 1 <= donor <= _MAX_ORDINAL else f"at row {donors[k]}"
-        if not inside[row == k].all():
-            raise ImputationError(f"matched day {donor} does not cover all slots needed by {day}")
+        when = date.fromordinal(ordinal + int(layout.days[k]))
+        raw = donors[row[j], k]
+        donor = ordinal + int(raw)  # named by its row where no date holds it
+        donor = date.fromordinal(donor) if 1 <= donor <= _MAX_ORDINAL else f"at row {raw}"
+        if not inside[(day == k) & (piece == j)].all():
+            raise ImputationError(f"matched day {donor} does not cover all slots needed by {when}")
         raise ImputationError(f"matched day {donor} is not complete")
     return values
 
 
 def _scale_gap(
-    values: np.ndarray, gap: Gap, dt: float, scale: bool = True
-) -> tuple[float | None, str | None]:
-    """Scale one gap's pasted power ``values`` in place; return its ``GapFill`` scale, fallback.
+    values: np.ndarray, gaps: GapArrays, dt: float, gap: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scale pasted gaps in place; return each one's factor and whether it fell back.
 
-    An anchored gap is multiplied by the ratio of its metered energy to its
-    pasted energy; if the pasted energy is zero or of opposite sign, the
-    gap falls back to a uniform fill.  Unanchored gaps, and every gap when
-    ``scale`` is off, keep the pasted values.  ``dt`` is the resolution in
-    hours.
+    ``values`` holds pieces back to back, piece j a paste of gap ``gap[j]``
+    of the table ``gaps`` (by default every gap, in order).  An anchored
+    piece is multiplied by the ratio of its gap's metered energy to its
+    pasted energy, the sum of its own slice times ``dt``, the resolution in
+    hours; if the pasted energy is zero or of opposite sign, it falls back
+    to a uniform fill.  Unanchored pieces keep the pasted values.  The
+    factor is NaN where none was applied: on unanchored and uniform pieces.
     """
-    if not gap.anchored:
-        return None, None
-    if not scale:
-        return 1.0, "unscaled"
-    actual = gap.actual_energy
-    pasted = float(values.sum() * dt)
-    if (pasted == 0.0 and actual != 0.0) or pasted * actual < 0.0:
-        values[:] = actual / (gap.length * dt)
-        return None, "uniform"
-    factor = actual / pasted if pasted != 0.0 else 1.0
-    values *= factor
-    return factor, None
+    if gap is not None:
+        gaps = GapArrays(*(column[gap] for column in gaps))
+    actual = gaps.actual_energy
+    length = gaps.last_missing - gaps.first_missing + 1
+    stop = np.cumsum(length).tolist()
+    pasted = np.array([values[a:b].sum() for a, b in zip([0, *stop], stop)])
+    pasted *= dt
+    # The same tests and quotients as on Python floats, where inf and NaN pass silently.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        uniform = gaps.anchored & (((pasted == 0.0) & (actual != 0.0)) | (pasted * actual < 0.0))
+        factor = np.where(pasted != 0.0, actual / pasted, 1.0)
+        fill = actual[uniform] / (length[uniform] * dt) if uniform.any() else None
+    unscaled = uniform | ~gaps.anchored
+    values *= np.repeat(np.where(unscaled, 1.0, factor), length)
+    if fill is not None:
+        values[np.repeat(uniform, length)] = np.repeat(fill, length[uniform])
+    factor[unscaled] = np.nan
+    return factor, uniform
 
 
 def copy_paste_and_scale(
@@ -522,11 +557,15 @@ def copy_paste_and_scale(
 
     ``donors[i]`` is the day-table row of the donor of ``layout.days[i]``.
     Every missing power value is copied from the same within-day slot of
-    its day's donor, a whole-day shift of its index (``_gather``).  Each
-    gap is then scaled on its own (``_scale_gap``): an anchored gap is
-    multiplied by the ratio of its metered energy to its pasted energy; if
-    the pasted energy is zero or of opposite sign, the gap falls back to a
-    uniform fill.  Unanchored gaps are pasted without scaling and flagged.
+    its day's donor, a whole-day shift of its index (``_gather``, with one
+    piece of every missing slot, so that a bad donor of a day that two
+    gaps share is judged on all of that day's slots).  Each gap is then
+    scaled on its own (``_scale_gap``, one piece per gap): an anchored gap
+    is multiplied by the ratio of its metered energy to its pasted energy;
+    if the pasted energy is zero or of opposite sign, the gap falls back to
+    a uniform fill.  Unanchored gaps are pasted without scaling and
+    flagged.  Without ``scale`` every gap keeps its pasted values and each
+    anchored one is audited as unscaled.
     Returns the pasted (and scaled) power, a result's ``imputed_power``, and
     the per-gap audit; ``complete_from_power`` builds the completed series
     from them.  ``layout`` is the ``paste_layout`` of ``ps`` and its gaps.
@@ -537,16 +576,20 @@ def copy_paste_and_scale(
             f"expected one integer donor row for each of {layout.days.size} days "
             f"with gaps, got shape {donors.shape} of {donors.dtype}"
         )
-    values = _gather(ps, layout, donors)
+    values = _gather(ps, layout, donors[None])
     ordinal = ps.start.date().toordinal()
     pairs = list(zip(*(map(date.fromordinal, (ordinal + r).tolist())
                        for r in (layout.days, donors.astype(np.int64)))))
 
-    dt = resolution_hours(ps.resolution)
-    spans = zip(layout.gaps.records, layout.gap_rows.tolist(), layout.gap_slots.tolist())
+    if scale:
+        factor, uniform = _scale_gap(values, layout.gaps, resolution_hours(ps.resolution))
+        audit = [(None if f != f else f, "uniform" if u else None)
+                 for f, u in zip(factor.tolist(), uniform.tolist())]
+    else:
+        audit = [(1.0, "unscaled") if a else (None, None) for a in layout.gaps.anchored.tolist()]
     fills = tuple(
-        GapFill(gap, tuple(pairs[lo:hi]), *_scale_gap(values[a:b], gap, dt, scale))
-        for gap, (lo, hi), (a, b) in spans
+        GapFill(gap, tuple(pairs[lo:hi]), *pair)
+        for gap, (lo, hi), pair in zip(layout.gaps.records, layout.gap_rows.tolist(), audit)
     )
     return _with_values(ps, layout.missing, values), fills
 

@@ -14,10 +14,11 @@ energy scores a nonzero WAPE.  ``evaluate`` and ``grid_search_weights``
 build each cell with one ``_degrade`` and aggregate over cells with one
 ``_aggregate``; the two report CSVs are written by one ``_format_csv``.
 The tuner does not paste each distinct donor assignment: per series it
-runs ``run_plan`` once, on the first assignment, pastes each other donor
-choice of each gap alone through the copy-paste core, and gathers every
-assignment's imputed power from those (``_covering_scores``), with the
-same scores bit for bit.
+runs ``run_plan`` and ``mape_p`` once, on the first assignment, pastes
+each other donor choice of each gap as a piece through the copy-paste
+core's gather and scale, many pieces to a call, and scores the other
+assignments in blocks, row by row, from those (``_covering_scores``),
+with the same scores bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .cpi import (
     DissimilarityWeights,
     _gather,
     _imputer,
+    _piece_slots,
     _scale_gap,
     match_weights,
     plan_cpi,
@@ -464,6 +466,13 @@ def _weight_grid(
     return triples
 
 
+# Bounds on what the tuner's scorer holds at once: each block of pasted
+# pieces spans at most this many missing slots (a longer piece is a block of
+# its own), and each block of scored assignments this many matrix entries.
+_PIECE_SLOTS = 1 << 15
+_SCORE_ENTRIES = 1 << 16
+
+
 def _covering_scores(
     plan: CpiPlan, actual: PowerSeries, mask: np.ndarray, assignments: np.ndarray
 ) -> np.ndarray:
@@ -481,47 +490,74 @@ def _covering_scores(
     (max C_k x mask) matrix holds choice c of each gap that has one.  Every
     row starts as the ``run_plan`` of the first assignment, which makes
     choice 0 of every gap and fills the interpolated singles outside every
-    gap.  Each other choice is pasted alone through the copy-paste core,
-    ``_gather`` over the gap's missing slots and ``_scale_gap``, and
-    written into its row.  Each assignment's imputed power over the mask is
-    then gathered slot by slot from the row of its gap's choice, and
-    ``mape_p`` scores it against the gathered truth, the same arrays in the
-    same order as the full series give.
+    gap; ``mape_p`` scores that assignment.  Each other choice is a piece,
+    pasted from the first row that makes it: the pieces, in gap and then
+    choice order, are gathered (``_gather``) and scaled (``_scale_gap``)
+    in blocks of at most ``_PIECE_SLOTS`` slots, so a bad donor raises from
+    the piece and day that pasting them one by one would reach first.  The
+    other assignments are scored in blocks of at most ``_SCORE_ENTRIES``
+    entries: each one's imputed power over the kept slots (truth at least
+    ``ZERO_ACTUAL_THRESHOLD`` in magnitude) is gathered as a row of a
+    matrix from the row of its gap's choice, its error terms are taken as
+    ``mape_p`` takes them, and each row is reduced by its own 1-D
+    ``mean``, which ``mape_p``'s is bit for bit (on a column-major matrix,
+    a 2-D ``mean(axis=1)`` adds in another order).  A scaled piece that
+    came out NaN raises ``mape_p``'s error, after the first score.
     """
     layout = plan.layout
-    spans = layout.gap_slots.tolist()
+    count = len(layout.gap_slots)
     # Each mask slot's gap; the interpolated singles take the extra last
     # column of ``choice``, which is 0 for every row.
     slots = np.searchsorted(mask, layout.missing)  # each missing slot's place in the mask
-    slot_gap = np.full(mask.size, len(spans))
-    slot_gap[slots] = np.repeat(np.arange(len(spans)), np.diff(layout.gap_slots).ravel())
+    slot_gap = np.full(mask.size, count)
+    slot_gap[slots] = np.repeat(np.arange(count), np.diff(layout.gap_slots).ravel())
     # Choice c of gap k is the c-th distinct donor tuple of its days, in
-    # row order; ``holders[k][c]`` is the first row that makes it.
-    choice = np.zeros((len(assignments), len(spans) + 1), dtype=np.int64)
-    holders = []
+    # row order.
+    choice = np.zeros((len(assignments), count + 1), dtype=np.int64)
     for k, (lo, hi) in enumerate(layout.gap_rows.tolist()):
         numbers: dict[bytes, int] = {}
         choice[:, k] = [numbers.setdefault(days.tobytes(), len(numbers))
                         for days in assignments[:, lo:hi]]
-        holders.append(np.unique(choice[:, k], return_index=True)[1])
+    # Each choice c >= 1 is a piece, made by the first row whose number
+    # exceeds those of every row before it; pieces go in gap, then choice, order.
+    new = choice[1:] > np.maximum.accumulate(choice, axis=0)[:-1]
+    gap, holder = np.nonzero(new.T)
+    holder += 1
+    made = choice[holder, gap]
 
-    # Choice c >= 1 of gap k is pasted from the first row that makes it into row c.
-    pastes = np.empty((max(map(len, holders), default=1), mask.size))
-    pastes[:] = run_plan(plan, assignments[0]).imputed_power.values[mask]
-    dt = resolution_hours(plan.power.resolution)
-    for gap, (a, b), rows in zip(layout.gaps.records, spans, holders):
-        for c, row in enumerate(rows[1:].tolist(), 1):
-            piece = _gather(plan.power, layout, assignments[row], a, b)
-            _scale_gap(piece, gap, dt)
-            pastes[c, slots[a:b]] = piece
+    base = run_plan(plan, assignments[0]).imputed_power
+    pastes = np.empty((int(choice.max(initial=0)) + 1, mask.size))
+    pastes[:] = base.values[mask]
+    # Blocks of whole pieces, cut where the slots reach the bound.
+    ends = np.cumsum(np.diff(layout.gap_slots[gap]).ravel())
+    dt, lo, nan = resolution_hours(plan.power.resolution), 0, False
+    while lo < gap.size:
+        reach = (ends[lo - 1] if lo else 0) + _PIECE_SLOTS
+        hi = max(lo + 1, int(np.searchsorted(ends, reach, side="right")))
+        values = _gather(plan.power, layout, assignments, gap[lo:hi], holder[lo:hi])
+        _scale_gap(values, layout.gaps, dt, gap[lo:hi])
+        position, piece = _piece_slots(layout, gap[lo:hi])
+        pastes[made[lo:hi][piece], slots[position]] = values
+        nan = nan or bool(np.isnan(values).any())
+        lo = hi
 
-    index = np.arange(mask.size)
-    truth = PowerSeries(actual.start, actual.resolution, actual.values[mask])
-    return np.array([
-        mape_p(truth, PowerSeries(actual.start, actual.resolution,
-                                  pastes[choice[a, slot_gap], index]), index).value
-        for a in range(len(assignments))
-    ])
+    scores = np.empty(len(assignments))
+    scores[0] = mape_p(actual, base, mask).value
+    if nan:  # a scaled piece that is NaN reaches some assignment's guess
+        raise MetricError("both series must be complete over the mask")
+    truth = actual.values[mask]
+    kept = np.flatnonzero(np.abs(truth) >= ZERO_ACTUAL_THRESHOLD)
+    truth = truth[kept]
+    scale = np.abs(truth)
+    columns = slot_gap[kept]
+    step = max(1, _SCORE_ENTRIES // kept.size)
+    for lo in range(1, len(assignments), step):
+        terms = pastes[choice[lo : lo + step].take(columns, axis=1), kept]  # row-major
+        terms -= truth
+        np.abs(terms, out=terms)
+        terms /= scale
+        scores[lo : lo + step] = [row.mean() for row in terms]
+    return scores
 
 
 def grid_search_weights(
@@ -542,10 +578,11 @@ def grid_search_weights(
     that pick the same donor for every day with gaps give the same
     imputation, and its MAPE is that of all its triples.  The distinct
     assignments are scored by ``_covering_scores``, which runs ``run_plan``
-    once, on the first of them, and pastes each other distinct donor choice
-    of each gap once through the copy-paste core: one completion per
-    series, not one per assignment.  The aggregate
-    over the series is ``_aggregate``'s, as in ``evaluate``.  Ties are
+    and ``mape_p`` once, on the first of them, pastes each other distinct
+    donor choice of each gap once, in bounded blocks of pieces, and scores
+    the rest in bounded blocks of rows: one completion per series, not one
+    per assignment.  The aggregate over the series is ``_aggregate``'s, as
+    in ``evaluate``.  Ties are
     broken by the smaller weight sum, then lexicographically.  Reversed or
     negative ranges, an empty grid and bad degradation settings (a
     negative seed among them) are rejected before any series is degraded.

@@ -10,7 +10,7 @@ after it.  The tests require the two to give bit-identical results and the
 same errors.
 """
 
-from datetime import timedelta
+from datetime import date, timedelta
 
 import numpy as np
 
@@ -137,3 +137,30 @@ def fill_energy_from_power(es, power_values):
         meter_kind=es.meter_kind,
         monotone_tol=float("inf"),
     )
+
+
+def gather_piece(ps, layout, donors, start, stop):
+    """The donor values of the missing slots ``layout.missing[start:stop]``, one piece alone.
+
+    ``donors[i]`` is the day-table row of the donor of ``layout.days[i]``.
+    This is the gather that pasted one gap's donor choice at a time: the
+    earliest day of the run with a slot that its donor does not cover, or
+    covers with a missing value, raises, judged on the run's own slots.
+    """
+    days = layout.row[start:stop]
+    ordinal = ps.start.date().toordinal()
+    src = [int(i) + (int(donors[k]) - int(layout.days[k])) * slots_per_day(ps.resolution)
+           for i, k in zip(layout.missing[start:stop].tolist(), days.tolist())]
+    inside = [0 <= i < ps.n for i in src]
+    values = [ps.values[i] if ok else np.nan for i, ok in zip(src, inside)]
+    for k, ok, value in zip(days.tolist(), inside, values):
+        if ok and not np.isnan(value):
+            continue
+        day = ps.start.date() + timedelta(days=int(layout.days[k]))
+        donor = ordinal + int(donors[k])
+        named = 1 <= donor <= date.max.toordinal()
+        donor = date.fromordinal(donor) if named else f"at row {donors[k]}"
+        if not all(ok for d, ok in zip(days.tolist(), inside) if d == k):
+            raise ImputationError(f"matched day {donor} does not cover all slots needed by {day}")
+        raise ImputationError(f"matched day {donor} is not complete")
+    return np.array(values)

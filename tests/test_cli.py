@@ -751,6 +751,17 @@ def test_config_file_supplies_defaults(tmp_path, series_csv):
     assert out_conf.read_text() == out_flags.read_text()
 
 
+def test_a_config_file_with_a_byte_order_mark_is_read_like_one_without(tmp_path, series_csv):
+    conf = tmp_path / "bom.conf"
+    conf.write_bytes(b"\xef\xbb\xbfseed = 3\n")
+    out_conf, out_flag = tmp_path / "via-config.csv", tmp_path / "via-flag.csv"
+    assert run_cli("insert-gaps", "--share", "10", "--config", conf, series_csv, out_conf) == 0
+    assert run_cli("insert-gaps", "--share", "10", "--seed", "3", series_csv, out_flag) == 0
+    assert out_conf.read_bytes() == out_flag.read_bytes()
+    assert (tmp_path / "via-config.mask.csv").read_bytes() == (
+        tmp_path / "via-flag.mask.csv").read_bytes()
+
+
 def test_flags_override_the_config_file(tmp_path, series_csv):
     conf = tmp_path / "run.conf"
     conf.write_text("share = 10\nseed = 21\n")

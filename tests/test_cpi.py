@@ -64,6 +64,7 @@ from conftest import (
     MONDAY,
     QUARTER_HOUR,
     assert_untouched,
+    day_profile_series,
     energy,
     matched_days,
     plan_donors,
@@ -1606,15 +1607,16 @@ def test_the_covering_scores_are_each_assignments_own_mape():
 
 
 def test_each_gap_gathered_and_scaled_alone_is_the_oracles_slice():
-    """The paste core, run on one gap at a time, gives the oracle's values and audit.
+    """The paste core, run on every gap as a piece of its own, gives the oracle's values and audit.
 
-    Over ``_plan_inputs`` draws, with and without zero-power runs, each
-    gap's donor values are gathered alone (``cpi._gather`` over the gap's
-    own run of ``layout.missing``) and scaled alone (``cpi._scale_gap``),
-    for two weightings and with scaling on and off.  The values must equal
-    the oracle's imputed power over the gap byte for byte, and the factor
-    and fallback those of its ``GapFill``.  The draws must reach boundary
-    gaps, uniform fallbacks, scaled gaps and the unscaled path.
+    Over ``_plan_inputs`` draws, with and without zero-power runs, every
+    gap is pasted from each of two weightings' donor rows as a piece of
+    its own: one ``cpi._gather`` over all the pieces, in gap and then row
+    order, and one ``cpi._scale_gap`` over them.  Each piece's values must
+    equal the oracle's imputed power over the gap byte for byte, scaled
+    and unscaled, and its factor and fallback those of its ``GapFill``.
+    The draws must reach boundary gaps, uniform fallbacks, scaled gaps and
+    the unscaled path.
     """
     seen = set()
 
@@ -1626,24 +1628,95 @@ def test_each_gap_gathered_and_scaled_alone_is_the_oracles_slice():
             return
         layout, dt = plan.layout, resolution_hours(plan.power.resolution)
         first = plan.table.days.first
-        for donors in match_weights(plan.table, [(5, 1, 10), (1, 0, 3)]):
+        donors = match_weights(plan.table, [(5, 1, 10), (1, 0, 3)])
+        gap = np.repeat(np.arange(len(layout.gaps.records)), 2)
+        row = np.tile([0, 1], len(layout.gaps.records))
+        pasted = cpi._gather(plan.power, layout, donors, gap, row)
+        scaled = pasted.copy()
+        factor, uniform = cpi._scale_gap(scaled, layout.gaps, dt, gap)
+        edges = np.cumsum(np.diff(layout.gap_slots[gap]).ravel())[:-1]
+        pieces = {scale: np.split(values, edges) for scale, values in ((True, scaled),
+                                                                        (False, pasted))}
+        for r, row_donors in enumerate(donors):
             matches = {first + timedelta(days=day): first + timedelta(days=donor)
-                       for day, donor in zip(layout.days.tolist(), donors.tolist())}
+                       for day, donor in zip(layout.days.tolist(), row_donors.tolist())}
             for scale in (True, False):
                 want = paste_oracle.copy_paste_and_scale(
                     plan.power, layout.gaps.records, matches, plan.series, scale)
-                spans = zip(layout.gaps.records, layout.gap_slots.tolist(), want.per_gap,
-                            strict=True)
-                for gap, (a, b), fill in spans:
-                    values = cpi._gather(plan.power, layout, donors, a, b)
-                    factor, fallback = cpi._scale_gap(values, gap, dt, scale)
-                    span = want.imputed_power.values[gap.first_missing : gap.last_missing + 1]
-                    assert values.tobytes() == span.tobytes()
-                    assert repr((factor, fallback)) == repr((fill.scale, fill.fallback))
-                    seen.add("boundary gap" if not gap.anchored else fallback or "scaled")
+                for k, (gap_record, fill) in enumerate(zip(layout.gaps.records, want.per_gap,
+                                                           strict=True)):
+                    j = 2 * k + r
+                    span = slice(gap_record.first_missing, gap_record.last_missing + 1)
+                    assert pieces[scale][j].tobytes() == want.imputed_power.values[span].tobytes()
+                    if scale:
+                        f = factor[j].item()
+                        got = (None if f != f else f, "uniform" if uniform[j] else None)
+                    else:  # the values as pasted, which the audit of an anchored gap flags
+                        got = (1.0, "unscaled") if gap_record.anchored else (None, None)
+                    assert repr(got) == repr((fill.scale, fill.fallback))
+                    seen.add("boundary gap" if not gap_record.anchored
+                             else fill.fallback or "scaled")
 
     check()
     assert seen == {"boundary gap", "uniform", "unscaled", "scaled"}
+
+
+def test_a_bad_donor_in_a_piece_raises_the_per_piece_gathers_error():
+    """The tuner's scorer names a bad donor as gathering each piece alone names it.
+
+    ``metrics._covering_scores`` gets a valid first assignment and rows
+    that differ from it on days of some gaps: a donor row before the
+    series, past its end, or where no date lies, or a donor day that lacks
+    the slots a piece needs.  Its error must be, by type and text, the one
+    that ``paste_oracle.gather_piece`` raises on the first bad piece in gap
+    order, then choice order, naming that piece's earliest bad day.
+    """
+    # Sixty days, the last cut off after 15 hours, with gaps over days
+    # 1, 4-5, 10 (two), 20-21, 29 and 59, the last day (hours 2-4).
+    truth = energy(day_profile_series(1.0 + 0.3 * np.sin(np.arange(60))).values[:1432])
+    es = with_missing(truth, [*range(30, 40), *range(100, 130), 243, 244, 259, 260,
+                              *range(500, 510), *range(700, 720), 1419, 1420])
+    plan = plan_cpi(es)
+    layout = plan.layout
+    # Position i is the i-th day with gaps: gaps 1 and 4 span two each, and
+    # gaps 2 and 3 share one, at hours 2-4 and 18-20.
+    assert layout.days.tolist() == [1, 4, 5, 10, 20, 21, 29, 59]
+    assert layout.gap_rows.tolist() == [[0, 1], [1, 3], [3, 4], [3, 4], [4, 6], [6, 7], [7, 8]]
+    actual = energy_to_power(truth)
+    mask = np.flatnonzero(np.isnan(energy_to_power(es).values))
+    base = plan_donors(plan, DEFAULT_WEIGHTS)
+    n_days = len(plan.table.days)
+    own = layout.days  # each day with gaps is missing its own slots
+
+    def changed(**days):
+        row = base.copy()
+        for day, donor in days.items():
+            row[int(day[1:])] = donor
+        return row
+
+    cases = [
+        ([changed(d0=-3)], 1, 0),                            # before the first day
+        ([changed(d6=n_days + 2)], 1, 5),                    # past the last
+        ([changed(d5=10**15)], 1, 4),                        # where no date lies
+        ([changed(d0=own[0])], 1, 0),                        # not complete
+        # Gap order first: gap 1's piece (row 2) before gap 5's (row 1).
+        ([changed(d6=-1), changed(d2=own[2])], 2, 1),
+        # Choice order within a gap: the first row with a bad choice for it.
+        ([changed(d1=own[1]), changed(d2=n_days)], 1, 1),
+        # Within a piece, its earliest bad day, even where a later one is also bad.
+        ([changed(d1=own[1], d2=-40)], 1, 1),
+        ([changed(d1=-40, d2=own[2])], 1, 1),
+        # The cut last day lacks gap 2's hours and ends before gap 3's: gap 2's
+        # piece is judged on its own slots, which the day covers.
+        ([changed(d3=59)], 1, 2),
+    ]
+    for rows, bad, k in cases:
+        assignments = np.array([base, *rows])
+        a, b = layout.gap_slots[k]
+        want = _outcome(paste_oracle.gather_piece, plan.power, layout, assignments[bad], a, b)
+        assert isinstance(want, tuple), rows
+        got = _outcome(metrics._covering_scores, plan, actual, mask, assignments)
+        assert got == want
 
 
 def test_planning_and_matching_four_years_hold_no_full_table():

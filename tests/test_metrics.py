@@ -28,7 +28,7 @@ from meterfill import (
     wape_e,
 )
 from meterfill import cpi, metrics
-from meterfill.cpi import plan_cpi
+from meterfill.cpi import plan_cpi, run_plan
 from meterfill.metrics import (
     CPI_METHODS,
     _cell_seed,
@@ -714,16 +714,94 @@ def test_grid_search_equals_the_per_triple_oracle(
         assert (terms.mean(axis=1) != [np.mean(row) for row in terms]).any()
 
 
-def _recorded_grid_search(suite, grid, pieces=None, **options):
+_ORACLE_CASES = test_grid_search_equals_the_per_triple_oracle.pytestmark[0]
+
+
+@pytest.mark.parametrize(*_ORACLE_CASES.args, **_ORACLE_CASES.kwargs)
+def test_grid_search_in_small_blocks_equals_the_per_triple_oracle(
+    monkeypatch, suite, grid, options, boundary, wide
+):
+    """The oracle cases again, with the tuner's pieces and scores in many small blocks.
+
+    Pieces are pasted in blocks of at most 64 slots, a longer piece alone,
+    and each series' assignments are scored two at a time (blocks of twice
+    its kept slots), so the pieces and scores cross several blocks; the
+    scores and pick must still be the per-triple oracle's, bit for bit.
+    """
+    monkeypatch.setattr(metrics, "_PIECE_SLOTS", 64)
+    blocks, score_blocks = [], []
+
+    def gather(ps, layout, donors, gap, row, gather=metrics._gather):
+        blocks.append(np.diff(layout.gap_slots[gap]).ravel())
+        return gather(ps, layout, donors, gap, row)
+
+    def covering(plan, actual, mask, assignments, scorer=metrics._covering_scores):
+        kept = int((np.abs(actual.values[mask]) >= metrics.ZERO_ACTUAL_THRESHOLD).sum())
+        monkeypatch.setattr(metrics, "_SCORE_ENTRIES", 2 * kept)
+        score_blocks.extend(min(2, len(assignments) - lo) for lo in range(1, len(assignments), 2))
+        return scorer(plan, actual, mask, assignments)
+
+    monkeypatch.setattr(metrics, "_gather", gather)
+    monkeypatch.setattr(metrics, "_covering_scores", covering)
+    test_grid_search_equals_the_per_triple_oracle(monkeypatch, suite, grid, options, boundary,
+                                                  wide)
+    assert len(blocks) > 2 * len(suite) and len(score_blocks) > 2 * len(suite)
+    assert all(lengths.sum() <= 64 or lengths.size == 1 for lengths in blocks)
+    assert any(lengths.size > 1 for lengths in blocks)  # some blocks hold several pieces
+    assert score_blocks.count(2) > len(suite)
+
+
+def test_the_covering_scores_skip_zero_truths_and_reduce_each_row_alone():
+    """Zero truths in the mask are skipped, and each score is its own row's mean, bit for bit.
+
+    One quarter-hourly year at 10 % share, scored against a truth that is
+    zero, or below ``ZERO_ACTUAL_THRESHOLD``, in about one masked slot in
+    seven.  The kept error terms of the assignments, laid out column-major
+    as one (assignment x kept) matrix, have a 2-D ``mean(axis=1)`` that
+    differs from some row's own mean at this width; the scores must equal
+    each assignment's own ``mape_p`` all the same.
+    """
+    degraded, _ = insert_missing(synthetic_series(3), MissingnessSpec(share=0.1, seed=11))
+    plan = plan_cpi(degraded)
+    triples = [(e, w, s) for e in (1, 5, 20) for w in (0, 1, 10) for s in (1, 10, 20)]
+    assignments = np.unique(cpi.match_weights(plan.table, triples), axis=0)
+    mask = np.flatnonzero(np.isnan(metrics.energy_to_power(degraded).values))
+    values = np.array(metrics.energy_to_power(synthetic_series(3)).values)
+    values[mask[::7]] = 0.0
+    values[mask[3::14]] = 0.5 * metrics.ZERO_ACTUAL_THRESHOLD
+    actual = replace(metrics.energy_to_power(synthetic_series(3)), values=values)
+
+    scores = metrics._covering_scores(plan, actual, mask, assignments)
+    imputed = [run_plan(plan, row).imputed_power for row in assignments]
+    want = [mape_p(actual, power, mask) for power in imputed]
+    assert len(assignments) >= 8
+    assert scores.tobytes() == np.array([w.value for w in want]).tobytes()
+    assert {w.skipped for w in want} == {want[0].skipped}
+    assert want[0].skipped >= mask.size // 7
+
+    truth = values[mask]
+    keep = np.abs(truth) >= metrics.ZERO_ACTUAL_THRESHOLD
+    guesses = np.array([power.values[mask] for power in imputed])[:, keep]
+    terms = np.abs(guesses - truth[keep]) / np.abs(truth[keep])
+    assert not terms.flags.c_contiguous
+    assert (terms.mean(axis=1) != [np.mean(row) for row in terms]).any()
+
+
+def _recorded_grid_search(suite, grid, pieces=None, covered=None, **options):
     """``grid_search_weights``' result, and what it planned, matched, pasted and scored.
 
     Each entry of the log is (plan, batch donors, pasted donor rows, the
-    number of ``mape_p`` calls), in series order.  Given a list,
-    ``pieces`` gets one list per series of the scorer's own pastes: the
-    donor row, the run of ``layout.missing`` gathered, and the gaps then
-    scaled, as ``(first_missing, last_missing)`` pairs.
+    number of ``mape_p`` calls), in series order.  Given a list, ``pieces``
+    gets one list per series of the block paste's pieces in paste order:
+    the gap, the donor row, and the values gathered for it.  Every block of
+    pieces is checked to be scaled once, right after it is gathered, and
+    with the same gaps.  Given a list, ``covered`` gets the covering
+    scorer's (actual, mask, assignments, scores) of each series.
     """
-    log, pieces = [], [] if pieces is None else pieces
+    log = []
+    pieces = [] if pieces is None else pieces
+    covered = [] if covered is None else covered
+    blocks = []  # each gathered block's gaps, then whether it was scaled
 
     def plan(series):
         log.append([cpi.plan_cpi(series), None, [], 0])
@@ -740,18 +818,32 @@ def _recorded_grid_search(suite, grid, pieces=None, **options):
         log[-1][2].append(tuple(donors.tolist()))
         return cpi.run_plan(plan, donors)
 
-    def gather(ps, layout, donors, start, stop):
+    def gather(ps, layout, donors, gap, row):
         assert layout is log[-1][0].layout
-        pieces[-1].append((tuple(donors.tolist()), start, stop, []))
-        return cpi._gather(ps, layout, donors, start, stop)
+        assert not blocks or blocks[-1][1]  # the block before was scaled
+        values = cpi._gather(ps, layout, donors, gap, row)
+        lengths = np.diff(layout.gap_slots[gap]).ravel()
+        assert values.size == lengths.sum()
+        for k, r, piece in zip(gap.tolist(), row.tolist(),
+                               np.split(values, np.cumsum(lengths)[:-1])):
+            pieces[-1].append((k, tuple(donors[r].tolist()), piece.copy()))
+        blocks.append([gap.tolist(), False])
+        return values
 
-    def scale_gap(values, gap, dt):
-        pieces[-1][-1][3].append((gap.first_missing, gap.last_missing))
-        return cpi._scale_gap(values, gap, dt)
+    def scale_gap(values, gaps, dt, gap):
+        assert gaps is log[-1][0].layout.gaps
+        assert blocks[-1] == [gap.tolist(), False]  # the block just gathered, once
+        blocks[-1][1] = True
+        return cpi._scale_gap(values, gaps, dt, gap)
 
     def score(*args):
         log[-1][3] += 1
         return mape_p(*args)
+
+    def covering(plan, actual, mask, assignments, scorer=metrics._covering_scores):
+        scores = scorer(plan, actual, mask, assignments)
+        covered.append((actual, mask, assignments, scores))
+        return scores
 
     with (
         mock.patch.object(metrics, "plan_cpi", plan),
@@ -760,25 +852,34 @@ def _recorded_grid_search(suite, grid, pieces=None, **options):
         mock.patch.object(metrics, "mape_p", score),
         mock.patch.object(metrics, "_gather", gather),
         mock.patch.object(metrics, "_scale_gap", scale_gap),
+        mock.patch.object(metrics, "_covering_scores", covering),
     ):
         result = grid_search_weights(suite, *grid, **options)
+    assert all(scaled for _, scaled in blocks)
     return result, log
 
 
 def test_grid_search_scores_each_distinct_assignment_once_per_series():
-    """One full paste per series, of the first assignment; the rest are pieces, none twice."""
+    """One full paste and one ``mape_p`` per series; each distinct assignment has its own MAPE."""
     suite = synthetic_suite(2, base_seed=95, days=42, slots_per_day=24)
-    pieces = []
-    result, log = _recorded_grid_search(suite, ((1, 3), (0, 2), (1, 3)), pieces, share=0.1,
-                                        seed=4)
+    pieces, covered = [], []
+    result, log = _recorded_grid_search(suite, ((1, 3), (0, 2), (1, 3)), pieces, covered,
+                                        share=0.1, seed=4)
     assert len(result.scores) == 27
-    assert len(log) == len(pieces) == 2
-    for (plan, donors, pasted, scored), made in zip(log, pieces):
+    assert len(log) == len(pieces) == len(covered) == 2
+    for (plan, donors, pasted, scored), made, (actual, mask, assignments, scores) in zip(
+        log, pieces, covered
+    ):
         distinct = {row.tobytes() for row in donors}
-        assert scored == len(distinct)
+        assert scored == 1
         assert pasted == [tuple(donors[0].tolist())]  # the first distinct assignment
+        assert {row.tobytes() for row in assignments} == distinct
+        assert len(assignments) == len(distinct) > 1
+        for row, score in zip(assignments, scores.tolist()):
+            own = run_plan(plan, row).imputed_power
+            assert score == mape_p(actual, own, mask).value
         assert 0 < len(made)
-        assert len({(row, start) for row, start, *_ in made}) == len(made)
+        assert len({(k, row) for k, row, _ in made}) == len(made)
 
 
 @pytest.mark.parametrize(
@@ -796,35 +897,39 @@ def test_grid_search_scores_each_distinct_assignment_once_per_series():
 def test_the_tuner_pastes_each_other_gap_choice_once_alone(
     monkeypatch, suite, grid, options, boundary, crowded
 ):
-    """One base paste, then each other donor choice of each gap pasted once, alone.
+    """One base paste, then each other donor choice of each gap pasted once, as a piece.
 
     A gap's choices are the distinct donor tuples that the batch match
     gives its days.  The first assignment's ``run_plan`` holds choice 0 of
-    every gap.  Each other choice is gathered over exactly its gap's run of
-    missing slots, from a batch row that makes it, and that gap alone is
-    then scaled, once.  The pieces and the base together make every choice
-    of every gap.  Where ``crowded``, some day that two gaps share is
-    pasted for each of them from a donor other than the base's.
+    every gap, and ``mape_p`` is called once per series.  Each other choice
+    is a piece of the block paste: gathered over exactly its gap's run of
+    missing slots, from a batch row that makes it, and scaled once with its
+    block.  The pieces and the base together make every choice of every
+    gap.  Where ``crowded``, some day that two gaps share is pasted for
+    each of them from a donor other than the base's.
     """
     if boundary:
         monkeypatch.setattr(metrics, "insert_missing", _with_boundary_gaps)
     pieces, shared = [], 0
     _, log = _recorded_grid_search(suite, grid, pieces, **options)
-    for (plan, donors, pasted, _), made in zip(log, pieces, strict=True):
+    for (plan, donors, pasted, scored), made in zip(log, pieces, strict=True):
         layout = plan.layout
         gap_rows = layout.gap_rows.tolist()
-        gap_of = {tuple(run): k for k, run in enumerate(layout.gap_slots.tolist())}
-        spans = list(zip(layout.gaps.first_missing.tolist(), layout.gaps.last_missing.tolist()))
+        spd = timedelta(days=1) // plan.power.resolution
         choices = [{tuple(row[lo:hi]) for row in donors.tolist()} for lo, hi in gap_rows]
         base = donors[0].tolist()
         assert pasted == [tuple(base)]  # one run_plan per series
+        assert scored == 1  # and one mape_p
         rows = {tuple(row) for row in donors.tolist()}
         covered = [{tuple(base[lo:hi])} for lo, hi in gap_rows]
         moved = [set() for _ in gap_rows]  # the days each gap pastes from a non-base donor
-        for row, start, stop, scaled in made:
+        for k, row, values in made:
             assert row in rows
-            k = gap_of[(start, stop)]  # exactly one gap's run
-            assert scaled == [spans[k]]  # that gap alone, scaled once
+            # Exactly gap k's run of missing slots, each from its day's donor in ``row``.
+            a, b = layout.gap_slots[k]
+            day = layout.row[a:b]
+            source = layout.missing[a:b] + (np.array(row)[day] - layout.days[day]) * spd
+            assert values.tobytes() == plan.power.values[source].tobytes()
             lo, hi = gap_rows[k]
             choice = row[lo:hi]
             assert choice not in covered[k]  # neither the base choice nor pasted twice
