@@ -73,7 +73,7 @@ class SeasonalModel:
     """Additive decomposition: piecewise-linear trend + daily + weekly profile.
 
     The trend is linear between ``knots`` (power-index positions) with the
-    listed values; both profiles are zero-mean over their cycles.
+    listed values; both profiles are zero-mean, relative to their magnitude.
     """
 
     knots: tuple[int, ...]
@@ -86,7 +86,7 @@ class SeasonalModel:
         weekly = np.asarray(self.weekly_profile, dtype=np.float64)
         object.__setattr__(self, "daily_profile", daily)
         object.__setattr__(self, "weekly_profile", weekly)
-        if abs(daily.mean()) > 1e-6 or abs(weekly.mean()) > 1e-6:
+        if any(abs(p.mean()) > 1e-6 * np.abs(p).max(initial=0.0) for p in (daily, weekly)):
             raise ValidationError("seasonal profiles must be zero-mean over their cycles")
 
     def trend_at(self, index: np.ndarray) -> np.ndarray:
@@ -196,12 +196,3 @@ def impute_seasonal_model(ps: PowerSeries) -> PowerSeries:
     slot, weekday0 = calendar_columns(ps, idx)
     return _with_values(ps, idx, model.predict(idx.astype(float), slot, weekday0))
 
-
-# Name -> power fill of every baseline, for the harness and the CLI.  Each
-# entry looks its function up when called, so a wrapper or mock set on the
-# module attribute (``meterfill.baselines.impute_linear``) sees every call.
-BASELINES = {
-    "linear": lambda ps: impute_linear(ps),
-    "histavg": lambda ps: impute_hist_avg(ps),
-    "seasonal": lambda ps: impute_seasonal_model(ps),
-}

@@ -22,8 +22,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
 from . import metrics
-from .baselines import BASELINES
-from .cpi import DEFAULT_WEIGHTS, DissimilarityWeights, GapFill, complete_from_power, impute_cpi
+from .cpi import DEFAULT_WEIGHTS, DissimilarityWeights
 from .errors import MeterfillError, ValidationError
 from .gapgen import MissingnessSpec, insert_missing
 from .series import (
@@ -31,7 +30,6 @@ from .series import (
     MeterKind,
     ParseConfig,
     _read_text,
-    detect_gaps,
     energy_to_power,
     power_to_energy,
     read_series,
@@ -74,7 +72,7 @@ def _parse_methods(text: str) -> list[str]:
     if text == "all":
         return list(metrics.BENCHMARK_METHODS)
     methods = [m.strip() for m in text.split(",") if m.strip()]
-    if not set(methods) <= set(metrics.ALL_METHODS):
+    if not set(methods) <= set(metrics.METHODS):
         raise ValueError(text)
     return methods
 
@@ -105,7 +103,7 @@ SETTINGS = {
     "meter_kind": Setting(_choice("consumption", "generation"), "consumption"),
     "monotone_tol": Setting(float, 0.0),
     "input_kind": Setting(_choice("energy", "power"), "energy"),
-    "method": Setting(_choice(*metrics.ALL_METHODS), "cpi"),
+    "method": Setting(_choice(*metrics.METHODS), "cpi"),
     "weights": Setting(_parse_weights, DEFAULT_WEIGHTS,
                        "copy-paste weights: energy,weekday,season"),
     "share": Setting(_parse_share, 0.1, "values >= 1 are percentages"),
@@ -245,26 +243,15 @@ def _write_audit(path: str, result, method: str) -> None:
 
 
 def _cmd_impute(cfg: SimpleNamespace) -> int:
+    impute = metrics.method_imputer(cfg.method, cfg.input_kind, cfg.weights)
     if cfg.input_kind == "power":
-        if cfg.method in metrics.CPI_METHODS:
-            raise ValidationError("copy-paste imputation requires an energy input")
-        ps = read_series(cfg.input, ParseConfig(kind="power"))
-        write_series(cfg.output, BASELINES[cfg.method](ps))
+        write_series(cfg.output, impute(read_series(cfg.input, ParseConfig(kind="power"))))
         print(f"imputed {cfg.input} -> {cfg.output}")
         return 0
 
-    es = _read_energy(cfg.input, cfg)
+    result = impute(_read_energy(cfg.input, cfg))
     power_out = cfg.power_out or _sibling(cfg.output, ".power.csv")
     audit_out = cfg.audit_out or _sibling(cfg.output, ".gaps.jsonl")
-
-    if cfg.method in metrics.CPI_METHODS:
-        result = impute_cpi(es, cfg.weights, scale=metrics.CPI_METHODS[cfg.method])
-    else:
-        result = complete_from_power(
-            es,
-            BASELINES[cfg.method](energy_to_power(es)),
-            tuple(GapFill(g, (), None) for g in detect_gaps(es).records),
-        )
     write_series(cfg.output, result.completed_energy)
     write_series(power_out, result.completed_power)
     _write_audit(audit_out, result, cfg.method)

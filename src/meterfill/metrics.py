@@ -10,15 +10,12 @@ scaling, so it is still what the method costs alone.  Both measures read
 the power each method imputed (for copy-paste: pasted, then scaled if
 scaling is on), never the power re-derived from the rebuilt energy, whose
 last gap slot absorbs any energy miss; so a method that does not conserve
-energy scores a nonzero WAPE.  ``evaluate`` and ``grid_search_weights``
-build each cell with one ``_degrade`` and aggregate over cells with one
-``_aggregate``; the two report CSVs are written by one ``_format_csv``.
-The tuner does not paste each distinct donor assignment: per series it
-runs ``run_plan`` and ``mape_p`` once, on the first assignment, pastes
-each other donor choice of each gap as a piece through the copy-paste
-core's gather and scale, many pieces to a call, and scores the other
-assignments in blocks, row by row, from those (``_covering_scores``),
-with the same scores bit for bit.
+energy scores a nonzero WAPE.  ``METHODS`` is the one table of methods
+and ``method_imputer`` the one entry that imputes by name.  The cells of
+``evaluate`` and ``grid_search_weights`` are degraded by one ``_degrade``
+and aggregated by one ``_aggregate``; ``_format_csv`` writes both report
+CSVs.  The tuner scores every distinct donor assignment of a series from
+one paste and its pieces (``_covering_scores``).
 """
 
 from __future__ import annotations
@@ -31,15 +28,18 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .baselines import BASELINES
+from . import baselines
 from .cpi import (
     DEFAULT_WEIGHTS,
     CpiPlan,
     DissimilarityWeights,
+    GapFill,
     _gather,
     _imputer,
     _piece_slots,
     _scale_gap,
+    complete_from_power,
+    impute_cpi,
     match_weights,
     plan_cpi,
     run_plan,
@@ -57,10 +57,35 @@ from .series import (
 
 ZERO_ACTUAL_THRESHOLD = 1e-9  # kW; |actual| below this is excluded from MAPE
 
-# The copy-paste methods by name: whether each scales its gaps to the metered energy.
-CPI_METHODS = {"cpi": True, "cpi_noscale": False}
-BENCHMARK_METHODS = ("cpi", *BASELINES)
-ALL_METHODS = (*CPI_METHODS, *BASELINES)
+# Every method by name: a copy-paste method's ``scale``, or the name of a
+# baseline's power fill, looked up in ``meterfill.baselines`` at each call.
+METHODS = {
+    "cpi": True,
+    "cpi_noscale": False,
+    "linear": "impute_linear",
+    "histavg": "impute_hist_avg",
+    "seasonal": "impute_seasonal_model",
+}
+BENCHMARK_METHODS = ("cpi", "linear", "histavg", "seasonal")
+
+
+def method_imputer(method: str, kind: str = "energy", weights=DEFAULT_WEIGHTS):
+    """``method``'s imputation of a series of ``kind``, as a function of the series.
+
+    Copy-paste refuses a power input here, before it is read.  A baseline's
+    fill of an energy series is completed, with an audit of gaps without donors.
+    """
+    entry = METHODS[method]
+    if isinstance(entry, bool):
+        if kind == "power":
+            raise ValidationError("copy-paste imputation requires an energy input")
+        return lambda es: impute_cpi(es, weights, scale=entry)
+    if kind == "power":
+        return lambda ps: getattr(baselines, entry)(ps)
+    return lambda es: complete_from_power(
+        es, getattr(baselines, entry)(energy_to_power(es)),
+        tuple(GapFill(g, (), None) for g in detect_gaps(es).records),
+    )
 
 
 class MapeResult(NamedTuple):
@@ -253,8 +278,12 @@ def _cell_seed(seed: int, series_index: int, share: float) -> int:
     return int(mixed.generate_state(1)[0])
 
 
-def _degrade(series: EnergySeries, spec: MissingnessSpec) -> tuple:
-    """``series`` degraded by ``spec``, its power, the degraded power and its missing indices."""
+def _degrade(
+    series: EnergySeries, index: int, share: float, seed: int, max_gap_len: int | None,
+    single_fraction: float = 0.05,
+) -> tuple:
+    """Series ``index`` degraded as its cell is, its power, the degraded power and its mask."""
+    spec = MissingnessSpec(share, max_gap_len, single_fraction, _cell_seed(seed, index, share))
     degraded, _ = insert_missing(series, spec)
     actual = energy_to_power(series)
     degraded_power = energy_to_power(degraded)
@@ -267,27 +296,22 @@ def _aggregate(values: Sequence[float]) -> float:
 
 
 def _evaluate_cell(payload) -> list[ScoreRow]:
-    (sid, series, share, seed, series_index, methods, weights, max_gap_len,
-     single_fraction) = payload
-    spec = MissingnessSpec(
-        share=share,
-        max_gap_len=max_gap_len,
-        single_fraction=single_fraction,
-        seed=_cell_seed(seed, series_index, share),
-    )
+    sid, methods, weights, series, index, share, seed, max_gap_len, single_fraction = payload
 
     def failed(method: str, exc: MeterfillError) -> ScoreRow:
         return ScoreRow(sid, share, seed, method, float("nan"), float("nan"), 0.0, 0, str(exc))
 
     try:
-        degraded, actual, degraded_power, mask = _degrade(series, spec)
+        degraded, actual, degraded_power, mask = _degrade(
+            series, index, share, seed, max_gap_len, single_fraction
+        )
         spans = gap_spans(detect_gaps(degraded))
     except MeterfillError as exc:
         return [failed(m, exc) for m in methods]
 
     # Both copy-paste methods paste from one plan and match (``_imputer``), each charged its time.
     plan_s, paste = 0.0, None
-    if any(m in CPI_METHODS for m in methods):
+    if any(isinstance(METHODS[m], bool) for m in methods):
         started = time.perf_counter()
         try:
             paste = _imputer(degraded, weights)
@@ -299,13 +323,14 @@ def _evaluate_cell(payload) -> list[ScoreRow]:
     for method in methods:
         started, shared_s = time.perf_counter(), 0.0
         try:
-            if method in CPI_METHODS:
+            entry = METHODS[method]
+            if isinstance(entry, bool):
                 if isinstance(paste, MeterfillError):
                     raise paste
                 shared_s = plan_s
-                imputed = paste(CPI_METHODS[method]).imputed_power
+                imputed = paste(entry).imputed_power
             else:
-                imputed = BASELINES[method](degraded_power)
+                imputed = method_imputer(method, "power")(degraded_power)
             elapsed = time.perf_counter() - started + shared_s
             mape, wape = score_method(actual, mask, spans, imputed)
         except MeterfillError as exc:
@@ -328,7 +353,7 @@ def evaluate(
     """Degrade, impute and score every (series, share, seed, method) cell.
 
     Method failures are recorded per cell instead of aborting the run.
-    The method name sets whether copy-paste scales (``CPI_METHODS``).
+    Each method is looked up by name in ``METHODS``.
     Aggregates are ``_aggregate``'s trimmed means per (share, method);
     groups smaller than five fall back to the plain mean and are flagged in
     the warnings.
@@ -352,14 +377,13 @@ def evaluate(
             entry = entry.item() if isinstance(entry, np.generic) else entry
             raise MetricError(f"{name} {entry!r} is listed more than once")
     for method in methods:
-        if method not in ALL_METHODS:
+        if method not in METHODS:
             raise MetricError(f"unknown method {method!r}")
     for share in shares:
         for seed in seeds:
             MissingnessSpec(share, max_gap_len, single_fraction, seed)
     cells = [
-        (sid, series, share, seed, i, tuple(methods), weights, max_gap_len,
-         single_fraction)
+        (sid, tuple(methods), weights, series, i, share, seed, max_gap_len, single_fraction)
         for i, (sid, series) in enumerate(series_set)
         for share in shares
         for seed in seeds
@@ -591,14 +615,11 @@ def grid_search_weights(
     """
     if not calibration:
         raise MetricError("grid search needs a non-empty calibration set")
-    MissingnessSpec(share, max_gap_len, seed=seed)
+    MissingnessSpec(share, max_gap_len, seed=seed)  # bad settings fail before any degrading
     triples = _weight_grid(energy_range, weekday_range, season_range)
     mapes = np.empty((len(triples), len(calibration)))
     for index, (sid, series) in enumerate(calibration):
-        spec = MissingnessSpec(
-            share=share, max_gap_len=max_gap_len, seed=_cell_seed(seed, index, share)
-        )
-        degraded, actual, _, mask = _degrade(series, spec)
+        degraded, actual, _, mask = _degrade(series, index, share, seed, max_gap_len)
         plan = plan_cpi(degraded)
         donors = match_weights(plan.table, triples)
         numbers: dict[bytes, int] = {}

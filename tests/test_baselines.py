@@ -20,8 +20,8 @@ from meterfill import (
     synthetic_series,
 )
 from meterfill import baselines
-from meterfill.baselines import calendar_columns, fit_seasonal_model
-from meterfill.errors import MeterfillError
+from meterfill.baselines import SeasonalModel, calendar_columns, fit_seasonal_model
+from meterfill.errors import MeterfillError, ValidationError
 from meterfill.series import day_slot
 
 import baseline_oracle
@@ -241,16 +241,64 @@ def test_all_imputers_return_complete_series_and_keep_present_values():
 
 
 def test_method_table_dispatches_through_the_module_functions(monkeypatch):
-    import meterfill.baselines as baselines
+    """Each baseline's fill is looked up in ``meterfill.baselines`` at each call.
+
+    A wrapper set on the module attribute sees the call of ``method_imputer``
+    on a power and on an energy series, and that of an ``evaluate`` cell.
+    """
     from meterfill import metrics
 
-    assert metrics.ALL_METHODS == ("cpi", "cpi_noscale", "linear", "histavg", "seasonal")
-    ps = power(with_nan(np.arange(48.0), [5, 6]))
-    assert np.array_equal(baselines.BASELINES["linear"](ps).values, impute_linear(ps).values)
-    calls = []
-    monkeypatch.setattr(baselines, "impute_linear", lambda series: calls.append(series) or series)
-    assert baselines.BASELINES["linear"](ps) is ps
-    assert calls == [ps]
+    assert list(metrics.METHODS) == ["cpi", "cpi_noscale", "linear", "histavg", "seasonal"]
+    series = synthetic_series(4, days=28, slots_per_day=24)
+    degraded, _ = insert_missing(series, MissingnessSpec(share=0.1, seed=2))
+    ps = energy_to_power(degraded)
+    names = {"linear": "impute_linear", "histavg": "impute_hist_avg",
+             "seasonal": "impute_seasonal_model"}
+    calls = {method: [] for method in names}
+    for method, name in names.items():
+        fill = getattr(baselines, name)
+        want = fill(ps).values.tobytes()
+
+        def watched(series, method=method, fill=fill):
+            calls[method].append(series)
+            return fill(series)
+
+        monkeypatch.setattr(baselines, name, watched)
+        assert metrics.method_imputer(method, "power")(ps).values.tobytes() == want
+        assert metrics.method_imputer(method)(degraded).imputed_power.values.tobytes() == want
+        assert len(calls[method]) == 2
+    report = metrics.evaluate([("s", series)], shares=[0.1], methods=list(names))
+    assert [r.error for r in report.rows] == [None] * 3
+    assert [len(c) for c in calls.values()] == [3, 3, 3]
+
+
+def test_every_baseline_fill_scales_with_the_unit_bit_for_bit():
+    """A baseline's fill of the power times 2**k is its fill times 2**k, bit for bit.
+
+    A file in Wh, or a substation's readings, reach 2**36 (about 7e10) and
+    more.  The seasonal model's zero-mean check is relative to each
+    profile's largest magnitude, so it holds there as at unit scale.
+    """
+    from meterfill import metrics
+
+    degraded, _ = insert_missing(synthetic_series(3), MissingnessSpec(share=0.1, seed=1))
+    ps = energy_to_power(degraded)
+    for method in ("linear", "histavg", "seasonal"):
+        fill = metrics.method_imputer(method, "power")
+        want = fill(ps).values
+        for k in (-40, 36, 40):
+            got = fill(replace(ps, values=ps.values * 2.0**k)).values
+            assert got.tobytes() == (want * 2.0**k).tobytes(), (method, k)
+
+
+def test_a_seasonal_model_whose_profile_mean_is_not_zero_is_refused():
+    daily = np.sin(np.arange(24) / 24 * 2 * np.pi)
+    weekly = np.arange(7.0) - 3.0
+    for k in (-40, 0, 40):
+        SeasonalModel((0, 100), (1.0, 2.0), daily * 2.0**k, weekly * 2.0**k)
+        for profiles in ((daily + 0.01, weekly), (daily, weekly + 0.01)):
+            with pytest.raises(ValidationError, match="zero-mean"):
+                SeasonalModel((0, 100), (1.0, 2.0), *(p * 2.0**k for p in profiles))
 
 
 # ---------------------------------------------------------------------------

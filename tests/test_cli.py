@@ -23,7 +23,7 @@ from meterfill import (
     write_series,
 )
 from meterfill.series import format_series
-from meterfill import cli
+from meterfill import cli, metrics
 from meterfill.cli import main
 
 from grid_oracle import grid_search_per_triple
@@ -116,7 +116,7 @@ def test_impute_writes_the_completed_power_derived_once(monkeypatch, tmp_path, s
     """The power file is the result's ``completed_power``, read once and then kept.
 
     It is the power of the completed energy by bytes, for both copy-paste
-    methods and for a baseline's fill, which the CLI completes itself.
+    methods and for a baseline's fill, which ``method_imputer`` completes.
     """
     degraded = tmp_path / "degraded.csv"
     run_cli("insert-gaps", "--share", "10", "--seed", "2", series_csv, degraded)
@@ -129,8 +129,8 @@ def test_impute_writes_the_completed_power_derived_once(monkeypatch, tmp_path, s
 
         return call
 
-    monkeypatch.setattr(cli, "impute_cpi", kept(cli.impute_cpi))
-    monkeypatch.setattr(cli, "complete_from_power", kept(cli.complete_from_power))
+    monkeypatch.setattr(metrics, "impute_cpi", kept(metrics.impute_cpi))
+    monkeypatch.setattr(metrics, "complete_from_power", kept(metrics.complete_from_power))
     monkeypatch.setattr(cli, "write_series", lambda path, s: written.setdefault(Path(path).name, s))
     assert run_cli("impute", "--method", method, degraded, tmp_path / "out.csv") == 0
     (result,) = results
@@ -219,6 +219,18 @@ def test_impute_cpi_rejects_power_input(tmp_path, series_csv, capsys):
     )
     assert rc == 1
     assert "energy input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["cpi", "cpi_noscale"])
+def test_copy_paste_refuses_a_power_input_before_reading_it(tmp_path, capsys, method):
+    """The refusal comes before the file is read: a missing file gives the same line."""
+    out = tmp_path / "x.csv"
+    rc = run_cli("impute", "--method", method, "--input-kind", "power", tmp_path / "none.csv", out)
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: copy-paste imputation requires an energy input"
+    ]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("method", ["seasonal", "cpi_noscale", "linear", "histavg"])

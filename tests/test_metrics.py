@@ -30,7 +30,7 @@ from meterfill import (
 from meterfill import cpi, metrics
 from meterfill.cpi import plan_cpi, run_plan
 from meterfill.metrics import (
-    CPI_METHODS,
+    METHODS,
     _cell_seed,
     _degrade,
     format_aggregates_csv,
@@ -352,7 +352,7 @@ def evaluation_grids(draw):
         series_set=suite,
         shares=draw(st.lists(st.sampled_from([0.01, 0.05, 0.1, 0.3]), min_size=1, max_size=2,
                              unique=True)),
-        methods=draw(st.lists(st.sampled_from(metrics.ALL_METHODS), min_size=1, unique=True)),
+        methods=draw(st.lists(st.sampled_from(list(metrics.METHODS)), min_size=1, unique=True)),
         seeds=draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=2, unique=True)),
         weights=DissimilarityWeights(*draw(st.tuples(*[st.integers(1, 20)] * 3))),
         max_gap_len=draw(st.one_of(st.none(), st.integers(2, 48))),
@@ -497,11 +497,10 @@ def test_a_cells_copy_paste_rows_score_impute_cpis_own_imputation(days, share, s
     series, weights = synthetic_series(9, days=days), DissimilarityWeights(3, 2, 7)
     report = evaluate([("s", series)], shares=[share], methods=["cpi", "cpi_noscale"],
                       seeds=[5], weights=weights, single_fraction=single_fraction)
-    spec = MissingnessSpec(share, None, single_fraction, _cell_seed(5, 0, share))
-    degraded, actual, _, mask = _degrade(series, spec)
+    degraded, actual, _, mask = _degrade(series, 0, share, 5, None, single_fraction)
     spans = gap_spans(detect_gaps(degraded))
     for row in report.rows:
-        result = impute_cpi(degraded, weights, scale=CPI_METHODS[row.method])
+        result = impute_cpi(degraded, weights, scale=METHODS[row.method])
         assert bool(result.per_gap) == (days > 10)  # the singles-only cell pastes nothing
         mape, wape = score_method(actual, mask, spans, result.imputed_power)
         assert (row.error, row.mape_p, row.wape_e, row.skipped_terms) == (

@@ -26,9 +26,8 @@ from meterfill import (
     synthetic_series,
     write_series,
 )
-from meterfill import cpi, gapgen
+from meterfill import cpi, gapgen, metrics
 from meterfill import series as series_module
-from meterfill.baselines import BASELINES
 from meterfill.series import Gap, day_partition, detect_gaps, fill_energy_from_power, format_series
 
 import csv_oracle
@@ -166,7 +165,8 @@ def test_every_producer_returns_read_only_values_of_its_own(monkeypatch):
         ("interpolate_singles", degraded, cpi.interpolate_singles(degraded)),
         ("insert_missing", complete,
          gapgen.insert_missing(complete, gapgen.MissingnessSpec(0.05, seed=1))[0]),
-        *((name, degraded_power, fill(degraded_power)) for name, fill in BASELINES.items()),
+        *((name, degraded_power, metrics.method_imputer(name, "power")(degraded_power))
+          for name in ("linear", "histavg", "seasonal")),
         ("synthetic_series", complete, synthetic_series(3, days=3, slots_per_day=24)),
     ]
     parsed = [parse_series(text), parse_series(text.replace("\n", "\r\n"))]
