@@ -14,6 +14,7 @@ import math
 from dataclasses import astuple, dataclass
 from datetime import date, timedelta
 from functools import cached_property, partial
+from itertools import groupby
 
 import numpy as np
 
@@ -355,28 +356,112 @@ def _match_block(table: MatchTable, lo: int = 0, hi: int | None = None) -> _Matc
 
 
 # Bounds on the matrix entries held at once: each matrix of a block of rows
-# stays within 64 kB, and each temporary of a batch of weight triples within
-# 256 kB, however long the series or large the grid.
+# stays within 64 kB, and each temporary of scoring weight triples on it
+# within 256 kB, however long the series or large the grid.
 _BLOCK_ENTRIES = 1 << 13
 _BATCH_ENTRIES = 1 << 15
+# At most this many energy weights are scored on a part of a block at once.
+# More make the row parts thin, and numpy pays per weight and part to
+# broadcast the weekday-plus-season term; fewer rebuild that term more often.
+_CHUNK_WEIGHTS = 10
+
+
+@dataclass(frozen=True, eq=False)
+class _TripleGroups:
+    """Weight triples grouped by the dissimilarity terms they share.
+
+    Triple k of the given list is distinct triple ``inverse[k]``.  The
+    distinct triples run by chunk of energy weights, then by (weekday,
+    season) pair, then by energy weight.  Each of ``chunks`` is its energy
+    weights, shaped to broadcast over a block, and its groups
+    ``(w_weekday, w_season, lo, hi, at)``: distinct triples ``lo:hi`` share
+    the pair, and ``at`` picks their energy weights from the chunk (a slice
+    where they are consecutive).  Blocks are scored ``rows`` rows at a
+    time, so that a chunk's energy terms, and the sums of a group, stay
+    within ``_BATCH_ENTRIES`` entries.
+    """
+
+    inverse: np.ndarray     # the distinct triple of each given triple
+    distinct: int           # how many distinct triples there are
+    rows: int               # block rows scored at a time
+    chunks: list            # (energy weights, groups) per chunk of energy weights
+
+
+def _group_triples(triples, candidates: int) -> _TripleGroups:
+    """``triples`` grouped for blocks of ``candidates`` columns."""
+    listed = np.asarray(triples, dtype=np.float64).reshape(-1, 3).tolist()
+    energies = sorted({w_energy for w_energy, _, _ in listed})
+    most = max(1, min(_CHUNK_WEIGHTS, _BATCH_ENTRIES // max(1, candidates)))
+    count = -(-len(energies) // most)  # as few chunks as ``most`` allows, of even sizes
+    chunk = -(-len(energies) // count) if count else 1
+    place = {w_energy: i for i, w_energy in enumerate(energies)}
+    # (chunk, weekday weight, season weight, energy weight's place in the chunk)
+    keys = [(place[w_energy] // chunk, w_weekday, w_season, place[w_energy] % chunk)
+            for w_energy, w_weekday, w_season in listed]
+    distinct = sorted(set(keys))
+    chunks = [(np.array(energies[lo : lo + chunk]).reshape(-1, 1, 1), [])
+              for lo in range(0, len(energies), chunk)]
+    lo = 0
+    for (sliced, w_weekday, w_season), run in groupby(distinct, lambda key: key[:3]):
+        at = [key[3] for key in run]
+        hi = lo + len(at)
+        if at[-1] - at[0] == len(at) - 1:  # a view of the energy terms, not a gather
+            at = slice(at[0], at[-1] + 1)
+        chunks[sliced][1].append((w_weekday, w_season, lo, hi, at))
+        lo = hi
+    position = {key: i for i, key in enumerate(distinct)}
+    return _TripleGroups(
+        inverse=np.array([position[key] for key in keys], dtype=np.intp),
+        distinct=len(distinct),
+        rows=max(1, _BATCH_ENTRIES // (chunk * max(1, candidates))),
+        chunks=chunks,
+    )
+
+
+def _pick_grouped(block: _MatchBlock, energy_range: float, groups: _TripleGroups,
+                  donors: np.ndarray) -> None:
+    """Write ``_pick_donors`` of the triples ``groups`` was built from into ``donors``."""
+    exclusive = not block.keep.all()
+    for lo in range(0, block.donor.shape[0], groups.rows):
+        part = slice(lo, lo + groups.rows)
+        weekday, season, donor = block.weekday[part], block.season[part], block.donor[part]
+        excluded = np.nonzero(~block.keep[part]) if exclusive else None
+        picks = np.empty((groups.distinct, len(donor)), dtype=np.intp)
+        for w_energy, group in groups.chunks:
+            energy = w_energy * block.energy[part]
+            energy /= energy_range
+            for w_weekday, w_season, first, last, at in group:
+                value = w_weekday * weekday
+                value += w_season * season
+                value = value + energy[at]
+                if excluded is not None:
+                    value[:, excluded[0], excluded[1]] = np.inf
+                value.argmin(axis=-1, out=picks[first:last])
+        picks = donor[np.arange(len(donor)), picks]
+        # Clipping never bites (every position is valid) and leaves np.take
+        # unbuffered, so it writes the rows in place: no third picks matrix.
+        np.take(picks, groups.inverse, axis=0, out=donors[:, part], mode="clip")
 
 
 def _pick_donors(block: _MatchBlock, energy_range: float, triples) -> np.ndarray:
-    """Donor day-table row of every row of ``block`` under each weight triple."""
-    weights = np.asarray(triples, dtype=np.float64).reshape(-1, 3, 1, 1)
-    rows, cols = block.donor.shape
-    donors = np.empty((len(weights), rows), dtype=np.int64)
-    excluded = ~block.keep
-    step = max(1, _BATCH_ENTRIES // max(1, rows * cols))
-    for lo in range(0, len(weights), step):
-        w_energy, w_weekday, w_season = weights[lo : lo + step].swapaxes(0, 1)
-        value = w_weekday * block.weekday
-        value += w_season * block.season
-        energy = w_energy * block.energy
-        energy /= energy_range
-        value += energy
-        value[:, excluded] = np.inf
-        donors[lo : lo + step] = block.donor[np.arange(rows), value.argmin(axis=-1)]
+    """Donor day-table row of every row of ``block`` under each weight triple.
+
+    The triples share their terms.  ``P = weekday * dw + season * ds`` is
+    built once per distinct (weekday, season) pair, ``Q = energy * |dE|``
+    then ``/ range`` once per distinct energy weight, and a triple's
+    dissimilarity is ``P + Q``: the IEEE operations of ``match_weights``'
+    formula, in its order, so each triple picks what it picks alone.
+    Candidates that cannot donate are set to infinity in the sum, never in
+    ``P``: a zero energy weight times an overflowed difference makes ``Q``
+    NaN, and ``inf + NaN`` would hand ``argmin`` the excluded column.  A
+    block that excludes nothing skips the step.  The energy weights are
+    taken in chunks of at most ``_CHUNK_WEIGHTS``, and the rows a few at a
+    time, so that no matrix of terms or sums exceeds ``_BATCH_ENTRIES``
+    entries.
+    """
+    groups = _group_triples(triples, block.donor.shape[1])
+    donors = np.empty((groups.inverse.size, block.donor.shape[0]), dtype=np.int64)
+    _pick_grouped(block, energy_range, groups, donors)
     return donors
 
 
@@ -387,20 +472,24 @@ def match_weights(table: MatchTable, triples) -> np.ndarray:
     result has shape (len(triples), rows), and each of its rows is the
     ``donors`` of ``copy_paste_and_scale`` and ``run_plan``.  The
     dissimilarity of a row and a candidate is
-    ``weekday * dw + season * ds + energy * |dE| / range``, evaluated in
-    that order, so every weighting sees exactly the values a single-triple
-    match would.  Exact ties go to the smallest calendar
-    distance, then to the earlier date.  The distance matrices are built
-    for a block of rows at a time, and every triple is scored on a block
-    before the next is built, so no (rows x candidates) matrix is held.
+    ``(weekday * dw + season * ds) + (energy * |dE|) / range``, evaluated
+    in that order, so every weighting sees exactly the values a
+    single-triple match would.  Exact ties go to the smallest calendar
+    distance, then to the earlier date.  The triples are grouped once:
+    each block of rows builds the weekday-plus-season term once per
+    distinct (weekday, season) pair and the energy term once per distinct
+    energy weight, and each triple's sum of the two (``_pick_donors``).
+    The distance matrices are built for a block of rows at a time, and
+    every triple is scored on a block before the next is built, so no
+    (rows x candidates) matrix is held.
     """
-    weights = np.asarray(triples, dtype=np.float64).reshape(-1, 3, 1, 1)
+    groups = _group_triples(triples, table.candidates.size)
     rows = table.rows.size
-    donors = np.empty((len(weights), rows), dtype=np.int64)
+    donors = np.empty((len(groups.inverse), rows), dtype=np.int64)
     step = max(1, _BLOCK_ENTRIES // max(1, table.candidates.size))
     for lo in range(0, rows, step):
         block = _match_block(table, lo, lo + step)
-        donors[:, lo : lo + step] = _pick_donors(block, table.energy_range, weights)
+        _pick_grouped(block, table.energy_range, groups, donors[:, lo : lo + step])
     return donors
 
 

@@ -701,6 +701,148 @@ def test_batched_match_agrees_with_the_lexsort_oracle_for_every_triple(monkeypat
     assert ties > 1000  # the tie-break decided many rows
 
 
+def _off_grid_triples(rng, count):
+    """Random non-negative weight triples, some weights zero, none all zero."""
+    triples = []
+    for _ in range(count):
+        raw = rng.uniform(0.1, 9.0, 3) * (rng.random(3) < 0.7)
+        if not raw.any():
+            raw[int(rng.integers(3))] = 1.0
+        triples.append(tuple(raw.tolist()))
+    return triples
+
+
+def test_shared_terms_give_each_triple_its_own_donors(monkeypatch):
+    # Shuffled, duplicated and off-grid triple lists, zero weights among
+    # them, on blocks with random keep masks: every triple's donors equal
+    # a one-triple call's and the lexsort oracle's.  A batch bound cut to
+    # one entry, and to two candidate rows, splits the energy weights into
+    # chunks of one and of two, and the donors do not move.
+    rng = np.random.default_rng(61)
+    grid = [
+        (w_energy, w_weekday, w_season)
+        for w_energy in (0, 1, 2.5, 4) for w_weekday in (0, 2) for w_season in (0, 1, 3)
+        if w_energy + w_weekday + w_season
+    ]
+    for trial in range(10):
+        cycle = (365, 366)[trial % 2]
+        first = date(2019 + trial % 2, 1, 1)
+        picks = rng.choice(cycle, size=int(rng.integers(2, 50)), replace=False)
+        candidates = [
+            record(first + timedelta(days=int(d)), total=float(rng.choice([4.0, 8.0, 12.0])),
+                   complete=True)
+            for d in picks
+        ]
+        days = [
+            record(first + timedelta(days=int(d)),
+                   total=None if rng.random() < 0.3 else float(rng.choice([4.0, 8.0, 16.0])))
+            for d in rng.integers(0, cycle, size=int(rng.integers(1, 10)))
+        ]
+        keep = rng.random((len(days), len(candidates))) < 0.6
+        keep[np.arange(len(days)), rng.integers(len(candidates), size=len(days))] = True
+        block = plan_oracle.match_table(days, candidates, cycle, keep)
+
+        shuffled = [grid[i] for i in rng.permutation(len(grid))]
+        for triples in (shuffled, shuffled[:6] * 2 + shuffled[::4], _off_grid_triples(rng, 14)):
+            shared = cpi._pick_donors(block, 12.0, triples)
+            assert shared.shape == (len(triples), len(days))
+            energies = len({w_energy for w_energy, _, _ in triples})
+            for entries, chunk in ((1, 1), (2 * len(candidates), 2)):
+                with monkeypatch.context() as patch:
+                    patch.setattr(cpi, "_BATCH_ENTRIES", entries)
+                    groups = cpi._group_triples(triples, len(candidates))
+                    assert len(groups.chunks) == -(-energies // chunk)
+                    assert cpi._pick_donors(block, 12.0, triples).tobytes() == shared.tobytes()
+            for triple, donors in zip(triples, shared):
+                assert donors.tolist() == cpi._pick_donors(block, 12.0, [triple])[0].tolist()
+                expected = lexsort_donors(days, candidates, DissimilarityWeights(*triple), cycle,
+                                          12.0, keep)
+                assert donors.tolist() == expected.tolist(), (trial, triple)
+
+
+def test_shared_term_matching_of_a_plan_is_each_triples_own_match():
+    # The batched match of a one-year plan, on a shuffled grid with zero
+    # weights, repeated triples and off-grid ones, gives every triple the
+    # donors of its own one-triple match and of the lexsort oracle.
+    from meterfill import MissingnessSpec, insert_missing, synthetic_series
+
+    rng = np.random.default_rng(67)
+    degraded, _ = insert_missing(synthetic_series(3), MissingnessSpec(share=0.1, seed=3))
+    plan = plan_cpi(degraded)
+    grid = [(w_energy, w_weekday, w_season)
+            for w_energy in (0, 2, 5) for w_weekday in (0, 1) for w_season in (0, 4, 10)
+            if w_energy + w_weekday + w_season]
+    triples = [grid[i] for i in rng.permutation(len(grid))]
+    triples += triples[:3] + _off_grid_triples(rng, 6)
+    batched = match_weights(plan.table, triples)
+
+    oracle = plan_oracle.plan_cpi(degraded)
+    gap_days = [r for r in oracle.records if not r.is_complete]
+    table = plan.table
+    keep = table.days.slots[table.candidates] > table.last_slot[:, None]
+    for triple, donors in zip(triples, batched):
+        assert donors.tobytes() == match_weights(table, [triple])[0].tobytes()
+        best = lexsort_donors(gap_days, oracle.candidate_records, DissimilarityWeights(*triple),
+                              oracle.cycle_length, oracle.energy_range, keep)
+        assert donors.tolist() == oracle.candidates[best].tolist(), triple
+
+
+def test_an_excluded_candidate_stays_out_where_the_energy_term_is_nan():
+    # Day totals of -1e308 and 1e308 differ by more than the largest float,
+    # so a zero energy weight's term is 0 * inf = NaN there.  Each row's
+    # nearest candidate is excluded and has such a NaN term: the exclusion
+    # goes on the sum, or inf + NaN would hand argmin that candidate.
+    first = date(2019, 3, 4)
+    candidates = [record(first + timedelta(days=d), total=total, complete=True)
+                  for d, total in ((1, -1e308), (2, -1e308), (3, 1e308), (9, 1e308))]
+    days = [record(first, total=1e308), record(first + timedelta(days=10), total=-1e308)]
+    keep = np.array([[False, True, True, True], [True, True, True, False]])
+    triples = [(0, 1, 1), (2, 1, 1), (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, 1)]
+    rows = np.arange(len(days))
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = plan_oracle.match_table(days, candidates, 365, keep)
+        assert not block.keep[:, 0].any() and np.isinf(block.energy[:, 0]).all()
+        shared = cpi._pick_donors(block, 1.0, triples)
+        for (w_energy, w_weekday, w_season), donors in zip(triples, shared):
+            value = w_weekday * block.weekday + w_season * block.season
+            value = value + w_energy * block.energy / 1.0
+            value[~block.keep] = np.inf
+            column = value.argmin(axis=1)
+            assert block.keep[rows, column].all()
+            assert donors.tolist() == block.donor[rows, column].tolist()
+            assert keep[rows, donors].all()
+
+
+def test_sixty_energy_weights_on_four_years_hold_no_full_table():
+    # One row of four years' candidates under sixty energy weights passes
+    # the batch bound, so the weights go in chunks.  The match stays under
+    # the bound that planning and a one-triple match keep
+    # (test_planning_and_matching_four_years_hold_no_full_table), and above
+    # its donors it holds a few batch-sized temporaries at most.
+    import tracemalloc
+
+    from meterfill import MissingnessSpec, insert_missing, synthetic_series
+
+    degraded, _ = insert_missing(synthetic_series(5, days=1461),
+                                 MissingnessSpec(share=0.3, seed=3))
+    triples = [(w_energy, 0, 1) for w_energy in range(1, 61)]
+    tracemalloc.start()
+    try:
+        plan = plan_cpi(degraded)
+        held = tracemalloc.get_traced_memory()[0]
+        donors = match_weights(plan.table, triples)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        match_weights(plan.table, triples)
+        own = tracemalloc.get_traced_memory()[1] - held - donors.nbytes
+    finally:
+        tracemalloc.stop()
+    assert len(triples) * plan.table.candidates.size > cpi._BATCH_ENTRIES
+    assert len(cpi._group_triples(triples, plan.table.candidates.size).chunks) > 1
+    assert peak < 8 * degraded.values.nbytes
+    assert own < 6 * 8 * cpi._BATCH_ENTRIES + donors.nbytes
+
+
 def test_match_table_orders_each_row_by_calendar_distance_then_date():
     days = table(date(2018, 6, 12), [5.0] * 14)  # 2018-06-12 .. 06-25
     candidates = np.array([0, 2, 6, 13])  # the 12th, 14th, 18th and 25th
