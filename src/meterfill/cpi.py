@@ -182,11 +182,8 @@ def estimate_daily_energy(
             "are handled without an energy estimate"
         )
     # One (gap, day) pair per day each gap touches, in gap order.
-    first_day, last_day = gap_days
-    ndays = last_day - first_day + 1
-    offset = np.cumsum(ndays) - ndays
-    gap = np.repeat(np.arange(ndays.size), ndays)
-    day = np.arange(gap.size) - offset[gap] + first_day[gap]
+    ndays = gap_days[1] - gap_days[0] + 1
+    day, gap = _piece_slots(gap_days.T + [0, 1])
     first = gaps.first_missing[gap]
     stop = gaps.last_missing[gap] + 1
     counts = np.minimum(stop, days.stop[day]) - np.maximum(first, days.start[day])
@@ -201,7 +198,7 @@ def estimate_daily_energy(
     offs = offsets[days.weekday[day] - 1]
     for width in sorted(set(ndays.tolist()) - {1}):
         rows = np.flatnonzero(ndays == width)
-        pairs = offset[rows, None] + np.arange(width)
+        pairs = np.flatnonzero(ndays[gap] == width).reshape(-1, width)
         cover = coverage[pairs]
         centre = (cover * offs[pairs]).sum(axis=1) / cover.sum(axis=1)
         adjusted = allocation[pairs] + cover * (offs[pairs] - centre[:, None])
@@ -360,9 +357,9 @@ def _match_block(table: MatchTable, lo: int = 0, hi: int | None = None) -> _Matc
 # within 256 kB, however long the series or large the grid.
 _BLOCK_ENTRIES = 1 << 13
 _BATCH_ENTRIES = 1 << 15
-# At most this many energy weights are scored on a part of a block at once.
-# More make the row parts thin, and numpy pays per weight and part to
-# broadcast the weekday-plus-season term; fewer rebuild that term more often.
+# At most this many energy weights are scored on a block at once.  More
+# make the blocks thin, and numpy pays per weight and block to broadcast
+# the weekday-plus-season term; fewer rebuild that term more often.
 _CHUNK_WEIGHTS = 10
 
 
@@ -376,20 +373,24 @@ class _TripleGroups:
     weights, shaped to broadcast over a block, and its groups
     ``(w_weekday, w_season, lo, hi, at)``: distinct triples ``lo:hi`` share
     the pair, and ``at`` picks their energy weights from the chunk (a slice
-    where they are consecutive).  Blocks are scored ``rows`` rows at a
-    time, so that a chunk's energy terms, and the sums of a group, stay
-    within ``_BATCH_ENTRIES`` entries.
+    where they are consecutive).  Blocks of ``rows`` rows keep each matrix
+    within ``_BLOCK_ENTRIES`` entries, and a chunk's energy terms, and the
+    sums of a group, within ``_BATCH_ENTRIES``.
     """
 
     inverse: np.ndarray     # the distinct triple of each given triple
     distinct: int           # how many distinct triples there are
-    rows: int               # block rows scored at a time
+    rows: int               # rows of each block that match_weights builds
     chunks: list            # (energy weights, groups) per chunk of energy weights
 
 
 def _group_triples(triples, candidates: int) -> _TripleGroups:
     """``triples`` grouped for blocks of ``candidates`` columns."""
-    listed = np.asarray(triples, dtype=np.float64).reshape(-1, 3).tolist()
+    weights = np.asarray(triples, dtype=np.float64).reshape(-1, 3)
+    bad = ~(np.isfinite(weights).all(1) & (weights >= 0).all(1) & (weights > 0).any(1))
+    if bad.any():  # the first triple that DissimilarityWeights refuses raises its error
+        DissimilarityWeights(*weights[bad.argmax()].tolist())
+    listed = weights.tolist()
     energies = sorted({w_energy for w_energy, _, _ in listed})
     most = max(1, min(_CHUNK_WEIGHTS, _BATCH_ENTRIES // max(1, candidates)))
     count = -(-len(energies) // most)  # as few chunks as ``most`` allows, of even sizes
@@ -413,7 +414,7 @@ def _group_triples(triples, candidates: int) -> _TripleGroups:
     return _TripleGroups(
         inverse=np.array([position[key] for key in keys], dtype=np.intp),
         distinct=len(distinct),
-        rows=max(1, _BATCH_ENTRIES // (chunk * max(1, candidates))),
+        rows=max(1, min(_BLOCK_ENTRIES, _BATCH_ENTRIES // chunk) // max(1, candidates)),
         chunks=chunks,
     )
 
@@ -421,26 +422,22 @@ def _group_triples(triples, candidates: int) -> _TripleGroups:
 def _pick_grouped(block: _MatchBlock, energy_range: float, groups: _TripleGroups,
                   donors: np.ndarray) -> None:
     """Write ``_pick_donors`` of the triples ``groups`` was built from into ``donors``."""
-    exclusive = not block.keep.all()
-    for lo in range(0, block.donor.shape[0], groups.rows):
-        part = slice(lo, lo + groups.rows)
-        weekday, season, donor = block.weekday[part], block.season[part], block.donor[part]
-        excluded = np.nonzero(~block.keep[part]) if exclusive else None
-        picks = np.empty((groups.distinct, len(donor)), dtype=np.intp)
-        for w_energy, group in groups.chunks:
-            energy = w_energy * block.energy[part]
-            energy /= energy_range
-            for w_weekday, w_season, first, last, at in group:
-                value = w_weekday * weekday
-                value += w_season * season
-                value = value + energy[at]
-                if excluded is not None:
-                    value[:, excluded[0], excluded[1]] = np.inf
-                value.argmin(axis=-1, out=picks[first:last])
-        picks = donor[np.arange(len(donor)), picks]
-        # Clipping never bites (every position is valid) and leaves np.take
-        # unbuffered, so it writes the rows in place: no third picks matrix.
-        np.take(picks, groups.inverse, axis=0, out=donors[:, part], mode="clip")
+    excluded = None if block.keep.all() else np.nonzero(~block.keep)
+    picks = np.empty((groups.distinct, len(block.donor)), dtype=np.intp)
+    for w_energy, group in groups.chunks:
+        energy = w_energy * block.energy
+        energy /= energy_range
+        for w_weekday, w_season, first, last, at in group:
+            value = w_weekday * block.weekday
+            value += w_season * block.season
+            value = value + energy[at]
+            if excluded is not None:
+                value[:, excluded[0], excluded[1]] = np.inf
+            value.argmin(axis=-1, out=picks[first:last])
+    picks = block.donor[np.arange(len(block.donor)), picks]
+    # Clipping never bites (every position is valid) and leaves np.take
+    # unbuffered, so it writes the rows in place: no third picks matrix.
+    np.take(picks, groups.inverse, axis=0, out=donors, mode="clip")
 
 
 def _pick_donors(block: _MatchBlock, energy_range: float, triples) -> np.ndarray:
@@ -455,9 +452,9 @@ def _pick_donors(block: _MatchBlock, energy_range: float, triples) -> np.ndarray
     ``P``: a zero energy weight times an overflowed difference makes ``Q``
     NaN, and ``inf + NaN`` would hand ``argmin`` the excluded column.  A
     block that excludes nothing skips the step.  The energy weights are
-    taken in chunks of at most ``_CHUNK_WEIGHTS``, and the rows a few at a
-    time, so that no matrix of terms or sums exceeds ``_BATCH_ENTRIES``
-    entries.
+    taken in chunks of at most ``_CHUNK_WEIGHTS``, and the whole block is
+    scored at once: ``match_weights`` sizes its blocks so that no matrix
+    of terms or sums exceeds ``_BATCH_ENTRIES`` entries.
     """
     groups = _group_triples(triples, block.donor.shape[1])
     donors = np.empty((groups.inverse.size, block.donor.shape[0]), dtype=np.int64)
@@ -479,14 +476,14 @@ def match_weights(table: MatchTable, triples) -> np.ndarray:
     each block of rows builds the weekday-plus-season term once per
     distinct (weekday, season) pair and the energy term once per distinct
     energy weight, and each triple's sum of the two (``_pick_donors``).
-    The distance matrices are built for a block of rows at a time, and
-    every triple is scored on a block before the next is built, so no
-    (rows x candidates) matrix is held.
+    The distance matrices are built for a block of ``_TripleGroups.rows``
+    rows at a time, and every triple is scored on a block before the next
+    is built, so no (rows x candidates) matrix is held.  A triple that
+    ``DissimilarityWeights`` refuses raises its ``ValidationError``.
     """
     groups = _group_triples(triples, table.candidates.size)
-    rows = table.rows.size
+    rows, step = table.rows.size, groups.rows
     donors = np.empty((len(groups.inverse), rows), dtype=np.int64)
-    step = max(1, _BLOCK_ENTRIES // max(1, table.candidates.size))
     for lo in range(0, rows, step):
         block = _match_block(table, lo, lo + step)
         _pick_grouped(block, table.energy_range, groups, donors[:, lo : lo + step])
@@ -539,13 +536,8 @@ def paste_layout(ps: PowerSeries, gaps: GapArrays) -> PasteLayout:
     )
 
 
-def _piece_slots(layout: PasteLayout, gap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The positions in ``layout.missing`` of pieces of gaps, and each position's piece.
-
-    Piece j is gap ``gap[j]``'s run of missing slots; the runs are laid
-    out piece after piece.
-    """
-    runs = layout.gap_slots[gap]
+def _piece_slots(runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every position of the ``(start, stop)`` rows of ``runs``, run after run, and its run."""
     length = runs[:, 1] - runs[:, 0]
     offset = np.cumsum(length) - length
     piece = np.repeat(np.arange(len(runs)), length)
@@ -564,31 +556,30 @@ def _gather(
     ``donors[r, i]`` is the day-table row of the donor of ``layout.days[i]``
     in donor row r.  Piece j is gap ``gap[j]``'s run of ``layout.missing``
     (its ``gap_slots``) pasted from ``donors[row[j]]``; by default there
-    is one piece, every missing slot pasted from ``donors[0]``.  Each slot
-    copies the same within-day slot of its day's donor, a whole-day shift
-    of its index, and all pieces are gathered in one fancy index.  The
-    first piece with a slot that its donor does not cover, or covers with a
-    missing value, raises, naming its earliest such day.
+    is one piece, the run of every missing slot, pasted from ``donors[0]``.
+    Each slot copies the same within-day slot of its day's donor, a
+    whole-day shift of its index, and all pieces are gathered in one fancy
+    index.  The first piece with a slot that its donor does not cover, or
+    covers with a missing value, raises, naming its earliest such day; a
+    day that a piece holds whole is judged on all of its slots.
     """
-    spd = slots_per_day(ps.resolution)
+    if gap is None:
+        runs, row = np.array([[0, layout.missing.size]]), np.zeros(1, dtype=np.intp)
+    else:
+        runs = layout.gap_slots[gap]
+    position, piece = _piece_slots(runs)
+    day = layout.row[position]
     # A row outside the series' days covers none of its day's slots.  The
     # rows are clipped to [-1, n] before the index arithmetic, which could
     # overflow on them; both bounds lie outside the days too.
-    if gap is None:  # one piece: the shifts are taken per day, then spread to the slots
-        day, row = layout.row, (0,)
-        piece = np.zeros(day.size, dtype=np.int64)
-        donor = np.maximum(donors[0].astype(np.int64), -1)
-        shift = (np.minimum(donor, ps.n, out=donor) - layout.days)[day]
-        src = layout.missing + shift * spd
-    else:
-        position, piece = _piece_slots(layout, gap)
-        day = layout.row[position]
-        donor = np.maximum(donors[row[piece], day].astype(np.int64), -1)
-        shift = np.minimum(donor, ps.n, out=donor) - layout.days[day]
-        src = layout.missing[position] + shift * spd
-    inside = (src >= 0) & (src < ps.n)
+    src = donors.take(row[piece] * donors.shape[1] + day).astype(np.int64, copy=False)
+    np.minimum(np.maximum(src, -1, out=src), ps.n, out=src)
+    src -= layout.days[day]
+    src *= slots_per_day(ps.resolution)
+    src += layout.missing[position]
+    outside = src.view(np.uint64) >= ps.n  # a negative index reads as a huge one
     values = ps.values.take(src, mode="clip")
-    bad = ~inside | np.isnan(values)
+    bad = outside | np.isnan(values)
     if bad.any():
         first = bad.argmax()  # in the first piece with a slot it cannot fill, its earliest day
         k, j = day[first], piece[first]
@@ -597,7 +588,7 @@ def _gather(
         raw = donors[row[j], k]
         donor = ordinal + int(raw)  # named by its row where no date holds it
         donor = date.fromordinal(donor) if 1 <= donor <= _MAX_ORDINAL else f"at row {raw}"
-        if not inside[(day == k) & (piece == j)].all():
+        if outside[(day == k) & (piece == j)].any():
             raise ImputationError(f"matched day {donor} does not cover all slots needed by {when}")
         raise ImputationError(f"matched day {donor} is not complete")
     return values

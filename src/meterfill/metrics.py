@@ -40,6 +40,7 @@ from .cpi import (
     _scale_gap,
     complete_from_power,
     impute_cpi,
+    interpolate_singles,
     match_weights,
     plan_cpi,
     run_plan,
@@ -192,20 +193,19 @@ class GapSpans(NamedTuple):
 def gap_spans(gaps: GapArrays) -> GapSpans:
     """Group the power spans of the ``detect_gaps`` table by length, for ``gap_energies``.
 
-    Every span's power indices are laid out in one flat index, by length
-    and then in gap order; each group's matrix is a reshaped slice of it.
+    Every span's power indices are laid out in one flat index
+    (``_piece_slots``), by length and then in gap order; each group's
+    matrix is a reshaped slice of it.
     """
-    first = gaps.first_missing
-    length = gaps.last_missing - first + 1
+    runs = np.stack([gaps.first_missing, gaps.last_missing + 1], 1)
+    length = runs[:, 1] - runs[:, 0]
     order = np.argsort(length, kind="stable")
-    length = length[order]
-    offset = np.cumsum(length) - length
-    flat = np.repeat(first[order] - offset, length) + np.arange(length.sum())
-    edges = np.flatnonzero(np.diff(length, prepend=0, append=0)).tolist()
-    offsets, widths = [*offset.tolist(), flat.size], length.tolist()
+    flat, span = _piece_slots(runs[order])
+    edges = np.flatnonzero(np.diff(length[order], prepend=0, append=0))
+    bounds, edges = np.searchsorted(span, edges).tolist(), edges.tolist()
     groups = tuple(
-        (order[a:b], flat[offsets[a] : offsets[b]].reshape(b - a, widths[a]))
-        for a, b in zip(edges, edges[1:])
+        (order[a:b], flat[lo:hi].reshape(b - a, -1))
+        for a, b, lo, hi in zip(edges, edges[1:], bounds, bounds[1:])
     )
     return GapSpans(gaps.actual_energy, groups)
 
@@ -469,8 +469,8 @@ def _weight_grid(
 ) -> list[tuple[int, int, int]]:
     """Every integer (energy, weekday, season) triple of the ranges, all-zero excluded.
 
-    The bounds are checked here because the batched match never builds a
-    ``DissimilarityWeights`` for most triples.
+    The bounds are checked here, before any series is degraded; the batched
+    match would refuse a negative triple only once a series is planned.
     """
     named = (("energy", energy_range), ("weekday", weekday_range), ("season", season_range))
     for name, (lo, hi) in named:
@@ -560,7 +560,7 @@ def _covering_scores(
         hi = max(lo + 1, int(np.searchsorted(ends, reach, side="right")))
         values = _gather(plan.power, layout, assignments, gap[lo:hi], holder[lo:hi])
         _scale_gap(values, layout.gaps, dt, gap[lo:hi])
-        position, piece = _piece_slots(layout, gap[lo:hi])
+        position, piece = _piece_slots(layout.gap_slots[gap[lo:hi]])
         pastes[made[lo:hi][piece], slots[position]] = values
         nan = nan or bool(np.isnan(values).any())
         lo = hi
@@ -598,7 +598,9 @@ def grid_search_weights(
     The series are handled one at a time, so only one plan is held in
     memory.  Each series is degraded as an ``evaluate`` cell is
     (``_degrade``) and planned once, and every weight triple is matched in
-    one batch on the plan's match table (``cpi.match_weights``).  Triples
+    one batch on the plan's match table (``cpi.match_weights``); a series
+    with no gap left once its singles are interpolated scores as it is for
+    every triple, as in ``evaluate``.  Triples
     that pick the same donor for every day with gaps give the same
     imputation, and its MAPE is that of all its triples.  The distinct
     assignments are scored by ``_covering_scores``, which runs ``run_plan``
@@ -620,7 +622,11 @@ def grid_search_weights(
     mapes = np.empty((len(triples), len(calibration)))
     for index, (sid, series) in enumerate(calibration):
         degraded, actual, _, mask = _degrade(series, index, share, seed, max_gap_len)
-        plan = plan_cpi(degraded)
+        filled = interpolate_singles(degraded)
+        if not np.isnan(filled.values).any():  # as in ``_imputer``: every triple fills it alike
+            mapes[:, index] = mape_p(actual, energy_to_power(filled), mask).value
+            continue
+        plan = plan_cpi(filled)
         donors = match_weights(plan.table, triples)
         numbers: dict[bytes, int] = {}
         which = np.array([numbers.setdefault(row.tobytes(), len(numbers)) for row in donors])

@@ -787,6 +787,31 @@ def test_shared_term_matching_of_a_plan_is_each_triples_own_match():
         assert donors.tolist() == oracle.candidates[best].tolist(), triple
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((float("nan"), 1, 1), "dissimilarity weights must be finite"),
+        ((1, float("inf"), 1), "dissimilarity weights must be finite"),
+        ((-1, 1, 1), "dissimilarity weights must be non-negative"),
+        ((0, 0, 0), "at least one dissimilarity weight must be positive"),
+    ],
+    ids=["nan", "inf", "negative", "all-zero"],
+)
+def test_match_weights_refuses_the_triples_that_dissimilarity_weights_refuses(bad, message):
+    # Alone, among good triples, and before another bad triple, whose error
+    # is not the one raised.
+    from meterfill import MissingnessSpec, insert_missing, synthetic_series
+
+    degraded, _ = insert_missing(synthetic_series(3, days=42), MissingnessSpec(share=0.1, seed=3))
+    table = plan_cpi(degraded).table
+    with pytest.raises(ValidationError, match=message):
+        DissimilarityWeights(*bad)
+    other = (0, 0, 0) if bad != (0, 0, 0) else (-1, 1, 1)
+    for triples in ([bad], [(5, 1, 10), (1, 0, 0), bad, (2, 1, 1)], [(1, 1, 1), bad, other]):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            match_weights(table, triples)
+
+
 def test_an_excluded_candidate_stays_out_where_the_energy_term_is_nan():
     # Day totals of -1e308 and 1e308 differ by more than the largest float,
     # so a zero energy weight's term is 0 * inf = NaN there.  Each row's
@@ -2087,28 +2112,47 @@ def test_scaled_fills_on_zero_power_runs_complete_a_valid_meter(es):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(_plan_inputs())
-def test_scaling_the_readings_by_a_power_of_two_commutes_with_imputation(es):
-    """``impute_cpi`` of the readings times 2**k is its result times 2**k, bit for bit.
+@given(_plan_inputs(), st.integers(-40, 40))
+def test_scaling_the_readings_by_a_power_of_two_commutes_with_imputation(es, k):
+    """Every method's imputation of the readings times 2**k is its result times 2**k, bit for bit.
 
-    The product is exact in floating point, and every rule of the pipeline
-    (the energy-range normalization, the weekly fit, the estimates' clamp,
-    the fallbacks) is invariant under it, so the donors, the scale factors,
-    the imputed power and the completed series all carry over exactly.
+    The product is exact in floating point, and every rule of the five
+    methods (the energy-range normalization, the weekly fit, the
+    estimates' clamp, the fallbacks, the baselines' fits and the seasonal
+    model's relative zero-mean check) is invariant under it, so the
+    donors, the scale factors, the imputed power, the completed series and
+    the audit's anchors and gap energies all carry over exactly, and an
+    error is the same error.  Each method of ``metrics.METHODS`` runs
+    through ``metrics.method_imputer`` at a drawn k in -40..40, and
+    ``impute_cpi`` at every k in -3..5.  Scores are not unit-free:
+    ``evaluate``'s MAPE drops the truths below ``ZERO_ACTUAL_THRESHOLD``,
+    an absolute 1e-9 kW, so a change of unit can move a term across it.
     """
-    want = _outcome(impute_cpi, es)
-    for k in range(-3, 6):
+
+    def audit(fills, factor):
+        return [(f.gap.first_missing, f.gap.last_missing,
+                 *(None if v is None else v * factor
+                   for v in (f.gap.anchor_before, f.gap.anchor_after, f.gap.actual_energy)),
+                 f.sources, f.scale, f.fallback) for f in fills]
+
+    def check(impute, want, k):
         factor = 2.0**k
-        got = _outcome(impute_cpi, replace(es, values=es.values * factor))
+        got = _outcome(impute, replace(es, values=es.values * factor))
         if isinstance(want, tuple):
             assert got == want
-            continue
+            return
         for name in ("imputed_power", "completed_power", "completed_energy"):
             expect = getattr(want, name).values * factor
             assert getattr(got, name).values.tobytes() == expect.tobytes(), (k, name)
-        assert [(f.sources, f.scale, f.fallback) for f in got.per_gap] == [
-            (f.sources, f.scale, f.fallback) for f in want.per_gap
-        ], k
+        assert repr(audit(got.per_gap, 1.0)) == repr(audit(want.per_gap, factor)), k
+
+    wants = {}
+    for method in metrics.METHODS:
+        impute = metrics.method_imputer(method)
+        wants[method] = _outcome(impute, es)
+        check(impute, wants[method], k)
+    for small in range(-3, 6):
+        check(impute_cpi, wants["cpi"], small)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)

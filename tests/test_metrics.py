@@ -943,16 +943,37 @@ def test_the_tuner_pastes_each_other_gap_choice_once_alone(
 
 
 def test_a_plan_without_days_with_gaps_still_scores():
-    """A degraded series whose only removal is one isolated reading is pasted once."""
+    """A degraded series whose only removal is one isolated reading is scored, not planned.
+
+    Interpolating the reading leaves no gap, so every triple scores the
+    interpolated series, which the per-triple oracle's empty plan pastes.
+    """
     suite = synthetic_suite(2, days=30, slots_per_day=24)
     grid = ((1, 2), (0, 1), (1, 1))
     options = {"share": 1.2 / suite[0][1].n, "seed": 1}
-    result, log = _recorded_grid_search(suite, grid, **options)
-    assert [plan.layout.days.size for plan, *_ in log] == [0, 0]
-    assert [pasted for *_, pasted, _ in log] == [[()], [()]]
+    with mock.patch.object(metrics, "plan_cpi") as plan:
+        result = grid_search_weights(suite, *grid, **options)
+    assert plan.call_count == 0
     best, scores = grid_search_per_triple(suite, *grid, **options)
     assert result.scores == scores
     assert result.best == best
+
+
+def test_the_tuner_scores_a_series_too_short_to_plan_as_evaluate_does():
+    """Ten days with one single removal: each score is ``evaluate``'s one-triple MAPE.
+
+    Ten days are too few complete days to plan, but interpolating the
+    single leaves no gap, so ``evaluate`` scores the interpolated series;
+    the tuner must score it too, not refuse it.
+    """
+    suite = [("short", synthetic_series(3, days=10))]
+    result = grid_search_weights(suite, (1, 2), (0, 1), (1, 1), share=0.001)
+    assert len(result.scores) == 4
+    for w_energy, w_weekday, w_season, score in result.scores:
+        weights = DissimilarityWeights(w_energy, w_weekday, w_season)
+        assert score == evaluate(suite, (0.001,), ("cpi",), weights=weights).rows[0].mape_p
+    with pytest.raises(ImputationError, match="needs at least 14 complete days, got"):
+        grid_search_weights(suite, (1, 2), (0, 1), (1, 1), share=0.1)
 
 
 @pytest.mark.parametrize(
