@@ -385,8 +385,13 @@ class _TripleGroups:
 
 
 def _group_triples(triples, candidates: int) -> _TripleGroups:
-    """``triples`` grouped for blocks of ``candidates`` columns."""
-    weights = np.asarray(triples, dtype=np.float64).reshape(-1, 3)
+    """``triples``, a list of (energy, weekday, season) rows, grouped for ``candidates`` columns."""
+    try:  # a ragged list, or one of other than numbers, has no shape of rows
+        weights = np.asarray(triples if len(triples) else np.empty((0, 3)), dtype=np.float64)
+    except ValueError:
+        weights = np.empty(0)
+    if weights.shape[1:] != (3,):
+        raise ValidationError("weights must be a list of (energy, weekday, season) triples")
     bad = ~(np.isfinite(weights).all(1) & (weights >= 0).all(1) & (weights > 0).any(1))
     if bad.any():  # the first triple that DissimilarityWeights refuses raises its error
         DissimilarityWeights(*weights[bad.argmax()].tolist())
@@ -550,8 +555,8 @@ def _gather(
     donors: np.ndarray,
     gap: np.ndarray | None = None,
     row: np.ndarray | None = None,
-) -> np.ndarray:
-    """The donor values of pieces of the missing power slots, piece after piece.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The donor values of pieces of ``layout.missing``, with each one's position in it and piece.
 
     ``donors[r, i]`` is the day-table row of the donor of ``layout.days[i]``
     in donor row r.  Piece j is gap ``gap[j]``'s run of ``layout.missing``
@@ -591,7 +596,7 @@ def _gather(
         if outside[(day == k) & (piece == j)].any():
             raise ImputationError(f"matched day {donor} does not cover all slots needed by {when}")
         raise ImputationError(f"matched day {donor} is not complete")
-    return values
+    return values, position, piece
 
 
 def _scale_gap(
@@ -656,7 +661,7 @@ def copy_paste_and_scale(
             f"expected one integer donor row for each of {layout.days.size} days "
             f"with gaps, got shape {donors.shape} of {donors.dtype}"
         )
-    values = _gather(ps, layout, donors[None])
+    values = _gather(ps, layout, donors[None])[0]
     ordinal = ps.start.date().toordinal()
     pairs = list(zip(*(map(date.fromordinal, (ordinal + r).tolist())
                        for r in (layout.days, donors.astype(np.int64)))))
@@ -793,13 +798,14 @@ def impute_cpi(
     accepts.  The donors are ``match_weights``' pick for ``weights`` on the
     plan's match table, and ``run_plan`` pastes them (``_imputer``).
     """
-    return _imputer(es, weights, min_complete_days)(scale)
+    return _imputer(es, [astuple(weights)], min_complete_days)[0](scale)
 
 
-def _imputer(es: EnergySeries, weights: DissimilarityWeights, min_complete_days: int = 14):
-    """``impute_cpi`` planned and matched once, as a function that pastes for either ``scale``."""
+def _imputer(es: EnergySeries, triples, min_complete_days: int = 14):
+    """``es`` planned once, ``triples`` matched: ``(paste, plan, donors)``, plan None if no gap."""
     filled = interpolate_singles(es)
     if not np.isnan(filled.values).any():
-        return lambda scale: ImputationResult(filled, (), energy_to_power(filled))
+        return lambda scale: ImputationResult(filled, (), energy_to_power(filled)), None, None
     plan = plan_cpi(filled, min_complete_days)
-    return partial(run_plan, plan, match_weights(plan.table, [astuple(weights)])[0])
+    donors = match_weights(plan.table, triples)
+    return partial(run_plan, plan, donors[0]), plan, donors

@@ -12,10 +12,11 @@ scaling is on), never the power re-derived from the rebuilt energy, whose
 last gap slot absorbs any energy miss; so a method that does not conserve
 energy scores a nonzero WAPE.  ``METHODS`` is the one table of methods
 and ``method_imputer`` the one entry that imputes by name.  The cells of
-``evaluate`` and ``grid_search_weights`` are degraded by one ``_degrade``
-and aggregated by one ``_aggregate``; ``_format_csv`` writes both report
-CSVs.  The tuner scores every distinct donor assignment of a series from
-one paste and its pieces (``_covering_scores``).
+``evaluate`` and ``grid_search_weights`` are degraded by one ``_degrade``,
+imputed by one ``cpi._imputer``, scored by one MAPE rule and aggregated
+by one ``_aggregate``; ``_format_csv`` writes both report CSVs.  The
+tuner scores every distinct donor assignment of a series from one paste
+and its pieces (``_covering_scores``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -40,9 +41,6 @@ from .cpi import (
     _scale_gap,
     complete_from_power,
     impute_cpi,
-    interpolate_singles,
-    match_weights,
-    plan_cpi,
     run_plan,
 )
 from .errors import MeterfillError, MetricError, ValidationError
@@ -100,15 +98,17 @@ def mape_p(actual: PowerSeries, imputed: PowerSeries, mask: Iterable[int]) -> Ma
     ``mask`` is any iterable of integer power indices (an integer array, a
     list, a set, a range or a generator) in ``[0, actual.n)``; duplicates
     count once, and a strictly increasing integer array is used as the
-    index as it is.  Any other index, or series of different lengths, raise
-    ``MetricError``.  Terms whose actual power is smaller than
-    ``ZERO_ACTUAL_THRESHOLD`` in magnitude are excluded and counted in
-    ``skipped``.
+    index as it is.  Any other index, or series that differ in length,
+    start or resolution, raise ``MetricError``.  Terms whose actual power
+    is smaller than ``ZERO_ACTUAL_THRESHOLD`` in magnitude are excluded and
+    counted in ``skipped``.
     """
     if actual.n != imputed.n:
         raise MetricError(
             f"actual and imputed series differ in length: {actual.n} and {imputed.n}"
         )
+    if (actual.start, actual.resolution) != (imputed.start, imputed.resolution):
+        raise MetricError("actual and imputed series differ in start or resolution")
     idx = _sorted_index(mask, actual.n)
     truth = actual.values[idx]
     guess = imputed.values[idx]
@@ -118,8 +118,20 @@ def mape_p(actual: PowerSeries, imputed: PowerSeries, mask: Iterable[int]) -> Ma
     skipped = int((~keep).sum())
     if not keep.any():
         raise MetricError("no evaluable points: all actual values are zero")
-    value = float(np.mean(np.abs(guess[keep] - truth[keep]) / np.abs(truth[keep])))
-    return MapeResult(value, skipped)
+    return MapeResult(float(_relative_errors(guess[keep][None], truth[keep])[0]), skipped)
+
+
+def _relative_errors(guesses: np.ndarray, truth: np.ndarray) -> list:
+    """Each row's mean of ``|guess - truth| / |truth|``, the terms taken in place in ``guesses``.
+
+    ``mape_p`` scores one row and ``_covering_scores`` many.  Each row is
+    reduced by its own 1-D ``mean``, so every score is a one-row ``mape_p``'s
+    bit for bit: on a column-major matrix, ``mean(axis=1)`` adds in another order.
+    """
+    guesses -= truth
+    guesses /= truth  # |a / b| is |a| / |b| bit for bit: rounding is symmetric in sign
+    np.abs(guesses, out=guesses)
+    return [row.mean() for row in guesses]
 
 
 def _sorted_index(mask: Iterable[int], n: int) -> np.ndarray:
@@ -314,7 +326,7 @@ def _evaluate_cell(payload) -> list[ScoreRow]:
     if any(isinstance(METHODS[m], bool) for m in methods):
         started = time.perf_counter()
         try:
-            paste = _imputer(degraded, weights)
+            paste = _imputer(degraded, [astuple(weights)])[0]
         except MeterfillError as exc:
             paste = exc
         plan_s = time.perf_counter() - started
@@ -522,10 +534,8 @@ def _covering_scores(
     other assignments are scored in blocks of at most ``_SCORE_ENTRIES``
     entries: each one's imputed power over the kept slots (truth at least
     ``ZERO_ACTUAL_THRESHOLD`` in magnitude) is gathered as a row of a
-    matrix from the row of its gap's choice, its error terms are taken as
-    ``mape_p`` takes them, and each row is reduced by its own 1-D
-    ``mean``, which ``mape_p``'s is bit for bit (on a column-major matrix,
-    a 2-D ``mean(axis=1)`` adds in another order).  A scaled piece that
+    matrix from the row of its gap's choice, and the rows are scored by
+    ``mape_p``'s own rule (``_relative_errors``).  A scaled piece that
     came out NaN raises ``mape_p``'s error, after the first score.
     """
     layout = plan.layout
@@ -558,9 +568,8 @@ def _covering_scores(
     while lo < gap.size:
         reach = (ends[lo - 1] if lo else 0) + _PIECE_SLOTS
         hi = max(lo + 1, int(np.searchsorted(ends, reach, side="right")))
-        values = _gather(plan.power, layout, assignments, gap[lo:hi], holder[lo:hi])
+        values, position, piece = _gather(plan.power, layout, assignments, gap[lo:hi], holder[lo:hi])
         _scale_gap(values, layout.gaps, dt, gap[lo:hi])
-        position, piece = _piece_slots(layout.gap_slots[gap[lo:hi]])
         pastes[made[lo:hi][piece], slots[position]] = values
         nan = nan or bool(np.isnan(values).any())
         lo = hi
@@ -572,15 +581,11 @@ def _covering_scores(
     truth = actual.values[mask]
     kept = np.flatnonzero(np.abs(truth) >= ZERO_ACTUAL_THRESHOLD)
     truth = truth[kept]
-    scale = np.abs(truth)
     columns = slot_gap[kept]
     step = max(1, _SCORE_ENTRIES // kept.size)
     for lo in range(1, len(assignments), step):
-        terms = pastes[choice[lo : lo + step].take(columns, axis=1), kept]  # row-major
-        terms -= truth
-        np.abs(terms, out=terms)
-        terms /= scale
-        scores[lo : lo + step] = [row.mean() for row in terms]
+        guesses = pastes[choice[lo : lo + step].take(columns, axis=1), kept]  # row-major
+        scores[lo : lo + step] = _relative_errors(guesses, truth)
     return scores
 
 
@@ -596,21 +601,19 @@ def grid_search_weights(
     """Exhaustive integer grid search minimizing the aggregate MAPE.
 
     The series are handled one at a time, so only one plan is held in
-    memory.  Each series is degraded as an ``evaluate`` cell is
-    (``_degrade``) and planned once, and every weight triple is matched in
-    one batch on the plan's match table (``cpi.match_weights``); a series
-    with no gap left once its singles are interpolated scores as it is for
-    every triple, as in ``evaluate``.  Triples
-    that pick the same donor for every day with gaps give the same
-    imputation, and its MAPE is that of all its triples.  The distinct
-    assignments are scored by ``_covering_scores``, which runs ``run_plan``
-    and ``mape_p`` once, on the first of them, pastes each other distinct
-    donor choice of each gap once, in bounded blocks of pieces, and scores
-    the rest in bounded blocks of rows: one completion per series, not one
-    per assignment.  The aggregate over the series is ``_aggregate``'s, as
-    in ``evaluate``.  Ties are
-    broken by the smaller weight sum, then lexicographically.  Reversed or
-    negative ranges, an empty grid and bad degradation settings (a
+    memory.  Each series is degraded, planned and matched as an ``evaluate``
+    cell is (``_degrade``, ``cpi._imputer``), every weight triple in one
+    batch; a series with no gap left once its singles are interpolated
+    scores its one paste for every triple.  Triples that pick the same donor
+    for every day with gaps give the same imputation, and its MAPE is that
+    of all its triples.  The distinct assignments are scored by
+    ``_covering_scores``, which runs ``run_plan`` and ``mape_p`` once, on
+    the first of them, pastes each other distinct donor choice of each gap
+    once, in bounded blocks of pieces, and scores the rest in bounded blocks
+    of rows: one completion per series, not one per assignment.  The
+    aggregate over the series is ``_aggregate``'s, as in ``evaluate``.  Ties
+    are broken by the smaller weight sum, then lexicographically.  Reversed
+    or negative ranges, an empty grid and bad degradation settings (a
     negative seed among them) are rejected before any series is degraded.
     The calibration set must be disjoint from the evaluation set (caller's
     responsibility).
@@ -622,16 +625,14 @@ def grid_search_weights(
     mapes = np.empty((len(triples), len(calibration)))
     for index, (sid, series) in enumerate(calibration):
         degraded, actual, _, mask = _degrade(series, index, share, seed, max_gap_len)
-        filled = interpolate_singles(degraded)
-        if not np.isnan(filled.values).any():  # as in ``_imputer``: every triple fills it alike
-            mapes[:, index] = mape_p(actual, energy_to_power(filled), mask).value
+        paste, plan, donors = _imputer(degraded, triples)
+        if plan is None:  # no gap: every triple fills it alike
+            mapes[:, index] = mape_p(actual, paste(True).imputed_power, mask).value
             continue
-        plan = plan_cpi(filled)
-        donors = match_weights(plan.table, triples)
         numbers: dict[bytes, int] = {}
         which = np.array([numbers.setdefault(row.tobytes(), len(numbers)) for row in donors])
         assignments = donors[np.unique(which, return_index=True)[1]]
-        del donors  # only the distinct assignments are kept while pasting
+        del paste, donors  # paste views the batch; only the distinct assignments are kept
         mapes[:, index] = _covering_scores(plan, actual, mask, assignments)[which]
         del plan  # before the next series is planned: one plan in memory at a time
 

@@ -812,6 +812,42 @@ def test_match_weights_refuses_the_triples_that_dissimilarity_weights_refuses(ba
             match_weights(table, triples)
 
 
+@pytest.mark.parametrize(
+    "triples",
+    [[(5, 1, 10, 1, 0, 3)], [5, 1, 10], [(5, 1)], [(5, 1, 10), (1, 0)], [(5, 1, 10), "abc"],
+     [[]]],
+    ids=["six-wide", "flat", "two-wide", "ragged", "not-numbers", "one-empty"],
+)
+def test_match_weights_takes_only_rows_of_three_weights(triples):
+    """A list that is not of (energy, weekday, season) rows is refused, not reshaped."""
+    from meterfill import MissingnessSpec, insert_missing, synthetic_series
+
+    degraded, _ = insert_missing(synthetic_series(3, days=42), MissingnessSpec(share=0.1, seed=3))
+    table = plan_cpi(degraded).table
+    with pytest.raises(ValidationError, match=r"^weights must be a list of \(energy, weekday"):
+        match_weights(table, triples)
+    for empty in ([], np.empty((0, 3))):
+        assert match_weights(table, empty).shape == (0, table.rows.size)
+
+
+def test_gather_returns_the_layout_of_its_pieces():
+    """The values come with each one's position in ``layout.missing`` and its piece."""
+    from meterfill import MissingnessSpec, insert_missing, synthetic_series
+
+    degraded, _ = insert_missing(synthetic_series(3, days=42), MissingnessSpec(share=0.2, seed=3))
+    plan = plan_cpi(degraded)
+    layout = plan.layout
+    donors = match_weights(plan.table, [(5, 1, 10), (1, 0, 3)])
+    gap = np.array([2, 0, 2])
+    values, position, piece = cpi._gather(plan.power, layout, donors, gap, np.array([1, 0, 0]))
+    want = cpi._piece_slots(layout.gap_slots[gap])
+    assert [position.tolist(), piece.tolist()] == [laid.tolist() for laid in want]
+    assert len(values) == len(position)
+    values, position, piece = cpi._gather(plan.power, layout, donors)
+    assert position.tolist() == list(range(layout.missing.size))
+    assert not piece.any()
+
+
 def test_an_excluded_candidate_stays_out_where_the_energy_term_is_nan():
     # Day totals of -1e308 and 1e308 differ by more than the largest float,
     # so a zero energy weight's term is 0 * inf = NaN there.  Each row's
@@ -1798,7 +1834,7 @@ def test_each_gap_gathered_and_scaled_alone_is_the_oracles_slice():
         donors = match_weights(plan.table, [(5, 1, 10), (1, 0, 3)])
         gap = np.repeat(np.arange(len(layout.gaps.records)), 2)
         row = np.tile([0, 1], len(layout.gaps.records))
-        pasted = cpi._gather(plan.power, layout, donors, gap, row)
+        pasted, _, _ = cpi._gather(plan.power, layout, donors, gap, row)
         scaled = pasted.copy()
         factor, uniform = cpi._scale_gap(scaled, layout.gaps, dt, gap)
         edges = np.cumsum(np.diff(layout.gap_slots[gap]).ravel())[:-1]

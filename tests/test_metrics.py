@@ -141,6 +141,23 @@ def test_mape_rejects_a_bad_mask_or_length(mask, imputed_n, message):
         mape_p(actual, power([1.0] * imputed_n), mask)
 
 
+@pytest.mark.parametrize(
+    "start, resolution",
+    [(datetime(2021, 1, 4), timedelta(hours=1)), (datetime(2020, 1, 6), timedelta(minutes=15)),
+     (datetime(2021, 1, 4), timedelta(minutes=15))],
+    ids=["start-and-resolution", "start", "resolution"],
+)
+def test_mape_rejects_series_that_do_not_line_up(start, resolution):
+    """Two series of one length that start or step differently are not scored."""
+    truth = np.linspace(1.0, 2.0, 8)
+    actual = power(truth, start=datetime(2020, 1, 6), resolution=timedelta(hours=1))
+    other = power(1.1 * truth, start=start, resolution=resolution)
+    with pytest.raises(MetricError, match="^actual and imputed series differ in start or resol"):
+        mape_p(actual, other, range(8))
+    assert mape_p(actual, replace(other, start=actual.start, resolution=actual.resolution),
+                  range(8)) == (pytest.approx(0.1), 0)
+
+
 # ---------------------------------------------------------------------------
 # WAPE over gap energies
 # ---------------------------------------------------------------------------
@@ -415,10 +432,7 @@ def test_each_caller_matches_once(small_suite):
 
     suite = small_suite[:2]
     degraded, _ = insert_missing(suite[0][1], MissingnessSpec(share=0.1, seed=3))
-    with (
-        mock.patch.object(cpi, "match_weights", counted),
-        mock.patch.object(metrics, "match_weights", counted),
-    ):
+    with mock.patch.object(cpi, "match_weights", counted):
         impute_cpi(degraded)
         assert calls == [1]
         report = evaluate(suite, shares=[0.05, 0.1], methods=["cpi", "linear", "cpi_noscale"])
@@ -801,15 +815,16 @@ def _recorded_grid_search(suite, grid, pieces=None, covered=None, **options):
     pieces = [] if pieces is None else pieces
     covered = [] if covered is None else covered
     blocks = []  # each gathered block's gaps, then whether it was scaled
+    plan_cpi, match_weights = cpi.plan_cpi, cpi.match_weights
 
-    def plan(series):
-        log.append([cpi.plan_cpi(series), None, [], 0])
+    def plan(series, min_complete_days=14):
+        log.append([plan_cpi(series, min_complete_days), None, [], 0])
         pieces.append([])
         return log[-1][0]
 
     def match(table, triples):
         assert log[-1][1] is None  # one batch per series
-        log[-1][1] = cpi.match_weights(table, triples)
+        log[-1][1] = match_weights(table, triples)
         return log[-1][1]
 
     def run(plan, donors):
@@ -820,14 +835,14 @@ def _recorded_grid_search(suite, grid, pieces=None, covered=None, **options):
     def gather(ps, layout, donors, gap, row):
         assert layout is log[-1][0].layout
         assert not blocks or blocks[-1][1]  # the block before was scaled
-        values = cpi._gather(ps, layout, donors, gap, row)
+        values, position, slot_piece = cpi._gather(ps, layout, donors, gap, row)
         lengths = np.diff(layout.gap_slots[gap]).ravel()
         assert values.size == lengths.sum()
         for k, r, piece in zip(gap.tolist(), row.tolist(),
                                np.split(values, np.cumsum(lengths)[:-1])):
             pieces[-1].append((k, tuple(donors[r].tolist()), piece.copy()))
         blocks.append([gap.tolist(), False])
-        return values
+        return values, position, slot_piece
 
     def scale_gap(values, gaps, dt, gap):
         assert gaps is log[-1][0].layout.gaps
@@ -845,8 +860,8 @@ def _recorded_grid_search(suite, grid, pieces=None, covered=None, **options):
         return scores
 
     with (
-        mock.patch.object(metrics, "plan_cpi", plan),
-        mock.patch.object(metrics, "match_weights", match),
+        mock.patch.object(cpi, "plan_cpi", plan),
+        mock.patch.object(cpi, "match_weights", match),
         mock.patch.object(metrics, "run_plan", run),
         mock.patch.object(metrics, "mape_p", score),
         mock.patch.object(metrics, "_gather", gather),
@@ -951,7 +966,7 @@ def test_a_plan_without_days_with_gaps_still_scores():
     suite = synthetic_suite(2, days=30, slots_per_day=24)
     grid = ((1, 2), (0, 1), (1, 1))
     options = {"share": 1.2 / suite[0][1].n, "seed": 1}
-    with mock.patch.object(metrics, "plan_cpi") as plan:
+    with mock.patch.object(cpi, "plan_cpi") as plan:
         result = grid_search_weights(suite, *grid, **options)
     assert plan.call_count == 0
     best, scores = grid_search_per_triple(suite, *grid, **options)
@@ -959,21 +974,44 @@ def test_a_plan_without_days_with_gaps_still_scores():
     assert result.best == best
 
 
-def test_the_tuner_scores_a_series_too_short_to_plan_as_evaluate_does():
-    """Ten days with one single removal: each score is ``evaluate``'s one-triple MAPE.
+@pytest.mark.parametrize(
+    "series, share, max_gap_len, boundary",
+    [
+        (synthetic_series(3, days=10), 0.001, None, False),
+        (synthetic_series(3, days=70, slots_per_day=24), 0.15, 30, True),
+        (synthetic_series(5, days=1461), 0.3, None, False),
+        (synthetic_series(2, days=400, slots_per_day=24, start=datetime(2020, 2, 20, 7)), 0.3,
+         None, False),
+        (synthetic_series(3), 0.05, 2, False),
+    ],
+    ids=["ten-days", "boundary-gaps", "four-years-30-percent", "leap-day-mid-day-start",
+         "max-gap-len-2"],
+)
+def test_the_tuner_scores_a_series_too_short_to_plan_as_evaluate_does(
+    monkeypatch, series, share, max_gap_len, boundary
+):
+    """Each score of a four-triple grid is ``evaluate``'s one-triple ``cpi`` MAPE.
 
-    Ten days are too few complete days to plan, but interpolating the
-    single leaves no gap, so ``evaluate`` scores the interpolated series;
-    the tuner must score it too, not refuse it.
+    Ten days with one single removal are too few complete days to plan,
+    but interpolating the single leaves no gap, so ``evaluate`` scores the
+    interpolated series; the tuner must score it too, not refuse it.  The
+    same holds with unanchored gaps at both ends, on four quarter-hourly
+    years at 30 % share, on an hourly series that starts mid-day and
+    crosses a leap day, and with gaps of at most two readings.
     """
-    suite = [("short", synthetic_series(3, days=10))]
-    result = grid_search_weights(suite, (1, 2), (0, 1), (1, 1), share=0.001)
+    if boundary:
+        monkeypatch.setattr(metrics, "insert_missing", _with_boundary_gaps)
+    suite = [("series", series)]
+    result = grid_search_weights(suite, (1, 2), (0, 1), (1, 1), share=share,
+                                 max_gap_len=max_gap_len)
     assert len(result.scores) == 4
     for w_energy, w_weekday, w_season, score in result.scores:
         weights = DissimilarityWeights(w_energy, w_weekday, w_season)
-        assert score == evaluate(suite, (0.001,), ("cpi",), weights=weights).rows[0].mape_p
-    with pytest.raises(ImputationError, match="needs at least 14 complete days, got"):
-        grid_search_weights(suite, (1, 2), (0, 1), (1, 1), share=0.1)
+        report = evaluate(suite, (share,), ("cpi",), weights=weights, max_gap_len=max_gap_len)
+        assert score == report.rows[0].mape_p
+    if series.n < 1000:  # ten days: more than one single at 10 % share leaves gaps to plan
+        with pytest.raises(ImputationError, match="needs at least 14 complete days, got"):
+            grid_search_weights(suite, (1, 2), (0, 1), (1, 1), share=0.1)
 
 
 @pytest.mark.parametrize(
@@ -995,7 +1033,7 @@ def test_bad_weight_grids_fail_before_any_series_is_degraded(grid, error, messag
     suite = synthetic_suite(1, base_seed=60, days=42)
     with (
         mock.patch.object(metrics, "insert_missing") as degrade,
-        mock.patch.object(metrics, "plan_cpi") as plan,
+        mock.patch.object(cpi, "plan_cpi") as plan,
         pytest.raises(error, match=message),
     ):
         grid_search_weights(suite, *grid)
